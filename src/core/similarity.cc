@@ -19,22 +19,6 @@ namespace {
 
 constexpr double kPi = 3.14159265358979323846;
 
-void RecordSetStats(const SimilarityStats& stats) {
-  MetricsRegistry& metrics = GlobalMetrics();
-  if (stats.pairs_exact > 0) {
-    metrics.GetCounter("fedgta.similarity.pairs_exact")
-        .Increment(stats.pairs_exact);
-  }
-  if (stats.pairs_pruned > 0) {
-    metrics.GetCounter("fedgta.similarity.pairs_pruned")
-        .Increment(stats.pairs_pruned);
-  }
-  metrics
-      .GetCounter(std::string("fedgta.similarity.mode.") +
-                  std::string(SimilarityModeName(stats.mode_used)))
-      .Increment();
-}
-
 /// Row panel height for the exact sweep: bounds the transient block buffer
 /// to ~8 MiB regardless of the participant count.
 int64_t SweepPanelRows(int64_t p) {
@@ -81,11 +65,9 @@ std::vector<std::vector<int>> SetsViaExactSweep(
   return sets;
 }
 
-/// LSH Eq. 6: pack sign-random-projection signatures, prune pairs whose
-/// Hamming-estimated angle exceeds acos(ε)/π + margin, and exact-check the
-/// survivors through the same backend GEMM kernel as the exact sweep (the
-/// per-element accumulation order over the moment dimension is fixed by
-/// the backend, so surviving pairs get bit-identical similarity values).
+/// LSH Eq. 6, one symmetric pass: each unordered pair (a, b > a) is
+/// screened and, if it survives, exact-checked once; admitted pairs are
+/// then mirrored into both rows.
 std::vector<std::vector<int>> SetsViaLsh(const Matrix& normalized,
                                          const std::vector<int>& participants,
                                          int num_clients, double epsilon,
@@ -93,10 +75,7 @@ std::vector<std::vector<int>> SetsViaLsh(const Matrix& normalized,
                                          SimilarityStats* stats) {
   const int64_t p = normalized.rows();
   const int64_t d = normalized.cols();
-  const float eps = static_cast<float>(epsilon);
   const LshShape shape = LshShapeFor(epsilon, plane);
-  const int64_t words = shape.words;
-  const int64_t h_max = shape.h_max;
 
   std::vector<uint64_t> sig;
   {
@@ -105,61 +84,72 @@ std::vector<std::vector<int>> SetsViaLsh(const Matrix& normalized,
   }
 
   FEDGTA_PHASE_SCOPE("similarity");
-  std::vector<std::vector<int>> sets(static_cast<size_t>(num_clients));
-  std::atomic<int64_t> pruned{0};
-  std::atomic<int64_t> exact{0};
-  ParallelForChunked(
-      0, p,
-      [&](int64_t lo, int64_t hi) {
-        int64_t local_pruned = 0;
-        int64_t local_exact = 0;
-        std::vector<int64_t> cand;
-        Matrix gathered;
-        Matrix sims;
-        for (int64_t a = lo; a < hi; ++a) {
-          const int i = participants[static_cast<size_t>(a)];
-          auto& set = sets[static_cast<size_t>(i)];
-          set.push_back(i);
+  // upper[a]: row a's admitted partners b > a, ascending. Task k takes
+  // rows [edge(k), edge(k + 1)), about 1/parts of the triangle's pairs
+  // (row a owns p - 1 - a of them).
+  std::vector<std::vector<int32_t>> upper(static_cast<size_t>(p));
+  std::atomic<int64_t> survivors{0};
+  const double parts = 4.0 * GlobalThreadPoolSize();
+  const auto edge = [&](int64_t k) {
+    const double rest = 1.0 - static_cast<double>(k) / parts;
+    return std::llround(static_cast<double>(p) * (1.0 - std::sqrt(rest)));
+  };
+  ParallelFor(
+      0, static_cast<int64_t>(parts),
+      [&](int64_t k) {
+        std::vector<int32_t> cand;
+        int64_t screened = 0;
+        for (int64_t a = edge(k); a < edge(k + 1); ++a) {
           cand.clear();
-          const uint64_t* sa = sig.data() + a * words;
-          for (int64_t b = 0; b < p; ++b) {
-            if (b == a) continue;
-            const uint64_t* sb = sig.data() + b * words;
-            int64_t h = 0;
-            for (int64_t w = 0; w < words; ++w) {
-              h += std::popcount(sa[w] ^ sb[w]);
-            }
-            if (h > h_max) {
-              ++local_pruned;
-            } else {
-              cand.push_back(b);
-            }
-          }
-          local_exact += static_cast<int64_t>(cand.size());
-          if (cand.empty()) continue;
-          const int64_t c = static_cast<int64_t>(cand.size());
-          gathered.EnsureShape(c, d);
-          for (int64_t idx = 0; idx < c; ++idx) {
-            std::memcpy(gathered.data() + idx * d,
-                        normalized.data() + cand[static_cast<size_t>(idx)] * d,
-                        static_cast<size_t>(d) * sizeof(float));
-          }
-          ExactSimilarityRow(normalized.data() + a * d, gathered, &sims);
-          for (int64_t idx = 0; idx < c; ++idx) {
-            if (sims.data()[idx] >= eps) {
-              set.push_back(participants[static_cast<size_t>(
-                  cand[static_cast<size_t>(idx)])]);
-            }
-          }
+          LshScreen(sig.data() + a * shape.words, sig.data(), a + 1, p, shape,
+                    &cand);
+          screened += static_cast<int64_t>(cand.size());
+          AdmitByCosine(
+              normalized.data() + a * d, d, cand,
+              [&](int32_t b) { return normalized.data() + int64_t{b} * d; },
+              epsilon, &upper[static_cast<size_t>(a)]);
         }
-        pruned.fetch_add(local_pruned, std::memory_order_relaxed);
-        exact.fetch_add(local_exact, std::memory_order_relaxed);
+        survivors += screened;
       },
-      /*min_chunk=*/1);
-  stats->pairs_pruned += pruned.load(std::memory_order_relaxed);
-  stats->pairs_exact += exact.load(std::memory_order_relaxed);
+      /*grain=*/1);
+
+  // Mirror in ascending row order: row a's lower partners are all pushed
+  // before its upper ones, so every set lists its members by ascending
+  // participant index, the exact oracle's order.
+  std::vector<std::vector<int>> sets(static_cast<size_t>(num_clients));
+  for (int i : participants) sets[static_cast<size_t>(i)].push_back(i);
+  for (int64_t a = 0; a < p; ++a) {
+    const int i = participants[static_cast<size_t>(a)];
+    for (int32_t b : upper[static_cast<size_t>(a)]) {
+      const int j = participants[static_cast<size_t>(b)];
+      sets[static_cast<size_t>(i)].push_back(j);
+      sets[static_cast<size_t>(j)].push_back(i);
+    }
+    upper[static_cast<size_t>(a)] = {};
+  }
+  const int64_t exact = 2 * survivors;
+  stats->pairs_exact += exact;
+  stats->pairs_pruned += p * (p - 1) - exact;
   stats->mode_used = SimilarityMode::kLsh;
   return sets;
+}
+
+/// The prescreen loop (signature width fixed at compile time if kWords >
+/// 0), force-inlined so that in the popcnt-targeted caller std::popcount
+/// compiles to the hardware instruction.
+template <int64_t kWords>
+__attribute__((always_inline)) inline int64_t ScreenRows(
+    const uint64_t* sig, const uint64_t* sigs, int64_t begin, int64_t end,
+    const LshShape& shape, std::vector<int32_t>* candidates) {
+  const int64_t words = kWords > 0 ? kWords : shape.words;
+  const size_t kept = candidates->size();
+  for (int64_t b = begin; b < end; ++b) {
+    const uint64_t* sb = sigs + b * words;
+    int64_t h = 0;
+    for (int64_t w = 0; w < words; ++w) h += std::popcount(sig[w] ^ sb[w]);
+    if (h <= shape.h_max) candidates->push_back(static_cast<int32_t>(b));
+  }
+  return end - begin - static_cast<int64_t>(candidates->size() - kept);
 }
 
 double QuantileOfPairValues(std::vector<float>* values, double q) {
@@ -201,6 +191,22 @@ std::string_view SimilarityModeName(SimilarityMode mode) {
       return "lsh";
   }
   return "exact";
+}
+
+void RecordSetStats(const SimilarityStats& stats) {
+  MetricsRegistry& metrics = GlobalMetrics();
+  if (stats.pairs_exact > 0) {
+    metrics.GetCounter("fedgta.similarity.pairs_exact")
+        .Increment(stats.pairs_exact);
+  }
+  if (stats.pairs_pruned > 0) {
+    metrics.GetCounter("fedgta.similarity.pairs_pruned")
+        .Increment(stats.pairs_pruned);
+  }
+  metrics
+      .GetCounter(std::string("fedgta.similarity.mode.") +
+                  std::string(SimilarityModeName(stats.mode_used)))
+      .Increment();
 }
 
 LshShape LshShapeFor(double epsilon, const SimilarityPlaneOptions& plane) {
@@ -250,21 +256,77 @@ std::vector<uint64_t> ComputeLshSignatures(
   return sig;
 }
 
-void ExactSimilarityRow(const float* row, const Matrix& gathered,
-                        Matrix* sims) {
-  const int64_t c = gathered.rows();
-  const int64_t d = gathered.cols();
-  sims->EnsureShape(1, c);
+namespace internal {
+
+int64_t LshScreenPortable(const uint64_t* sig, const uint64_t* sigs,
+                          int64_t begin, int64_t end, const LshShape& shape,
+                          std::vector<int32_t>* candidates) {
+  return shape.words == 4  // the default 256-bit signature
+             ? ScreenRows<4>(sig, sigs, begin, end, shape, candidates)
+             : ScreenRows<0>(sig, sigs, begin, end, shape, candidates);
+}
+
+}  // namespace internal
+
+#if defined(__x86_64__) || defined(__i386__)
+/// The same loop on hardware popcnt; LshScreen enters it only when cpuid
+/// reports the instruction (the simd backend's runtime-dispatch pattern).
+__attribute__((target("popcnt"))) int64_t LshScreenPopcnt(
+    const uint64_t* sig, const uint64_t* sigs, int64_t begin, int64_t end,
+    const LshShape& shape, std::vector<int32_t>* candidates) {
+  return shape.words == 4
+             ? ScreenRows<4>(sig, sigs, begin, end, shape, candidates)
+             : ScreenRows<0>(sig, sigs, begin, end, shape, candidates);
+}
+#endif
+
+int64_t LshScreen(const uint64_t* sig, const uint64_t* sigs, int64_t begin,
+                  int64_t end, const LshShape& shape,
+                  std::vector<int32_t>* candidates) {
+#if defined(__x86_64__) || defined(__i386__)
+  static const bool hardware = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("popcnt");
+  }();
+  if (hardware) {
+    return LshScreenPopcnt(sig, sigs, begin, end, shape, candidates);
+  }
+#endif
+  return internal::LshScreenPortable(sig, sigs, begin, end, shape,
+                                     candidates);
+}
+
+void AdmitByCosine(const float* row, int64_t d,
+                   const std::vector<int32_t>& candidates,
+                   const std::function<const float*(int32_t)>& row_of,
+                   double epsilon, std::vector<int32_t>* admitted) {
+  if (candidates.empty()) return;
+  // One 1 x c GEMM against the gathered candidate rows (transposed view);
+  // the buffers are per thread and reused across rows and calls.
+  thread_local Matrix gathered;
+  thread_local Matrix sims;
+  const int64_t c = static_cast<int64_t>(candidates.size());
+  gathered.EnsureShape(c, d);
+  for (int64_t k = 0; k < c; ++k) {
+    std::memcpy(gathered.data() + k * d,
+                row_of(candidates[static_cast<size_t>(k)]),
+                static_cast<size_t>(d) * sizeof(float));
+  }
+  sims.EnsureShape(1, c);
   linalg::GemmCall call;
   call.a = {row, d, 1};
-  call.b = {gathered.data(), 1, d};  // transposed gathered view
+  call.b = {gathered.data(), 1, d};
   call.m = 1;
   call.n = c;
   call.k = d;
-  call.alpha = 1.0f;
-  call.beta = 0.0f;
-  call.c = sims->data();
+  call.c = sims.data();
   linalg::ActiveBackend().GemmRows(call, 0, 1);
+  const float eps = static_cast<float>(epsilon);
+  for (int64_t k = 0; k < c; ++k) {
+    if (sims.data()[k] >= eps) {
+      admitted->push_back(candidates[static_cast<size_t>(k)]);
+    }
+  }
 }
 
 Matrix StackNormalizedMoments(const std::vector<std::vector<float>>& moments,
@@ -359,42 +421,6 @@ double SimilarityQuantile(const SimilarityBlock& block, double q) {
     }
   }
   return QuantileOfPairValues(&values, q);
-}
-
-double SimilarityQuantile(const Matrix& similarity,
-                          const std::vector<int>& participants, double q) {
-  FEDGTA_CHECK_GE(q, 0.0);
-  FEDGTA_CHECK_LE(q, 1.0);
-  std::vector<float> values;
-  for (size_t a = 0; a < participants.size(); ++a) {
-    for (size_t b = a + 1; b < participants.size(); ++b) {
-      values.push_back(similarity(participants[a], participants[b]));
-    }
-  }
-  return QuantileOfPairValues(&values, q);
-}
-
-Matrix MomentSimilarityMatrix(const std::vector<std::vector<float>>& moments,
-                              const std::vector<int>& participants) {
-  const int n = static_cast<int>(moments.size());
-  const SimilarityBlock block = ComputeSimilarityBlock(moments, participants);
-  Matrix sim(n, n);
-  const int64_t p = block.values.rows();
-  for (int64_t a = 0; a < p; ++a) {
-    const int i = block.participants[static_cast<size_t>(a)];
-    for (int64_t b = 0; b < p; ++b) {
-      sim(i, block.participants[static_cast<size_t>(b)]) =
-          block.values(a, b);
-    }
-  }
-  return sim;
-}
-
-std::vector<std::vector<int>> BuildAggregationSets(
-    const std::vector<std::vector<float>>& moments,
-    const std::vector<int>& participants, double epsilon) {
-  SimilarityPlaneOptions exact;
-  return BuildAggregationSets(moments, participants, epsilon, exact);
 }
 
 std::vector<std::vector<int>> BuildAggregationSets(

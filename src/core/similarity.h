@@ -2,6 +2,7 @@
 #define FEDGTA_CORE_SIMILARITY_H_
 
 #include <cstdint>
+#include <functional>
 #include <string_view>
 #include <vector>
 
@@ -44,12 +45,15 @@ struct SimilarityPlaneOptions {
 };
 
 /// What the candidate generator did for one set-building call. Pairs are
-/// counted ordered (each (i, j), i != j, judged from i's row).
+/// counted ordered, (i, j) and (j, i), though LSH judges each pair once.
 struct SimilarityStats {
   int64_t pairs_exact = 0;
   int64_t pairs_pruned = 0;
   SimilarityMode mode_used = SimilarityMode::kExact;
 };
+/// Adds one set-building call to the `fedgta.similarity.pairs_{exact,
+/// pruned}` and `fedgta.similarity.mode.<mode>` counters.
+void RecordSetStats(const SimilarityStats& stats);
 
 /// Resolved LSH geometry for one (ε, plane) pair. Deterministic in its
 /// inputs, so every process of a sharded fleet derives the same shape from
@@ -73,19 +77,37 @@ LshShape LshShapeFor(double epsilon, const SimilarityPlaneOptions& plane);
 std::vector<uint64_t> ComputeLshSignatures(const Matrix& normalized,
                                            const SimilarityPlaneOptions& plane);
 
-/// One exact similarity row through the backend GEMM: sims (resized to
-/// 1 x gathered.rows()) gets the cosine of `row` (length gathered.cols(),
-/// already normalized) against every gathered row. Bit-identical per
-/// element to the full-block sweep (chunk-invariance contract of
-/// GemmRows), which is what keeps LSH and sharded candidate checks on the
-/// exact oracle's arithmetic.
-void ExactSimilarityRow(const float* row, const Matrix& gathered,
-                        Matrix* sims);
+/// The Eq. 6 Hamming prescreen: appends to *candidates, ascending, every
+/// row in [begin, end) of the packed table `sigs` (shape.words per row)
+/// within shape.h_max bits of `sig`, and returns how many it pruned. Runs
+/// on hardware popcnt when the CPU has it (runtime dispatch, like the simd
+/// backend), else on the portable std::popcount loop; same list either way.
+int64_t LshScreen(const uint64_t* sig, const uint64_t* sigs, int64_t begin,
+                  int64_t end, const LshShape& shape,
+                  std::vector<int32_t>* candidates);
+
+namespace internal {
+/// LshScreen's portable fallback, exposed so tests can pin that it agrees
+/// with the hardware-popcount path.
+int64_t LshScreenPortable(const uint64_t* sig, const uint64_t* sigs,
+                          int64_t begin, int64_t end, const LshShape& shape,
+                          std::vector<int32_t>* candidates);
+}  // namespace internal
+
+/// The Eq. 6 exact check of one normalized row (`d` floats) against
+/// `candidates`, whose rows `row_of` resolves: one 1 x |candidates| backend
+/// GEMM, then each candidate whose cosine reaches ε is appended to
+/// *admitted, in order. By the GemmRows chunk-invariance and operand-
+/// symmetry contracts (linalg/backend.h) each cosine has the bits of both
+/// its exact-oracle elements (a, b) and (b, a).
+void AdmitByCosine(const float* row, int64_t d,
+                   const std::vector<int32_t>& candidates,
+                   const std::function<const float*(int32_t)>& row_of,
+                   double epsilon, std::vector<int32_t>* admitted);
 
 /// Compact participants-indexed cosine block: values(a, b) is the cosine
-/// similarity of participants[a] and participants[b]. Unlike the legacy
-/// clients x clients matrix this allocates only participants², which is
-/// what partial participation actually needs.
+/// similarity of participants[a] and participants[b]. It allocates only
+/// participants², which is what partial participation actually needs.
 struct SimilarityBlock {
   std::vector<int> participants;
   Matrix values;  // participants x participants; unit diagonal
@@ -115,36 +137,23 @@ std::vector<std::vector<int>> SetsFromSimilarityBlock(
 /// q-quantile (q in [0, 1]) of the off-diagonal pairwise similarities.
 /// Returns 0 with fewer than two participants.
 double SimilarityQuantile(const SimilarityBlock& block, double q);
-/// Legacy full-matrix overload (indexed by client id).
-double SimilarityQuantile(const Matrix& similarity,
-                          const std::vector<int>& participants, double q);
-
-/// Legacy full clients x clients similarity matrix: the compact block
-/// scattered to client-id indexing with unit participant diagonal and 0
-/// elsewhere. Kept for inspection and tests; hot paths use the block.
-Matrix MomentSimilarityMatrix(const std::vector<std::vector<float>>& moments,
-                              const std::vector<int>& participants);
 
 /// Aggregation sets, paper Eq. (6): for each participant i,
-///   I_i = { j participant : cos(M_i, M_j) >= epsilon } ∪ {i}.
-/// Returned indexed by client id; non-participants get empty sets. This
-/// overload always runs the exact GEMM path (the determinism oracle).
-std::vector<std::vector<int>> BuildAggregationSets(
-    const std::vector<std::vector<float>>& moments,
-    const std::vector<int>& participants, double epsilon);
-
-/// Mode-dispatched set building: kExact sweeps the GEMM block in row
-/// panels; kLsh prescreens pairs with packed sign-random-projection
-/// signatures and exact-checks only the survivors through the same backend
-/// GEMM kernel, so surviving pairs get bit-identical similarity values and
-/// the resulting sets match the exact oracle whenever the screen has no
-/// false negatives (see lsh_margin). Candidate generation is timed under
-/// the `similarity_candidates` phase and counted in the
+///   I_i = { j participant : cos(M_i, M_j) >= epsilon } ∪ {i},
+/// returned indexed by client id (non-participants get empty sets). The
+/// default plane is kExact, the determinism oracle: it sweeps the GEMM
+/// block in row panels. kLsh visits each unordered pair once — LshScreen,
+/// then AdmitByCosine on the survivors — mirrors admitted pairs into both
+/// rows and orders every row by participant index, so its sets match the
+/// oracle's member for member whenever the screen has no false negatives
+/// (see lsh_margin). Candidate generation is timed under the
+/// `similarity_candidates` phase and counted in the
 /// `fedgta.similarity.pairs_{exact,pruned}` counters.
 std::vector<std::vector<int>> BuildAggregationSets(
     const std::vector<std::vector<float>>& moments,
     const std::vector<int>& participants, double epsilon,
-    const SimilarityPlaneOptions& plane, SimilarityStats* stats = nullptr);
+    const SimilarityPlaneOptions& plane = SimilarityPlaneOptions(),
+    SimilarityStats* stats = nullptr);
 
 }  // namespace fedgta
 

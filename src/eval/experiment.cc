@@ -101,9 +101,4 @@ MeanStd RunCentralized(const std::string& dataset,
   return ComputeMeanStd(accs);
 }
 
-ExperimentResult RunLocalOnly(ExperimentConfig config) {
-  config.strategy = "local";
-  return RunExperiment(config);
-}
-
 }  // namespace fedgta

@@ -60,10 +60,6 @@ MeanStd RunCentralized(const std::string& dataset,
                        const OptimizerConfig& opt_config, int epochs,
                        int repeats, uint64_t seed);
 
-/// Siloed "Local" baseline: local training only (no communication),
-/// evaluated like the federated runs.
-ExperimentResult RunLocalOnly(ExperimentConfig config);
-
 }  // namespace fedgta
 
 #endif  // FEDGTA_EVAL_EXPERIMENT_H_

@@ -136,7 +136,10 @@ Status Session::Handshake() {
   net::RoutedMsg assigned;
   FEDGTA_RETURN_IF_ERROR(net::ExpectMessage(sock_, &assigned));
   const int64_t t3 = internal_obs::TraceNowMicros();
-  FEDGTA_RETURN_IF_ERROR(UnpackEnvelope(assigned, EK::kShardAssign, &assign_));
+  if (Status unpacked = UnpackEnvelope(assigned, EK::kShardAssign, &assign_);
+      !unpacked.ok()) {
+    return Complain(sock_, std::move(unpacked));
+  }
 
   // Same NTP midpoint as the worker handshake: merged timelines land on
   // the root's timebase. Aggregators own pids 2..K+1; their workers start
@@ -170,11 +173,6 @@ Status Session::Handshake() {
   if (assign_.worker_index_base < 0) {
     return Complain(sock_,
                     InvalidArgumentError("worker_index_base must be >= 0"));
-  }
-  if (assign_.similarity_mode > static_cast<uint32_t>(SimilarityMode::kLsh)) {
-    return Complain(sock_, InvalidArgumentError(
-                               "unknown similarity mode " +
-                               std::to_string(assign_.similarity_mode)));
   }
   relay_ = assign_.relay;
 

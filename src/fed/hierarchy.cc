@@ -21,6 +21,10 @@ namespace fedgta {
 namespace fed {
 namespace {
 
+/// Widest LSH signature a ShardAssign may ask for (bounds the d x bits
+/// projection an aggregator allocates; the default is 256).
+constexpr int32_t kMaxLshSignatureBits = 4096;
+
 std::vector<float> CopyParams(std::span<const float> params) {
   return std::vector<float>(params.begin(), params.end());
 }
@@ -136,7 +140,20 @@ Status ShardAssignBody::Decode(serialize::Reader* r) {
   FEDGTA_RETURN_IF_ERROR(r->ReadU64(&lsh_seed));
   FEDGTA_RETURN_IF_ERROR(r->ReadI32(&auto_lsh_min_participants));
   FEDGTA_RETURN_IF_ERROR(r->ReadI64(&hello_recv_us));
-  return r->ReadI64(&assign_send_us);
+  FEDGTA_RETURN_IF_ERROR(r->ReadI64(&assign_send_us));
+  // The Eq. 6 knobs size allocations and feed float-to-int casts in
+  // LshShapeFor / ComputeLshSignatures: reject what no root would send.
+  if (similarity_mode > static_cast<uint32_t>(SimilarityMode::kLsh) ||
+      lsh_signature_bits < 1 || lsh_signature_bits > kMaxLshSignatureBits ||
+      !std::isfinite(lsh_margin) || lsh_margin < 0.0 ||
+      !std::isfinite(epsilon)) {
+    return InvalidArgumentError(StrFormat(
+        "invalid Eq. 6 settings: similarity_mode %u, lsh_signature_bits %d "
+        "(max %d), lsh_margin %g, epsilon %g",
+        similarity_mode, lsh_signature_bits, kMaxLshSignatureBits, lsh_margin,
+        epsilon));
+  }
+  return OkStatus();
 }
 
 void ShardReadyBody::Encode(serialize::Writer* w) const {
@@ -748,21 +765,14 @@ Status RootCoordinator::AggregateFedGta(int round,
         abort_on(active, status, "candidate generation"));
   }
   {
-    int64_t pairs_exact = 0;
-    int64_t pairs_pruned = 0;
+    SimilarityStats stats;
+    stats.mode_used = use_lsh ? SimilarityMode::kLsh : SimilarityMode::kExact;
     for (size_t a = 0; a < aggs_.size(); ++a) {
       if (!active[a]) continue;
-      pairs_exact += (*shards)[a].wants.pairs_exact;
-      pairs_pruned += (*shards)[a].wants.pairs_pruned;
+      stats.pairs_exact += (*shards)[a].wants.pairs_exact;
+      stats.pairs_pruned += (*shards)[a].wants.pairs_pruned;
     }
-    if (pairs_exact > 0) {
-      metrics.GetCounter("fedgta.similarity.pairs_exact")
-          .Increment(pairs_exact);
-    }
-    if (pairs_pruned > 0) {
-      metrics.GetCounter("fedgta.similarity.pairs_pruned")
-          .Increment(pairs_pruned);
-    }
+    RecordSetStats(stats);
   }
 
   // Phase 3: route the wanted normalized rows between shards. The root

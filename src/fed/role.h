@@ -27,18 +27,6 @@ enum class Role {
   kWorker,
 };
 
-inline const char* RoleName(Role role) {
-  switch (role) {
-    case Role::kRoot:
-      return "root";
-    case Role::kAggregator:
-      return "aggregator";
-    case Role::kWorker:
-      return "worker";
-  }
-  return "unknown";
-}
-
 /// Half-open contiguous id range [begin, end).
 struct ShardRange {
   int begin = 0;

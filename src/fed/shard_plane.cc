@@ -1,8 +1,6 @@
 #include "fed/shard_plane.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
 #include <utility>
 
 #include "common/check.h"
@@ -91,27 +89,23 @@ ShardPlane::Candidates ShardPlane::ComputeCandidates(bool use_lsh) const {
     FEDGTA_CHECK(it != global_index_.end())
         << "staged survivor " << i << " missing from the global frame";
     const int64_t ga = it->second;
+    // Every other survivor, in frame order: the shared screen on both
+    // sides of the row's own frame slot, or all of them in exact mode.
     std::vector<int>& cand = out.per_row[a];
-    const uint64_t* sa =
-        use_lsh ? global_sigs_.data() + ga * shape.words : nullptr;
-    for (int64_t gb = 0; gb < gp; ++gb) {
-      if (gb == ga) continue;
-      if (use_lsh) {
-        const uint64_t* sb = global_sigs_.data() + gb * shape.words;
-        int64_t h = 0;
-        for (int64_t w = 0; w < shape.words; ++w) {
-          h += std::popcount(sa[w] ^ sb[w]);
-        }
-        if (h > shape.h_max) {
-          ++out.pairs_pruned;
-          continue;
-        }
-      }
-      const int j = global_survivors_[static_cast<size_t>(gb)];
-      cand.push_back(j);
-      ++out.pairs_exact;
+    if (use_lsh) {
+      const uint64_t* sa = global_sigs_.data() + ga * shape.words;
+      out.pairs_pruned +=
+          LshScreen(sa, global_sigs_.data(), 0, ga, shape, &cand) +
+          LshScreen(sa, global_sigs_.data(), ga + 1, gp, shape, &cand);
+      for (int& g : cand) g = global_survivors_[static_cast<size_t>(g)];
+    } else {
+      cand = global_survivors_;
+      cand.erase(cand.begin() + ga);
+    }
+    for (int j : cand) {
       if (!shard_.contains(j)) wanted[static_cast<size_t>(j)] = 1;
     }
+    out.pairs_exact += static_cast<int64_t>(cand.size());
   }
   for (int id = 0; id < num_clients_; ++id) {
     if (wanted[static_cast<size_t>(id)]) out.remote_wanted.push_back(id);
@@ -160,30 +154,12 @@ std::vector<std::vector<int>> ShardPlane::BuildSets(
     const Candidates& candidates) const {
   FEDGTA_CHECK_EQ(candidates.per_row.size(), staged_.size());
   const int64_t d = normalized_.cols();
-  const float eps = static_cast<float>(options_.epsilon);
   std::vector<std::vector<int>> sets(staged_.size());
-  Matrix gathered;
-  Matrix sims;
   for (size_t a = 0; a < staged_.size(); ++a) {
-    const int i = staged_[a];
-    std::vector<int>& set = sets[a];
-    set.push_back(i);
-    const std::vector<int>& cand = candidates.per_row[a];
-    if (cand.empty()) continue;
-    const int64_t c = static_cast<int64_t>(cand.size());
-    gathered.EnsureShape(c, d);
-    for (int64_t idx = 0; idx < c; ++idx) {
-      std::memcpy(gathered.data() + idx * d,
-                  RowOf(cand[static_cast<size_t>(idx)]),
-                  static_cast<size_t>(d) * sizeof(float));
-    }
-    ExactSimilarityRow(normalized_.data() + static_cast<int64_t>(a) * d,
-                       gathered, &sims);
-    for (int64_t idx = 0; idx < c; ++idx) {
-      if (sims.data()[idx] >= eps) {
-        set.push_back(cand[static_cast<size_t>(idx)]);
-      }
-    }
+    sets[a].push_back(staged_[a]);
+    AdmitByCosine(normalized_.data() + static_cast<int64_t>(a) * d, d,
+                  candidates.per_row[a], [&](int id) { return RowOf(id); },
+                  options_.epsilon, &sets[a]);
   }
   return sets;
 }

@@ -25,13 +25,14 @@ struct ShardUpload {
 /// regional aggregator stages its shard's uploads here and the class
 /// reproduces, for the shard's rows, exactly the arithmetic the
 /// single-server plane would run over the full participant set —
-/// per-row moment normalization, per-row LSH signatures, the Hamming
-/// prescreen against the *global* survivor frame, 1-row exact GEMM
-/// admission in global candidate order, and ascending-member Eq. 7
-/// accumulation. Chained across shards in ascending shard order (the
-/// shards are contiguous in client id), the partial accumulations replay
-/// the single-server float-addition sequence bit for bit, which is what
-/// the hierarchy's bit-identity contract rests on.
+/// per-row moment normalization, per-row LSH signatures, the shared
+/// Hamming prescreen (LshScreen) against the *global* survivor frame, the
+/// shared 1-row exact GEMM admission (AdmitByCosine) in global candidate
+/// order, and ascending-member Eq. 7 accumulation. Chained across shards
+/// in ascending shard order (the shards are contiguous in client id), the
+/// partial accumulations replay the single-server float-addition sequence
+/// bit for bit, which is what the hierarchy's bit-identity contract rests
+/// on.
 ///
 /// Nothing here talks to the network; the aggregator (and the sharded
 /// bench arm, in-process) drive the exchange and feed the results back in.

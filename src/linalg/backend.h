@@ -69,6 +69,12 @@ struct SpmmCall {
 ///    entries (SpMM) in an order fixed by the element, never by the chunk.
 ///    This keeps multi-threaded runs bit-identical to serial ones per
 ///    backend (ParallelDeterminismTest relies on it).
+///  * Operand symmetry within a backend: element (i, j) of X·Yᵀ must be
+///    bitwise equal to element (j, i) of Y·Xᵀ, whatever the call shapes.
+///    Products commute, so it suffices that an element's k-accumulation
+///    order not depend on which operand a row came in through. The
+///    symmetric LSH pass of Eq. 6 exact-checks each unordered pair once
+///    and mirrors the result into both rows on this contract.
 ///  * Cross-backend results only need to agree within floating-point
 ///    reassociation tolerance (the equivalence suite uses 1e-4 relative).
 class Backend {

@@ -156,10 +156,6 @@ ScopedTraceContext::~ScopedTraceContext() {
   internal_obs::MutableTraceContext() = previous_;
 }
 
-bool TracingEnabled() {
-  return internal_obs::g_tracing_enabled.load(std::memory_order_relaxed);
-}
-
 void EnableTracing() {
   (void)internal_obs::TraceEpoch();  // pin the epoch before the first span
   internal_obs::g_tracing_enabled.store(true, std::memory_order_relaxed);

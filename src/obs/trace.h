@@ -67,7 +67,6 @@ struct TraceEvent {
 /// Tracing is off by default; when off, FEDGTA_TRACE_SCOPE costs one relaxed
 /// atomic load. Enabling mid-run is safe; spans already in flight on other
 /// threads are simply not recorded.
-bool TracingEnabled();
 void EnableTracing();
 /// Disables collection; already-buffered events stay until ClearTrace().
 void DisableTracing();

@@ -11,12 +11,15 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/serialize.h"
 #include "fed/hierarchy.h"
 #include "fed/remote_config.h"
 #include "fed/role.h"
@@ -321,6 +324,52 @@ TEST(HierarchyTest, TopologyRejectsMoreAggregatorsThanWorkers) {
   const Status status = root.Listen(0);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+}
+
+// ShardAssign carries the root's Eq. 6 knobs straight into LshShapeFor and
+// ComputeLshSignatures on the aggregator: hostile values must come back as
+// an error Status from the decoder, never as overflow, a NaN-to-int cast
+// or a multi-GB projection.
+TEST(HierarchyTest, ShardAssignDecoderRejectsHostileLshFields) {
+  const auto decode = [](const fed::ShardAssignBody& in) {
+    serialize::Writer writer;
+    in.Encode(&writer);
+    Result<serialize::Reader> reader =
+        serialize::Reader::FromBuffer(writer.Encode());
+    EXPECT_TRUE(reader.ok()) << reader.status();
+    fed::ShardAssignBody out;
+    return out.Decode(&*reader);
+  };
+  ASSERT_TRUE(decode(fed::ShardAssignBody()).ok());
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::pair<std::string, fed::ShardAssignBody>> hostile;
+  const auto add = [&](std::string what, auto mutate) {
+    fed::ShardAssignBody body;
+    mutate(body);
+    hostile.emplace_back(std::move(what), body);
+  };
+  add("bits=0", [](auto& b) { b.lsh_signature_bits = 0; });
+  add("bits<0", [](auto& b) { b.lsh_signature_bits = -64; });
+  add("bits=INT32_MAX", [](auto& b) {
+    b.lsh_signature_bits = std::numeric_limits<int32_t>::max();
+  });
+  add("bits huge", [](auto& b) { b.lsh_signature_bits = 1 << 24; });
+  add("margin=NaN", [&](auto& b) { b.lsh_margin = nan; });
+  add("margin=inf", [&](auto& b) { b.lsh_margin = inf; });
+  add("margin<0", [](auto& b) { b.lsh_margin = -0.5; });
+  add("epsilon=NaN", [&](auto& b) { b.epsilon = nan; });
+  add("epsilon=-inf", [&](auto& b) { b.epsilon = -inf; });
+  add("mode=3", [](auto& b) { b.similarity_mode = 3; });
+  add("mode=UINT32_MAX", [](auto& b) {
+    b.similarity_mode = std::numeric_limits<uint32_t>::max();
+  });
+  for (const auto& [what, body] : hostile) {
+    const Status status = decode(body);
+    EXPECT_FALSE(status.ok()) << what;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << what;
+  }
 }
 
 }  // namespace

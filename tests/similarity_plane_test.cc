@@ -1,10 +1,13 @@
 // Tests of the server similarity/aggregation plane (DESIGN.md §5h): the
-// GEMM-backed Eq. 6 block, the LSH candidate prescreen's exact-set parity,
+// GEMM-backed Eq. 6 block and its operand symmetry, the symmetric LSH
+// pass's exact-set parity, the hardware/portable screen agreement,
 // the nth_element quantile rewrite, and the deduplicated parallel Eq. 7.
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +18,7 @@
 #include "core/similarity.h"
 #include "fed/role.h"
 #include "fed/shard_plane.h"
+#include "linalg/backend.h"
 #include "linalg/ops.h"
 #include "obs/metrics.h"
 
@@ -91,26 +95,21 @@ TEST(SimilarityBlockTest, MatchesScalarCosine) {
   }
 }
 
-TEST(SimilarityBlockTest, LegacyMatrixScattersTheBlock) {
-  const int n = 12;
-  const auto moments = ClusteredMoments(n, 3, 10, /*seed=*/11);
-  std::vector<int> participants = {1, 3, 4, 8, 11};
-  const SimilarityBlock block = ComputeSimilarityBlock(moments, participants);
-  const Matrix legacy = MomentSimilarityMatrix(moments, participants);
-  ASSERT_EQ(legacy.rows(), n);
-  ASSERT_EQ(legacy.cols(), n);
-  std::vector<bool> in(static_cast<size_t>(n), false);
-  for (int i : participants) in[static_cast<size_t>(i)] = true;
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      if (in[static_cast<size_t>(i)] && in[static_cast<size_t>(j)]) {
-        const auto a = std::find(participants.begin(), participants.end(), i) -
-                       participants.begin();
-        const auto b = std::find(participants.begin(), participants.end(), j) -
-                       participants.begin();
-        EXPECT_EQ(legacy(i, j), block.values(a, b));
-      } else {
-        EXPECT_EQ(legacy(i, j), 0.0f);
+// The symmetric LSH pass exact-checks each unordered pair once and mirrors
+// it, which needs every backend to compute cos(a, b) and cos(b, a) to the
+// same bits (operand-symmetry contract, linalg/backend.h).
+TEST(SimilarityBlockTest, BitwiseSymmetricUnderEveryBackend) {
+  const auto moments = ClusteredMoments(45, 5, 37, /*seed=*/19, 0.3f);
+  std::vector<int> participants = AllParticipants(45);
+  std::reverse(participants.begin(), participants.end());
+  for (const std::string& backend : linalg::ListBackends()) {
+    linalg::ScopedBackend scoped(backend);
+    const SimilarityBlock block =
+        ComputeSimilarityBlock(moments, participants);
+    for (int a = 0; a < 45; ++a) {
+      for (int b = a + 1; b < 45; ++b) {
+        ASSERT_EQ(block.values(a, b), block.values(b, a))
+            << backend << " pair (" << a << ", " << b << ")";
       }
     }
   }
@@ -132,17 +131,6 @@ TEST(SimilarityQuantileTest, NthElementMatchesFullSortReference) {
         sorted.size() - 1,
         static_cast<size_t>(q * static_cast<double>(sorted.size())));
     EXPECT_EQ(SimilarityQuantile(block, q), sorted[idx]) << "q=" << q;
-  }
-}
-
-TEST(SimilarityQuantileTest, BlockAndLegacyOverloadsAgree) {
-  const auto moments = ClusteredMoments(15, 4, 9, /*seed=*/29);
-  const auto participants = AllParticipants(15);
-  const SimilarityBlock block = ComputeSimilarityBlock(moments, participants);
-  const Matrix legacy = MomentSimilarityMatrix(moments, participants);
-  for (double q : {0.0, 0.3, 0.5, 0.95}) {
-    EXPECT_EQ(SimilarityQuantile(block, q),
-              SimilarityQuantile(legacy, participants, q));
   }
 }
 
@@ -179,6 +167,109 @@ TEST(SimilarityParityTest, LshSetsMatchExactOracle) {
         EXPECT_EQ(stats.mode_used, SimilarityMode::kLsh);
         EXPECT_EQ(stats.pairs_exact + stats.pairs_pruned,
                   static_cast<int64_t>(n) * (n - 1));
+      }
+    }
+  }
+}
+
+// The mirror-and-order step: with participants in a permuted order and
+// only part of the clients taking part, every LSH row must still list its
+// members in the exact oracle's (participants) order — under every backend.
+TEST(SimilarityParityTest, LshMatchesExactOnPermutedPartialParticipants) {
+  const int n = 240;
+  const auto moments = ClusteredMoments(n, 30, 31, /*seed=*/404, 0.15f);
+  Rng rng(404);
+  std::vector<int> participants;
+  for (int i = 0; i < n; ++i) {
+    if (rng.Uniform() < 0.7) participants.push_back(i);
+  }
+  rng.Shuffle(participants);
+  ASSERT_FALSE(std::is_sorted(participants.begin(), participants.end()));
+  const int64_t p = static_cast<int64_t>(participants.size());
+  SimilarityPlaneOptions plane;
+  plane.mode = SimilarityMode::kLsh;
+  for (const std::string& backend : linalg::ListBackends()) {
+    linalg::ScopedBackend scoped(backend);
+    for (double epsilon : {0.2, 0.6}) {
+      SimilarityStats stats;
+      const auto lsh = BuildAggregationSets(moments, participants, epsilon,
+                                            plane, &stats);
+      EXPECT_EQ(lsh, BuildAggregationSets(moments, participants, epsilon))
+          << backend << " epsilon=" << epsilon;
+      EXPECT_EQ(stats.pairs_exact % 2, 0);
+      EXPECT_EQ(stats.pairs_exact + stats.pairs_pruned, p * (p - 1));
+      EXPECT_GT(stats.pairs_pruned, 0);
+    }
+  }
+  // Degenerate rounds: one to three participants, out of order.
+  for (const std::vector<int>& few : {std::vector<int>{7},
+                                      std::vector<int>{9, 2},
+                                      std::vector<int>{5, 1, 3}}) {
+    EXPECT_EQ(BuildAggregationSets(moments, few, -1.0, plane),
+              BuildAggregationSets(moments, few, -1.0));
+  }
+}
+
+// The triangle is split into thread-count-dependent ranges; the sets and
+// the pair counters must not notice.
+TEST(SimilarityParityTest, LshSetsIdenticalAtOneAndFourThreads) {
+  const int n = 300;
+  const auto moments = ClusteredMoments(n, 25, 31, /*seed=*/8, 0.15f);
+  std::vector<int> participants = AllParticipants(n);
+  std::reverse(participants.begin(), participants.end());
+  SimilarityPlaneOptions plane;
+  plane.mode = SimilarityMode::kLsh;
+  std::vector<std::vector<std::vector<int>>> sets;
+  std::vector<int64_t> exact;
+  for (int threads : {1, 4}) {
+    SetGlobalThreadPoolSize(threads);
+    SimilarityStats stats;
+    sets.push_back(
+        BuildAggregationSets(moments, participants, 0.3, plane, &stats));
+    exact.push_back(stats.pairs_exact);
+  }
+  SetGlobalThreadPoolSize(0);
+  EXPECT_EQ(sets[0], sets[1]);
+  EXPECT_EQ(exact[0], exact[1]);
+}
+
+// The hardware-popcount screen (what LshScreen runs wherever the CPU has
+// popcnt) and the portable one must return the same candidates, for every
+// signature width and threshold — including h_max == bits (ε <= -1),
+// where nothing may be pruned.
+TEST(LshScreenTest, PopcntAndPortableScreensAgree) {
+  Rng rng(2024);
+  for (int64_t words : {1, 2, 3, 4, 7}) {
+    const int64_t rows = 97;
+    std::vector<uint64_t> sigs(static_cast<size_t>(rows * words));
+    for (uint64_t& w : sigs) {
+      w = static_cast<uint64_t>(
+          rng.UniformInt(std::numeric_limits<int64_t>::min(),
+                         std::numeric_limits<int64_t>::max()));
+    }
+    SimilarityPlaneOptions plane;
+    plane.lsh_signature_bits = static_cast<int>(64 * words);
+    for (double epsilon : {-1.0, -0.5, 0.0, 0.3, 0.9}) {
+      const LshShape shape = LshShapeFor(epsilon, plane);
+      ASSERT_EQ(shape.words, words);
+      if (epsilon <= -1.0) {
+        EXPECT_EQ(shape.h_max, shape.bits);
+      }
+      for (int64_t a : {int64_t{0}, int64_t{41}, rows - 1}) {
+        const uint64_t* sig = sigs.data() + a * words;
+        std::vector<int32_t> portable;
+        const int64_t pruned = internal::LshScreenPortable(
+            sig, sigs.data(), a + 1, rows, shape, &portable);
+        EXPECT_EQ(pruned + static_cast<int64_t>(portable.size()),
+                  rows - a - 1);
+        if (shape.h_max == shape.bits) {
+          EXPECT_EQ(pruned, 0);
+        }
+        std::vector<int32_t> hardware;
+        EXPECT_EQ(LshScreen(sig, sigs.data(), a + 1, rows, shape, &hardware),
+                  pruned);
+        EXPECT_EQ(hardware, portable)
+            << "words=" << words << " epsilon=" << epsilon << " a=" << a;
       }
     }
   }
