@@ -99,10 +99,14 @@ INSTANTIATE_TEST_SUITE_P(
 // Partitioners: every node assigned exactly once, all parts non-empty, for
 // many (seed, k) combinations.
 
+// `k` is 64-bit so the struct has no padding: gtest prints an unprintable
+// parameter as raw bytes in the test name, and padding bytes would carry
+// whatever the stack held, giving names that change from run to run.
 struct PartitionCase {
-  int k;
+  int64_t k;
   uint64_t seed;
 };
+static_assert(sizeof(PartitionCase) == sizeof(int64_t) + sizeof(uint64_t));
 
 class PartitionPropertyTest : public ::testing::TestWithParam<PartitionCase> {
  protected:
@@ -120,8 +124,8 @@ class PartitionPropertyTest : public ::testing::TestWithParam<PartitionCase> {
 };
 
 TEST_P(PartitionPropertyTest, MetisIsCompletePartition) {
-  const auto& [k, seed] = GetParam();
-  Rng rng(seed);
+  const int k = static_cast<int>(GetParam().k);
+  Rng rng(GetParam().seed);
   const std::vector<int> parts = MetisPartition(SharedGraph().graph, k, rng);
   std::vector<int64_t> counts(static_cast<size_t>(k), 0);
   for (int p : parts) {
@@ -133,7 +137,8 @@ TEST_P(PartitionPropertyTest, MetisIsCompletePartition) {
 }
 
 TEST_P(PartitionPropertyTest, FederatedSplitCoversEveryNodeOnce) {
-  const auto& [k, seed] = GetParam();
+  const int k = static_cast<int>(GetParam().k);
+  const uint64_t seed = GetParam().seed;
   for (const SplitMethod method :
        {SplitMethod::kLouvain, SplitMethod::kMetis}) {
     SplitConfig split;
