@@ -37,6 +37,15 @@ if [[ -n "${CTEST_LABEL:-}" ]]; then
 fi
 ctest --test-dir "$BUILD_DIR" "${CTEST_ARGS[@]}"
 
+# ctest runs every test case in its own process, which hides state that
+# leaks from one run into the next (process-wide metrics, the timeline,
+# trace buffers). The round-loop suites therefore also run as one process
+# each, so a second run in the same process must behave like the first.
+for suite in fed_test async_test loopback_test hierarchy_test; do
+  echo "== $suite as a single process =="
+  "$BUILD_DIR/tests/$suite"
+done
+
 # Every kernel backend must pass the fast tier, not just the default one:
 # FEDGTA_BACKEND is read at first dispatch, so the same binaries re-run
 # with each backend selected (see src/linalg/backend.h).

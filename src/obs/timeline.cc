@@ -98,8 +98,7 @@ std::string TimelineEvent::ToJson() const {
 void Timeline::Record(TimelineEvent event) {
   if (event.ts_us == 0) event.ts_us = internal_obs::TraceNowMicros();
   std::lock_guard<std::mutex> lock(mutex_);
-  if (event.kind == TimelineEventKind::kRoundStart &&
-      event.round > current_round_) {
+  if (event.kind == TimelineEventKind::kRoundStart) {
     current_round_ = event.round;
   }
   if (events_.size() >= capacity_) {

@@ -76,7 +76,8 @@ class Timeline {
   std::vector<TimelineEvent> Events() const;
   size_t size() const;
   int64_t dropped_events() const;
-  /// Highest round seen in a RoundStart; -1 before the first round.
+  /// Round of the latest RoundStart (a new run restarts it); -1 before
+  /// the first round.
   int32_t current_round() const;
 
   /// All events, one JSON object per line.

@@ -60,12 +60,13 @@ pid_t SpawnAggregator(int root_port, const std::string& port_file,
   return SpawnProcess(FEDGTA_AGGREGATOR_BINARY, std::move(args));
 }
 
-pid_t SpawnWorker(int agg_port) {
-  return SpawnProcess(FEDGTA_WORKER_BINARY,
-                      {FEDGTA_WORKER_BINARY, "--host=127.0.0.1",
-                       "--port=" + std::to_string(agg_port),
-                       "--connect_attempts=60", "--deadline_ms=60000",
-                       "--num_threads=2"});
+pid_t SpawnWorker(int agg_port, int max_train_requests = 0) {
+  return SpawnProcess(
+      FEDGTA_WORKER_BINARY,
+      {FEDGTA_WORKER_BINARY, "--host=127.0.0.1",
+       "--port=" + std::to_string(agg_port), "--connect_attempts=60",
+       "--deadline_ms=60000", "--num_threads=2",
+       "--max_train_requests=" + std::to_string(max_train_requests)});
 }
 
 // "<worker_port>\n<agg_index>\n", published atomically once the
@@ -103,9 +104,11 @@ std::string QueryStatus(int port, const std::string& command) {
 
 /// Listens, forks the aggregator tier, runs the root in a thread, launches
 /// each shard's workers once its aggregator publishes a port file, and
-/// reaps the whole process tree.
+/// reaps the whole process tree. Shard 0's workers exit after serving
+/// `shard0_max_train_requests` train requests (0 = never).
 HierarchicalOutcome RunHierarchical(const RemoteFedConfig& config,
-                                    bool agg_status_ports = false) {
+                                    bool agg_status_ports = false,
+                                    int shard0_max_train_requests = 0) {
   HierarchicalOutcome out;
   fed::RootCoordinator root(config);
   if (const Status status = root.Listen(0); !status.ok()) {
@@ -146,7 +149,8 @@ HierarchicalOutcome RunHierarchical(const RemoteFedConfig& config,
       if (!ReadPortFile(port_files[f], &port, &agg_index)) continue;
       EXPECT_LT(agg_index, config.num_aggregators);
       for (int w = 0; w < topo.WorkerShard(agg_index).size(); ++w) {
-        pids.push_back(SpawnWorker(port));
+        pids.push_back(SpawnWorker(
+            port, agg_index == 0 ? shard0_max_train_requests : 0));
       }
       launched[f] = true;
       --remaining;
@@ -289,6 +293,30 @@ TEST(HierarchyTest, RelayedFedAvgIsBitIdenticalToSimulation) {
   ASSERT_TRUE(out.result.ok()) << out.result.status();
   for (int code : out.exit_codes) EXPECT_EQ(code, 0);
   ExpectBitIdentical(*out.result, RunInProcess(config));
+}
+
+TEST(HierarchyTest, KilledWorkerDegradesToDroppedClients) {
+  // The hierarchy twin of the flat plane's killed-worker test: shard 0's
+  // two workers vanish after one train request each. Round 1 keeps 2 of
+  // shard 0's 5 participants, later rounds lose all 5; shard 1 is healthy.
+  // Both the sharded Eq. 6/7 plane and the relay plane must degrade to
+  // dropped clients instead of failing the run.
+  for (const char* strategy : {"fedgta", "fedavg"}) {
+    SCOPED_TRACE(strategy);
+    RemoteFedConfig config = BaseConfig();
+    config.strategy = strategy;
+    config.rpc.deadline_ms = 3000;
+    const HierarchicalOutcome out =
+        RunHierarchical(config, /*agg_status_ports=*/false,
+                        /*shard0_max_train_requests=*/1);
+    ASSERT_TRUE(out.result.ok()) << out.result.status();
+    for (int code : out.exit_codes) EXPECT_EQ(code, 0);
+    ASSERT_EQ(out.result->curve.size(), 3u);
+    EXPECT_EQ(out.result->curve[0].dropped_clients, 3);
+    EXPECT_EQ(out.result->curve[1].dropped_clients, 8);
+    EXPECT_EQ(out.result->curve[2].dropped_clients, 13);
+    EXPECT_EQ(out.result->total_dropped_clients, 13);
+  }
 }
 
 TEST(HierarchyTest, NonShardableStrategyIsRejectedBeforeAccepting) {

@@ -543,5 +543,14 @@ TEST(TimelineTest, CapacityBoundDropsOldestAndCounts) {
   EXPECT_EQ(timeline.Events().front().round, 3);
 }
 
+TEST(TimelineTest, CurrentRoundFollowsTheLatestRun) {
+  // Two runs in one process share the global timeline: the second run's
+  // round must win even though the first one got further.
+  Timeline timeline;
+  for (int round = 1; round <= 5; ++round) timeline.RoundStart(round, 1);
+  for (int round = 1; round <= 2; ++round) timeline.RoundStart(round, 1);
+  EXPECT_EQ(timeline.current_round(), 2);
+}
+
 }  // namespace
 }  // namespace fedgta
