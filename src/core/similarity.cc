@@ -209,6 +209,13 @@ void RecordSetStats(const SimilarityStats& stats) {
       .Increment();
 }
 
+std::string SimilarityPlaneStatus() {
+  const std::string plane = GlobalMetrics().CounterLines(
+      {"fedgta.similarity.pairs_exact", "fedgta.similarity.pairs_pruned",
+       "fedgta.aggregation.unique_sets", "fedgta.aggregation.dedup_reused"});
+  return plane.empty() ? plane : "similarity:\n" + plane;
+}
+
 LshShape LshShapeFor(double epsilon, const SimilarityPlaneOptions& plane) {
   LshShape shape;
   shape.words = std::max<int64_t>(1, (plane.lsh_signature_bits + 63) / 64);

@@ -54,6 +54,10 @@ struct SimilarityStats {
 /// Adds one set-building call to the `fedgta.similarity.pairs_{exact,
 /// pruned}` and `fedgta.similarity.mode.<mode>` counters.
 void RecordSetStats(const SimilarityStats& stats);
+/// The "similarity:" block of a server status reply: the Eq. 6 pair
+/// counters and Eq. 7 dedup counters, once the first aggregation has run
+/// (empty before).
+std::string SimilarityPlaneStatus();
 
 /// Resolved LSH geometry for one (ε, plane) pair. Deterministic in its
 /// inputs, so every process of a sharded fleet derives the same shape from

@@ -39,6 +39,13 @@ int64_t FederatedDataset::total_train() const {
   return total;
 }
 
+std::vector<int64_t> FederatedDataset::train_sizes() const {
+  std::vector<int64_t> sizes;
+  sizes.reserve(clients.size());
+  for (const ClientData& c : clients) sizes.push_back(c.num_train());
+  return sizes;
+}
+
 FederatedDataset BuildFederatedDataset(Dataset dataset,
                                        const SplitConfig& split, Rng& rng,
                                        const FederatedOptions& options) {

@@ -51,6 +51,9 @@ struct FederatedDataset {
   /// Sum of local test set sizes (the denominator of federated accuracy).
   int64_t total_test() const;
   int64_t total_train() const;
+  /// Per-client training-set sizes, client order (strategy and Eq. 7
+  /// fallback weights).
+  std::vector<int64_t> train_sizes() const;
 };
 
 /// Splits `dataset` across `split.num_clients` clients with the requested

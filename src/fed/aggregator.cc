@@ -25,14 +25,7 @@ namespace fedgta {
 namespace fed {
 namespace {
 
-/// Sends a protocol complaint before bailing; the send itself is
-/// best-effort (the root may already be gone).
-Status Complain(net::Socket& sock, Status status) {
-  net::ErrorMsg err;
-  err.message = std::string(status.message());
-  (void)net::SendMessage(sock, err);
-  return status;
-}
+using net::Complain;
 
 /// Publishes "<worker_port>\n<agg_index>\n" atomically (tmp + rename), so
 /// a launcher polling the path never reads a half-written file.
@@ -190,13 +183,8 @@ Status Session::Handshake() {
     gta_.similarity.lsh_seed = assign_.lsh_seed;
     gta_.similarity.auto_lsh_min_participants =
         assign_.auto_lsh_min_participants;
-    std::vector<int64_t> train_sizes;
-    train_sizes.reserve(setup_.data.clients.size());
-    for (const ClientData& client : setup_.data.clients) {
-      train_sizes.push_back(client.num_train());
-    }
     plane_ = std::make_unique<ShardPlane>(n_clients, shard_, gta_,
-                                          std::move(train_sizes));
+                                          setup_.data.train_sizes());
   }
 
   Result<net::ServerSocket> listener =
@@ -649,7 +637,6 @@ std::string Session::RenderStatus(const std::string& command) const {
   if (command == "metrics") return GlobalMetrics().ToText();
   if (command == "timeline") return GlobalTimeline().ToJsonLines();
 
-  const int64_t now_us = internal_obs::TraceNowMicros();
   std::string out = "fedgta aggregator status\n";
   out += StrFormat("aggregator: %d/%d shard=[%d,%d) relay=%s\n",
                    assign_.agg_index, assign_.num_aggregators, shard_.begin,
@@ -657,33 +644,10 @@ std::string Session::RenderStatus(const std::string& command) const {
   const std::vector<WorkerStatusEntry> fleet = fleet_.StatusSnapshot();
   out += StrFormat("workers: %zu (global base %d)\n", fleet.size(),
                    assign_.worker_index_base);
-  for (size_t w = 0; w < fleet.size(); ++w) {
-    const WorkerStatusEntry& entry = fleet[w];
-    const int64_t last =
-        entry.health->last_response_us.load(std::memory_order_relaxed);
-    const int64_t lag_ms = last > 0 ? (now_us - last) / 1000 : -1;
-    out += StrFormat(
-        "  worker %d: %s clients=%d responses=%lld lag_ms=%lld\n",
-        assign_.worker_index_base + static_cast<int>(w),
-        entry.health->healthy.load(std::memory_order_relaxed) ? "healthy"
-                                                              : "DOWN",
-        entry.num_clients,
-        static_cast<long long>(
-            entry.health->responses.load(std::memory_order_relaxed)),
-        static_cast<long long>(lag_ms));
-  }
-  out += "latencies:\n";
-  for (const char* name :
-       {"net.rpc.seconds", "phase.shard_train.seconds",
-        "fleet.phase.remote_train.seconds"}) {
-    const Histogram* h = GlobalMetrics().FindHistogram(name);
-    if (h == nullptr) continue;
-    const Histogram::Snapshot s = h->snapshot();
-    if (s.count == 0) continue;
-    out += StrFormat("  %s: count=%lld p50=%.6f p99=%.6f\n", name,
-                     static_cast<long long>(s.count), s.Quantile(0.5),
-                     s.Quantile(0.99));
-  }
+  out += RenderWorkerRows(fleet, assign_.worker_index_base);
+  out += "latencies:\n" + GlobalMetrics().HistogramLines(
+                              {"net.rpc.seconds", "phase.shard_train.seconds",
+                               "fleet.phase.remote_train.seconds"});
   return out;
 }
 

@@ -23,13 +23,14 @@ void RoundExecutor::ForEachClient(int64_t n,
   ParallelFor(0, n, fn, /*grain=*/1);
 }
 
-std::vector<RoundExecutor::ClientExecution> RoundExecutor::TrainRound(
+std::vector<ClientOutcome> RoundExecutor::TrainRound(
     Strategy& strategy, std::vector<Client>& clients,
     const std::vector<int>& participants, int epochs,
-    const std::vector<TrainHooks>& hooks, const FailurePlan* failures,
-    int round) {
+    const std::vector<TrainHooks>& hooks,
+    const std::vector<ClientFate>& fates) {
   FEDGTA_CHECK(hooks.empty() || hooks.size() == participants.size());
-  std::vector<ClientExecution> executions(participants.size());
+  FEDGTA_CHECK_EQ(fates.size(), participants.size());
+  std::vector<ClientOutcome> outcomes(participants.size());
 
   static Counter& tasks = GlobalMetrics().GetCounter("executor.client_tasks");
   static Gauge& threads = GlobalMetrics().GetGauge("executor.pool_threads");
@@ -42,35 +43,33 @@ std::vector<RoundExecutor::ClientExecution> RoundExecutor::TrainRound(
         FEDGTA_TRACE_SCOPE("client_train");
         Client& client =
             clients[static_cast<size_t>(participants[static_cast<size_t>(i)])];
-        ClientExecution& exec = executions[static_cast<size_t>(i)];
-        if (failures != nullptr) {
-          exec.fate = failures->FateOf(round, client.id());
-        }
-        if (exec.fate == ClientFate::kDropout) {
+        ClientOutcome& outcome = outcomes[static_cast<size_t>(i)];
+        const ClientFate fate = fates[static_cast<size_t>(i)];
+        if (fate == ClientFate::kDropout) {
           // Sampled but never reports: no download, no local work.
-          exec.result.client_id = client.id();
+          outcome.result.client_id = client.id();
           return;
         }
         // A crash kills the client partway through its local epochs; the
         // work up to that point still advances its RNG streams, exactly as
         // a real partial run would.
         const int effective_epochs =
-            exec.fate == ClientFate::kCrash ? (epochs + 1) / 2 : epochs;
+            fate == ClientFate::kCrash ? (epochs + 1) / 2 : epochs;
         const TrainHooks& extra =
             hooks.empty() ? no_hooks : hooks[static_cast<size_t>(i)];
         WallTimer timer;
-        exec.result = strategy.TrainClient(client, effective_epochs, extra);
-        exec.seconds = timer.Seconds();
+        outcome.result = strategy.TrainClient(client, effective_epochs, extra);
+        outcome.seconds = timer.Seconds();
       });
 
   // Ordered reduction into the metrics registry: recording in participant
   // order keeps the histogram stream identical to a serial run's.
   static Histogram& train_seconds =
       GlobalMetrics().GetHistogram("client.train_seconds");
-  for (const ClientExecution& exec : executions) {
-    train_seconds.Record(exec.seconds);
+  for (const ClientOutcome& outcome : outcomes) {
+    train_seconds.Record(outcome.seconds);
   }
-  return executions;
+  return outcomes;
 }
 
 namespace {

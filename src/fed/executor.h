@@ -13,6 +13,19 @@
 
 namespace fedgta {
 
+/// One participant's training outcome, whichever process trained it.
+struct ClientOutcome {
+  /// A transport failure (dead worker, blown deadline): the participant
+  /// never reported and counts as dropped. Always OK in process.
+  Status status;
+  /// The upload. Only healthy participants (and, in async mode, late
+  /// stragglers) reach aggregation; a dropout's holds only its client id.
+  LocalResult result;
+  /// Wall seconds of the client's local work (its own span; under parallel
+  /// execution these overlap, so they do not sum to round time).
+  double seconds = 0.0;
+};
+
 /// Parallel client-execution engine for federated rounds.
 ///
 /// Real FGL deployments run participants concurrently; the simulation's
@@ -31,20 +44,6 @@ namespace fedgta {
 /// slots plus round-constant shared state.
 class RoundExecutor {
  public:
-  /// Outcome of one participant's local work, index-aligned with the
-  /// participant list passed to TrainRound.
-  struct ClientExecution {
-    LocalResult result;
-    /// Wall seconds of this client's TrainClient call (its own span; under
-    /// parallel execution these overlap, so they do not sum to round time).
-    double seconds = 0.0;
-    /// Injected failure outcome (kHealthy when no FailurePlan is active).
-    /// For kDropout no work ran and `result` holds only the client id; for
-    /// kStraggler/kCrash the work (full / truncated) ran but the server
-    /// must discard `result`.
-    ClientFate fate = ClientFate::kHealthy;
-  };
-
   /// Runs fn(i) for each i in [0, n) with one pool task per index, blocking
   /// until all complete. Runs serially inline when n <= 1, when the global
   /// pool has a single worker, or when already called from a pool worker.
@@ -54,20 +53,19 @@ class RoundExecutor {
   /// Executes one round of local training: for every participants[i],
   /// strategy.TrainClient(clients[participants[i]], epochs, hooks[i]).
   /// `hooks` must be index-aligned with `participants` (or empty for no
-  /// extra hooks). Per-client wall times land in the `client.train_seconds`
-  /// histogram and per-client `client_train` trace spans are emitted on the
-  /// executing worker's buffer.
+  /// extra hooks), `fates` index-aligned. Per-client wall times land in the
+  /// `client.train_seconds` histogram and per-client `client_train` trace
+  /// spans are emitted on the executing worker's buffer.
   ///
-  /// When `failures` is non-null, each participant's fate for `round` is
-  /// consulted before dispatch: dropouts do no work, crashed clients train
-  /// only ceil(epochs/2) local epochs, stragglers train fully. Discarding
-  /// failed results (and renormalizing aggregation weights over the
-  /// survivors) is the caller's job — the executor only records fates.
-  static std::vector<ClientExecution> TrainRound(
+  /// Dropouts do no work, crashed clients train only ceil(epochs/2) local
+  /// epochs, stragglers train fully. Discarding failed results (and
+  /// renormalizing aggregation weights over the survivors) is the caller's
+  /// job.
+  static std::vector<ClientOutcome> TrainRound(
       Strategy& strategy, std::vector<Client>& clients,
       const std::vector<int>& participants, int epochs,
       const std::vector<TrainHooks>& hooks,
-      const FailurePlan* failures = nullptr, int round = 0);
+      const std::vector<ClientFate>& fates);
 };
 
 /// One client update flowing through the async runtime.
@@ -84,8 +82,8 @@ struct AsyncUpdate {
 };
 
 /// Server-side update queue of the async federation runtime (DESIGN.md §5i)
-/// — the single component both the in-process oracle (Simulation::RunAsync)
-/// and the distributed coordinator feed.
+/// — the single component the RoundEngine's async runtime feeds, whether
+/// the updates come from the in-process oracle or from remote workers.
 ///
 /// Producers (worker feed threads, or the in-process round loop) push
 /// completed updates; every dispatched unit of work must eventually be

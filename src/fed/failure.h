@@ -60,8 +60,6 @@ class FailurePlan {
   /// bounded-staleness window the experiments exercise.
   int StragglerDelay(int round, int client_id) const;
 
-  const FailureConfig& config() const { return config_; }
-
  private:
   FailureConfig config_;
 };

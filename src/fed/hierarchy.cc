@@ -4,14 +4,13 @@
 #include <cmath>
 #include <map>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
-#include "common/random.h"
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "core/similarity.h"
-#include "data/registry.h"
 #include "fed/failure.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
@@ -25,67 +24,45 @@ namespace {
 /// projection an aggregator allocates; the default is 256).
 constexpr int32_t kMaxLshSignatureBits = 4096;
 
-std::vector<float> CopyParams(std::span<const float> params) {
-  return std::vector<float>(params.begin(), params.end());
+// Length-prefixed lists of what serialize.h writes natively (it has no
+// u32/u64-vector or vector-of-vectors primitive): a u64 count, then the
+// elements. Put/Get pick the element codec by type.
+void Put(serialize::Writer* w, uint32_t x) { w->WriteU32(x); }
+void Put(serialize::Writer* w, uint64_t x) { w->WriteU64(x); }
+void Put(serialize::Writer* w, const std::vector<float>& x) {
+  w->WriteFloatVec(x);
+}
+void Put(serialize::Writer* w, const std::vector<int32_t>& x) {
+  w->WriteI32Vec(x);
+}
+Status Get(serialize::Reader* r, uint32_t* x) { return r->ReadU32(x); }
+Status Get(serialize::Reader* r, uint64_t* x) { return r->ReadU64(x); }
+Status Get(serialize::Reader* r, std::vector<float>* x) {
+  return r->ReadFloatVec(x);
+}
+Status Get(serialize::Reader* r, std::vector<int32_t>* x) {
+  return r->ReadI32Vec(x);
 }
 
-// serialize.h has no u64-vector primitive; signature words go out as an
-// explicit count + loop (same bytes a WriteU64Vec would produce).
-void WriteU64List(const std::vector<uint64_t>& v, serialize::Writer* w) {
+template <typename T>
+void WriteList(const std::vector<T>& v, serialize::Writer* w) {
   w->WriteU64(v.size());
-  for (uint64_t x : v) w->WriteU64(x);
+  for (const T& x : v) Put(w, x);
 }
 
-Status ReadU64List(serialize::Reader* r, std::vector<uint64_t>* out) {
+template <typename T>
+Status ReadList(serialize::Reader* r, std::vector<T>* out) {
+  // Bound the count by the bytes left before allocating: every element
+  // takes at least its own size (scalars) or its u64 length prefix.
+  constexpr size_t kMinBytes =
+      std::is_arithmetic_v<T> ? sizeof(T) : sizeof(uint64_t);
   uint64_t n = 0;
   FEDGTA_RETURN_IF_ERROR(r->ReadU64(&n));
-  if (n > r->remaining() / sizeof(uint64_t)) {
-    return InvalidArgumentError("truncated u64 list");
+  if (n > r->remaining() / kMinBytes) {
+    return InvalidArgumentError("truncated list");
   }
   out->resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    FEDGTA_RETURN_IF_ERROR(r->ReadU64(&(*out)[i]));
-  }
-  return OkStatus();
-}
-
-void WriteFloatVecList(const std::vector<std::vector<float>>& v,
-                       serialize::Writer* w) {
-  w->WriteU64(v.size());
-  for (const std::vector<float>& x : v) w->WriteFloatVec(x);
-}
-
-Status ReadFloatVecList(serialize::Reader* r,
-                        std::vector<std::vector<float>>* out) {
-  uint64_t n = 0;
-  FEDGTA_RETURN_IF_ERROR(r->ReadU64(&n));
-  if (n > r->remaining() / sizeof(uint64_t)) {
-    return InvalidArgumentError("truncated vector list");
-  }
-  out->resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    FEDGTA_RETURN_IF_ERROR(r->ReadFloatVec(&(*out)[i]));
-  }
-  return OkStatus();
-}
-
-void WriteI32VecList(const std::vector<std::vector<int32_t>>& v,
-                     serialize::Writer* w) {
-  w->WriteU64(v.size());
-  for (const std::vector<int32_t>& x : v) w->WriteI32Vec(x);
-}
-
-Status ReadI32VecList(serialize::Reader* r,
-                      std::vector<std::vector<int32_t>>* out) {
-  uint64_t n = 0;
-  FEDGTA_RETURN_IF_ERROR(r->ReadU64(&n));
-  if (n > r->remaining() / sizeof(uint64_t)) {
-    return InvalidArgumentError("truncated vector list");
-  }
-  out->resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    FEDGTA_RETURN_IF_ERROR(r->ReadI32Vec(&(*out)[i]));
-  }
+  for (T& x : *out) FEDGTA_RETURN_IF_ERROR(Get(r, &x));
   return OkStatus();
 }
 
@@ -178,52 +155,34 @@ Status InitModelBody::Decode(serialize::Reader* r) {
 
 void TrainShardBody::Encode(serialize::Writer* w) const {
   w->WriteI32Vec(participants);
-  w->WriteU64(fates.size());
-  for (uint32_t f : fates) w->WriteU32(f);
+  WriteList(fates, w);
   w->WriteFloatVec(global_params);
 }
 
 Status TrainShardBody::Decode(serialize::Reader* r) {
   FEDGTA_RETURN_IF_ERROR(r->ReadI32Vec(&participants));
-  uint64_t n = 0;
-  FEDGTA_RETURN_IF_ERROR(r->ReadU64(&n));
-  if (n > r->remaining() / sizeof(uint32_t)) {
-    return InvalidArgumentError("truncated fate list");
-  }
-  fates.resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    FEDGTA_RETURN_IF_ERROR(r->ReadU32(&fates[i]));
-  }
+  FEDGTA_RETURN_IF_ERROR(ReadList(r, &fates));
   return r->ReadFloatVec(&global_params);
 }
 
 void TrainShardDoneBody::Encode(serialize::Writer* w) const {
-  w->WriteU64(rpc_ok.size());
-  for (uint32_t ok : rpc_ok) w->WriteU32(ok);
+  WriteList(rpc_ok, w);
   w->WriteDoubleVec(seconds);
   w->WriteDoubleVec(losses);
   w->WriteI64Vec(num_samples);
   w->WriteDoubleVec(confidences);
-  WriteFloatVecList(weights, w);
+  WriteList(weights, w);
   w->WriteI64(upload_floats);
   w->WriteI64(download_floats);
 }
 
 Status TrainShardDoneBody::Decode(serialize::Reader* r) {
-  uint64_t n = 0;
-  FEDGTA_RETURN_IF_ERROR(r->ReadU64(&n));
-  if (n > r->remaining() / sizeof(uint32_t)) {
-    return InvalidArgumentError("truncated rpc_ok list");
-  }
-  rpc_ok.resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    FEDGTA_RETURN_IF_ERROR(r->ReadU32(&rpc_ok[i]));
-  }
+  FEDGTA_RETURN_IF_ERROR(ReadList(r, &rpc_ok));
   FEDGTA_RETURN_IF_ERROR(r->ReadDoubleVec(&seconds));
   FEDGTA_RETURN_IF_ERROR(r->ReadDoubleVec(&losses));
   FEDGTA_RETURN_IF_ERROR(r->ReadI64Vec(&num_samples));
   FEDGTA_RETURN_IF_ERROR(r->ReadDoubleVec(&confidences));
-  FEDGTA_RETURN_IF_ERROR(ReadFloatVecList(r, &weights));
+  FEDGTA_RETURN_IF_ERROR(ReadList(r, &weights));
   FEDGTA_RETURN_IF_ERROR(r->ReadI64(&upload_floats));
   return r->ReadI64(&download_floats);
 }
@@ -231,13 +190,13 @@ Status TrainShardDoneBody::Decode(serialize::Reader* r) {
 void SignatureBlockBody::Encode(serialize::Writer* w) const {
   w->WriteI64(rows);
   w->WriteI64(words);
-  WriteU64List(signatures, w);
+  WriteList(signatures, w);
 }
 
 Status SignatureBlockBody::Decode(serialize::Reader* r) {
   FEDGTA_RETURN_IF_ERROR(r->ReadI64(&rows));
   FEDGTA_RETURN_IF_ERROR(r->ReadI64(&words));
-  return ReadU64List(r, &signatures);
+  return ReadList(r, &signatures);
 }
 
 void CandidatePairsBody::Encode(serialize::Writer* w) const {
@@ -245,7 +204,7 @@ void CandidatePairsBody::Encode(serialize::Writer* w) const {
   w->WriteDoubleVec(confidences);
   w->WriteBool(use_lsh);
   w->WriteI64(words);
-  WriteU64List(signatures, w);
+  WriteList(signatures, w);
 }
 
 Status CandidatePairsBody::Decode(serialize::Reader* r) {
@@ -253,7 +212,7 @@ Status CandidatePairsBody::Decode(serialize::Reader* r) {
   FEDGTA_RETURN_IF_ERROR(r->ReadDoubleVec(&confidences));
   FEDGTA_RETURN_IF_ERROR(r->ReadBool(&use_lsh));
   FEDGTA_RETURN_IF_ERROR(r->ReadI64(&words));
-  return ReadU64List(r, &signatures);
+  return ReadList(r, &signatures);
 }
 
 void CandidateWantsBody::Encode(serialize::Writer* w) const {
@@ -277,30 +236,30 @@ Status MomentFetchBody::Decode(serialize::Reader* r) {
 }
 
 void MomentBlockBody::Encode(serialize::Writer* w) const {
-  WriteFloatVecList(rows, w);
+  WriteList(rows, w);
 }
 
 Status MomentBlockBody::Decode(serialize::Reader* r) {
-  return ReadFloatVecList(r, &rows);
+  return ReadList(r, &rows);
 }
 
 void SetBuildBody::Encode(serialize::Writer* w) const {
   w->WriteI32Vec(ids);
-  WriteFloatVecList(rows, w);
+  WriteList(rows, w);
 }
 
 Status SetBuildBody::Decode(serialize::Reader* r) {
   FEDGTA_RETURN_IF_ERROR(r->ReadI32Vec(&ids));
-  return ReadFloatVecList(r, &rows);
+  return ReadList(r, &rows);
 }
 
 void SetReportBody::Encode(serialize::Writer* w) const {
-  WriteI32VecList(sets, w);
+  WriteList(sets, w);
   w->WriteI64(local_unique);
 }
 
 Status SetReportBody::Decode(serialize::Reader* r) {
-  FEDGTA_RETURN_IF_ERROR(ReadI32VecList(r, &sets));
+  FEDGTA_RETURN_IF_ERROR(ReadList(r, &sets));
   return r->ReadI64(&local_unique);
 }
 
@@ -329,21 +288,21 @@ Status PartialAggregateBody::Decode(serialize::Reader* r) {
 }
 
 void PartialBlockBody::Encode(serialize::Writer* w) const {
-  WriteFloatVecList(accs, w);
+  WriteList(accs, w);
 }
 
 Status PartialBlockBody::Decode(serialize::Reader* r) {
-  return ReadFloatVecList(r, &accs);
+  return ReadList(r, &accs);
 }
 
 void GroupDeliverBody::Encode(serialize::Writer* w) const {
   w->WriteI64Vec(report_index);
-  WriteFloatVecList(params, w);
+  WriteList(params, w);
 }
 
 Status GroupDeliverBody::Decode(serialize::Reader* r) {
   FEDGTA_RETURN_IF_ERROR(r->ReadI64Vec(&report_index));
-  return ReadFloatVecList(r, &params);
+  return ReadList(r, &params);
 }
 
 void EvalShardBody::Encode(serialize::Writer* w) const {
@@ -358,24 +317,14 @@ void EvalShardDoneBody::Encode(serialize::Writer* w) const {
   w->WriteI32Vec(ids);
   w->WriteDoubleVec(test_accuracy);
   w->WriteDoubleVec(val_accuracy);
-  w->WriteU64(evaluated.size());
-  for (uint32_t e : evaluated) w->WriteU32(e);
+  WriteList(evaluated, w);
 }
 
 Status EvalShardDoneBody::Decode(serialize::Reader* r) {
   FEDGTA_RETURN_IF_ERROR(r->ReadI32Vec(&ids));
   FEDGTA_RETURN_IF_ERROR(r->ReadDoubleVec(&test_accuracy));
   FEDGTA_RETURN_IF_ERROR(r->ReadDoubleVec(&val_accuracy));
-  uint64_t n = 0;
-  FEDGTA_RETURN_IF_ERROR(r->ReadU64(&n));
-  if (n > r->remaining() / sizeof(uint32_t)) {
-    return InvalidArgumentError("truncated evaluated list");
-  }
-  evaluated.resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    FEDGTA_RETURN_IF_ERROR(r->ReadU32(&evaluated[i]));
-  }
-  return OkStatus();
+  return ReadList(r, &evaluated);
 }
 
 net::RoutedMsg MakeEnvelope(net::EnvelopeKind kind, int round) {
@@ -406,39 +355,12 @@ Status RootCoordinator::ValidateConfig() const {
     return InvalidArgumentError(
         "need at least one worker per aggregator");
   }
-  if (config_.num_workers > config_.split.num_clients) {
-    return InvalidArgumentError(
-        "more workers than clients: every worker must host at least one");
-  }
-  if (config_.sim.fgl != FglModel::kNone) {
-    return InvalidArgumentError(
-        "FGL model wrappers are not supported in distributed mode");
-  }
-  if (!config_.sim.checkpoint_dir.empty() || config_.sim.resume) {
-    return InvalidArgumentError(
-        "checkpointing is not supported in distributed mode");
-  }
-  if (config_.sim.participation <= 0.0 || config_.sim.participation > 1.0) {
-    return InvalidArgumentError("participation must be in (0, 1]");
-  }
-  if (config_.sim.rounds < 1 || config_.sim.local_epochs < 1) {
-    return InvalidArgumentError("rounds and local_epochs must be >= 1");
-  }
   if (config_.sim.async) {
     return InvalidArgumentError(
         "the async runtime is not supported with regional aggregators "
         "(DESIGN.md §5k)");
   }
-  if (config_.compress != "off" &&
-      net::compress::FindCodec(config_.compress) == nullptr) {
-    return InvalidArgumentError("unknown compress codec '" +
-                                config_.compress + "'");
-  }
-  if (config_.compress_topk < 0) {
-    return InvalidArgumentError("compress_topk must be >= 0");
-  }
-  FEDGTA_RETURN_IF_ERROR(GetDatasetSpec(config_.dataset).status());
-  return OkStatus();
+  return ValidateDistributedConfig(config_);
 }
 
 Status RootCoordinator::Listen(int port) {
@@ -456,16 +378,9 @@ Status RootCoordinator::Listen(int port) {
 }
 
 Status RootCoordinator::Handshake() {
-  Result<std::unique_ptr<Strategy>> strategy =
-      MakeStrategy(config_.strategy, config_.strategy_options);
+  Result<std::unique_ptr<Strategy>> strategy = MakeRemoteStrategy(config_);
   FEDGTA_RETURN_IF_ERROR(strategy.status());
   const StrategyCapabilities caps = (*strategy)->Capabilities();
-  if (!caps.remote_executable) {
-    return FailedPreconditionError(
-        "strategy '" + config_.strategy +
-        "' mutates per-client server state inside TrainClient and cannot "
-        "run on remote workers (see DESIGN.md §5e)");
-  }
   if (!caps.shardable) {
     return FailedPreconditionError(
         "strategy '" + config_.strategy +
@@ -489,20 +404,10 @@ Status RootCoordinator::Handshake() {
 
   data_ = MaterializeFederatedDataset(config_.dataset, config_.seed,
                                       config_.split, config_.federated);
+  // One shard per configured client, so ValidateConfig's aggregator and
+  // worker bounds already hold.
   const int n_clients = data_.num_clients();
-  if (config_.num_aggregators > n_clients) {
-    return InvalidArgumentError(
-        "more aggregators than clients: every shard must own at least one");
-  }
-  if (config_.num_workers > n_clients) {
-    return InvalidArgumentError(
-        "more workers than clients: every worker must host at least one");
-  }
-  train_sizes_.clear();
-  train_sizes_.reserve(data_.clients.size());
-  for (const ClientData& shard : data_.clients) {
-    train_sizes_.push_back(shard.num_train());
-  }
+  train_sizes_ = data_.train_sizes();
 
   const Topology topo(n_clients, config_.num_aggregators,
                       config_.num_workers);
@@ -519,18 +424,18 @@ Status RootCoordinator::Handshake() {
     FEDGTA_RETURN_IF_ERROR(net::ExpectMessage(channel.socket(), &hello));
     const int64_t hello_recv_us = internal_obs::TraceNowMicros();
     if (hello.protocol_version < 5) {
-      net::ErrorMsg err;
-      err.message = "regional aggregators require protocol v5, peer speaks " +
-                    std::to_string(hello.protocol_version);
-      (void)net::SendMessage(channel.socket(), err);
-      return FailedPreconditionError(err.message);
+      return net::Complain(
+          channel.socket(),
+          FailedPreconditionError(
+              "regional aggregators require protocol v5, peer speaks " +
+              std::to_string(hello.protocol_version)));
     }
     if (hello.node_role != static_cast<uint32_t>(net::NodeRole::kAggregator)) {
-      net::ErrorMsg err;
-      err.message = "expected an aggregator connection, peer announced role " +
-                    std::to_string(hello.node_role);
-      (void)net::SendMessage(channel.socket(), err);
-      return FailedPreconditionError(err.message);
+      return net::Complain(
+          channel.socket(),
+          FailedPreconditionError(
+              "expected an aggregator connection, peer announced role " +
+              std::to_string(hello.node_role)));
     }
 
     AggregatorLink& link = aggs_[static_cast<size_t>(a)];
@@ -652,8 +557,8 @@ Status RootCoordinator::CallAggregator(size_t a,
   return OkStatus();
 }
 
-std::vector<Status> RootCoordinator::ParallelExchange(
-    const std::vector<char>& active,
+Status RootCoordinator::ParallelExchange(
+    const std::vector<char>& active, const char* phase,
     const std::function<Status(size_t)>& fn) {
   std::vector<Status> status(aggs_.size(), OkStatus());
   const TraceContext ctx = CurrentTraceContext();
@@ -667,7 +572,14 @@ std::vector<Status> RootCoordinator::ParallelExchange(
     });
   }
   for (std::thread& t : threads) t.join();
-  return status;
+  for (size_t a = 0; a < status.size(); ++a) {
+    if (!status[a].ok()) {
+      return InternalError("aggregator " + std::to_string(a) +
+                           " failed mid-round during " + phase + ": " +
+                           std::string(status[a].message()));
+    }
+  }
+  return OkStatus();
 }
 
 double RootCoordinator::MemberWeight(
@@ -678,10 +590,10 @@ double RootCoordinator::MemberWeight(
              : confidence_by_id[static_cast<size_t>(client_id)];
 }
 
-Status RootCoordinator::AggregateFedGta(int round,
-                                        const std::vector<int>& survivors,
-                                        const std::vector<double>& confidences,
-                                        std::vector<ShardRoundState>* shards) {
+Status RootCoordinator::AggregateFedGta(
+    int round, const std::vector<int>& survivors,
+    const std::vector<double>& confidences) {
+  std::vector<ShardRoundState>* shards = &round_shards_;
   MetricsRegistry& metrics = GlobalMetrics();
   const SimilarityPlaneOptions& plane = gta_.similarity;
   const size_t gp = survivors.size();
@@ -705,39 +617,28 @@ Status RootCoordinator::AggregateFedGta(int round,
       active[a] = shard_rows[a] > 0 ? 1 : 0;
     }
   }
-  const auto abort_on = [this](const std::vector<char>& who,
-                               const std::vector<Status>& status,
-                               const char* phase) -> Status {
-    for (size_t a = 0; a < status.size(); ++a) {
-      if (who[a] && !status[a].ok()) {
-        return InternalError("aggregator " + std::to_string(a) +
-                             " failed mid-round during " + phase + ": " +
-                             std::string(status[a].message()));
-      }
-    }
-    return OkStatus();
-  };
 
   // Phase 1 (LSH rounds only): collect the shard signature slices; their
   // shard-order concatenation is the global signature matrix.
   std::vector<uint64_t> signatures;
   if (use_lsh) {
     std::vector<SignatureBlockBody> blocks(aggs_.size());
-    std::vector<Status> status = ParallelExchange(active, [&](size_t a) {
-      net::RoutedMsg response;
-      FEDGTA_RETURN_IF_ERROR(CallAggregator(
-          a, MakeEnvelope(net::EnvelopeKind::kSignatureExchange, round),
-          &response));
-      FEDGTA_RETURN_IF_ERROR(UnpackEnvelope(
-          response, net::EnvelopeKind::kSignatureBlock, &blocks[a]));
-      if (blocks[a].rows != shard_rows[a] || blocks[a].words != shape.words ||
-          static_cast<int64_t>(blocks[a].signatures.size()) !=
-              blocks[a].rows * blocks[a].words) {
-        return InvalidArgumentError("signature block shape mismatch");
-      }
-      return OkStatus();
-    });
-    FEDGTA_RETURN_IF_ERROR(abort_on(active, status, "the signature exchange"));
+    FEDGTA_RETURN_IF_ERROR(ParallelExchange(
+        active, "the signature exchange", [&](size_t a) -> Status {
+          net::RoutedMsg response;
+          FEDGTA_RETURN_IF_ERROR(CallAggregator(
+              a, MakeEnvelope(net::EnvelopeKind::kSignatureExchange, round),
+              &response));
+          FEDGTA_RETURN_IF_ERROR(UnpackEnvelope(
+              response, net::EnvelopeKind::kSignatureBlock, &blocks[a]));
+          if (blocks[a].rows != shard_rows[a] ||
+              blocks[a].words != shape.words ||
+              static_cast<int64_t>(blocks[a].signatures.size()) !=
+                  blocks[a].rows * blocks[a].words) {
+            return InvalidArgumentError("signature block shape mismatch");
+          }
+          return OkStatus();
+        }));
     signatures.reserve(gp * static_cast<size_t>(shape.words));
     for (size_t a = 0; a < aggs_.size(); ++a) {
       signatures.insert(signatures.end(), blocks[a].signatures.begin(),
@@ -752,18 +653,15 @@ Status RootCoordinator::AggregateFedGta(int round,
   frame.use_lsh = use_lsh;
   frame.words = use_lsh ? shape.words : 0;
   frame.signatures = signatures;
-  {
-    std::vector<Status> status = ParallelExchange(active, [&](size_t a) {
-      net::RoutedMsg response;
-      FEDGTA_RETURN_IF_ERROR(CallAggregator(
-          a, MakeEnvelope(net::EnvelopeKind::kCandidatePairs, round, frame),
-          &response));
-      return UnpackEnvelope(response, net::EnvelopeKind::kCandidateWants,
-                            &(*shards)[a].wants);
-    });
-    FEDGTA_RETURN_IF_ERROR(
-        abort_on(active, status, "candidate generation"));
-  }
+  FEDGTA_RETURN_IF_ERROR(ParallelExchange(
+      active, "candidate generation", [&](size_t a) -> Status {
+        net::RoutedMsg response;
+        FEDGTA_RETURN_IF_ERROR(CallAggregator(
+            a, MakeEnvelope(net::EnvelopeKind::kCandidatePairs, round, frame),
+            &response));
+        return UnpackEnvelope(response, net::EnvelopeKind::kCandidateWants,
+                              &(*shards)[a].wants);
+      }));
   {
     SimilarityStats stats;
     stats.mode_used = use_lsh ? SimilarityMode::kLsh : SimilarityMode::kExact;
@@ -804,8 +702,8 @@ Status RootCoordinator::AggregateFedGta(int round,
       fetch_active[a] = fetch[a].empty() ? 0 : 1;
     }
     std::vector<MomentBlockBody> blocks(aggs_.size());
-    std::vector<Status> status =
-        ParallelExchange(fetch_active, [&](size_t a) {
+    FEDGTA_RETURN_IF_ERROR(ParallelExchange(
+        fetch_active, "the moment fetch", [&](size_t a) -> Status {
           MomentFetchBody body;
           body.ids = fetch[a];
           net::RoutedMsg response;
@@ -818,8 +716,7 @@ Status RootCoordinator::AggregateFedGta(int round,
             return InvalidArgumentError("moment block count mismatch");
           }
           return OkStatus();
-        });
-    FEDGTA_RETURN_IF_ERROR(abort_on(fetch_active, status, "the moment fetch"));
+        }));
     for (size_t a = 0; a < aggs_.size(); ++a) {
       for (size_t k = 0; k < fetch[a].size(); ++k) {
         rows_by_id[fetch[a][k]] = std::move(blocks[a].rows[k]);
@@ -829,21 +726,19 @@ Status RootCoordinator::AggregateFedGta(int round,
 
   // Phase 4: ship each shard the rows it wanted; it runs exact Eq. 6
   // admission and reports the canonical sets that cross its boundary.
-  {
-    std::vector<Status> status = ParallelExchange(active, [&](size_t a) {
-      SetBuildBody body;
-      body.ids = (*shards)[a].wants.wanted;
-      body.rows.reserve(body.ids.size());
-      for (int32_t id : body.ids) body.rows.push_back(rows_by_id.at(id));
-      net::RoutedMsg response;
-      FEDGTA_RETURN_IF_ERROR(CallAggregator(
-          a, MakeEnvelope(net::EnvelopeKind::kSetBuild, round, body),
-          &response));
-      return UnpackEnvelope(response, net::EnvelopeKind::kSetReport,
-                            &(*shards)[a].report);
-    });
-    FEDGTA_RETURN_IF_ERROR(abort_on(active, status, "set building"));
-  }
+  FEDGTA_RETURN_IF_ERROR(ParallelExchange(
+      active, "set building", [&](size_t a) -> Status {
+        SetBuildBody body;
+        body.ids = (*shards)[a].wants.wanted;
+        body.rows.reserve(body.ids.size());
+        for (int32_t id : body.ids) body.rows.push_back(rows_by_id.at(id));
+        net::RoutedMsg response;
+        FEDGTA_RETURN_IF_ERROR(CallAggregator(
+            a, MakeEnvelope(net::EnvelopeKind::kSetBuild, round, body),
+            &response));
+        return UnpackEnvelope(response, net::EnvelopeKind::kSetReport,
+                              &(*shards)[a].report);
+      }));
 
   // Phase 5: dedup the cross-shard canonical sets globally and compute
   // their Eq. 7 weight sums (double-accumulated in canonical order — the
@@ -949,7 +844,7 @@ Status RootCoordinator::AggregateFedGta(int round,
       deliver[a].params.push_back(groups[g].acc);
     }
   }
-  ParallelExchange(active, [&](size_t a) {
+  (void)ParallelExchange(active, "group delivery", [&](size_t a) {
     if (deliver[a].report_index.empty()) return OkStatus();
     net::RoutedMsg response;
     FEDGTA_RETURN_IF_ERROR(CallAggregator(
@@ -964,15 +859,150 @@ Status RootCoordinator::AggregateFedGta(int round,
   return OkStatus();
 }
 
-Status RootCoordinator::Evaluate(int round, double* test_accuracy,
-                                 double* val_accuracy) {
-  const size_t n = data_.clients.size();
-  std::vector<double> test_acc(n, 0.0);
-  std::vector<double> val_acc(n, 0.0);
-  std::vector<char> evaluated(n, 0);
+Result<SimulationResult> RootCoordinator::Run() {
+  if (!server_.valid()) {
+    return FailedPreconditionError("call Listen() before Run()");
+  }
+  trace_id_ = NewTraceId();
+  // First thread this process creates — anyone forking must have done so
+  // before Run() (the hierarchy tests rely on this ordering).
+  if (status_.bound()) {
+    status_.Start([this](const std::string& cmd) { return RenderStatus(cmd); });
+  }
+  WallTimer setup_timer;
+  FEDGTA_RETURN_IF_ERROR(Handshake());
+  const double setup_seconds = setup_timer.Seconds();
 
+  RoundEngine engine(config_.sim, config_.seed, data_.clients, this,
+                     trace_id_);
+  Result<SimulationResult> result = engine.Run();
+
+  // Best-effort goodbye down the tree: each aggregator shuts its own
+  // worker fleet before acking.
+  for (AggregatorLink& link : aggs_) {
+    if (!link.alive || !link.channel.ok()) continue;
+    net::ShutdownMsg bye;
+    if (!net::SendMessage(link.channel.socket(), bye).ok()) continue;
+    net::ShutdownAckMsg ack;
+    (void)net::ExpectMessage(link.channel.socket(), &ack);
+  }
+  FEDGTA_RETURN_IF_ERROR(result.status());
+  result->setup_seconds = setup_seconds;
+  result->metrics_json = GlobalMetrics().ToJson();
+  return result;
+}
+
+std::vector<ClientOutcome> RootCoordinator::Train(
+    int round, const std::vector<int>& participants,
+    const std::vector<ClientFate>& fates) {
+  // Partition by shard: ascending participants are shard-major, so a
+  // single forward walk deals every shard its contiguous slice.
+  round_shards_.assign(aggs_.size(), ShardRoundState());
+  const size_t n_part = participants.size();
+  {
+    size_t cursor = 0;
+    for (size_t a = 0; a < aggs_.size(); ++a) {
+      while (cursor < n_part &&
+             aggs_[a].clients.contains(participants[cursor])) {
+        round_shards_[a].participants.push_back(participants[cursor]);
+        round_shards_[a].fates.push_back(fates[cursor]);
+        ++cursor;
+      }
+    }
+  }
+
+  std::vector<char> active(aggs_.size(), 0);
+  for (size_t a = 0; a < aggs_.size(); ++a) {
+    active[a] =
+        aggs_[a].alive && !round_shards_[a].participants.empty() ? 1 : 0;
+  }
+  (void)ParallelExchange(active, "training", [&](size_t a) {
+    ShardRoundState& shard = round_shards_[a];
+    TrainShardBody body;
+    body.participants.assign(shard.participants.begin(),
+                             shard.participants.end());
+    body.fates.reserve(shard.fates.size());
+    for (ClientFate fate : shard.fates) {
+      body.fates.push_back(static_cast<uint32_t>(fate));
+    }
+    if (relay_) {
+      body.global_params = strategy_->DownloadFor(shard.participants.front());
+    }
+    net::RoutedMsg response;
+    FEDGTA_RETURN_IF_ERROR(CallAggregator(
+        a, MakeEnvelope(net::EnvelopeKind::kTrainShard, round, body),
+        &response));
+    FEDGTA_RETURN_IF_ERROR(UnpackEnvelope(
+        response, net::EnvelopeKind::kTrainShardDone, &shard.done));
+    const size_t expect = shard.participants.size();
+    if (shard.done.rpc_ok.size() != expect ||
+        shard.done.seconds.size() != expect ||
+        shard.done.losses.size() != expect ||
+        shard.done.num_samples.size() != expect ||
+        shard.done.confidences.size() != expect ||
+        (relay_ && shard.done.weights.size() != expect)) {
+      aggs_[a].alive = false;
+      aggs_[a].health->healthy.store(false, std::memory_order_relaxed);
+      return InvalidArgumentError("train reply misaligned");
+    }
+    shard.trained = true;
+    return OkStatus();
+  });
+
+  // Outcomes in participant order (= shard order). A dead aggregator maps
+  // every shard participant onto the transport-failure dropout semantics.
+  // In the FedGTA plane params and moments stay staged at the aggregator;
+  // only the scalars travel.
+  std::vector<ClientOutcome> outcomes;
+  outcomes.reserve(n_part);
+  for (ShardRoundState& shard : round_shards_) {
+    for (size_t i = 0; i < shard.participants.size(); ++i) {
+      ClientOutcome& outcome = outcomes.emplace_back();
+      if (!shard.trained || !shard.done.rpc_ok[i]) {
+        outcome.status = InternalError("participant unreachable");
+        continue;
+      }
+      outcome.seconds = shard.done.seconds[i];
+      LocalResult& r = outcome.result;
+      r.client_id = shard.participants[i];
+      r.num_samples = shard.done.num_samples[i];
+      r.loss = shard.done.losses[i];
+      r.metrics.confidence = shard.done.confidences[i];
+      if (relay_) r.params = std::move(shard.done.weights[i]);
+    }
+  }
+  return outcomes;
+}
+
+Status RootCoordinator::Aggregate(int round, const std::vector<int>& ids,
+                                  std::vector<LocalResult>& results) {
+  if (relay_) return RoundTransport::Aggregate(round, ids, results);
+  std::vector<double> confidences;
+  confidences.reserve(results.size());
+  for (const LocalResult& r : results) {
+    confidences.push_back(r.metrics.confidence);
+    confidence_by_id_[static_cast<size_t>(r.client_id)] = r.metrics.confidence;
+  }
+  return AggregateFedGta(round, ids, confidences);
+}
+
+Strategy::CommunicationStats RootCoordinator::Communication(
+    const std::vector<LocalResult>& results) {
+  if (relay_) return RoundTransport::Communication(results);
+  // Shard-local sums of the base RoundCommunication formula — integer
+  // adds, so the shard-order total equals the single-server total.
+  Strategy::CommunicationStats comm;
+  for (const ShardRoundState& shard : round_shards_) {
+    if (!shard.trained) continue;
+    comm.upload_floats += shard.done.upload_floats;
+    comm.download_floats += shard.done.download_floats;
+  }
+  return comm;
+}
+
+Status RootCoordinator::Evaluate(int round, ClientAccuracies* acc) {
   EvalShardBody request;
-  if (relay_) request.global_params = CopyParams(strategy_->ParamsFor(0));
+  if (relay_) request.global_params = strategy_->DownloadFor(0);
   std::vector<char> active(aggs_.size(), 0);
   for (size_t a = 0; a < aggs_.size(); ++a) {
     active[a] = aggs_[a].alive ? 1 : 0;
@@ -980,7 +1010,7 @@ Status RootCoordinator::Evaluate(int round, double* test_accuracy,
   std::mutex merge_mutex;
   // Eval failures degrade like the flat plane's dead workers: the shard's
   // clients stay unevaluated and drop out of the weighted reduction.
-  ParallelExchange(active, [&](size_t a) {
+  (void)ParallelExchange(active, "evaluation", [&](size_t a) {
     net::RoutedMsg response;
     FEDGTA_RETURN_IF_ERROR(CallAggregator(
         a, MakeEnvelope(net::EnvelopeKind::kEvalShard, round, request),
@@ -1000,319 +1030,13 @@ Status RootCoordinator::Evaluate(int round, double* test_accuracy,
         return InvalidArgumentError("eval reply for a foreign client");
       }
       if (!done.evaluated[k]) continue;
-      test_acc[static_cast<size_t>(id)] = done.test_accuracy[k];
-      val_acc[static_cast<size_t>(id)] = done.val_accuracy[k];
-      evaluated[static_cast<size_t>(id)] = 1;
+      acc->test[static_cast<size_t>(id)] = done.test_accuracy[k];
+      acc->val[static_cast<size_t>(id)] = done.val_accuracy[k];
+      acc->evaluated[static_cast<size_t>(id)] = 1;
     }
     return OkStatus();
   });
-
-  // Weighted reduction in client order — same arithmetic stream as
-  // Simulation::Evaluate.
-  double test_correct = 0.0;
-  double val_correct = 0.0;
-  int64_t test_total = 0;
-  int64_t val_total = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (!evaluated[i]) continue;
-    const ClientData& shard = data_.clients[i];
-    const int64_t n_test = static_cast<int64_t>(shard.test_idx.size());
-    const int64_t n_val = static_cast<int64_t>(shard.val_idx.size());
-    if (n_test > 0) {
-      test_correct += test_acc[i] * static_cast<double>(n_test);
-      test_total += n_test;
-    }
-    if (n_val > 0) {
-      val_correct += val_acc[i] * static_cast<double>(n_val);
-      val_total += n_val;
-    }
-  }
-  *test_accuracy =
-      test_total > 0 ? test_correct / static_cast<double>(test_total) : 0.0;
-  *val_accuracy =
-      val_total > 0 ? val_correct / static_cast<double>(val_total) : 0.0;
   return OkStatus();
-}
-
-Result<SimulationResult> RootCoordinator::Run() {
-  if (!server_.valid()) {
-    return FailedPreconditionError("call Listen() before Run()");
-  }
-  trace_id_ = NewTraceId();
-  // First thread this process creates — anyone forking must have done so
-  // before Run() (the hierarchy tests rely on this ordering).
-  if (status_.bound()) {
-    status_.Start([this](const std::string& cmd) { return RenderStatus(cmd); });
-  }
-  WallTimer setup_timer;
-  FEDGTA_RETURN_IF_ERROR(Handshake());
-
-  SimulationResult result;
-  result.setup_seconds = setup_timer.Seconds();
-
-  Rng rng(config_.seed ^ 0x517u);
-  double best_val = -1.0;
-
-  FailurePlan plan(config_.sim.failure);
-  const bool failures = config_.sim.failure.enabled();
-
-  const int n_clients = data_.num_clients();
-  const int per_round = std::max(
-      1,
-      static_cast<int>(std::lround(config_.sim.participation * n_clients)));
-
-  MetricsRegistry& metrics = GlobalMetrics();
-  Histogram& round_client_seconds =
-      metrics.GetHistogram("round.client_seconds");
-  Histogram& round_server_seconds =
-      metrics.GetHistogram("round.server_seconds");
-  Counter& rounds_completed = metrics.GetCounter("rounds.completed");
-  Counter& upload_floats = metrics.GetCounter("comm.upload_floats");
-  Counter& download_floats = metrics.GetCounter("comm.download_floats");
-  Counter& dropped_counter = metrics.GetCounter("fed.round.dropped_clients");
-  Counter& straggler_counter = metrics.GetCounter("fed.round.stragglers");
-  Counter& crashed_counter = metrics.GetCounter("fed.round.crashed_clients");
-  Histogram& round_seconds = metrics.GetHistogram("fed.round.seconds");
-  Counter& bytes_sent_counter = metrics.GetCounter("net.bytes_sent");
-  Counter& bytes_recv_counter = metrics.GetCounter("net.bytes_recv");
-  Timeline& timeline = GlobalTimeline();
-
-  for (int round = 1; round <= config_.sim.rounds; ++round) {
-    TraceContext round_ctx;
-    round_ctx.trace_id = trace_id_;
-    round_ctx.round = round;
-    ScopedTraceContext scoped_round(round_ctx);
-    FEDGTA_TRACE_SCOPE("round");
-    WallTimer round_timer;
-    const int64_t bytes_sent0 = bytes_sent_counter.value();
-    const int64_t bytes_recv0 = bytes_recv_counter.value();
-    // Participant sampling: byte-for-byte the flat coordinator's (and the
-    // in-process Simulation's) stream.
-    std::vector<int> participants =
-        per_round >= n_clients
-            ? [n_clients] {
-                std::vector<int> all(static_cast<size_t>(n_clients));
-                for (int i = 0; i < n_clients; ++i) {
-                  all[static_cast<size_t>(i)] = i;
-                }
-                return all;
-              }()
-            : rng.SampleWithoutReplacement(n_clients, per_round);
-    std::sort(participants.begin(), participants.end());
-    const size_t n_part = participants.size();
-    timeline.RoundStart(round, static_cast<int64_t>(n_part));
-
-    std::vector<ClientFate> fates(n_part, ClientFate::kHealthy);
-    if (failures) {
-      for (size_t i = 0; i < n_part; ++i) {
-        fates[i] = plan.FateOf(round, participants[i]);
-      }
-    }
-
-    // Partition by shard: ascending participants are shard-major, so a
-    // single forward walk deals every shard its contiguous slice.
-    std::vector<ShardRoundState> shards(aggs_.size());
-    {
-      size_t cursor = 0;
-      for (size_t a = 0; a < aggs_.size(); ++a) {
-        while (cursor < n_part &&
-               aggs_[a].clients.contains(participants[cursor])) {
-          shards[a].participants.push_back(participants[cursor]);
-          shards[a].fates.push_back(fates[cursor]);
-          ++cursor;
-        }
-      }
-    }
-
-    std::vector<char> active(aggs_.size(), 0);
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      active[a] =
-          aggs_[a].alive && !shards[a].participants.empty() ? 1 : 0;
-    }
-    WallTimer client_timer;
-    ParallelExchange(active, [&](size_t a) {
-      ShardRoundState& shard = shards[a];
-      TrainShardBody body;
-      body.participants.assign(shard.participants.begin(),
-                               shard.participants.end());
-      body.fates.reserve(shard.fates.size());
-      for (ClientFate fate : shard.fates) {
-        body.fates.push_back(static_cast<uint32_t>(fate));
-      }
-      if (relay_) {
-        body.global_params =
-            CopyParams(strategy_->ParamsFor(shard.participants.front()));
-      }
-      net::RoutedMsg response;
-      FEDGTA_RETURN_IF_ERROR(CallAggregator(
-          a, MakeEnvelope(net::EnvelopeKind::kTrainShard, round, body),
-          &response));
-      FEDGTA_RETURN_IF_ERROR(UnpackEnvelope(
-          response, net::EnvelopeKind::kTrainShardDone, &shard.done));
-      const size_t expect = shard.participants.size();
-      if (shard.done.rpc_ok.size() != expect ||
-          shard.done.seconds.size() != expect ||
-          shard.done.losses.size() != expect ||
-          shard.done.num_samples.size() != expect ||
-          shard.done.confidences.size() != expect ||
-          (relay_ && shard.done.weights.size() != expect)) {
-        aggs_[a].alive = false;
-        aggs_[a].health->healthy.store(false, std::memory_order_relaxed);
-        return InvalidArgumentError("train reply misaligned");
-      }
-      shard.trained = true;
-      return OkStatus();
-    });
-    const double client_seconds = client_timer.Seconds();
-
-    // Global survivor reduction in participant order, mirroring the flat
-    // coordinator. A dead aggregator maps every shard participant onto the
-    // transport-failure dropout semantics.
-    std::vector<int> survivors;
-    std::vector<double> confidences;
-    std::vector<LocalResult> results;  // relay mode only
-    survivors.reserve(n_part);
-    confidences.reserve(n_part);
-    int64_t dropped = 0;
-    int64_t stragglers = 0;
-    int64_t crashed = 0;
-    double loss_sum = 0.0;
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      ShardRoundState& shard = shards[a];
-      for (size_t i = 0; i < shard.participants.size(); ++i) {
-        const int id = shard.participants[i];
-        const ClientFate fate = shard.fates[i];
-        if (fate == ClientFate::kDropout) {
-          ++dropped;
-          timeline.ClientFate(round, id, std::string(ClientFateName(fate)),
-                              0.0);
-          continue;
-        }
-        if (!shard.trained || !shard.done.rpc_ok[i]) {
-          ++dropped;
-          timeline.ClientFate(round, id, "rpc_failed", 0.0);
-          continue;
-        }
-        timeline.ClientFate(round, id, std::string(ClientFateName(fate)),
-                            shard.done.seconds[i]);
-        switch (fate) {
-          case ClientFate::kHealthy: {
-            survivors.push_back(id);
-            loss_sum += shard.done.losses[i];
-            confidences.push_back(shard.done.confidences[i]);
-            confidence_by_id_[static_cast<size_t>(id)] =
-                shard.done.confidences[i];
-            if (relay_) {
-              LocalResult r;
-              r.client_id = id;
-              r.params = std::move(shard.done.weights[i]);
-              r.num_samples = shard.done.num_samples[i];
-              r.loss = shard.done.losses[i];
-              results.push_back(std::move(r));
-            }
-            break;
-          }
-          case ClientFate::kStraggler:
-            ++stragglers;
-            break;
-          case ClientFate::kCrash:
-            ++crashed;
-            break;
-          case ClientFate::kDropout:
-            break;  // handled above
-        }
-      }
-    }
-
-    WallTimer server_timer;
-    {
-      FEDGTA_TRACE_SCOPE("server_step");
-      if (!survivors.empty()) {
-        if (relay_) {
-          strategy_->Aggregate(survivors, results);
-        } else {
-          FEDGTA_RETURN_IF_ERROR(
-              AggregateFedGta(round, survivors, confidences, &shards));
-        }
-      }
-    }
-    const double server_seconds = server_timer.Seconds();
-
-    result.total_client_seconds += client_seconds;
-    result.total_server_seconds += server_seconds;
-    int64_t round_upload = 0;
-    int64_t round_download = 0;
-    if (relay_) {
-      const Strategy::CommunicationStats comm =
-          strategy_->RoundCommunication(results);
-      round_upload = comm.upload_floats;
-      round_download = comm.download_floats;
-    } else {
-      // Shard-local sums of the base RoundCommunication formula — integer
-      // adds, so the shard-order total equals the single-server total.
-      for (size_t a = 0; a < aggs_.size(); ++a) {
-        if (!shards[a].trained) continue;
-        round_upload += shards[a].done.upload_floats;
-        round_download += shards[a].done.download_floats;
-      }
-    }
-    result.total_upload_floats += round_upload;
-    result.total_download_floats += round_download;
-    result.total_dropped_clients += dropped;
-    result.total_straggler_clients += stragglers;
-    result.total_crashed_clients += crashed;
-
-    round_client_seconds.Record(client_seconds);
-    round_server_seconds.Record(server_seconds);
-    rounds_completed.Increment();
-    upload_floats.Increment(round_upload);
-    download_floats.Increment(round_download);
-    if (dropped > 0) dropped_counter.Increment(dropped);
-    if (stragglers > 0) straggler_counter.Increment(stragglers);
-    if (crashed > 0) crashed_counter.Increment(crashed);
-    round_seconds.Record(round_timer.Seconds());
-    timeline.RoundEnd(round, client_seconds, server_seconds,
-                      bytes_sent_counter.value() - bytes_sent0,
-                      bytes_recv_counter.value() - bytes_recv0, dropped,
-                      stragglers, crashed);
-
-    if (round % config_.sim.eval_every == 0 || round == config_.sim.rounds) {
-      RoundStats stats;
-      stats.round = round;
-      stats.train_loss =
-          survivors.empty()
-              ? 0.0
-              : loss_sum / static_cast<double>(survivors.size());
-      stats.client_seconds = result.total_client_seconds;
-      stats.server_seconds = result.total_server_seconds;
-      stats.upload_floats = result.total_upload_floats;
-      stats.download_floats = result.total_download_floats;
-      stats.dropped_clients = result.total_dropped_clients;
-      stats.straggler_clients = result.total_straggler_clients;
-      stats.crashed_clients = result.total_crashed_clients;
-      FEDGTA_RETURN_IF_ERROR(
-          Evaluate(round, &stats.test_accuracy, &stats.val_accuracy));
-      if (stats.val_accuracy > best_val) {
-        best_val = stats.val_accuracy;
-        result.best_test_accuracy = stats.test_accuracy;
-      }
-      result.final_test_accuracy = stats.test_accuracy;
-      result.curve.push_back(stats);
-    }
-  }
-
-  // Best-effort goodbye down the tree: each aggregator shuts its own
-  // worker fleet before acking.
-  for (AggregatorLink& link : aggs_) {
-    if (!link.alive || !link.channel.ok()) continue;
-    net::ShutdownMsg bye;
-    if (!net::SendMessage(link.channel.socket(), bye).ok()) continue;
-    net::ShutdownAckMsg ack;
-    (void)net::ExpectMessage(link.channel.socket(), &ack);
-  }
-
-  result.metrics_json = GlobalMetrics().ToJson();
-  return result;
 }
 
 std::string RootCoordinator::RenderStatus(const std::string& command) const {
@@ -1360,32 +1084,9 @@ std::string RootCoordinator::RenderStatus(const std::string& command) const {
       }
     }
   }
-  out += "latencies:\n";
-  for (const char* name :
-       {"fed.round.seconds", "net.rpc.seconds", "round.client_seconds",
-        "round.server_seconds", "fleet.phase.remote_train.seconds"}) {
-    const Histogram* h = GlobalMetrics().FindHistogram(name);
-    if (h == nullptr) continue;
-    const Histogram::Snapshot s = h->snapshot();
-    if (s.count == 0) continue;
-    out += StrFormat("  %s: count=%lld p50=%.6f p99=%.6f\n", name,
-                     static_cast<long long>(s.count), s.Quantile(0.5),
-                     s.Quantile(0.99));
-  }
+  out += RoundLatencyStatus();
   // Similarity/aggregation plane counters (root-side global totals).
-  {
-    std::string plane;
-    for (const char* name :
-         {"fedgta.similarity.pairs_exact", "fedgta.similarity.pairs_pruned",
-          "fedgta.aggregation.unique_sets",
-          "fedgta.aggregation.dedup_reused"}) {
-      const Counter* c = GlobalMetrics().FindCounter(name);
-      if (c == nullptr) continue;
-      plane += StrFormat("  %s: %lld\n", name,
-                         static_cast<long long>(c->value()));
-    }
-    if (!plane.empty()) out += "similarity:\n" + plane;
-  }
+  out += SimilarityPlaneStatus();
   return out;
 }
 

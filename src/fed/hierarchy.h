@@ -13,6 +13,7 @@
 #include "core/fedgta_metrics.h"
 #include "fed/remote_config.h"
 #include "fed/role.h"
+#include "fed/round_engine.h"
 #include "fed/simulation.h"
 #include "fed/strategy.h"
 #include "fed/worker_fleet.h"
@@ -302,21 +303,23 @@ Status UnpackEnvelope(const net::RoutedMsg& msg, net::EnvelopeKind kind,
   return OkStatus();
 }
 
-/// The root of a hierarchical federation (DESIGN.md §5k): accepts
-/// `config.num_aggregators` regional aggregators (Hello with
-/// node_role = kAggregator), deals each a contiguous client shard and
-/// worker slice via ShardAssign, and drives the per-round envelope
-/// sequence — TrainShard, the signature/candidate/moment/set exchange,
-/// the chained Eq. 7 partial passes, GroupDeliver, EvalShard. The root
-/// never materializes the full participant set: in the FedGTA plane only
-/// scalars, packed signatures, canonical id sets, and per-set
-/// accumulators cross its link, and the run result is bit-identical to
-/// the single-server plane (see fed::DeterministicEquals).
+/// The root of a hierarchical federation (DESIGN.md §5k) and the
+/// RoundEngine's transport for it: accepts `config.num_aggregators`
+/// regional aggregators (Hello with node_role = kAggregator), deals each a
+/// contiguous client shard and worker slice via ShardAssign, and turns the
+/// engine's train / aggregate / evaluate calls into the routed envelope
+/// sequence — TrainShard, the signature/candidate/moment/set exchange, the
+/// chained Eq. 7 partial passes, GroupDeliver, EvalShard. The root never
+/// materializes the full participant set: in the FedGTA plane only
+/// scalars, packed signatures, canonical id sets, and per-set accumulators
+/// cross its link, and the run result is bit-identical to the in-process
+/// Simulation (see fed::DeterministicEquals). A dead aggregator's shard
+/// degrades to dropped clients.
 ///
 /// Shardable non-FedGTA strategies (fedavg, fedprox) run in relay mode:
 /// the root keeps the Strategy and full survivor weights travel through
 /// the aggregators unchanged — same results, two hops.
-class RootCoordinator {
+class RootCoordinator : private RoundTransport {
  public:
   explicit RootCoordinator(const RemoteFedConfig& config);
 
@@ -368,20 +371,31 @@ class RootCoordinator {
   Status CallAggregator(size_t a, const net::RoutedMsg& request,
                         net::RoutedMsg* response);
   /// Runs `fn` over every aggregator with `active[a]` set, one thread
-  /// each (the round TraceContext is re-installed); returns per-link
-  /// status.
-  std::vector<Status> ParallelExchange(
-      const std::vector<char>& active,
-      const std::function<Status(size_t)>& fn);
+  /// each (the round TraceContext is re-installed). Returns the first
+  /// failure as "aggregator <a> failed mid-round during <phase>"; phases
+  /// that degrade instead of aborting ignore it.
+  Status ParallelExchange(const std::vector<char>& active, const char* phase,
+                          const std::function<Status(size_t)>& fn);
+  // RoundTransport
+  Strategy& strategy() override { return *strategy_; }
+  std::vector<ClientOutcome> Train(
+      int round, const std::vector<int>& participants,
+      const std::vector<ClientFate>& fates) override;
+  /// Relay mode: Strategy::Aggregate at the root. FedGTA plane: the routed
+  /// Eq. 6/7 sequence (AggregateFedGta).
+  Status Aggregate(int round, const std::vector<int>& ids,
+                   std::vector<LocalResult>& results) override;
+  Strategy::CommunicationStats Communication(
+      const std::vector<LocalResult>& results) override;
+  Status Evaluate(int round, ClientAccuracies* acc) override;
+
   /// The distributed Eq. 6/7 phase sequence over this round's survivors.
   Status AggregateFedGta(int round, const std::vector<int>& survivors,
-                         const std::vector<double>& confidences,
-                         std::vector<ShardRoundState>* shards);
+                         const std::vector<double>& confidences);
   /// Eq. 7 weight of one survivor at the root (confidence, or the
   /// train-size fallback) — the same value ShardPlane::MemberWeight uses.
   double MemberWeight(int client_id,
                       const std::vector<double>& confidence_by_id) const;
-  Status Evaluate(int round, double* test_accuracy, double* val_accuracy);
   std::string RenderStatus(const std::string& command) const;
 
   RemoteFedConfig config_;
@@ -394,6 +408,8 @@ class RootCoordinator {
   int64_t param_count_ = -1;
   std::vector<float> init_params_;
   std::vector<AggregatorLink> aggs_;
+  /// Every aggregator's slice of the current round.
+  std::vector<ShardRoundState> round_shards_;
   uint64_t trace_id_ = 0;
   /// Aggregator deltas merge under agg.<i>.*; their own worker.*/fleet.*
   /// rollups pass through un-resummed (see FleetMetricsMerger).

@@ -13,18 +13,8 @@
 #include "obs/trace.h"
 
 namespace fedgta {
-namespace {
 
-/// Sends a protocol complaint before bailing; the send itself is
-/// best-effort (the peer may already be gone).
-Status Complain(net::Socket& sock, Status status) {
-  net::ErrorMsg err;
-  err.message = std::string(status.message());
-  (void)net::SendMessage(sock, err);
-  return status;
-}
-
-}  // namespace
+using net::Complain;
 
 RemoteClientRunner::RemoteClientRunner(const RemoteRunnerOptions& options)
     : options_(options) {}

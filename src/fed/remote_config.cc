@@ -14,6 +14,68 @@ FederatedDataset MaterializeFederatedDataset(const std::string& dataset,
   return BuildFederatedDataset(std::move(ds), split, split_rng, options);
 }
 
+Status ValidateDistributedConfig(const RemoteFedConfig& config) {
+  if (config.num_workers < 1) {
+    return InvalidArgumentError("num_workers must be >= 1");
+  }
+  if (config.num_workers > config.split.num_clients) {
+    return InvalidArgumentError(
+        "more workers than clients: every worker must host at least one");
+  }
+  if (config.sim.fgl != FglModel::kNone) {
+    return InvalidArgumentError(
+        "FGL model wrappers are not supported in distributed mode");
+  }
+  if (!config.sim.checkpoint_dir.empty() || config.sim.resume) {
+    return InvalidArgumentError(
+        "checkpointing is not supported in distributed mode");
+  }
+  if (config.sim.participation <= 0.0 || config.sim.participation > 1.0) {
+    return InvalidArgumentError("participation must be in (0, 1]");
+  }
+  if (config.sim.rounds < 1 || config.sim.local_epochs < 1) {
+    return InvalidArgumentError("rounds and local_epochs must be >= 1");
+  }
+  if (config.sim.async) {
+    if (config.sim.staleness_tau < 0) {
+      return InvalidArgumentError("staleness_tau must be >= 0");
+    }
+    if (!(config.sim.staleness_decay > 0.0 &&
+          config.sim.staleness_decay <= 1.0)) {
+      return InvalidArgumentError("staleness_decay must be in (0, 1]");
+    }
+  }
+  if (config.compress != "off" &&
+      net::compress::FindCodec(config.compress) == nullptr) {
+    return InvalidArgumentError("unknown compress codec '" + config.compress +
+                                "'");
+  }
+  if (config.compress_topk < 0) {
+    return InvalidArgumentError("compress_topk must be >= 0");
+  }
+  return GetDatasetSpec(config.dataset).status();
+}
+
+Result<std::unique_ptr<Strategy>> MakeRemoteStrategy(
+    const RemoteFedConfig& config) {
+  Result<std::unique_ptr<Strategy>> strategy =
+      MakeStrategy(config.strategy, config.strategy_options);
+  FEDGTA_RETURN_IF_ERROR(strategy.status());
+  if (!(*strategy)->Capabilities().remote_executable) {
+    return FailedPreconditionError(
+        "strategy '" + config.strategy +
+        "' mutates per-client server state inside TrainClient and cannot "
+        "run on remote workers (see DESIGN.md §5e)");
+  }
+  if (config.sim.async && !(*strategy)->Capabilities().async_capable) {
+    return FailedPreconditionError(
+        "strategy '" + config.strategy +
+        "' is not async-capable: its aggregation assumes strict round "
+        "alignment (see DESIGN.md §5i)");
+  }
+  return strategy;
+}
+
 net::WireFedConfig ToWireConfig(const RemoteFedConfig& config) {
   net::WireFedConfig wire;
   wire.dataset = config.dataset;

@@ -64,6 +64,18 @@ struct RemoteFedConfig {
   int status_port = -1;
 };
 
+/// The checks the flat and the hierarchical server share before binding:
+/// at least one worker and no more workers than clients, the round shape
+/// (participation, rounds, local epochs), no FGL wrappers or checkpointing
+/// (in-process only), valid async staleness knobs, a known wire codec and
+/// top-k, and a known dataset. All failures are InvalidArgument.
+Status ValidateDistributedConfig(const RemoteFedConfig& config);
+
+/// Builds the configured strategy and checks it can run on remote workers
+/// (and, in async mode, is async-capable); FailedPrecondition otherwise.
+Result<std::unique_ptr<Strategy>> MakeRemoteStrategy(
+    const RemoteFedConfig& config);
+
 /// Projects the worker-relevant slice of `config` into the AssignConfig
 /// payload. Server-only knobs (FedGTA's Eq. 6-7 aggregation options,
 /// transport settings) are deliberately not shipped.

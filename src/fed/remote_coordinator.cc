@@ -1,15 +1,12 @@
 #include "fed/remote_coordinator.h"
 
-#include <algorithm>
-#include <cmath>
 #include <condition_variable>
 #include <deque>
 #include <thread>
 
 #include "common/string_util.h"
 #include "common/timer.h"
-#include "data/registry.h"
-#include "fed/executor.h"
+#include "core/similarity.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
@@ -17,60 +14,57 @@
 namespace fedgta {
 namespace {
 
-std::vector<float> CopyParams(std::span<const float> params) {
-  return std::vector<float>(params.begin(), params.end());
+ClientOutcome ToOutcome(int client_id, net::TrainResponseMsg& resp) {
+  ClientOutcome outcome;
+  outcome.seconds = resp.seconds;
+  outcome.result.client_id = client_id;
+  outcome.result.params = std::move(resp.weights);
+  outcome.result.num_samples = resp.num_samples;
+  outcome.result.loss = resp.loss;
+  outcome.result.metrics.confidence = resp.confidence;
+  outcome.result.metrics.moments = std::move(resp.moments);
+  return outcome;
 }
 
 }  // namespace
 
+/// Per-worker command queues of the async runtime, each drained by one
+/// feed thread: commands on one connection stay strictly sequential
+/// (request/response protocol) and in round order, while workers stream
+/// concurrently. The queue bound is backpressure only — the engine's wait
+/// rule is what limits in-flight work.
+struct RemoteCoordinator::AsyncFeeds {
+  /// One enqueued dispatch. Weights are snapshotted at enqueue time: the
+  /// update trains from the server state of its dispatch round even if
+  /// aggregation has since moved on.
+  struct Command {
+    int round = 0;
+    int client_id = 0;
+    ClientFate fate = ClientFate::kHealthy;
+    std::vector<float> weights;
+  };
+  struct Feed {
+    static constexpr size_t kMaxDepth = 128;
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::deque<Command> queue;
+    bool stop = false;
+  };
+
+  explicit AsyncFeeds(size_t n) : feeds(n) {}
+
+  std::vector<Feed> feeds;
+  std::vector<std::thread> threads;
+  const Completion* done = nullptr;
+};
+
 RemoteCoordinator::RemoteCoordinator(const RemoteFedConfig& config)
     : config_(config) {}
 
-Status RemoteCoordinator::ValidateConfig() const {
-  if (config_.num_workers < 1) {
-    return InvalidArgumentError("num_workers must be >= 1");
-  }
-  if (config_.num_workers > config_.split.num_clients) {
-    return InvalidArgumentError(
-        "more workers than clients: every worker must host at least one");
-  }
-  if (config_.sim.fgl != FglModel::kNone) {
-    return InvalidArgumentError(
-        "FGL model wrappers are not supported in distributed mode");
-  }
-  if (!config_.sim.checkpoint_dir.empty() || config_.sim.resume) {
-    return InvalidArgumentError(
-        "checkpointing is not supported in distributed mode");
-  }
-  if (config_.sim.participation <= 0.0 || config_.sim.participation > 1.0) {
-    return InvalidArgumentError("participation must be in (0, 1]");
-  }
-  if (config_.sim.rounds < 1 || config_.sim.local_epochs < 1) {
-    return InvalidArgumentError("rounds and local_epochs must be >= 1");
-  }
-  if (config_.sim.async) {
-    if (config_.sim.staleness_tau < 0) {
-      return InvalidArgumentError("staleness_tau must be >= 0");
-    }
-    if (!(config_.sim.staleness_decay > 0.0 &&
-          config_.sim.staleness_decay <= 1.0)) {
-      return InvalidArgumentError("staleness_decay must be in (0, 1]");
-    }
-  }
-  if (config_.compress != "off" &&
-      net::compress::FindCodec(config_.compress) == nullptr) {
-    return InvalidArgumentError("unknown compress codec '" +
-                                config_.compress + "'");
-  }
-  if (config_.compress_topk < 0) {
-    return InvalidArgumentError("compress_topk must be >= 0");
-  }
-  FEDGTA_RETURN_IF_ERROR(GetDatasetSpec(config_.dataset).status());
-  return OkStatus();
-}
+RemoteCoordinator::~RemoteCoordinator() { StopFeeds(); }
 
 Status RemoteCoordinator::Listen(int port) {
-  FEDGTA_RETURN_IF_ERROR(ValidateConfig());
+  FEDGTA_RETURN_IF_ERROR(ValidateDistributedConfig(config_));
   Result<net::ServerSocket> server =
       net::ServerSocket::Listen(port, config_.num_workers + 8);
   FEDGTA_RETURN_IF_ERROR(server.status());
@@ -85,21 +79,8 @@ Status RemoteCoordinator::Listen(int port) {
 }
 
 Status RemoteCoordinator::Handshake() {
-  Result<std::unique_ptr<Strategy>> strategy =
-      MakeStrategy(config_.strategy, config_.strategy_options);
+  Result<std::unique_ptr<Strategy>> strategy = MakeRemoteStrategy(config_);
   FEDGTA_RETURN_IF_ERROR(strategy.status());
-  if (!(*strategy)->Capabilities().remote_executable) {
-    return FailedPreconditionError(
-        "strategy '" + config_.strategy +
-        "' mutates per-client server state inside TrainClient and cannot "
-        "run on remote workers (see DESIGN.md §5e)");
-  }
-  if (config_.sim.async && !(*strategy)->Capabilities().async_capable) {
-    return FailedPreconditionError(
-        "strategy '" + config_.strategy +
-        "' is not async-capable: its aggregation assumes strict round "
-        "alignment (see DESIGN.md §5i)");
-  }
   strategy_ = std::move(*strategy);
 
   // The server holds no models — just the deterministic dataset, for shard
@@ -107,11 +88,9 @@ Status RemoteCoordinator::Handshake() {
   // same dataset from the same recipe.
   data_ = MaterializeFederatedDataset(config_.dataset, config_.seed,
                                       config_.split, config_.federated);
+  // One shard per configured client, so ValidateDistributedConfig's
+  // worker bound already holds.
   const int n_clients = data_.num_clients();
-  if (config_.num_workers > n_clients) {
-    return InvalidArgumentError(
-        "more workers than clients: every worker must host at least one");
-  }
 
   std::vector<std::vector<int>> ownership(
       static_cast<size_t>(config_.num_workers));
@@ -132,12 +111,8 @@ Status RemoteCoordinator::Handshake() {
         "no worker reported the common initialization (client 0 unhosted?)");
   }
 
-  std::vector<int64_t> train_sizes;
-  train_sizes.reserve(data_.clients.size());
-  for (const ClientData& shard : data_.clients) {
-    train_sizes.push_back(shard.num_train());
-  }
-  strategy_->Initialize(n_clients, train_sizes, workers_.init_params());
+  strategy_->Initialize(n_clients, data_.train_sizes(),
+                        workers_.init_params());
 
   // Publish the fleet to the status endpoint (its thread is already
   // serving; until this point it reports "handshake in progress").
@@ -146,43 +121,6 @@ Status RemoteCoordinator::Handshake() {
     fleet_status_ = workers_.StatusSnapshot();
   }
   return OkStatus();
-}
-
-void RemoteCoordinator::Evaluate(double* test_accuracy,
-                                 double* val_accuracy) {
-  const size_t n = data_.clients.size();
-  std::vector<double> test_acc(n, 0.0);
-  std::vector<double> val_acc(n, 0.0);
-  std::vector<char> evaluated(n, 0);
-
-  workers_.EvalClients(
-      [this](int id) { return CopyParams(strategy_->ParamsFor(id)); }, &fleet_,
-      &test_acc, &val_acc, &evaluated);
-
-  // Weighted reduction in client order — same arithmetic stream as
-  // Simulation::Evaluate.
-  double test_correct = 0.0;
-  double val_correct = 0.0;
-  int64_t test_total = 0;
-  int64_t val_total = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (!evaluated[i]) continue;
-    const ClientData& shard = data_.clients[i];
-    const int64_t n_test = static_cast<int64_t>(shard.test_idx.size());
-    const int64_t n_val = static_cast<int64_t>(shard.val_idx.size());
-    if (n_test > 0) {
-      test_correct += test_acc[i] * static_cast<double>(n_test);
-      test_total += n_test;
-    }
-    if (n_val > 0) {
-      val_correct += val_acc[i] * static_cast<double>(n_val);
-      val_total += n_val;
-    }
-  }
-  *test_accuracy =
-      test_total > 0 ? test_correct / static_cast<double>(test_total) : 0.0;
-  *val_accuracy =
-      val_total > 0 ? val_correct / static_cast<double>(val_total) : 0.0;
 }
 
 Result<SimulationResult> RemoteCoordinator::Run() {
@@ -197,507 +135,108 @@ Result<SimulationResult> RemoteCoordinator::Run() {
   }
   WallTimer setup_timer;
   FEDGTA_RETURN_IF_ERROR(Handshake());
+  const double setup_seconds = setup_timer.Seconds();
 
-  SimulationResult result;
-  result.setup_seconds = setup_timer.Seconds();
-
-  if (config_.sim.async) {
-    FEDGTA_RETURN_IF_ERROR(RunAsyncRounds(&result));
-    workers_.Shutdown();
-    result.metrics_json = GlobalMetrics().ToJson();
-    return result;
-  }
-
-  Rng rng(config_.seed ^ 0x517u);
-  double best_val = -1.0;
-
-  FailurePlan plan(config_.sim.failure);
-  const bool failures = config_.sim.failure.enabled();
-
-  const int n_clients = data_.num_clients();
-  const int per_round = std::max(
-      1,
-      static_cast<int>(std::lround(config_.sim.participation * n_clients)));
-
-  MetricsRegistry& metrics = GlobalMetrics();
-  Histogram& round_client_seconds =
-      metrics.GetHistogram("round.client_seconds");
-  Histogram& round_server_seconds =
-      metrics.GetHistogram("round.server_seconds");
-  Counter& rounds_completed = metrics.GetCounter("rounds.completed");
-  Counter& upload_floats = metrics.GetCounter("comm.upload_floats");
-  Counter& download_floats = metrics.GetCounter("comm.download_floats");
-  Counter& dropped_counter = metrics.GetCounter("fed.round.dropped_clients");
-  Counter& straggler_counter = metrics.GetCounter("fed.round.stragglers");
-  Counter& crashed_counter = metrics.GetCounter("fed.round.crashed_clients");
-  Histogram& round_seconds = metrics.GetHistogram("fed.round.seconds");
-  Counter& bytes_sent_counter = metrics.GetCounter("net.bytes_sent");
-  Counter& bytes_recv_counter = metrics.GetCounter("net.bytes_recv");
-  Timeline& timeline = GlobalTimeline();
-
-  for (int round = 1; round <= config_.sim.rounds; ++round) {
-    // The round's distributed identity: every RPC this round issues (from
-    // this thread or a dispatch thread that re-installs the context)
-    // carries {trace_id_, round span, round} in its envelope.
-    TraceContext round_ctx;
-    round_ctx.trace_id = trace_id_;
-    round_ctx.round = round;
-    ScopedTraceContext scoped_round(round_ctx);
-    FEDGTA_TRACE_SCOPE("round");
-    WallTimer round_timer;
-    const int64_t bytes_sent0 = bytes_sent_counter.value();
-    const int64_t bytes_recv0 = bytes_recv_counter.value();
-    std::vector<int> participants =
-        per_round >= n_clients
-            ? [n_clients] {
-                std::vector<int> all(static_cast<size_t>(n_clients));
-                for (int i = 0; i < n_clients; ++i) {
-                  all[static_cast<size_t>(i)] = i;
-                }
-                return all;
-              }()
-            : rng.SampleWithoutReplacement(n_clients, per_round);
-    std::sort(participants.begin(), participants.end());
-    const size_t n_part = participants.size();
-    timeline.RoundStart(round, static_cast<int64_t>(n_part));
-
-    // Fates are computed here too (FateOf is pure): dropouts are never
-    // contacted, so the remote client's RNG streams advance exactly as the
-    // in-process executor's would (no download, no local work).
-    std::vector<ClientFate> fates(n_part, ClientFate::kHealthy);
-    if (failures) {
-      for (size_t i = 0; i < n_part; ++i) {
-        fates[i] = plan.FateOf(round, participants[i]);
-      }
-    }
-
-    // Dispatch delegates to the fleet (one thread per worker, responses in
-    // participant-index-aligned slots; see WorkerFleet::TrainRound).
-    std::vector<net::TrainResponseMsg> responses;
-    std::vector<Status> rpc_status;
-    WallTimer client_timer;
-    workers_.TrainRound(
-        round, participants, fates,
-        [this](int id) { return CopyParams(strategy_->ParamsFor(id)); },
-        &fleet_, &responses, &rpc_status);
-    const double client_seconds = client_timer.Seconds();
-
-    // Survivor reduction in participant order, mirroring Simulation::Run.
-    // A transport failure (dead worker, blown straggler deadline) maps onto
-    // the dropout semantics: the participant never reported.
-    std::vector<int> survivors;
-    std::vector<LocalResult> results;
-    survivors.reserve(n_part);
-    results.reserve(n_part);
-    int64_t dropped = 0;
-    int64_t stragglers = 0;
-    int64_t crashed = 0;
-    double loss_sum = 0.0;
-    for (size_t i = 0; i < n_part; ++i) {
-      const int id = participants[i];
-      if (fates[i] == ClientFate::kDropout) {
-        ++dropped;
-        timeline.ClientFate(round, id, std::string(ClientFateName(fates[i])),
-                            0.0);
-        continue;
-      }
-      if (!rpc_status[i].ok()) {
-        ++dropped;
-        timeline.ClientFate(round, id, "rpc_failed", 0.0);
-        continue;
-      }
-      timeline.ClientFate(round, id, std::string(ClientFateName(fates[i])),
-                          responses[i].seconds);
-      switch (fates[i]) {
-        case ClientFate::kHealthy: {
-          survivors.push_back(id);
-          loss_sum += responses[i].loss;
-          LocalResult r;
-          r.client_id = id;
-          r.params = std::move(responses[i].weights);
-          r.num_samples = responses[i].num_samples;
-          r.loss = responses[i].loss;
-          r.metrics.confidence = responses[i].confidence;
-          r.metrics.moments = std::move(responses[i].moments);
-          results.push_back(std::move(r));
-          break;
-        }
-        case ClientFate::kStraggler:
-          ++stragglers;
-          break;
-        case ClientFate::kCrash:
-          ++crashed;
-          break;
-        case ClientFate::kDropout:
-          break;  // handled above
-      }
-    }
-
-    WallTimer server_timer;
-    {
-      FEDGTA_TRACE_SCOPE("server_step");
-      if (!survivors.empty()) strategy_->Aggregate(survivors, results);
-    }
-    const double server_seconds = server_timer.Seconds();
-
-    result.total_client_seconds += client_seconds;
-    result.total_server_seconds += server_seconds;
-    const Strategy::CommunicationStats comm =
-        strategy_->RoundCommunication(results);
-    result.total_upload_floats += comm.upload_floats;
-    result.total_download_floats += comm.download_floats;
-    result.total_dropped_clients += dropped;
-    result.total_straggler_clients += stragglers;
-    result.total_crashed_clients += crashed;
-
-    round_client_seconds.Record(client_seconds);
-    round_server_seconds.Record(server_seconds);
-    rounds_completed.Increment();
-    upload_floats.Increment(comm.upload_floats);
-    download_floats.Increment(comm.download_floats);
-    if (dropped > 0) dropped_counter.Increment(dropped);
-    if (stragglers > 0) straggler_counter.Increment(stragglers);
-    if (crashed > 0) crashed_counter.Increment(crashed);
-    round_seconds.Record(round_timer.Seconds());
-    timeline.RoundEnd(round, client_seconds, server_seconds,
-                      bytes_sent_counter.value() - bytes_sent0,
-                      bytes_recv_counter.value() - bytes_recv0, dropped,
-                      stragglers, crashed);
-
-    if (round % config_.sim.eval_every == 0 || round == config_.sim.rounds) {
-      RoundStats stats;
-      stats.round = round;
-      stats.train_loss =
-          survivors.empty()
-              ? 0.0
-              : loss_sum / static_cast<double>(survivors.size());
-      stats.client_seconds = result.total_client_seconds;
-      stats.server_seconds = result.total_server_seconds;
-      stats.upload_floats = result.total_upload_floats;
-      stats.download_floats = result.total_download_floats;
-      stats.dropped_clients = result.total_dropped_clients;
-      stats.straggler_clients = result.total_straggler_clients;
-      stats.crashed_clients = result.total_crashed_clients;
-      Evaluate(&stats.test_accuracy, &stats.val_accuracy);
-      if (stats.val_accuracy > best_val) {
-        best_val = stats.val_accuracy;
-        result.best_test_accuracy = stats.test_accuracy;
-      }
-      result.final_test_accuracy = stats.test_accuracy;
-      result.curve.push_back(stats);
-    }
-  }
-
+  fed::RoundEngine engine(config_.sim, config_.seed, data_.clients, this,
+                          trace_id_);
+  Result<SimulationResult> result = engine.Run();
+  StopFeeds();
   workers_.Shutdown();
-
-  result.metrics_json = GlobalMetrics().ToJson();
+  FEDGTA_RETURN_IF_ERROR(result.status());
+  result->setup_seconds = setup_seconds;
+  result->metrics_json = GlobalMetrics().ToJson();
   return result;
 }
 
-namespace {
+std::vector<ClientOutcome> RemoteCoordinator::Train(
+    int round, const std::vector<int>& participants,
+    const std::vector<ClientFate>& fates) {
+  // One dispatch thread per worker, responses in participant-aligned
+  // slots (see WorkerFleet::TrainRound).
+  std::vector<net::TrainResponseMsg> responses;
+  std::vector<Status> rpc_status;
+  workers_.TrainRound(round, participants, fates,
+                      [this](int id) { return strategy_->DownloadFor(id); },
+                      &fleet_, &responses, &rpc_status);
+  std::vector<ClientOutcome> outcomes(participants.size());
+  for (size_t i = 0; i < participants.size(); ++i) {
+    if (rpc_status[i].ok()) {
+      outcomes[i] = ToOutcome(participants[i], responses[i]);
+    } else {
+      outcomes[i].status = rpc_status[i];
+    }
+  }
+  return outcomes;
+}
 
-/// One enqueued train dispatch of the async runtime. Weights are
-/// snapshotted at enqueue time — the update trains from the server state of
-/// its dispatch round even if aggregation has since moved on.
-struct FeedCommand {
-  int round = 0;
-  int client_id = 0;
-  ClientFate fate = ClientFate::kHealthy;
-  std::vector<float> weights;
-};
-
-/// Bounded per-worker command queue between the round loop (producer) and
-/// one feed thread (consumer). The bound is backpressure only — the wait
-/// rule in RunAsyncRounds is what actually limits in-flight work.
-struct WorkerFeed {
-  static constexpr size_t kMaxDepth = 128;
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<FeedCommand> queue;
-  bool stop = false;
-};
-
-}  // namespace
-
-Status RemoteCoordinator::RunAsyncRounds(SimulationResult* result) {
-  Rng rng(config_.seed ^ 0x517u);
-  double best_val = -1.0;
-
-  FailurePlan plan(config_.sim.failure);
-  const bool failures = config_.sim.failure.enabled();
-  const int tau = config_.sim.staleness_tau;
-  const double decay = config_.sim.staleness_decay;
-
-  const int n_clients = data_.num_clients();
-  const int per_round = std::max(
-      1,
-      static_cast<int>(std::lround(config_.sim.participation * n_clients)));
-
-  MetricsRegistry& metrics = GlobalMetrics();
-  Histogram& round_client_seconds =
-      metrics.GetHistogram("round.client_seconds");
-  Histogram& round_server_seconds =
-      metrics.GetHistogram("round.server_seconds");
-  Counter& rounds_completed = metrics.GetCounter("rounds.completed");
-  Counter& upload_floats = metrics.GetCounter("comm.upload_floats");
-  Counter& download_floats = metrics.GetCounter("comm.download_floats");
-  Counter& dropped_counter = metrics.GetCounter("fed.round.dropped_clients");
-  Counter& straggler_counter = metrics.GetCounter("fed.round.stragglers");
-  Counter& crashed_counter = metrics.GetCounter("fed.round.crashed_clients");
-  Histogram& round_seconds = metrics.GetHistogram("fed.round.seconds");
-  Counter& bytes_sent_counter = metrics.GetCounter("net.bytes_sent");
-  Counter& bytes_recv_counter = metrics.GetCounter("net.bytes_recv");
-  Timeline& timeline = GlobalTimeline();
-
-  AsyncUpdateQueue queue;
-  std::vector<WorkerLink>& links = workers_.links();
-  std::vector<WorkerFeed> feeds(links.size());
-  // RPC failures surface asynchronously on the feed threads; the round loop
-  // folds the running total's per-round delta into its dropped count.
-  std::atomic<int64_t> rpc_failures{0};
-
-  TraceContext run_ctx;
-  run_ctx.trace_id = trace_id_;
-
-  // One feed thread per worker: commands on one connection stay strictly
-  // sequential (request/response protocol) and in round order; workers
-  // stream concurrently. Every command is terminally accounted to the
-  // update queue — Push for updates that exist (healthy, and stragglers:
-  // late, not lost), MarkAccounted for crashes and transport failures — so
-  // the round loop's wait rule always terminates.
-  std::vector<std::thread> feeders;
-  feeders.reserve(links.size());
-  for (size_t w = 0; w < links.size(); ++w) {
-    feeders.emplace_back([&, w] {
-      WorkerFeed& feed = feeds[w];
-      WorkerLink& link = links[w];
-      while (true) {
-        FeedCommand cmd;
-        {
-          std::unique_lock<std::mutex> lock(feed.mutex);
-          feed.cv.wait(lock,
-                       [&feed] { return feed.stop || !feed.queue.empty(); });
-          if (feed.queue.empty()) return;  // stop requested, queue drained
-          cmd = std::move(feed.queue.front());
-          feed.queue.pop_front();
-          feed.cv.notify_all();  // wake a producer blocked on the bound
-        }
-        TraceContext cmd_ctx = run_ctx;
-        cmd_ctx.round = cmd.round;
-        ScopedTraceContext adopt(cmd_ctx);
-        net::TrainResponseMsg resp;
-        Status rpc = link.channel.ok()
-                         ? OkStatus()
-                         : InternalError("worker connection is down");
-        if (rpc.ok()) {
-          net::TrainRequestMsg req;
-          req.round = cmd.round;
-          req.client_id = cmd.client_id;
-          req.weights = std::move(cmd.weights);
-          rpc = link.channel.Call(req, &resp, link.compress.get());
-        }
-        if (rpc.ok() &&
-            (resp.client_id != cmd.client_id || resp.round != cmd.round)) {
-          rpc = InternalError("response for a different dispatch");
-        }
-        if (!rpc.ok()) {
-          link.health->healthy.store(false, std::memory_order_relaxed);
-          rpc_failures.fetch_add(1, std::memory_order_relaxed);
-          timeline.ClientFate(cmd.round, cmd.client_id, "rpc_failed", 0.0);
-          queue.MarkAccounted(cmd.round);
-          continue;
-        }
-        link.health->last_response_us.store(internal_obs::TraceNowMicros(),
-                                            std::memory_order_relaxed);
-        link.health->responses.fetch_add(1, std::memory_order_relaxed);
-        fleet_.Apply(static_cast<int>(w), resp.metrics);
-        timeline.ClientFate(cmd.round, cmd.client_id,
-                            std::string(ClientFateName(cmd.fate)),
-                            resp.seconds);
-        if (cmd.fate == ClientFate::kCrash) {
-          // Trained (truncated) remotely, nothing uploaded — same as sync.
-          queue.MarkAccounted(cmd.round);
-          continue;
-        }
-        AsyncUpdate update;
-        update.dispatch_round = cmd.round;
-        // Injected stragglers carry a *virtual* arrival round
-        // (StragglerDelay is pure), so admission decisions stay
-        // plan-computable; on-time updates become deliverable immediately
-        // and any staleness they accrue is real drain-timing lateness.
-        update.arrival_round =
-            cmd.fate == ClientFate::kStraggler
-                ? cmd.round + plan.StragglerDelay(cmd.round, cmd.client_id)
-                : cmd.round;
-        update.result.client_id = cmd.client_id;
-        update.result.params = std::move(resp.weights);
-        update.result.num_samples = resp.num_samples;
-        update.result.loss = resp.loss;
-        update.result.metrics.confidence = resp.confidence;
-        update.result.metrics.moments = std::move(resp.moments);
-        queue.Push(std::move(update));
-      }
+void RemoteCoordinator::TrainAsync(int round,
+                                   const std::vector<int>& participants,
+                                   const std::vector<ClientFate>& fates,
+                                   const Completion& done) {
+  if (feeds_ == nullptr) {
+    feeds_ = std::make_unique<AsyncFeeds>(workers_.num_workers());
+    feeds_->done = &done;
+    for (size_t w = 0; w < feeds_->feeds.size(); ++w) {
+      feeds_->threads.emplace_back([this, w] { FeedLoop(w); });
+    }
+  }
+  for (size_t i = 0; i < participants.size(); ++i) {
+    if (fates[i] == ClientFate::kDropout) continue;
+    AsyncFeeds::Command cmd;
+    cmd.round = round;
+    cmd.client_id = participants[i];
+    cmd.fate = fates[i];
+    cmd.weights = strategy_->DownloadFor(cmd.client_id);
+    AsyncFeeds::Feed& feed =
+        feeds_->feeds[static_cast<size_t>(workers_.owner(cmd.client_id))];
+    std::unique_lock<std::mutex> lock(feed.mutex);
+    feed.cv.wait(lock, [&feed] {
+      return feed.queue.size() < AsyncFeeds::Feed::kMaxDepth;
     });
+    feed.queue.push_back(std::move(cmd));
+    feed.cv.notify_all();
   }
+}
 
-  int64_t rpc_failures_seen = 0;
-  for (int round = 1; round <= config_.sim.rounds; ++round) {
-    TraceContext round_ctx = run_ctx;
-    round_ctx.round = round;
-    ScopedTraceContext scoped_round(round_ctx);
-    FEDGTA_TRACE_SCOPE("round");
-    WallTimer round_timer;
-    const int64_t bytes_sent0 = bytes_sent_counter.value();
-    const int64_t bytes_recv0 = bytes_recv_counter.value();
-
-    // Participant sampling: byte-for-byte the synchronous loop's.
-    std::vector<int> participants =
-        per_round >= n_clients
-            ? [n_clients] {
-                std::vector<int> all(static_cast<size_t>(n_clients));
-                for (int i = 0; i < n_clients; ++i) {
-                  all[static_cast<size_t>(i)] = i;
-                }
-                return all;
-              }()
-            : rng.SampleWithoutReplacement(n_clients, per_round);
-    std::sort(participants.begin(), participants.end());
-    timeline.RoundStart(round, static_cast<int64_t>(participants.size()));
-
-    WallTimer client_timer;
-    queue.MarkDispatched(round, static_cast<int>(participants.size()));
-    int64_t dropped = 0;
-    int64_t stragglers = 0;
-    int64_t crashed = 0;
-    for (int id : participants) {
-      const ClientFate fate =
-          failures ? plan.FateOf(round, id) : ClientFate::kHealthy;
-      if (fate == ClientFate::kDropout) {
-        // Never contacted — identical to the sync path, so the remote
-        // client's RNG streams stay aligned with the in-process executor.
-        ++dropped;
-        timeline.ClientFate(round, id, std::string(ClientFateName(fate)),
-                            0.0);
-        queue.MarkAccounted(round);
-        continue;
-      }
-      if (fate == ClientFate::kStraggler) ++stragglers;
-      if (fate == ClientFate::kCrash) ++crashed;
-      FeedCommand cmd;
-      cmd.round = round;
-      cmd.client_id = id;
-      cmd.fate = fate;
-      cmd.weights = CopyParams(strategy_->ParamsFor(id));
-      WorkerFeed& feed = feeds[static_cast<size_t>(workers_.owner(id))];
-      std::unique_lock<std::mutex> lock(feed.mutex);
-      feed.cv.wait(lock, [&feed] {
-        return feed.queue.size() < WorkerFeed::kMaxDepth;
-      });
-      feed.queue.push_back(std::move(cmd));
-      feed.cv.notify_all();
-    }
-
-    // Bounded-staleness wait rule: aggregate only once everything
-    // dispatched at rounds <= t - tau is accounted for. Eval rounds (and
-    // the final round) wait for the full current round too: the feed
-    // threads are then parked on empty queues, so the eval threads may
-    // safely reuse the worker channels.
-    const bool eval_round =
-        round % config_.sim.eval_every == 0 || round == config_.sim.rounds;
-    queue.WaitDispatchedThrough(eval_round ? round : round - tau);
-    const double client_seconds = client_timer.Seconds();
-
-    AsyncUpdateQueue::Drain drain = queue.DrainRound(
-        round, tau, /*final_round=*/round == config_.sim.rounds);
-
-    std::vector<int> admitted_ids;
-    std::vector<LocalResult> results;
-    admitted_ids.reserve(drain.admitted.size());
-    results.reserve(drain.admitted.size());
-    double loss_sum = 0.0;
-    for (AsyncUpdate& u : drain.admitted) {
-      ApplyStalenessDiscount(round - u.dispatch_round, decay, &u.result);
-      admitted_ids.push_back(u.result.client_id);
-      loss_sum += u.result.loss;
-      results.push_back(std::move(u.result));
-    }
-
-    WallTimer server_timer;
+void RemoteCoordinator::FeedLoop(size_t w) {
+  AsyncFeeds::Feed& feed = feeds_->feeds[w];
+  while (true) {
+    AsyncFeeds::Command cmd;
     {
-      FEDGTA_TRACE_SCOPE("server_step");
-      if (!admitted_ids.empty()) strategy_->Aggregate(admitted_ids, results);
+      std::unique_lock<std::mutex> lock(feed.mutex);
+      feed.cv.wait(lock, [&feed] { return feed.stop || !feed.queue.empty(); });
+      if (feed.queue.empty()) return;  // stop requested, queue drained
+      cmd = std::move(feed.queue.front());
+      feed.queue.pop_front();
+      feed.cv.notify_all();  // wake a producer blocked on the bound
     }
-    const double server_seconds = server_timer.Seconds();
-
-    // Transport failures observed since the last round land here, mirroring
-    // the sync path's dropped mapping (with tau = 0 the wait above is a
-    // full barrier, so the attribution is exact).
-    const int64_t rpc_failures_now =
-        rpc_failures.load(std::memory_order_relaxed);
-    dropped += rpc_failures_now - rpc_failures_seen;
-    rpc_failures_seen = rpc_failures_now;
-
-    result->total_client_seconds += client_seconds;
-    result->total_server_seconds += server_seconds;
-    const Strategy::CommunicationStats comm =
-        strategy_->RoundCommunication(results);
-    result->total_upload_floats += comm.upload_floats;
-    result->total_download_floats += comm.download_floats;
-    result->total_dropped_clients += dropped;
-    result->total_straggler_clients += stragglers;
-    result->total_crashed_clients += crashed;
-    result->total_admitted_updates +=
-        static_cast<int64_t>(drain.admitted.size());
-    result->total_stale_dropped_updates += drain.stale_dropped;
-
-    round_client_seconds.Record(client_seconds);
-    round_server_seconds.Record(server_seconds);
-    rounds_completed.Increment();
-    upload_floats.Increment(comm.upload_floats);
-    download_floats.Increment(comm.download_floats);
-    if (dropped > 0) dropped_counter.Increment(dropped);
-    if (stragglers > 0) straggler_counter.Increment(stragglers);
-    if (crashed > 0) crashed_counter.Increment(crashed);
-    round_seconds.Record(round_timer.Seconds());
-    timeline.AsyncAdmission(round,
-                            static_cast<int64_t>(drain.admitted.size()),
-                            drain.stale_dropped,
-                            static_cast<int64_t>(queue.depth()));
-    timeline.RoundEnd(round, client_seconds, server_seconds,
-                      bytes_sent_counter.value() - bytes_sent0,
-                      bytes_recv_counter.value() - bytes_recv0, dropped,
-                      stragglers, crashed);
-
-    if (eval_round) {
-      RoundStats stats;
-      stats.round = round;
-      stats.train_loss =
-          admitted_ids.empty()
-              ? 0.0
-              : loss_sum / static_cast<double>(admitted_ids.size());
-      stats.client_seconds = result->total_client_seconds;
-      stats.server_seconds = result->total_server_seconds;
-      stats.upload_floats = result->total_upload_floats;
-      stats.download_floats = result->total_download_floats;
-      stats.dropped_clients = result->total_dropped_clients;
-      stats.straggler_clients = result->total_straggler_clients;
-      stats.crashed_clients = result->total_crashed_clients;
-      Evaluate(&stats.test_accuracy, &stats.val_accuracy);
-      if (stats.val_accuracy > best_val) {
-        best_val = stats.val_accuracy;
-        result->best_test_accuracy = stats.test_accuracy;
-      }
-      result->final_test_accuracy = stats.test_accuracy;
-      result->curve.push_back(stats);
-    }
+    TraceContext ctx;
+    ctx.trace_id = trace_id_;
+    ctx.round = cmd.round;
+    ScopedTraceContext adopt(ctx);
+    net::TrainResponseMsg resp;
+    ClientOutcome outcome;
+    outcome.status = workers_.TrainClient(
+        cmd.round, cmd.client_id, std::move(cmd.weights), &fleet_, &resp);
+    if (outcome.status.ok()) outcome = ToOutcome(cmd.client_id, resp);
+    (*feeds_->done)(cmd.round, cmd.client_id, cmd.fate, std::move(outcome));
   }
+}
 
-  for (WorkerFeed& feed : feeds) {
+void RemoteCoordinator::StopFeeds() {
+  if (feeds_ == nullptr) return;
+  for (AsyncFeeds::Feed& feed : feeds_->feeds) {
     std::lock_guard<std::mutex> lock(feed.mutex);
     feed.stop = true;
     feed.cv.notify_all();
   }
-  for (std::thread& t : feeders) t.join();
+  for (std::thread& t : feeds_->threads) t.join();
+  feeds_.reset();
+}
+
+Status RemoteCoordinator::Evaluate(int /*round*/, fed::ClientAccuracies* acc) {
+  workers_.EvalClients([this](int id) { return strategy_->DownloadFor(id); },
+                       &fleet_, &acc->test, &acc->val, &acc->evaluated);
   return OkStatus();
 }
 
@@ -707,7 +246,6 @@ std::string RemoteCoordinator::RenderStatus(const std::string& command) const {
   if (command == "timeline") return GlobalTimeline().ToJsonLines();
 
   // Default: the human-readable "status" summary.
-  const int64_t now_us = internal_obs::TraceNowMicros();
   std::string out = "fedgta server status\n";
   out += StrFormat("round: %d/%d\n", GlobalTimeline().current_round(),
                    config_.sim.rounds);
@@ -716,36 +254,11 @@ std::string RemoteCoordinator::RenderStatus(const std::string& command) const {
     if (fleet_status_.empty()) {
       out += "workers: handshake in progress\n";
     } else {
-      out += StrFormat("workers: %zu\n", fleet_status_.size());
-      for (size_t w = 0; w < fleet_status_.size(); ++w) {
-        const WorkerStatusEntry& entry = fleet_status_[w];
-        const int64_t last =
-            entry.health->last_response_us.load(std::memory_order_relaxed);
-        const int64_t lag_ms = last > 0 ? (now_us - last) / 1000 : -1;
-        out += StrFormat(
-            "  worker %zu: %s clients=%d responses=%lld lag_ms=%lld\n", w,
-            entry.health->healthy.load(std::memory_order_relaxed)
-                ? "healthy"
-                : "DOWN",
-            entry.num_clients,
-            static_cast<long long>(
-                entry.health->responses.load(std::memory_order_relaxed)),
-            static_cast<long long>(lag_ms));
-      }
+      out += StrFormat("workers: %zu\n", fleet_status_.size()) +
+             RenderWorkerRows(fleet_status_, /*index_base=*/0);
     }
   }
-  out += "latencies:\n";
-  for (const char* name :
-       {"fed.round.seconds", "net.rpc.seconds", "round.client_seconds",
-        "round.server_seconds", "fleet.phase.remote_train.seconds"}) {
-    const Histogram* h = GlobalMetrics().FindHistogram(name);
-    if (h == nullptr) continue;
-    const Histogram::Snapshot s = h->snapshot();
-    if (s.count == 0) continue;
-    out += StrFormat("  %s: count=%lld p50=%.6f p99=%.6f\n", name,
-                     static_cast<long long>(s.count), s.Quantile(0.5),
-                     s.Quantile(0.99));
-  }
+  out += fed::RoundLatencyStatus();
   // Wire plane (DESIGN.md §5j): where the round bytes actually go, and
   // what compression is buying. bytes_raw counts what the same traffic
   // would have cost uncompressed, so ratio = raw/wire (1.00 when no codec
@@ -766,24 +279,12 @@ std::string RemoteCoordinator::RenderStatus(const std::string& command) const {
                              static_cast<double>(wire_bytes),
                          static_cast<long long>(raw_bytes - wire_bytes));
     }
-    for (const char* name :
-         {"net.bytes_sent.TrainRequest", "net.bytes_sent.TrainResponse",
-          "net.bytes_sent.EvalRequest", "net.bytes_sent.EvalResponse",
-          "net.bytes_sent.AssignConfig", "net.bytes_sent.ConfigAck"}) {
-      const Counter* c = GlobalMetrics().FindCounter(name);
-      if (c == nullptr || c->value() == 0) continue;
-      plane += StrFormat("  %s: %lld\n", name,
-                         static_cast<long long>(c->value()));
-    }
-    if (const Histogram* h =
-            GlobalMetrics().FindHistogram("net.compress.seconds");
-        h != nullptr) {
-      const Histogram::Snapshot s = h->snapshot();
-      if (s.count > 0) {
-        plane += StrFormat("  net.compress.seconds: count=%lld p50=%.6f\n",
-                           static_cast<long long>(s.count), s.Quantile(0.5));
-      }
-    }
+    plane += GlobalMetrics().CounterLines(
+        {"net.bytes_sent.TrainRequest", "net.bytes_sent.TrainResponse",
+         "net.bytes_sent.EvalRequest", "net.bytes_sent.EvalResponse",
+         "net.bytes_sent.AssignConfig", "net.bytes_sent.ConfigAck"},
+        /*skip_zero=*/true);
+    plane += GlobalMetrics().HistogramLines({"net.compress.seconds"});
     if (!plane.empty()) {
       out += StrFormat("net (compress=%s):\n", config_.compress.c_str()) +
              plane;
@@ -791,30 +292,12 @@ std::string RemoteCoordinator::RenderStatus(const std::string& command) const {
   }
   // Similarity/aggregation plane counters (DESIGN.md §5h) — present once
   // the first FedGTA aggregation has run.
-  {
-    std::string plane;
-    for (const char* name :
-         {"fedgta.similarity.pairs_exact", "fedgta.similarity.pairs_pruned",
-          "fedgta.aggregation.unique_sets",
-          "fedgta.aggregation.dedup_reused"}) {
-      const Counter* c = GlobalMetrics().FindCounter(name);
-      if (c == nullptr) continue;
-      plane += StrFormat("  %s: %lld\n", name,
-                         static_cast<long long>(c->value()));
-    }
-    if (!plane.empty()) out += "similarity:\n" + plane;
-  }
+  out += SimilarityPlaneStatus();
   // Async runtime plane (DESIGN.md §5i) — present when running --async.
   if (config_.sim.async) {
-    std::string plane;
-    for (const char* name :
-         {"fed.async.admitted", "fed.async.stale_dropped",
-          "fed.async.superseded", "fed.async.undelivered"}) {
-      const Counter* c = GlobalMetrics().FindCounter(name);
-      if (c == nullptr) continue;
-      plane += StrFormat("  %s: %lld\n", name,
-                         static_cast<long long>(c->value()));
-    }
+    std::string plane = GlobalMetrics().CounterLines(
+        {"fed.async.admitted", "fed.async.stale_dropped",
+         "fed.async.superseded", "fed.async.undelivered"});
     if (const Gauge* g = GlobalMetrics().FindGauge("fed.async.queue_depth");
         g != nullptr) {
       plane += StrFormat("  fed.async.queue_depth: %.0f\n", g->value());

@@ -15,39 +15,27 @@
 namespace fedgta {
 
 /// FedGTA server over TCP: accepts worker connections, hands each a shard
-/// assignment, and drives the federated rounds by exchanging weights (and
-/// FedGTA H/M uploads) with the workers hosting each participant.
+/// assignment, and is the RoundEngine's transport for the flat fleet
+/// (DESIGN.md "Round engine"): it trains participants by exchanging weights
+/// (and FedGTA H/M uploads) with the workers hosting them, aggregates
+/// centrally, and evaluates every client on its worker. The workers
+/// replicate the executor's client-side semantics, so with healthy workers
+/// the run is bit-identical to the in-process Simulation of the same config
+/// (the loopback test pins this).
 ///
-/// Faithfulness contract: Run() mirrors Simulation::Run round for round —
-/// the same sampling RNG (seed ^ 0x517), the same sorted participant lists,
-/// and every reduction (survivor filtering, loss sum, aggregation input
-/// order, eval weighting) performed in participant/client order — while the
-/// workers replicate the executor's client-side semantics. With healthy
-/// workers the returned curve is bit-identical to the in-process simulation
-/// of the same config (the loopback test pins this).
+/// An unreachable worker, a broken connection, or a blown `rpc.deadline_ms`
+/// (the straggler deadline) turns the affected participants into dropped
+/// clients for the round. Injected fates are computed on both sides from
+/// the pure FateOf schedule: dropouts are never contacted, stragglers and
+/// crashed clients train remotely (fully / truncated).
 ///
-/// Failure mapping: an unreachable worker, a broken connection, or a blown
-/// `rpc.deadline_ms` (the straggler deadline) turns the affected
-/// participants into dropped clients for the round — the server aggregates
-/// over the survivors and moves on, exactly like a FailurePlan dropout.
-/// Injected fates (FailureConfig) are computed on both sides from the pure
-/// FateOf schedule: dropouts are never contacted, stragglers/crashed
-/// clients train remotely (fully / truncated) and their uploads are
-/// discarded here.
-///
-/// Async runtime (config.sim.async; DESIGN.md §5i): instead of the hard
-/// round barrier, train requests are enqueued onto per-worker feed threads
-/// and completed updates stream into an AsyncUpdateQueue; round t
-/// aggregates after WaitDispatchedThrough(t - staleness_tau), admitting
-/// updates at most `staleness_tau` rounds stale (discounted by
-/// `staleness_decay`^staleness) and dropping older ones. Injected
-/// stragglers deliver their (late) payload StragglerDelay rounds after
-/// dispatch rather than being discarded. With staleness_tau = 0 the wait
-/// rule degenerates to the full barrier and the run is bit-identical to
-/// the synchronous path — the in-process Simulation stays the oracle.
-class RemoteCoordinator {
+/// Async runtime (config.sim.async; DESIGN.md §5i): train requests go onto
+/// per-worker feed threads and completed updates stream into the engine's
+/// AsyncUpdateQueue instead of meeting at a round barrier.
+class RemoteCoordinator : private fed::RoundTransport {
  public:
   explicit RemoteCoordinator(const RemoteFedConfig& config);
+  ~RemoteCoordinator();
 
   /// Binds the listening socket (port 0 = ephemeral; see port()). When
   /// `config.status_port` >= 0 the status endpoint is bound here too (no
@@ -66,18 +54,28 @@ class RemoteCoordinator {
   Result<SimulationResult> Run();
 
  private:
-  Status ValidateConfig() const;
+  struct AsyncFeeds;
+
   /// Accepts workers, exchanges Hello/AssignConfig/ConfigAck, initializes
   /// the strategy from the reported common init weights.
   Status Handshake();
-  /// The async round loop (see class comment). Called by Run() after the
-  /// handshake when `config.sim.async` is set; fills `result`'s curve and
-  /// totals in place of the synchronous loop.
-  Status RunAsyncRounds(SimulationResult* result);
-  /// Distributed mirror of Simulation::Evaluate: every client is evaluated
-  /// on its hosting worker; reduction runs in client order. Clients hosted
-  /// by dead workers are skipped (with healthy workers: none).
-  void Evaluate(double* test_accuracy, double* val_accuracy);
+
+  // fed::RoundTransport
+  Strategy& strategy() override { return *strategy_; }
+  std::vector<ClientOutcome> Train(
+      int round, const std::vector<int>& participants,
+      const std::vector<ClientFate>& fates) override;
+  void TrainAsync(int round, const std::vector<int>& participants,
+                  const std::vector<ClientFate>& fates,
+                  const Completion& done) override;
+  /// Every client evaluates on its hosting worker; clients hosted by dead
+  /// workers stay unevaluated.
+  Status Evaluate(int round, fed::ClientAccuracies* acc) override;
+
+  /// Body of worker `w`'s async feed thread.
+  void FeedLoop(size_t w);
+  /// Drains and joins the async feed threads (no-op when none started).
+  void StopFeeds();
   /// Renders one status-endpoint reply (runs on the endpoint's thread).
   std::string RenderStatus(const std::string& command) const;
 
@@ -99,6 +97,9 @@ class RemoteCoordinator {
   /// status endpoint thread).
   mutable std::mutex status_mutex_;
   std::vector<WorkerStatusEntry> fleet_status_;
+  /// Async feed threads (null until the first async dispatch); last, so
+  /// everything they use outlives them.
+  std::unique_ptr<AsyncFeeds> feeds_;
 };
 
 }  // namespace fedgta

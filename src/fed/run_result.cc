@@ -1,6 +1,7 @@
 #include "fed/run_result.h"
 
 #include <cstdio>
+#include <type_traits>
 
 namespace fedgta {
 namespace fed {
@@ -17,21 +18,17 @@ std::string Num(double v) {
   return buf;
 }
 
-bool FieldEq(double a, double b, const char* name, int round,
-             std::string* diff) {
+template <typename T>
+bool FieldEq(T a, T b, const char* name, int round, std::string* diff) {
   if (a == b) return true;
   std::string where = name;
   if (round >= 0) where += " at round " + std::to_string(round);
-  return Fail(diff, where + ": " + Num(a) + " vs " + Num(b));
-}
-
-bool FieldEq(int64_t a, int64_t b, const char* name, int round,
-             std::string* diff) {
-  if (a == b) return true;
-  std::string where = name;
-  if (round >= 0) where += " at round " + std::to_string(round);
-  return Fail(diff,
-              where + ": " + std::to_string(a) + " vs " + std::to_string(b));
+  if constexpr (std::is_floating_point_v<T>) {
+    return Fail(diff, where + ": " + Num(a) + " vs " + Num(b));
+  } else {
+    return Fail(diff,
+                where + ": " + std::to_string(a) + " vs " + std::to_string(b));
+  }
 }
 
 }  // namespace
@@ -45,47 +42,33 @@ bool DeterministicEquals(const RunResult& a, const RunResult& b,
   for (size_t i = 0; i < a.curve.size(); ++i) {
     const RoundStats& x = a.curve[i];
     const RoundStats& y = b.curve[i];
-    if (!FieldEq(static_cast<int64_t>(x.round), static_cast<int64_t>(y.round),
-                 "round index", static_cast<int>(i), diff) ||
-        !FieldEq(x.test_accuracy, y.test_accuracy, "test_accuracy", x.round,
-                 diff) ||
-        !FieldEq(x.val_accuracy, y.val_accuracy, "val_accuracy", x.round,
-                 diff) ||
-        !FieldEq(x.train_loss, y.train_loss, "train_loss", x.round, diff) ||
-        !FieldEq(x.upload_floats, y.upload_floats, "upload_floats", x.round,
-                 diff) ||
-        !FieldEq(x.download_floats, y.download_floats, "download_floats",
-                 x.round, diff) ||
-        !FieldEq(x.dropped_clients, y.dropped_clients, "dropped_clients",
-                 x.round, diff) ||
-        !FieldEq(x.straggler_clients, y.straggler_clients, "straggler_clients",
-                 x.round, diff) ||
-        !FieldEq(x.crashed_clients, y.crashed_clients, "crashed_clients",
-                 x.round, diff)) {
+    if (!FieldEq(x.round, y.round, "round index", static_cast<int>(i),
+                 diff)) {
       return false;
     }
+#define FEDGTA_ROUND_EQ(field) FieldEq(x.field, y.field, #field, x.round, diff)
+    if (!(FEDGTA_ROUND_EQ(test_accuracy) && FEDGTA_ROUND_EQ(val_accuracy) &&
+          FEDGTA_ROUND_EQ(train_loss) && FEDGTA_ROUND_EQ(upload_floats) &&
+          FEDGTA_ROUND_EQ(download_floats) &&
+          FEDGTA_ROUND_EQ(dropped_clients) &&
+          FEDGTA_ROUND_EQ(straggler_clients) &&
+          FEDGTA_ROUND_EQ(crashed_clients))) {
+      return false;
+    }
+#undef FEDGTA_ROUND_EQ
   }
-  return FieldEq(a.best_test_accuracy, b.best_test_accuracy,
-                 "best_test_accuracy", -1, diff) &&
-         FieldEq(a.final_test_accuracy, b.final_test_accuracy,
-                 "final_test_accuracy", -1, diff) &&
-         FieldEq(a.total_upload_floats, b.total_upload_floats,
-                 "total_upload_floats", -1, diff) &&
-         FieldEq(a.total_download_floats, b.total_download_floats,
-                 "total_download_floats", -1, diff) &&
-         FieldEq(a.total_dropped_clients, b.total_dropped_clients,
-                 "total_dropped_clients", -1, diff) &&
-         FieldEq(a.total_straggler_clients, b.total_straggler_clients,
-                 "total_straggler_clients", -1, diff) &&
-         FieldEq(a.total_crashed_clients, b.total_crashed_clients,
-                 "total_crashed_clients", -1, diff) &&
-         FieldEq(static_cast<int64_t>(a.resumed_from_round),
-                 static_cast<int64_t>(b.resumed_from_round),
-                 "resumed_from_round", -1, diff) &&
-         FieldEq(a.total_admitted_updates, b.total_admitted_updates,
-                 "total_admitted_updates", -1, diff) &&
-         FieldEq(a.total_stale_dropped_updates, b.total_stale_dropped_updates,
-                 "total_stale_dropped_updates", -1, diff);
+#define FEDGTA_TOTAL_EQ(field) FieldEq(a.field, b.field, #field, -1, diff)
+  return FEDGTA_TOTAL_EQ(best_test_accuracy) &&
+         FEDGTA_TOTAL_EQ(final_test_accuracy) &&
+         FEDGTA_TOTAL_EQ(total_upload_floats) &&
+         FEDGTA_TOTAL_EQ(total_download_floats) &&
+         FEDGTA_TOTAL_EQ(total_dropped_clients) &&
+         FEDGTA_TOTAL_EQ(total_straggler_clients) &&
+         FEDGTA_TOTAL_EQ(total_crashed_clients) &&
+         FEDGTA_TOTAL_EQ(resumed_from_round) &&
+         FEDGTA_TOTAL_EQ(total_admitted_updates) &&
+         FEDGTA_TOTAL_EQ(total_stale_dropped_updates);
+#undef FEDGTA_TOTAL_EQ
 }
 
 }  // namespace fed

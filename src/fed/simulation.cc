@@ -1,16 +1,12 @@
 #include "fed/simulation.h"
 
 #include <algorithm>
-#include <cmath>
 #include <filesystem>
 
 #include "common/serialize.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "fed/executor.h"
 #include "obs/metrics.h"
-#include "obs/timeline.h"
-#include "obs/trace.h"
 
 namespace fedgta {
 namespace {
@@ -117,45 +113,42 @@ Simulation::Simulation(const FederatedDataset* data,
   setup_seconds_ = setup_timer.Seconds();
 }
 
-void Simulation::Evaluate(double* test_accuracy, double* val_accuracy) {
-  // Per-client accuracies are computed concurrently into index-aligned
-  // slots; the weighted accumulation below runs in client order so the
-  // result is bit-identical to a serial evaluation.
-  std::vector<double> test_acc(clients_.size(), 0.0);
-  std::vector<double> val_acc(clients_.size(), 0.0);
+std::vector<ClientOutcome> Simulation::Train(
+    int /*round*/, const std::vector<int>& participants,
+    const std::vector<ClientFate>& fates) {
+  // All participants run concurrently on the shared pool, results land in
+  // participant-aligned slots. Hooks are materialized up front — FedGL's
+  // coordinator need not be re-entrant.
+  std::vector<TrainHooks> hooks;
+  if (fedgl_ != nullptr) {
+    hooks.reserve(participants.size());
+    for (int id : participants) hooks.push_back(fedgl_->HooksFor(id));
+  }
+  return RoundExecutor::TrainRound(*strategy_, clients_, participants,
+                                  config_.local_epochs, hooks, fates);
+}
+
+Status Simulation::Aggregate(int /*round*/, const std::vector<int>& ids,
+                             std::vector<LocalResult>& results) {
+  strategy_->Aggregate(ids, results);
+  if (fedgl_ != nullptr) fedgl_->UpdatePseudoLabels(clients_, ids);
+  return OkStatus();
+}
+
+Status Simulation::Evaluate(int /*round*/, fed::ClientAccuracies* acc) {
   RoundExecutor::ForEachClient(
-      static_cast<int64_t>(clients_.size()), [this, &test_acc,
-                                              &val_acc](int64_t i) {
+      static_cast<int64_t>(clients_.size()), [this, acc](int64_t i) {
         Client& client = clients_[static_cast<size_t>(i)];
         client.SetParams(strategy_->ParamsFor(client.id()));
         if (!client.data().test_idx.empty()) {
-          test_acc[static_cast<size_t>(i)] = client.TestAccuracy();
+          acc->test[static_cast<size_t>(i)] = client.TestAccuracy();
         }
         if (!client.data().val_idx.empty()) {
-          val_acc[static_cast<size_t>(i)] = client.ValAccuracy();
+          acc->val[static_cast<size_t>(i)] = client.ValAccuracy();
         }
+        acc->evaluated[static_cast<size_t>(i)] = 1;
       });
-
-  double test_correct = 0.0;
-  double val_correct = 0.0;
-  int64_t test_total = 0;
-  int64_t val_total = 0;
-  for (size_t i = 0; i < clients_.size(); ++i) {
-    const Client& client = clients_[i];
-    const int64_t n_test =
-        static_cast<int64_t>(client.data().test_idx.size());
-    const int64_t n_val = static_cast<int64_t>(client.data().val_idx.size());
-    if (n_test > 0) {
-      test_correct += test_acc[i] * static_cast<double>(n_test);
-      test_total += n_test;
-    }
-    if (n_val > 0) {
-      val_correct += val_acc[i] * static_cast<double>(n_val);
-      val_total += n_val;
-    }
-  }
-  *test_accuracy = test_total > 0 ? test_correct / static_cast<double>(test_total) : 0.0;
-  *val_accuracy = val_total > 0 ? val_correct / static_cast<double>(val_total) : 0.0;
+  return OkStatus();
 }
 
 std::string Simulation::CheckpointPath(const std::string& dir) {
@@ -228,11 +221,11 @@ Status Simulation::LoadCheckpoint(const std::string& path) {
     return InvalidArgumentError("trailing bytes in checkpoint payload");
   }
 
-  resumed_ = true;
-  start_round_ = static_cast<int>(completed);
-  sampling_rng_state_ = std::move(rng_state);
-  resume_best_val_ = best_val;
-  resume_partial_ = std::move(partial);
+  resume_ = std::make_unique<fed::RoundEngine::Resume>();
+  resume_->completed_rounds = static_cast<int>(completed);
+  resume_->sampling_rng_state = std::move(rng_state);
+  resume_->best_val = best_val;
+  resume_->partial = std::move(partial);
   return OkStatus();
 }
 
@@ -255,13 +248,7 @@ SimulationResult Simulation::Run() {
     FEDGTA_CHECK(config_.staleness_decay > 0.0 &&
                  config_.staleness_decay <= 1.0)
         << "staleness_decay must be in (0, 1]";
-    return RunAsync();
   }
-  SimulationResult result;
-  Rng rng(config_.seed ^ 0x517u);
-  int start_round = 0;
-  double best_val = -1.0;
-
   const bool checkpointing = !config_.checkpoint_dir.empty();
   const std::string ckpt_path =
       checkpointing ? CheckpointPath(config_.checkpoint_dir) : std::string();
@@ -271,357 +258,32 @@ SimulationResult Simulation::Run() {
     FEDGTA_CHECK(loaded.ok()) << "resume from " << ckpt_path
                               << " failed: " << loaded;
   }
-  if (resumed_) {
-    result = resume_partial_;
-    start_round = start_round_;
-    best_val = resume_best_val_;
-    result.resumed_from_round = start_round_;
-    FEDGTA_CHECK(rng.LoadState(sampling_rng_state_).ok());
-  }
-  result.setup_seconds = setup_seconds_;
 
-  const FailurePlan* failures = nullptr;
-  FailurePlan plan(config_.failure);
-  if (config_.failure.enabled()) failures = &plan;
-
-  const int n_clients = static_cast<int>(clients_.size());
-  const int per_round = std::max(
-      1, static_cast<int>(std::lround(config_.participation * n_clients)));
-
-  // Per-round deltas land in the registry so a metrics dump decomposes the
-  // run without post-processing the curve (see DESIGN.md "Observability").
-  MetricsRegistry& metrics = GlobalMetrics();
-  Histogram& round_client_seconds =
-      metrics.GetHistogram("round.client_seconds");
-  Histogram& round_server_seconds =
-      metrics.GetHistogram("round.server_seconds");
-  Counter& rounds_completed = metrics.GetCounter("rounds.completed");
-  Counter& upload_floats = metrics.GetCounter("comm.upload_floats");
-  Counter& download_floats = metrics.GetCounter("comm.download_floats");
-  Counter& dropped_counter = metrics.GetCounter("fed.round.dropped_clients");
-  Counter& straggler_counter = metrics.GetCounter("fed.round.stragglers");
-  Counter& crashed_counter = metrics.GetCounter("fed.round.crashed_clients");
-  Histogram& round_seconds = metrics.GetHistogram("fed.round.seconds");
-  Timeline& timeline = GlobalTimeline();
-
-  for (int round = start_round + 1; round <= config_.rounds; ++round) {
-    FEDGTA_TRACE_SCOPE("round");
-    WallTimer round_timer;
-    // Participant sampling.
-    std::vector<int> participants =
-        per_round >= n_clients
-            ? [n_clients] {
-                std::vector<int> all(static_cast<size_t>(n_clients));
-                for (int i = 0; i < n_clients; ++i) {
-                  all[static_cast<size_t>(i)] = i;
-                }
-                return all;
-              }()
-            : rng.SampleWithoutReplacement(n_clients, per_round);
-    std::sort(participants.begin(), participants.end());
-    timeline.RoundStart(round, static_cast<int64_t>(participants.size()));
-
-    // Local training: all participants dispatched concurrently onto the
-    // shared pool (RoundExecutor), reduced in participant order so the
-    // round is bit-identical to a serial execution. Hooks are materialized
-    // up front — coordinators (FedGL) need not be re-entrant.
-    std::vector<TrainHooks> hooks;
-    if (fedgl_ != nullptr) {
-      hooks.reserve(participants.size());
-      for (int id : participants) hooks.push_back(fedgl_->HooksFor(id));
-    }
-    WallTimer client_timer;
-    std::vector<RoundExecutor::ClientExecution> executions =
-        RoundExecutor::TrainRound(*strategy_, clients_, participants,
-                                  config_.local_epochs, hooks, failures,
-                                  round);
-    const double client_seconds = client_timer.Seconds();
-
-    // Failed participants never report: their results are discarded and the
-    // server aggregates over the survivors only, which renormalizes the
-    // FedGTA Eq. (7) weights (and every other strategy's data-size weights)
-    // within each aggregation set over the clients that actually reported.
-    std::vector<int> survivors;
-    std::vector<LocalResult> results;
-    survivors.reserve(executions.size());
-    results.reserve(executions.size());
-    int64_t dropped = 0;
-    int64_t stragglers = 0;
-    int64_t crashed = 0;
-    double loss_sum = 0.0;
-    for (size_t i = 0; i < executions.size(); ++i) {
-      RoundExecutor::ClientExecution& exec = executions[i];
-      timeline.ClientFate(round, participants[i],
-                          std::string(ClientFateName(exec.fate)), 0.0);
-      switch (exec.fate) {
-        case ClientFate::kHealthy:
-          survivors.push_back(participants[i]);
-          loss_sum += exec.result.loss;
-          results.push_back(std::move(exec.result));
-          break;
-        case ClientFate::kDropout:
-          ++dropped;
-          break;
-        case ClientFate::kStraggler:
-          ++stragglers;
-          break;
-        case ClientFate::kCrash:
-          ++crashed;
-          break;
-      }
-    }
-
-    // Server aggregation (+ FedGL pseudo-label refresh) over survivors; a
-    // round where every participant failed leaves the server state as-is.
-    WallTimer server_timer;
-    {
-      FEDGTA_TRACE_SCOPE("server_step");
-      if (!survivors.empty()) {
-        strategy_->Aggregate(survivors, results);
-        if (fedgl_ != nullptr) {
-          fedgl_->UpdatePseudoLabels(clients_, survivors);
-        }
-      }
-    }
-    const double server_seconds = server_timer.Seconds();
-
-    result.total_client_seconds += client_seconds;
-    result.total_server_seconds += server_seconds;
-    const Strategy::CommunicationStats comm =
-        strategy_->RoundCommunication(results);
-    result.total_upload_floats += comm.upload_floats;
-    result.total_download_floats += comm.download_floats;
-    result.total_dropped_clients += dropped;
-    result.total_straggler_clients += stragglers;
-    result.total_crashed_clients += crashed;
-
-    round_client_seconds.Record(client_seconds);
-    round_server_seconds.Record(server_seconds);
-    rounds_completed.Increment();
-    upload_floats.Increment(comm.upload_floats);
-    download_floats.Increment(comm.download_floats);
-    if (dropped > 0) dropped_counter.Increment(dropped);
-    if (stragglers > 0) straggler_counter.Increment(stragglers);
-    if (crashed > 0) crashed_counter.Increment(crashed);
-    round_seconds.Record(round_timer.Seconds());
-    // In-process runs move no bytes over the wire.
-    timeline.RoundEnd(round, client_seconds, server_seconds,
-                      /*bytes_sent=*/0, /*bytes_recv=*/0, dropped, stragglers,
-                      crashed);
-
-    if (round % config_.eval_every == 0 || round == config_.rounds) {
-      RoundStats stats;
-      stats.round = round;
-      stats.train_loss = survivors.empty()
-                             ? 0.0
-                             : loss_sum / static_cast<double>(survivors.size());
-      stats.client_seconds = result.total_client_seconds;
-      stats.server_seconds = result.total_server_seconds;
-      stats.upload_floats = result.total_upload_floats;
-      stats.download_floats = result.total_download_floats;
-      stats.dropped_clients = result.total_dropped_clients;
-      stats.straggler_clients = result.total_straggler_clients;
-      stats.crashed_clients = result.total_crashed_clients;
-      Evaluate(&stats.test_accuracy, &stats.val_accuracy);
-      if (stats.val_accuracy > best_val) {
-        best_val = stats.val_accuracy;
-        result.best_test_accuracy = stats.test_accuracy;
-      }
-      result.final_test_accuracy = stats.test_accuracy;
-      result.curve.push_back(stats);
-    }
-
-    const int every = std::max(1, config_.checkpoint_every);
+  const auto after_round = [&](int round, const Rng& rng, double best_val,
+                               const SimulationResult& partial) {
     const bool halting =
         config_.halt_after_round > 0 && round >= config_.halt_after_round;
+    const int every = std::max(1, config_.checkpoint_every);
     if (checkpointing &&
         (round % every == 0 || round == config_.rounds || halting)) {
       std::error_code ec;
       std::filesystem::create_directories(config_.checkpoint_dir, ec);
       const Status saved =
-          SaveCheckpoint(ckpt_path, round, rng, best_val, result);
+          SaveCheckpoint(ckpt_path, round, rng, best_val, partial);
       FEDGTA_CHECK(saved.ok()) << "checkpoint write to " << ckpt_path
                                << " failed: " << saved;
     }
-    if (halting) break;
-  }
-  result.metrics_json = metrics.ToJson();
-  return result;
-}
-
-SimulationResult Simulation::RunAsync() {
-  SimulationResult result;
-  result.setup_seconds = setup_seconds_;
-  Rng rng(config_.seed ^ 0x517u);
-  double best_val = -1.0;
-
-  const FailurePlan* failures = nullptr;
-  FailurePlan plan(config_.failure);
-  if (config_.failure.enabled()) failures = &plan;
-
-  const int n_clients = static_cast<int>(clients_.size());
-  const int per_round = std::max(
-      1, static_cast<int>(std::lround(config_.participation * n_clients)));
-
-  MetricsRegistry& metrics = GlobalMetrics();
-  Histogram& round_client_seconds =
-      metrics.GetHistogram("round.client_seconds");
-  Histogram& round_server_seconds =
-      metrics.GetHistogram("round.server_seconds");
-  Counter& rounds_completed = metrics.GetCounter("rounds.completed");
-  Counter& upload_floats = metrics.GetCounter("comm.upload_floats");
-  Counter& download_floats = metrics.GetCounter("comm.download_floats");
-  Counter& dropped_counter = metrics.GetCounter("fed.round.dropped_clients");
-  Counter& straggler_counter = metrics.GetCounter("fed.round.stragglers");
-  Counter& crashed_counter = metrics.GetCounter("fed.round.crashed_clients");
-  Histogram& round_seconds = metrics.GetHistogram("fed.round.seconds");
-  Timeline& timeline = GlobalTimeline();
-
-  AsyncUpdateQueue queue;
-  const std::vector<TrainHooks> no_hooks;  // FGL is rejected in async mode
-
-  for (int round = 1; round <= config_.rounds; ++round) {
-    FEDGTA_TRACE_SCOPE("round");
-    WallTimer round_timer;
-    // Participant sampling: byte-for-byte the synchronous loop's, so the
-    // tau=0 run consumes the identical RNG stream.
-    std::vector<int> participants =
-        per_round >= n_clients
-            ? [n_clients] {
-                std::vector<int> all(static_cast<size_t>(n_clients));
-                for (int i = 0; i < n_clients; ++i) {
-                  all[static_cast<size_t>(i)] = i;
-                }
-                return all;
-              }()
-            : rng.SampleWithoutReplacement(n_clients, per_round);
-    std::sort(participants.begin(), participants.end());
-    timeline.RoundStart(round, static_cast<int64_t>(participants.size()));
-
-    WallTimer client_timer;
-    std::vector<RoundExecutor::ClientExecution> executions =
-        RoundExecutor::TrainRound(*strategy_, clients_, participants,
-                                  config_.local_epochs, no_hooks, failures,
-                                  round);
-    const double client_seconds = client_timer.Seconds();
-
-    // Feed the update queue. Training still ran under the per-round barrier
-    // above — asynchrony here is pure bookkeeping: a straggler's update is
-    // pushed with a virtual arrival round StragglerDelay rounds out instead
-    // of being discarded, so every admission decision is a function of
-    // (seed, round, client) and the oracle is deterministic for any tau.
-    queue.MarkDispatched(round, static_cast<int>(participants.size()));
-    int64_t dropped = 0;
-    int64_t stragglers = 0;
-    int64_t crashed = 0;
-    for (size_t i = 0; i < executions.size(); ++i) {
-      RoundExecutor::ClientExecution& exec = executions[i];
-      timeline.ClientFate(round, participants[i],
-                          std::string(ClientFateName(exec.fate)), 0.0);
-      switch (exec.fate) {
-        case ClientFate::kHealthy:
-          queue.Push({round, round, std::move(exec.result)});
-          break;
-        case ClientFate::kStraggler:
-          ++stragglers;
-          queue.Push({round,
-                      round + failures->StragglerDelay(round, participants[i]),
-                      std::move(exec.result)});
-          break;
-        case ClientFate::kDropout:
-          ++dropped;
-          queue.MarkAccounted(round);
-          break;
-        case ClientFate::kCrash:
-          ++crashed;
-          queue.MarkAccounted(round);
-          break;
-      }
-    }
-
-    // Bounded-staleness wait rule. Trivially satisfied here (TrainRound is
-    // a barrier) but kept so the oracle exercises the exact protocol the
-    // distributed coordinator's correctness rests on.
-    queue.WaitDispatchedThrough(round - config_.staleness_tau);
-
-    AsyncUpdateQueue::Drain drain = queue.DrainRound(
-        round, config_.staleness_tau, /*final_round=*/round == config_.rounds);
-
-    std::vector<int> admitted_ids;
-    std::vector<LocalResult> results;
-    admitted_ids.reserve(drain.admitted.size());
-    results.reserve(drain.admitted.size());
-    double loss_sum = 0.0;
-    for (AsyncUpdate& u : drain.admitted) {
-      ApplyStalenessDiscount(round - u.dispatch_round, config_.staleness_decay,
-                             &u.result);
-      admitted_ids.push_back(u.result.client_id);
-      loss_sum += u.result.loss;
-      results.push_back(std::move(u.result));
-    }
-
-    WallTimer server_timer;
-    {
-      FEDGTA_TRACE_SCOPE("server_step");
-      if (!admitted_ids.empty()) strategy_->Aggregate(admitted_ids, results);
-    }
-    const double server_seconds = server_timer.Seconds();
-
-    result.total_client_seconds += client_seconds;
-    result.total_server_seconds += server_seconds;
-    const Strategy::CommunicationStats comm =
-        strategy_->RoundCommunication(results);
-    result.total_upload_floats += comm.upload_floats;
-    result.total_download_floats += comm.download_floats;
-    result.total_dropped_clients += dropped;
-    result.total_straggler_clients += stragglers;
-    result.total_crashed_clients += crashed;
-    result.total_admitted_updates +=
-        static_cast<int64_t>(drain.admitted.size());
-    result.total_stale_dropped_updates += drain.stale_dropped;
-
-    round_client_seconds.Record(client_seconds);
-    round_server_seconds.Record(server_seconds);
-    rounds_completed.Increment();
-    upload_floats.Increment(comm.upload_floats);
-    download_floats.Increment(comm.download_floats);
-    if (dropped > 0) dropped_counter.Increment(dropped);
-    if (stragglers > 0) straggler_counter.Increment(stragglers);
-    if (crashed > 0) crashed_counter.Increment(crashed);
-    round_seconds.Record(round_timer.Seconds());
-    timeline.AsyncAdmission(round,
-                            static_cast<int64_t>(drain.admitted.size()),
-                            drain.stale_dropped,
-                            static_cast<int64_t>(queue.depth()));
-    timeline.RoundEnd(round, client_seconds, server_seconds,
-                      /*bytes_sent=*/0, /*bytes_recv=*/0, dropped, stragglers,
-                      crashed);
-
-    if (round % config_.eval_every == 0 || round == config_.rounds) {
-      RoundStats stats;
-      stats.round = round;
-      stats.train_loss =
-          admitted_ids.empty()
-              ? 0.0
-              : loss_sum / static_cast<double>(admitted_ids.size());
-      stats.client_seconds = result.total_client_seconds;
-      stats.server_seconds = result.total_server_seconds;
-      stats.upload_floats = result.total_upload_floats;
-      stats.download_floats = result.total_download_floats;
-      stats.dropped_clients = result.total_dropped_clients;
-      stats.straggler_clients = result.total_straggler_clients;
-      stats.crashed_clients = result.total_crashed_clients;
-      Evaluate(&stats.test_accuracy, &stats.val_accuracy);
-      if (stats.val_accuracy > best_val) {
-        best_val = stats.val_accuracy;
-        result.best_test_accuracy = stats.test_accuracy;
-      }
-      result.final_test_accuracy = stats.test_accuracy;
-      result.curve.push_back(stats);
-    }
-  }
-  result.metrics_json = metrics.ToJson();
-  return result;
+    return halting;
+  };
+  fed::RoundEngine engine(config_, config_.seed,
+                          config_.fgl == FglModel::kFedSage ? augmented_
+                                                            : data_->clients,
+                          this);
+  Result<SimulationResult> result = engine.Run(resume_.get(), after_round);
+  FEDGTA_CHECK(result.ok()) << result.status();
+  result->setup_seconds = setup_seconds_;
+  result->metrics_json = GlobalMetrics().ToJson();
+  return std::move(*result);
 }
 
 }  // namespace fedgta

@@ -9,6 +9,7 @@
 #include "fed/failure.h"
 #include "fed/fedgl.h"
 #include "fed/fedsage.h"
+#include "fed/round_engine.h"
 #include "fed/run_result.h"
 #include "fed/strategy.h"
 
@@ -72,12 +73,15 @@ struct SimulationConfig {
 using RoundStats = fed::RoundStats;
 using SimulationResult = fed::RunResult;
 
-/// Drives `rounds` of strategy-managed federated training over the clients
-/// of a FederatedDataset. Evaluation is the data-size-weighted accuracy of
-/// each client's served model on its local test set (the standard subgraph
-/// FL protocol; for global-model strategies this equals evaluating the
-/// global model).
-class Simulation {
+/// The in-process deployment: `rounds` of strategy-managed federated
+/// training over the clients of a FederatedDataset, with participants
+/// trained concurrently on the shared pool (RoundExecutor). It is the
+/// RoundEngine's reference transport (DESIGN.md "Round engine"): every
+/// other plane must reproduce its RunResult bit for bit. Evaluation is the
+/// data-size-weighted accuracy of each client's served model on its local
+/// test set (the standard subgraph FL protocol; for global-model
+/// strategies this equals evaluating the global model).
+class Simulation : private fed::RoundTransport {
  public:
   /// `data` must outlive the simulation. The strategy is owned.
   Simulation(const FederatedDataset* data, const ModelConfig& model_config,
@@ -85,9 +89,14 @@ class Simulation {
              std::unique_ptr<Strategy> strategy,
              const SimulationConfig& config);
 
+  /// Runs the remaining rounds (all of them unless a checkpoint was
+  /// loaded). With `config.async` the updates stream through the engine's
+  /// AsyncUpdateQueue: training still runs under a per-round barrier and
+  /// stragglers arrive StragglerDelay rounds late, so admission, and the
+  /// whole run, stays deterministic for any tau.
   SimulationResult Run();
 
-  Strategy& strategy() { return *strategy_; }
+  Strategy& strategy() override { return *strategy_; }
   std::vector<Client>& clients() { return clients_; }
 
   /// Checkpoint file inside `dir`.
@@ -104,16 +113,14 @@ class Simulation {
   Status LoadCheckpoint(const std::string& path);
 
  private:
-  /// Weighted test/val accuracy across clients with each client's served
-  /// parameters.
-  void Evaluate(double* test_accuracy, double* val_accuracy);
-
-  /// The async round loop (config_.async): the in-process oracle for the
-  /// distributed async runtime. Training still runs under a per-round
-  /// barrier — asynchrony is virtual (stragglers arrive StragglerDelay
-  /// rounds late through the AsyncUpdateQueue) — so admission decisions,
-  /// and therefore the whole run, are deterministic for any tau.
-  SimulationResult RunAsync();
+  // fed::RoundTransport
+  std::vector<ClientOutcome> Train(
+      int round, const std::vector<int>& participants,
+      const std::vector<ClientFate>& fates) override;
+  /// Strategy::Aggregate, then the FedGL pseudo-label refresh.
+  Status Aggregate(int round, const std::vector<int>& ids,
+                   std::vector<LocalResult>& results) override;
+  Status Evaluate(int round, fed::ClientAccuracies* acc) override;
 
   /// Atomically writes the full simulation state after `completed_rounds`.
   Status SaveCheckpoint(const std::string& path, int completed_rounds,
@@ -127,13 +134,8 @@ class Simulation {
   std::vector<Client> clients_;
   std::unique_ptr<FedGlCoordinator> fedgl_;
   double setup_seconds_ = 0.0;
-
-  // Resume state staged by LoadCheckpoint and consumed by Run().
-  bool resumed_ = false;
-  int start_round_ = 0;
-  std::string sampling_rng_state_;
-  double resume_best_val_ = -1.0;
-  SimulationResult resume_partial_;
+  /// Staged by LoadCheckpoint, consumed by Run().
+  std::unique_ptr<fed::RoundEngine::Resume> resume_;
 };
 
 }  // namespace fedgta

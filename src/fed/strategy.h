@@ -107,6 +107,11 @@ class Strategy {
 
   /// Weights client `client_id` trains from (and is evaluated with).
   virtual std::span<const float> ParamsFor(int client_id) const;
+  /// An owned copy of ParamsFor(client_id): what a remote client downloads.
+  std::vector<float> DownloadFor(int client_id) const {
+    const std::span<const float> params = ParamsFor(client_id);
+    return {params.begin(), params.end()};
+  }
 
   /// Runs one round of local training on `client`: pushes ParamsFor,
   /// trains `epochs` epochs (with strategy-specific hooks merged over

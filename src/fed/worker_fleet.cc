@@ -2,6 +2,7 @@
 
 #include <thread>
 
+#include "common/string_util.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
 
@@ -33,21 +34,20 @@ Status WorkerFleet::Accept(net::ServerSocket& server, int num_clients,
     const int64_t hello_recv_us = internal_obs::TraceNowMicros();
     if (hello.protocol_version < net::kMinProtocolVersion ||
         hello.protocol_version > net::kProtocolVersion) {
-      net::ErrorMsg err;
-      err.message =
-          "protocol versions " + std::to_string(net::kMinProtocolVersion) +
-          ".." + std::to_string(net::kProtocolVersion) +
-          " accepted, worker speaks " +
-          std::to_string(hello.protocol_version);
-      (void)net::SendMessage(channel.socket(), err);
-      return FailedPreconditionError(err.message);
+      return net::Complain(
+          channel.socket(),
+          FailedPreconditionError(
+              "protocol versions " + std::to_string(net::kMinProtocolVersion) +
+              ".." + std::to_string(net::kProtocolVersion) +
+              " accepted, worker speaks " +
+              std::to_string(hello.protocol_version)));
     }
     if (hello.node_role != static_cast<uint32_t>(net::NodeRole::kWorker)) {
-      net::ErrorMsg err;
-      err.message = "expected a worker connection, peer announced role " +
-                    std::to_string(hello.node_role);
-      (void)net::SendMessage(channel.socket(), err);
-      return FailedPreconditionError(err.message);
+      return net::Complain(
+          channel.socket(),
+          FailedPreconditionError(
+              "expected a worker connection, peer announced role " +
+              std::to_string(hello.node_role)));
     }
     // Codec negotiation: the requested codec if this worker advertised it,
     // raw otherwise (a v3 hello advertises nothing). A raw outcome builds
@@ -98,6 +98,43 @@ Status WorkerFleet::Accept(net::ServerSocket& server, int num_clients,
   return OkStatus();
 }
 
+template <typename Request, typename Response>
+Status WorkerFleet::Call(size_t w, const Request& request, Response* response,
+                         FleetMetricsMerger* merger) {
+  WorkerLink& link = links_[w];
+  Status rpc = link.channel.ok()
+                   ? link.channel.Call(request, response, link.compress.get())
+                   : InternalError("worker connection is down");
+  if (!rpc.ok()) {
+    link.health->healthy.store(false, std::memory_order_relaxed);
+    return rpc;
+  }
+  link.health->last_response_us.store(internal_obs::TraceNowMicros(),
+                                      std::memory_order_relaxed);
+  link.health->responses.fetch_add(1, std::memory_order_relaxed);
+  merger->Apply(worker_index_base_ + static_cast<int>(w), response->metrics);
+  if (response->client_id != request.client_id) {
+    return InternalError("response for a different client id");
+  }
+  return OkStatus();
+}
+
+Status WorkerFleet::TrainClient(int round, int client_id,
+                                std::vector<float> weights,
+                                FleetMetricsMerger* merger,
+                                net::TrainResponseMsg* response) {
+  net::TrainRequestMsg request;
+  request.round = round;
+  request.client_id = client_id;
+  request.weights = std::move(weights);
+  FEDGTA_RETURN_IF_ERROR(
+      Call(static_cast<size_t>(owner(client_id)), request, response, merger));
+  if (response->round != round) {
+    return InternalError("response for a different round");
+  }
+  return OkStatus();
+}
+
 void WorkerFleet::TrainRound(int round, const std::vector<int>& participants,
                              const std::vector<ClientFate>& fates,
                              const WeightsFn& weights_for,
@@ -118,37 +155,14 @@ void WorkerFleet::TrainRound(int round, const std::vector<int>& participants,
       // Re-install the round context (thread-locals don't inherit), so
       // every TrainRequest envelope parents to the round span.
       ScopedTraceContext adopt(dispatch_ctx);
-      WorkerLink& link = links_[w];
       for (size_t i = 0; i < n_part; ++i) {
         const int id = participants[i];
-        if (owner_[static_cast<size_t>(id)] != static_cast<int>(w)) {
+        if (owner(id) != static_cast<int>(w) ||
+            fates[i] == ClientFate::kDropout) {
           continue;
         }
-        if (fates[i] == ClientFate::kDropout) continue;
-        if (!link.channel.ok()) {
-          link.health->healthy.store(false, std::memory_order_relaxed);
-          (*rpc_status)[i] = InternalError("worker connection is down");
-          continue;
-        }
-        net::TrainRequestMsg req;
-        req.round = round;
-        req.client_id = id;
-        req.weights = weights_for(id);
-        (*rpc_status)[i] =
-            link.channel.Call(req, &(*responses)[i], link.compress.get());
-        if (!(*rpc_status)[i].ok()) {
-          link.health->healthy.store(false, std::memory_order_relaxed);
-          continue;
-        }
-        link.health->last_response_us.store(internal_obs::TraceNowMicros(),
-                                            std::memory_order_relaxed);
-        link.health->responses.fetch_add(1, std::memory_order_relaxed);
-        merger->Apply(worker_index_base_ + static_cast<int>(w),
-                      (*responses)[i].metrics);
-        if ((*responses)[i].client_id != id) {
-          (*rpc_status)[i] =
-              InternalError("response for a different client id");
-        }
+        (*rpc_status)[i] = TrainClient(round, id, weights_for(id), merger,
+                                       &(*responses)[i]);
       }
     });
   }
@@ -167,28 +181,14 @@ void WorkerFleet::EvalClients(const WeightsFn& weights_for,
   std::vector<std::thread> threads;
   threads.reserve(links_.size());
   for (size_t w = 0; w < links_.size(); ++w) {
-    threads.emplace_back([this, w, eval_ctx, &weights_for, merger, test_acc,
-                          val_acc, evaluated] {
+    threads.emplace_back([&, w] {
       ScopedTraceContext adopt(eval_ctx);
-      WorkerLink& link = links_[w];
-      for (int id : link.client_ids) {
-        if (!link.channel.ok()) {
-          link.health->healthy.store(false, std::memory_order_relaxed);
-          return;
-        }
+      for (int id : links_[w].client_ids) {
         net::EvalRequestMsg req;
         req.client_id = id;
         req.weights = weights_for(id);
         net::EvalResponseMsg resp;
-        if (!link.channel.Call(req, &resp, link.compress.get()).ok()) {
-          link.health->healthy.store(false, std::memory_order_relaxed);
-          continue;
-        }
-        link.health->last_response_us.store(internal_obs::TraceNowMicros(),
-                                            std::memory_order_relaxed);
-        link.health->responses.fetch_add(1, std::memory_order_relaxed);
-        merger->Apply(worker_index_base_ + static_cast<int>(w), resp.metrics);
-        if (resp.client_id != id) continue;
+        if (!Call(w, req, &resp, merger).ok()) continue;
         (*test_acc)[static_cast<size_t>(id)] = resp.test_accuracy;
         (*val_acc)[static_cast<size_t>(id)] = resp.val_accuracy;
         (*evaluated)[static_cast<size_t>(id)] = 1;
@@ -206,6 +206,23 @@ void WorkerFleet::Shutdown() {
     net::ShutdownAckMsg ack;
     (void)net::ExpectMessage(link.channel.socket(), &ack);
   }
+}
+
+std::string RenderWorkerRows(const std::vector<WorkerStatusEntry>& entries,
+                             int index_base) {
+  const int64_t now_us = internal_obs::TraceNowMicros();
+  std::string out;
+  for (size_t w = 0; w < entries.size(); ++w) {
+    const WorkerHealth& health = *entries[w].health;
+    const int64_t last = health.last_response_us.load();
+    out += StrFormat(
+        "  worker %d: %s clients=%d responses=%lld lag_ms=%lld\n",
+        index_base + static_cast<int>(w),
+        health.healthy.load() ? "healthy" : "DOWN", entries[w].num_clients,
+        static_cast<long long>(health.responses.load()),
+        static_cast<long long>(last > 0 ? (now_us - last) / 1000 : -1));
+  }
+  return out;
 }
 
 std::vector<WorkerStatusEntry> WorkerFleet::StatusSnapshot() const {

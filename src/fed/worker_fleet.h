@@ -45,6 +45,11 @@ struct WorkerStatusEntry {
   int num_clients = 0;
 };
 
+/// One status-endpoint row per worker ("  worker <i>: healthy|DOWN
+/// clients= responses= lag_ms="), numbering entry w as index_base + w.
+std::string RenderWorkerRows(const std::vector<WorkerStatusEntry>& entries,
+                             int index_base);
+
 struct WorkerFleetOptions {
   /// Experiment identity shipped in every AssignConfig.
   net::WireFedConfig wire;
@@ -93,6 +98,14 @@ class WorkerFleet {
                   std::vector<net::TrainResponseMsg>* responses,
                   std::vector<Status>* rpc_status);
 
+  /// One train exchange for `client_id` with its hosting worker; the caller
+  /// must be the only thread driving that worker's channel. A transport
+  /// failure marks the worker unhealthy; a reply for another client or
+  /// round is an error too.
+  Status TrainClient(int round, int client_id, std::vector<float> weights,
+                     FleetMetricsMerger* merger,
+                     net::TrainResponseMsg* response);
+
   /// Evaluates every hosted client on its worker; arrays are indexed by
   /// global client id and must be pre-sized to num_clients. Clients on
   /// dead workers keep evaluated[id] == 0.
@@ -103,13 +116,11 @@ class WorkerFleet {
   /// Best-effort goodbye; a dead worker just errors out of the exchange.
   void Shutdown();
 
-  std::vector<WorkerLink>& links() { return links_; }
-  const std::vector<WorkerLink>& links() const { return links_; }
+  size_t num_workers() const { return links_.size(); }
   /// Hosting worker (local index) of a client; -1 when unhosted here.
   int owner(int client_id) const {
     return owner_[static_cast<size_t>(client_id)];
   }
-  int worker_index_base() const { return worker_index_base_; }
   /// Agreed model parameter count; -1 before Accept.
   int64_t param_count() const { return param_count_; }
   /// Common initialization reported by the worker hosting client 0;
@@ -119,6 +130,12 @@ class WorkerFleet {
   std::vector<WorkerStatusEntry> StatusSnapshot() const;
 
  private:
+  /// One request/response exchange with local worker `w`: records link
+  /// health and merges the reply's metrics delta.
+  template <typename Request, typename Response>
+  Status Call(size_t w, const Request& request, Response* response,
+              FleetMetricsMerger* merger);
+
   std::vector<WorkerLink> links_;
   /// client id -> local worker index; -1 unhosted.
   std::vector<int> owner_;

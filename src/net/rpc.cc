@@ -457,5 +457,12 @@ Result<Socket> ConnectWithRetry(const std::string& host, int port,
   return last;
 }
 
+Status Complain(Socket& sock, Status status) {
+  ErrorMsg err;
+  err.message = std::string(status.message());
+  (void)SendMessage(sock, err);
+  return status;
+}
+
 }  // namespace net
 }  // namespace fedgta

@@ -463,6 +463,10 @@ Result<MsgType> ReadMsgType(serialize::Reader* reader,
 template <typename M>
 Status ExpectMessage(Socket& sock, M* out, compress::Link* link = nullptr);
 
+/// Sends `status` to the peer as an ErrorMsg before bailing with it; the
+/// send is best-effort (the peer may already be gone).
+Status Complain(Socket& sock, Status status);
+
 /// Per-message retry/backoff knobs shared by the channel and the worker's
 /// connect loop.
 struct RpcOptions {

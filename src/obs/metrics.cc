@@ -221,6 +221,32 @@ const Histogram* MetricsRegistry::FindHistogram(std::string_view name) const {
   return it == histograms_.end() ? nullptr : it->second.get();
 }
 
+std::string MetricsRegistry::CounterLines(
+    std::initializer_list<const char*> names, bool skip_zero) const {
+  std::string out;
+  for (const char* name : names) {
+    const Counter* c = FindCounter(name);
+    if (c == nullptr || (skip_zero && c->value() == 0)) continue;
+    out += StrFormat("  %s: %lld\n", name, static_cast<long long>(c->value()));
+  }
+  return out;
+}
+
+std::string MetricsRegistry::HistogramLines(
+    std::initializer_list<const char*> names) const {
+  std::string out;
+  for (const char* name : names) {
+    const Histogram* h = FindHistogram(name);
+    if (h == nullptr) continue;
+    const Histogram::Snapshot s = h->snapshot();
+    if (s.count == 0) continue;
+    out += StrFormat("  %s: count=%lld p50=%.6f p99=%.6f\n", name,
+                     static_cast<long long>(s.count), s.Quantile(0.5),
+                     s.Quantile(0.99));
+  }
+  return out;
+}
+
 std::string MetricsRegistry::ToText() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::string out;

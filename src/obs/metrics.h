@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -126,6 +127,13 @@ class MetricsRegistry {
   const Counter* FindCounter(std::string_view name) const;
   const Gauge* FindGauge(std::string_view name) const;
   const Histogram* FindHistogram(std::string_view name) const;
+
+  /// Status-endpoint lines: "  <name>: <value>" for each named counter
+  /// that exists (nonzero only, with `skip_zero`), and "  <name>:
+  /// count=N p50=X p99=Y" for each named histogram with samples.
+  std::string CounterLines(std::initializer_list<const char*> names,
+                           bool skip_zero = false) const;
+  std::string HistogramLines(std::initializer_list<const char*> names) const;
 
   /// Human-readable dump, one metric per line, sorted by name.
   std::string ToText() const;
