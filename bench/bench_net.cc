@@ -184,8 +184,10 @@ std::vector<CodecPoint> RunCodecSweep() {
   for (const std::string& name : net::compress::ListCodecNames()) {
     const net::compress::Codec* codec = net::compress::FindCodec(name);
     FEDGTA_CHECK(codec != nullptr);
-    net::compress::Link server(codec, 0);
-    net::compress::Link worker(codec, 0);
+    net::DownloadStash server_stash;
+    net::DownloadStash worker_stash;
+    net::compress::Link server(codec, 0, &server_stash);
+    net::compress::Link worker(codec, 0, &worker_stash);
     std::vector<float> model = MakeWeights(0x5714);
     std::vector<float> moments(kMomentElems, 0.25f);
     CodecPoint p;
@@ -194,12 +196,14 @@ std::vector<CodecPoint> RunCodecSweep() {
     for (int round = 0; round <= measured_round; ++round) {
       serialize::Writer down;
       server.EncodeDownload(0, model, &down);
+      server_stash.Store(0, model);
       {
         Result<serialize::Reader> r =
             serialize::Reader::FromBuffer(down.Encode());
         FEDGTA_CHECK(r.ok());
         std::vector<float> got;
         FEDGTA_CHECK(worker.DecodeDownload(0, &*r, &got).ok());
+        worker_stash.Store(0, got);
         model = std::move(got);
       }
       Train(&model, round);
@@ -247,7 +251,8 @@ std::vector<CodecPoint> RunCodecSweep() {
 void CompressEchoServer(net::Socket sock, const std::string& codec_name) {
   const net::compress::Codec* codec = net::compress::FindCodec(codec_name);
   FEDGTA_CHECK(codec != nullptr);
-  net::compress::Link link(codec, 0);
+  net::DownloadStash downloads;
+  net::compress::Link link(codec, 0, &downloads);
   net::compress::Link* lp =
       codec->id() != net::compress::CodecId::kRaw ? &link : nullptr;
   std::vector<float> moments(kMomentElems, 0.5f);
@@ -264,6 +269,7 @@ void CompressEchoServer(net::Socket sock, const std::string& codec_name) {
     FEDGTA_CHECK(*type == net::MsgType::kTrainRequest);
     net::TrainRequestMsg req;
     FEDGTA_CHECK(req.Decode(&*reader, lp).ok());
+    downloads.Store(req.client_id, req.weights);
     net::TrainResponseMsg resp;
     resp.client_id = req.client_id;
     resp.round = req.round;
@@ -294,7 +300,8 @@ double RunThrottledRounds(const std::string& codec_name, int rounds,
 
   const net::compress::Codec* codec = net::compress::FindCodec(codec_name);
   FEDGTA_CHECK(codec != nullptr);
-  net::compress::Link link(codec, 0);
+  net::DownloadStash downloads;
+  net::compress::Link link(codec, 0, &downloads);
   net::compress::Link* lp =
       codec->id() != net::compress::CodecId::kRaw ? &link : nullptr;
 
@@ -306,6 +313,7 @@ double RunThrottledRounds(const std::string& codec_name, int rounds,
     req.client_id = 0;
     req.round = round;
     req.weights = model;
+    downloads.Store(req.client_id, model);
     net::TrainResponseMsg resp;
     FEDGTA_CHECK(channel.Call(req, &resp, lp).ok());
     FEDGTA_CHECK(resp.weights.size() == model.size());

@@ -423,11 +423,12 @@ Status RootCoordinator::Handshake() {
     net::HelloMsg hello;
     FEDGTA_RETURN_IF_ERROR(net::ExpectMessage(channel.socket(), &hello));
     const int64_t hello_recv_us = internal_obs::TraceNowMicros();
-    if (hello.protocol_version < 5) {
+    if (hello.protocol_version != net::kProtocolVersion) {
       return net::Complain(
           channel.socket(),
           FailedPreconditionError(
-              "regional aggregators require protocol v5, peer speaks " +
+              "regional aggregators require protocol v" +
+              std::to_string(net::kProtocolVersion) + ", peer speaks " +
               std::to_string(hello.protocol_version)));
     }
     if (hello.node_role != static_cast<uint32_t>(net::NodeRole::kAggregator)) {

@@ -52,6 +52,9 @@ Status RemoteClientRunner::Run() {
   FEDGTA_RETURN_IF_ERROR(net::ExpectMessage(sock, &assign));
   const int64_t t3 = internal_obs::TraceNowMicros();
 
+  // The last download of each hosted client (DESIGN.md §5e): what a
+  // request's reuse marker points at, and the delta codec's upload base.
+  net::DownloadStash downloads;
   // The server's codec choice is binding, but only within what we
   // advertised — anything else is a protocol violation, not a fallback.
   std::unique_ptr<net::compress::Link> link;
@@ -64,7 +67,8 @@ Status RemoteClientRunner::Run() {
                                 "server assigned unadvertised codec id " +
                                 std::to_string(assign.codec_id)));
     }
-    link = std::make_unique<net::compress::Link>(codec, assign.compress_topk);
+    link = std::make_unique<net::compress::Link>(codec, assign.compress_topk,
+                                                 &downloads);
   }
 
   // NTP midpoint from the Hello/AssignConfig ping-pong: t0/t3 on our trace
@@ -112,8 +116,9 @@ Status RemoteClientRunner::Run() {
     return Complain(sock, InvalidArgumentError("no clients assigned"));
   }
 
+  const int64_t param_count = clients.front().param_count();
   net::ConfigAckMsg ack;
-  ack.param_count = clients.front().param_count();
+  ack.param_count = param_count;
   if (auto it = hosted.find(0); it != hosted.end()) {
     ack.init_params = clients[it->second].GetParams();
   }
@@ -140,6 +145,41 @@ Status RemoteClientRunner::Run() {
   // Ships registry changes (phase counters, histograms, net totals) on
   // every response; the server merges them under worker.<id>.* / fleet.*.
   MetricsDeltaEncoder metrics_encoder(&GlobalMetrics());
+  // Decodes a Train/Eval request and resolves its download: shipped
+  // weights become the client's stashed copy, a reuse marker points at the
+  // existing one. Anything unusable is complained to the server, so a bad
+  // request ends this worker with an error Status instead of an abort.
+  auto accept_download = [&](auto& req, serialize::Reader& r,
+                             const std::string& what, Client** client,
+                             const std::vector<float>** weights) -> Status {
+    Status decoded = req.Decode(&r, link.get());
+    if (decoded.ok() && !r.AtEnd()) {
+      decoded = InvalidArgumentError("trailing bytes after " + what);
+    }
+    if (!decoded.ok()) return Complain(sock, std::move(decoded));
+    // Credit the download's decompression savings to net.bytes_raw (the
+    // frame layer only saw the wire bytes).
+    if (link) net::AddRecvSavedBytes(link->TakeSavedBytes());
+    auto refuse = [&](const std::string& why) {
+      return Complain(sock, InvalidArgumentError(
+                                what + " request for client " +
+                                std::to_string(req.client_id) + why));
+    };
+    auto it = hosted.find(req.client_id);
+    if (it == hosted.end()) return refuse(": not hosted here");
+    if (!req.reuse) {
+      if (static_cast<int64_t>(req.weights.size()) != param_count) {
+        return refuse(" carries " + std::to_string(req.weights.size()) +
+                      " weights, model has " + std::to_string(param_count));
+      }
+      downloads.Store(req.client_id, std::move(req.weights));
+    }
+    const net::DownloadStash::Entry* stashed = downloads.Find(req.client_id);
+    if (stashed == nullptr) return refuse(" reuses a download never sent");
+    *client = &clients[it->second];
+    *weights = &stashed->weights;
+    return OkStatus();
+  };
   int train_responses = 0;
   while (true) {
     Result<serialize::Reader> reader = net::RecvMessage(sock);
@@ -154,20 +194,10 @@ Status RemoteClientRunner::Run() {
     switch (*type) {
       case net::MsgType::kTrainRequest: {
         net::TrainRequestMsg req;
-        FEDGTA_RETURN_IF_ERROR(req.Decode(&*reader, link.get()));
-        if (!reader->AtEnd()) {
-          return Complain(sock,
-                          InvalidArgumentError("trailing bytes after train"));
-        }
-        // Credit the download's decompression savings to net.bytes_raw
-        // (the frame layer only saw the wire bytes).
-        if (link) net::AddRecvSavedBytes(link->TakeSavedBytes());
-        auto it = hosted.find(req.client_id);
-        if (it == hosted.end()) {
-          return Complain(sock, InvalidArgumentError(
-                                    "train request for unhosted client " +
-                                    std::to_string(req.client_id)));
-        }
+        Client* client = nullptr;
+        const std::vector<float>* weights = nullptr;
+        FEDGTA_RETURN_IF_ERROR(
+            accept_download(req, *reader, "train", &client, &weights));
         const ClientFate fate = failures
                                     ? plan.FateOf(req.round, req.client_id)
                                     : ClientFate::kHealthy;
@@ -188,14 +218,13 @@ Status RemoteClientRunner::Run() {
             // would only ship with the *next* response (and the final
             // one never).
             FEDGTA_PHASE_SCOPE("remote_train");
-            Client& client = clients[it->second];
-            client.SetParams(req.weights);
+            client->SetParams(*weights);
             TrainHooks hooks;
             if (is_fedprox) {
               // The proximal anchor is the download itself (the simulation
               // anchors on global_params_, which is exactly what the server
-              // sent).
-              const std::vector<float>& anchor = req.weights;
+              // sent or pointed at).
+              const std::vector<float>& anchor = *weights;
               const float mu = setup.prox_mu;
               hooks.grad_hook = [&anchor, mu](std::span<const float> params,
                                               std::span<float> grads) {
@@ -205,7 +234,7 @@ Status RemoteClientRunner::Run() {
                 }
               };
             }
-            const double loss = client.TrainLocal(epochs, hooks);
+            const double loss = client->TrainLocal(epochs, hooks);
             // In async mode a straggler's update is late, not lost: ship
             // the full payload and let the server's bounded-staleness
             // queue decide admission (sync keeps the empty-payload
@@ -213,11 +242,11 @@ Status RemoteClientRunner::Run() {
             if (fate == ClientFate::kHealthy ||
                 (setup.async && fate == ClientFate::kStraggler)) {
               resp.loss = loss;
-              resp.num_samples = client.num_train();
-              resp.weights = client.GetParams();
+              resp.num_samples = client->num_train();
+              resp.weights = client->GetParams();
               if (caps.uploads_topology_metrics) {
                 ClientMetrics metrics =
-                    client.ComputeFedGtaMetrics(setup.gta);
+                    client->ComputeFedGtaMetrics(setup.gta);
                 resp.confidence = metrics.confidence;
                 resp.moments = std::move(metrics.moments);
               }
@@ -237,30 +266,21 @@ Status RemoteClientRunner::Run() {
       }
       case net::MsgType::kEvalRequest: {
         net::EvalRequestMsg req;
-        FEDGTA_RETURN_IF_ERROR(req.Decode(&*reader, link.get()));
-        if (!reader->AtEnd()) {
-          return Complain(sock,
-                          InvalidArgumentError("trailing bytes after eval"));
-        }
-        if (link) net::AddRecvSavedBytes(link->TakeSavedBytes());
-        auto it = hosted.find(req.client_id);
-        if (it == hosted.end()) {
-          return Complain(sock, InvalidArgumentError(
-                                    "eval request for unhosted client " +
-                                    std::to_string(req.client_id)));
-        }
+        Client* client = nullptr;
+        const std::vector<float>* weights = nullptr;
+        FEDGTA_RETURN_IF_ERROR(
+            accept_download(req, *reader, "eval", &client, &weights));
         net::EvalResponseMsg resp;
         resp.client_id = req.client_id;
         {
           // Closes before the delta cut, same as remote_train.
           FEDGTA_PHASE_SCOPE("remote_eval");
-          Client& client = clients[it->second];
-          client.SetParams(req.weights);
-          if (!client.data().test_idx.empty()) {
-            resp.test_accuracy = client.TestAccuracy();
+          client->SetParams(*weights);
+          if (!client->data().test_idx.empty()) {
+            resp.test_accuracy = client->TestAccuracy();
           }
-          if (!client.data().val_idx.empty()) {
-            resp.val_accuracy = client.ValAccuracy();
+          if (!client->data().val_idx.empty()) {
+            resp.val_accuracy = client->ValAccuracy();
           }
         }
         resp.metrics = metrics_encoder.Next();

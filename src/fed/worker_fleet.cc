@@ -24,6 +24,7 @@ Status WorkerFleet::Accept(net::ServerSocket& server, int num_clients,
   }
 
   param_count_ = -1;
+  moments_size_.store(-1);
   init_params_.clear();
   for (int w = 0; w < num_workers; ++w) {
     Result<net::Socket> accepted = server.Accept(options.accept_timeout_ms);
@@ -50,8 +51,8 @@ Status WorkerFleet::Accept(net::ServerSocket& server, int num_clients,
               std::to_string(hello.node_role)));
     }
     // Codec negotiation: the requested codec if this worker advertised it,
-    // raw otherwise (a v3 hello advertises nothing). A raw outcome builds
-    // no Link at all, so those connections ship the legacy bytes.
+    // raw otherwise. A raw outcome builds no Link at all, so those
+    // connections ship uncompressed bytes.
     net::compress::CodecId negotiated = net::compress::CodecId::kRaw;
     if (options.compress != "off") {
       const net::compress::Codec* requested =
@@ -72,11 +73,10 @@ Status WorkerFleet::Accept(net::ServerSocket& server, int num_clients,
     assign.worker_index = options.worker_index_base + w;
     assign.codec_id = static_cast<uint32_t>(negotiated);
     assign.compress_topk = options.compress_topk;
-    assign.peer_version = hello.protocol_version;
-    link.peer_version = hello.protocol_version;
     if (negotiated != net::compress::CodecId::kRaw) {
       link.compress = std::make_unique<net::compress::Link>(
-          net::compress::FindCodec(negotiated), options.compress_topk);
+          net::compress::FindCodec(negotiated), options.compress_topk,
+          &link.downloads);
     }
     assign.assign_send_us = internal_obs::TraceNowMicros();
     net::ConfigAckMsg ack;
@@ -119,18 +119,53 @@ Status WorkerFleet::Call(size_t w, const Request& request, Response* response,
   return OkStatus();
 }
 
+namespace {
+
+/// Fills a request's download: a bare reuse marker when the worker already
+/// holds exactly these weights for the client, else the weights, which
+/// become the stashed copy.
+template <typename Request>
+void StageDownload(net::DownloadStash& stash, std::vector<float> weights,
+                   Request* request) {
+  request->reuse = stash.Holds(request->client_id, weights);
+  if (request->reuse) return;
+  request->weights = weights;
+  stash.Store(request->client_id, std::move(weights));
+}
+
+}  // namespace
+
 Status WorkerFleet::TrainClient(int round, int client_id,
                                 std::vector<float> weights,
                                 FleetMetricsMerger* merger,
                                 net::TrainResponseMsg* response) {
+  const size_t w = static_cast<size_t>(owner(client_id));
   net::TrainRequestMsg request;
   request.round = round;
   request.client_id = client_id;
-  request.weights = std::move(weights);
-  FEDGTA_RETURN_IF_ERROR(
-      Call(static_cast<size_t>(owner(client_id)), request, response, merger));
+  StageDownload(links_[w].downloads, std::move(weights), &request);
+  FEDGTA_RETURN_IF_ERROR(Call(w, request, response, merger));
   if (response->round != round) {
     return InternalError("response for a different round");
+  }
+  // Only an upload with a payload can reach aggregation; there its lengths
+  // feed CHECKed kernels, so a mis-sized one is this client's failure.
+  if (response->fate != static_cast<uint32_t>(ClientFate::kHealthy) &&
+      response->weights.empty()) {
+    return OkStatus();
+  }
+  if (static_cast<int64_t>(response->weights.size()) != param_count_) {
+    return InvalidArgumentError(
+        "upload of " + std::to_string(response->weights.size()) +
+        " weights, model has " + std::to_string(param_count_));
+  }
+  const int64_t moments = static_cast<int64_t>(response->moments.size());
+  int64_t expected = -1;
+  if (!moments_size_.compare_exchange_strong(expected, moments) &&
+      expected != moments) {
+    return InvalidArgumentError("upload of " + std::to_string(moments) +
+                                " moments, earlier uploads had " +
+                                std::to_string(expected));
   }
   return OkStatus();
 }
@@ -186,7 +221,7 @@ void WorkerFleet::EvalClients(const WeightsFn& weights_for,
       for (int id : links_[w].client_ids) {
         net::EvalRequestMsg req;
         req.client_id = id;
-        req.weights = weights_for(id);
+        StageDownload(links_[w].downloads, weights_for(id), &req);
         net::EvalResponseMsg resp;
         if (!Call(w, req, &resp, merger).ok()) continue;
         (*test_acc)[static_cast<size_t>(id)] = resp.test_accuracy;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "fed/failure.h"
+#include "net/download_stash.h"
 #include "net/rpc.h"
 #include "obs/metrics_delta.h"
 
@@ -26,14 +27,15 @@ struct WorkerLink {
   net::RpcChannel channel;
   /// Hosted client ids, ascending.
   std::vector<int> client_ids;
-  /// Negotiated per-connection compression state (DESIGN.md §5j); null
-  /// when the connection negotiated raw (or compress = "off"), keeping
-  /// that path's bytes exactly the legacy wire format. Touched only by
-  /// the one thread currently driving this worker's channel.
+  /// The last weights sent to each hosted client (DESIGN.md §5e), so a
+  /// request that would resend them carries only the reuse marker. Touched
+  /// only by the one thread currently driving this worker's channel.
+  net::DownloadStash downloads;
+  /// Negotiated per-connection compression state (DESIGN.md §5j), reading
+  /// `downloads` as its delta base; null when the connection negotiated
+  /// raw (or compress = "off"), keeping that path's bytes exactly the
+  /// uncompressed wire format. Same threading rule as `downloads`.
   std::unique_ptr<net::compress::Link> compress;
-  /// Hello protocol version of this worker (v3 peers never see v4
-  /// message trailers).
-  uint32_t peer_version = net::kProtocolVersion;
   /// Shared with the published fleet status (the endpoint may outlive a
   /// rebuilt fleet).
   std::shared_ptr<WorkerHealth> health = std::make_shared<WorkerHealth>();
@@ -101,7 +103,9 @@ class WorkerFleet {
   /// One train exchange for `client_id` with its hosting worker; the caller
   /// must be the only thread driving that worker's channel. A transport
   /// failure marks the worker unhealthy; a reply for another client or
-  /// round is an error too.
+  /// round is an error too, and so is an upload whose weights are not
+  /// param_count() long or whose moments length differs from the fleet's
+  /// earlier uploads (it would abort aggregation).
   Status TrainClient(int round, int client_id, std::vector<float> weights,
                      FleetMetricsMerger* merger,
                      net::TrainResponseMsg* response);
@@ -136,11 +140,16 @@ class WorkerFleet {
   Status Call(size_t w, const Request& request, Response* response,
               FleetMetricsMerger* merger);
 
+  /// Sized once in Accept and never reallocated: each Link points at its
+  /// WorkerLink's stash.
   std::vector<WorkerLink> links_;
   /// client id -> local worker index; -1 unhosted.
   std::vector<int> owner_;
   int worker_index_base_ = 0;
   int64_t param_count_ = -1;
+  /// Moments length of the first upload that carried a payload; every
+  /// later upload must match. -1 until then (set from dispatch threads).
+  std::atomic<int64_t> moments_size_{-1};
   std::vector<float> init_params_;
 };
 

@@ -39,7 +39,8 @@ int64_t RawCost(size_t n) {
 
 }  // namespace
 
-Link::Link(const Codec* codec, int top_k) : codec_(codec), top_k_(top_k) {
+Link::Link(const Codec* codec, int top_k, const DownloadStash* downloads)
+    : codec_(codec), top_k_(top_k), downloads_(downloads) {
   FEDGTA_CHECK(codec != nullptr) << "Link requires a registered codec";
 }
 
@@ -62,43 +63,40 @@ Status Link::DecodeTensor(serialize::Reader* r, const TensorSpec& spec,
   return OkStatus();
 }
 
-void Link::EncodeDownload(int32_t client_id, std::span<const float> weights,
+void Link::EncodeDownload(int32_t /*client_id*/,
+                          std::span<const float> weights,
                           serialize::Writer* w) {
   if (codec_->id() == CodecId::kDelta) {
-    // Raw dense on purpose: the server-side encode stays stateless under
-    // RpcChannel retries, and both ends stash identical bytes as the
-    // client's exchange base for this round's upload delta.
+    // Raw dense on purpose: both ends then stash identical bytes as the
+    // client's base for the upload delta.
     w->WriteFloatVec(weights);
-    ClientState& c = clients_[client_id];
-    c.download_base.assign(weights.begin(), weights.end());
-    ++c.download_seq;
     return;
   }
   EncodeTensor(weights, TensorSpec{}, w);
 }
 
-Status Link::DecodeDownload(int32_t client_id, serialize::Reader* r,
+Status Link::DecodeDownload(int32_t /*client_id*/, serialize::Reader* r,
                             std::vector<float>* out) {
-  if (codec_->id() == CodecId::kDelta) {
-    FEDGTA_RETURN_IF_ERROR(r->ReadFloatVec(out));
-    ClientState& c = clients_[client_id];
-    c.download_base = *out;
-    ++c.download_seq;
-    return OkStatus();
-  }
+  if (codec_->id() == CodecId::kDelta) return r->ReadFloatVec(out);
   return DecodeTensor(r, TensorSpec{}, out);
+}
+
+void Link::SetUploadBase(int32_t client_id, TensorSpec* spec) const {
+  if (codec_->id() != CodecId::kDelta || downloads_ == nullptr) return;
+  if (const DownloadStash::Entry* e = downloads_->Find(client_id)) {
+    spec->base = e->weights;
+    spec->base_seq = e->seq;
+  }
 }
 
 void Link::EncodeUploadWeights(int32_t client_id,
                                std::span<const float> weights,
                                serialize::Writer* w) {
   TensorSpec spec;
+  SetUploadBase(client_id, &spec);
   if (codec_->id() == CodecId::kDelta) {
-    ClientState& c = clients_[client_id];
-    spec.base = c.download_base;
-    spec.base_seq = c.download_seq;
     spec.top_k = top_k_;
-    spec.residual = &c.upload_residual;
+    spec.residual = &clients_[client_id].upload_residual;
   }
   EncodeTensor(weights, spec, w);
 }
@@ -106,11 +104,7 @@ void Link::EncodeUploadWeights(int32_t client_id,
 Status Link::DecodeUploadWeights(int32_t client_id, serialize::Reader* r,
                                  std::vector<float>* out) {
   TensorSpec spec;
-  if (codec_->id() == CodecId::kDelta) {
-    ClientState& c = clients_[client_id];
-    spec.base = c.download_base;
-    spec.base_seq = c.download_seq;
-  }
+  SetUploadBase(client_id, &spec);
   return DecodeTensor(r, spec, out);
 }
 

@@ -8,6 +8,7 @@
 
 #include "common/serialize.h"
 #include "net/compress/codec.h"
+#include "net/download_stash.h"
 
 namespace fedgta {
 namespace net {
@@ -22,13 +23,13 @@ namespace compress {
 ///
 ///   downloads (TrainRequest/EvalRequest weights, server → worker)
 ///     fp16/int8: quantized, stateless.
-///     delta: shipped raw dense, and BOTH sides stash the payload as the
-///     client's "exchange base". Keeping server-side encodes stateless and
-///     the stash idempotent means an RpcChannel retry cannot desync state.
+///     delta: shipped raw dense. The connection's DownloadStash (which the
+///     caller fills: the server with what it sent, the worker with what it
+///     decoded) is the client's exchange base; the Link only reads it.
 ///   upload weights (TrainResponse weights, worker → server)
-///     delta: top-k sparse against the same-exchange download base, with a
-///     worker-local error-feedback residual carrying unsent movement into
-///     the next round's selection.
+///     delta: top-k sparse against the stashed download, tagged with its
+///     stash seq, with a worker-local error-feedback residual carrying
+///     unsent movement into the next round's selection.
 ///   moments (TrainResponse confidence-weighted moments, worker → server)
 ///     delta: top-k sparse against the last acked reconstruction; the
 ///     worker commits its base at encode time, the server at decode time,
@@ -44,8 +45,10 @@ namespace compress {
 class Link {
  public:
   /// `codec` must be non-null (from FindCodec). `top_k` = elements per
-  /// delta tensor, 0 = auto (n/8 floored at kDeltaAutoFloor).
-  Link(const Codec* codec, int top_k);
+  /// delta tensor, 0 = auto (n/8 floored at kDeltaAutoFloor). `downloads`
+  /// is the connection's stash, read as the delta upload base; it must
+  /// outlive the Link. Null leaves delta uploads without a base (dense).
+  Link(const Codec* codec, int top_k, const DownloadStash* downloads);
 
   /// True when tensor streams are rewritten (codec != raw).
   bool active() const { return codec_->id() != CodecId::kRaw; }
@@ -73,14 +76,13 @@ class Link {
   /// tensor). The frame layer folds this into `net.bytes_raw`.
   int64_t TakeSavedBytes();
 
-  /// Drops all per-client state for `client_id`. After a reset the next
-  /// delta tensor for that client starts a fresh stream (dense fallback).
+  /// Drops the Link's per-client state for `client_id` (moments base and
+  /// upload residual; the download stash is not the Link's). After a reset
+  /// the next moments tensor for that client starts a fresh stream.
   void Reset(int32_t client_id);
 
  private:
   struct ClientState {
-    std::vector<float> download_base;
-    int64_t download_seq = 0;
     std::vector<float> moments_base;
     int64_t moments_seq = 0;
     std::vector<float> upload_residual;
@@ -91,8 +93,12 @@ class Link {
   Status DecodeTensor(serialize::Reader* r, const TensorSpec& spec,
                       std::vector<float>* out);
 
+  /// Fills the delta base of an upload from the stashed download.
+  void SetUploadBase(int32_t client_id, TensorSpec* spec) const;
+
   const Codec* const codec_;
   const int top_k_;
+  const DownloadStash* const downloads_;
   int64_t saved_bytes_ = 0;
   std::unordered_map<int32_t, ClientState> clients_;
 };

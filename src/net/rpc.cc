@@ -30,6 +30,55 @@ void Backoff(int attempt, int base_ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
+/// A tensor field: codec-encoded through `link` when it is active, plain
+/// WriteFloatVec bytes otherwise.
+using LinkEncoder = void (compress::Link::*)(int32_t, std::span<const float>,
+                                             serialize::Writer*);
+using LinkDecoder = Status (compress::Link::*)(int32_t, serialize::Reader*,
+                                               std::vector<float>*);
+
+void WriteTensor(compress::Link* link, LinkEncoder encode, int32_t client_id,
+                 std::span<const float> values, serialize::Writer* w) {
+  if (link != nullptr && link->active()) {
+    (link->*encode)(client_id, values, w);
+  } else {
+    w->WriteFloatVec(values);
+  }
+}
+
+Status ReadTensor(compress::Link* link, LinkDecoder decode, int32_t client_id,
+                  serialize::Reader* r, std::vector<float>* out) {
+  return link != nullptr && link->active()
+             ? (link->*decode)(client_id, r, out)
+             : r->ReadFloatVec(out);
+}
+
+/// The download section of Train/Eval requests: the reuse marker, then
+/// (only without it) the weights.
+void WriteDownload(compress::Link* link, int32_t client_id, bool reuse,
+                   std::span<const float> weights, serialize::Writer* w) {
+  w->WriteBool(reuse);
+  if (!reuse) {
+    WriteTensor(link, &compress::Link::EncodeDownload, client_id, weights, w);
+  }
+}
+
+/// The download section is the last field of its message, so a marker
+/// followed by anything is malformed.
+Status ReadDownload(compress::Link* link, int32_t client_id,
+                    serialize::Reader* r, bool* reuse,
+                    std::vector<float>* weights) {
+  FEDGTA_RETURN_IF_ERROR(r->ReadBool(reuse));
+  if (!*reuse) {
+    return ReadTensor(link, &compress::Link::DecodeDownload, client_id, r,
+                      weights);
+  }
+  weights->clear();
+  return r->AtEnd() ? OkStatus()
+                    : InvalidArgumentError(
+                          "download reuse marker followed by tensor bytes");
+}
+
 }  // namespace
 
 const char* MsgTypeName(MsgType type) {
@@ -119,22 +168,14 @@ void AddRecvSavedBytes(int64_t saved) {
 void HelloMsg::Encode(serialize::Writer* w, compress::Link* /*link*/) const {
   w->WriteU32(protocol_version);
   w->WriteI64(t_send_us);
-  // The dialer does not know the peer's version yet, so it always writes
-  // its newest layout; the receiver's TrailerReader tolerates the short
-  // buffers of older dialers instead.
-  TrailerWriter t(w, kProtocolVersion);
-  t.U32(4, codec_capabilities);
-  t.U32(5, node_role);
+  w->WriteU32(codec_capabilities);
+  w->WriteU32(node_role);
 }
 Status HelloMsg::Decode(serialize::Reader* r, compress::Link* /*link*/) {
   FEDGTA_RETURN_IF_ERROR(r->ReadU32(&protocol_version));
   FEDGTA_RETURN_IF_ERROR(r->ReadI64(&t_send_us));
-  // A v3 hello ends here; no capabilities means raw after negotiation,
-  // and no role means worker.
-  TrailerReader t(r);
-  t.U32(&codec_capabilities, 0);
-  t.U32(&node_role, 0);
-  return t.status();
+  FEDGTA_RETURN_IF_ERROR(r->ReadU32(&codec_capabilities));
+  return r->ReadU32(&node_role);
 }
 
 void WireFedConfig::Encode(serialize::Writer* w) const {
@@ -221,11 +262,8 @@ void AssignConfigMsg::Encode(serialize::Writer* w,
   w->WriteI64(hello_recv_us);
   w->WriteI64(assign_send_us);
   w->WriteI32(worker_index);
-  // The v4 trailer would read as trailing bytes to a v3 peer's strict
-  // AtEnd check, so it only ships when the Hello said v4+.
-  TrailerWriter t(w, peer_version);
-  t.U32(4, codec_id);
-  t.I32(4, compress_topk);
+  w->WriteU32(codec_id);
+  w->WriteI32(compress_topk);
 }
 Status AssignConfigMsg::Decode(serialize::Reader* r,
                                compress::Link* /*link*/) {
@@ -234,10 +272,8 @@ Status AssignConfigMsg::Decode(serialize::Reader* r,
   FEDGTA_RETURN_IF_ERROR(r->ReadI64(&hello_recv_us));
   FEDGTA_RETURN_IF_ERROR(r->ReadI64(&assign_send_us));
   FEDGTA_RETURN_IF_ERROR(r->ReadI32(&worker_index));
-  TrailerReader t(r);
-  t.U32(&codec_id, 0);
-  t.I32(&compress_topk, 0);
-  return t.status();
+  FEDGTA_RETURN_IF_ERROR(r->ReadU32(&codec_id));
+  return r->ReadI32(&compress_topk);
 }
 
 void ConfigAckMsg::Encode(serialize::Writer* w,
@@ -256,19 +292,12 @@ void TrainRequestMsg::Encode(serialize::Writer* w,
                              compress::Link* link) const {
   w->WriteI32(round);
   w->WriteI32(client_id);
-  if (link != nullptr && link->active()) {
-    link->EncodeDownload(client_id, weights, w);
-  } else {
-    w->WriteFloatVec(weights);
-  }
+  WriteDownload(link, client_id, reuse, weights, w);
 }
 Status TrainRequestMsg::Decode(serialize::Reader* r, compress::Link* link) {
   FEDGTA_RETURN_IF_ERROR(r->ReadI32(&round));
   FEDGTA_RETURN_IF_ERROR(r->ReadI32(&client_id));
-  if (link != nullptr && link->active()) {
-    return link->DecodeDownload(client_id, r, &weights);
-  }
-  return r->ReadFloatVec(&weights);
+  return ReadDownload(link, client_id, r, &reuse, &weights);
 }
 
 void TrainResponseMsg::Encode(serialize::Writer* w,
@@ -278,18 +307,10 @@ void TrainResponseMsg::Encode(serialize::Writer* w,
   w->WriteU32(fate);
   w->WriteDouble(loss);
   w->WriteI64(num_samples);
-  const bool compressed = link != nullptr && link->active();
-  if (compressed) {
-    link->EncodeUploadWeights(client_id, weights, w);
-  } else {
-    w->WriteFloatVec(weights);
-  }
+  WriteTensor(link, &compress::Link::EncodeUploadWeights, client_id, weights,
+              w);
   w->WriteDouble(confidence);
-  if (compressed) {
-    link->EncodeMoments(client_id, moments, w);
-  } else {
-    w->WriteFloatVec(moments);
-  }
+  WriteTensor(link, &compress::Link::EncodeMoments, client_id, moments, w);
   w->WriteDouble(seconds);
   EncodeMetricsDelta(metrics, w);
 }
@@ -299,36 +320,22 @@ Status TrainResponseMsg::Decode(serialize::Reader* r, compress::Link* link) {
   FEDGTA_RETURN_IF_ERROR(r->ReadU32(&fate));
   FEDGTA_RETURN_IF_ERROR(r->ReadDouble(&loss));
   FEDGTA_RETURN_IF_ERROR(r->ReadI64(&num_samples));
-  const bool compressed = link != nullptr && link->active();
-  if (compressed) {
-    FEDGTA_RETURN_IF_ERROR(link->DecodeUploadWeights(client_id, r, &weights));
-  } else {
-    FEDGTA_RETURN_IF_ERROR(r->ReadFloatVec(&weights));
-  }
+  FEDGTA_RETURN_IF_ERROR(ReadTensor(link, &compress::Link::DecodeUploadWeights,
+                                    client_id, r, &weights));
   FEDGTA_RETURN_IF_ERROR(r->ReadDouble(&confidence));
-  if (compressed) {
-    FEDGTA_RETURN_IF_ERROR(link->DecodeMoments(client_id, r, &moments));
-  } else {
-    FEDGTA_RETURN_IF_ERROR(r->ReadFloatVec(&moments));
-  }
+  FEDGTA_RETURN_IF_ERROR(ReadTensor(link, &compress::Link::DecodeMoments,
+                                    client_id, r, &moments));
   FEDGTA_RETURN_IF_ERROR(r->ReadDouble(&seconds));
   return DecodeMetricsDelta(r, &metrics);
 }
 
 void EvalRequestMsg::Encode(serialize::Writer* w, compress::Link* link) const {
   w->WriteI32(client_id);
-  if (link != nullptr && link->active()) {
-    link->EncodeDownload(client_id, weights, w);
-  } else {
-    w->WriteFloatVec(weights);
-  }
+  WriteDownload(link, client_id, reuse, weights, w);
 }
 Status EvalRequestMsg::Decode(serialize::Reader* r, compress::Link* link) {
   FEDGTA_RETURN_IF_ERROR(r->ReadI32(&client_id));
-  if (link != nullptr && link->active()) {
-    return link->DecodeDownload(client_id, r, &weights);
-  }
-  return r->ReadFloatVec(&weights);
+  return ReadDownload(link, client_id, r, &reuse, &weights);
 }
 
 void EvalResponseMsg::Encode(serialize::Writer* w,

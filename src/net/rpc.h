@@ -24,10 +24,10 @@ namespace net {
 ///     | <-- AssignConfig{exp, ids} -- |
 ///     | -- ConfigAck{init params} --> |
 ///     |                               |   per round, per hosted client:
-///     | <-- TrainRequest{w, round} -- |
+///     | <-- TrainRequest{w|reuse,r} - |
 ///     | -- TrainResponse{w,H,M,..} -> |
 ///     |                               |   on eval rounds, per client:
-///     | <-- EvalRequest{w} ---------- |
+///     | <-- EvalRequest{w|reuse} ---- |
 ///     | -- EvalResponse{accs} ------> |
 ///     | <-- Shutdown ---------------- |
 ///     | -- ShutdownAck -------------> |
@@ -41,35 +41,21 @@ namespace net {
 /// coordinator maps onto the failure model: an unreachable or timed-out
 /// worker is a dropped participant for the round.
 ///
-/// v2: trace envelope after the type tag; Hello/AssignConfig carry clock
-/// sync timestamps + worker index; Train/Eval responses piggyback a
-/// metrics delta.
+/// Tensor fields are codec-encoded on connections that negotiated a codec
+/// (DESIGN.md §5j), and root ↔ aggregator traffic rides the generic Routed
+/// envelope (§5k); a worker cannot tell whether its server is the root or
+/// a regional aggregator.
 ///
-/// v3: async runtime. WireFedConfig carries the async/staleness knobs so
-/// workers know to ship straggler payloads instead of discarding them, and
-/// TrainResponse echoes the dispatch round — in async mode responses
-/// stream back out of round order, so the server can no longer infer the
-/// round from its own state machine position.
-///
-/// v4: wire compression (DESIGN.md §5j). Hello advertises the worker's
-/// codec capability bits; AssignConfig answers with the negotiated codec
-/// id and top-k so both ends build matching compress::Links, and the
-/// tensor fields of Train/Eval messages are codec-encoded on active links.
-/// A v3 peer advertises nothing, negotiates raw, and sees bit-identical
-/// v3 bytes — the server still accepts kMinProtocolVersion.
-///
-/// v5: hierarchical aggregation (DESIGN.md §5k). Hello gains a `node_role`
-/// trailer so the root can tell aggregators from mis-wired workers, and a
-/// single generic `Routed` envelope carries every root ↔ aggregator
-/// exchange (ShardAssign, SignatureExchange, CandidatePairs,
-/// PartialAggregate, ...) as a kind-tagged nested body instead of growing
-/// one MsgType per feature. The worker ↔ (root|aggregator) protocol is
-/// unchanged — a worker cannot tell whether its server is the root or a
-/// regional aggregator.
+/// The protocol is frozen at v6: every peer ships from this repo, so a
+/// server accepts exactly this version and every message has one fixed
+/// layout. A Train/Eval request whose weights equal the last ones sent for
+/// that client on this connection carries `reuse` and no tensor; the worker
+/// uses its DownloadStash copy instead.
 
-inline constexpr uint32_t kProtocolVersion = 5;
-/// Oldest peer version the server still speaks (v3 = pre-compression).
-inline constexpr uint32_t kMinProtocolVersion = 3;
+inline constexpr uint32_t kProtocolVersion = 6;
+/// Oldest peer version the server speaks; equal to kProtocolVersion since
+/// the v6 freeze.
+inline constexpr uint32_t kMinProtocolVersion = 6;
 
 enum class MsgType : uint32_t {
   kHello = 1,
@@ -87,70 +73,6 @@ enum class MsgType : uint32_t {
 
 const char* MsgTypeName(MsgType type);
 
-/// Version-gated trailer fields, shared by every message that grew after
-/// v1. Historically Hello and AssignConfig each hand-rolled its own
-/// "append when the peer is new enough / read what's left" loop and the
-/// three copies drifted; this pair now owns both directions.
-///
-/// Writing: each field names the protocol version that introduced it and
-/// is appended only when the peer speaks that version or newer. Senders
-/// that always write their newest layout (Hello: the sender does not know
-/// the peer version yet) pass kProtocolVersion as the peer version.
-///
-/// Reading: fields are consumed in declaration order until the buffer
-/// ends; the remaining fields keep their caller-supplied defaults (an
-/// older peer simply stopped writing earlier). Bytes that are present must
-/// still parse — a buffer ending mid-field is an error, surfaced through
-/// status().
-///
-/// The byte layouts are pinned: net_test encodes v3/v4-shaped messages
-/// against hand-written reference byte streams, so a refactor here cannot
-/// silently change what an older peer sees.
-class TrailerWriter {
- public:
-  TrailerWriter(serialize::Writer* w, uint32_t peer_version)
-      : w_(w), peer_version_(peer_version) {}
-  void U32(uint32_t min_version, uint32_t v) {
-    if (peer_version_ >= min_version) w_->WriteU32(v);
-  }
-  void I32(uint32_t min_version, int32_t v) {
-    if (peer_version_ >= min_version) w_->WriteI32(v);
-  }
-  void I64(uint32_t min_version, int64_t v) {
-    if (peer_version_ >= min_version) w_->WriteI64(v);
-  }
-
- private:
-  serialize::Writer* w_;
-  uint32_t peer_version_;
-};
-
-class TrailerReader {
- public:
-  explicit TrailerReader(serialize::Reader* r) : r_(r) {}
-  void U32(uint32_t* out, uint32_t def = 0) {
-    *out = def;
-    if (More()) Take(r_->ReadU32(out));
-  }
-  void I32(int32_t* out, int32_t def = 0) {
-    *out = def;
-    if (More()) Take(r_->ReadI32(out));
-  }
-  void I64(int64_t* out, int64_t def = 0) {
-    *out = def;
-    if (More()) Take(r_->ReadI64(out));
-  }
-  Status status() const { return status_; }
-
- private:
-  bool More() const { return status_.ok() && !r_->AtEnd(); }
-  void Take(Status s) {
-    if (!s.ok()) status_ = std::move(s);
-  }
-  serialize::Reader* r_;
-  Status status_ = OkStatus();
-};
-
 /// Worker -> server, immediately after connecting. `t_send_us` is the
 /// worker's trace clock at send time — the t0 of the NTP-style offset
 /// estimate the worker computes once AssignConfig echoes the server-side
@@ -159,12 +81,10 @@ struct HelloMsg {
   static constexpr MsgType kType = MsgType::kHello;
   uint32_t protocol_version = kProtocolVersion;
   int64_t t_send_us = 0;
-  /// v4: compress::CapabilityBit mask of codecs this worker can decode.
-  /// A v3 hello ends before this field; the decoder leaves it 0, which
-  /// Negotiate maps to raw.
+  /// compress::CapabilityBit mask of codecs this worker can decode; 0
+  /// negotiates raw.
   uint32_t codec_capabilities = 0;
-  /// v5: what kind of process is dialing in (a NodeRole value). Workers
-  /// never set it, so the default keeps every pre-v5 peer a worker.
+  /// What kind of process is dialing in (a NodeRole value).
   uint32_t node_role = 0;
 
   void Encode(serialize::Writer* w, compress::Link* link = nullptr) const;
@@ -250,15 +170,11 @@ struct AssignConfigMsg {
   /// This worker's 0-based index in the fleet (stable process identity for
   /// trace pids and the worker.<id>.* metrics namespace).
   int32_t worker_index = 0;
-  /// v4: the codec the server negotiated for this connection (a
+  /// The codec the server negotiated for this connection (a
   /// compress::CodecId the worker advertised, or raw) and the delta top-k
-  /// knob. Only encoded when `peer_version` >= 4 — a v3 worker must see a
-  /// byte-identical v3 AssignConfig.
+  /// knob.
   uint32_t codec_id = 0;
   int32_t compress_topk = 0;
-  /// Not serialized: the Hello version of the peer this message is being
-  /// encoded for, which gates the v4 trailer.
-  uint32_t peer_version = kProtocolVersion;
 
   void Encode(serialize::Writer* w, compress::Link* link = nullptr) const;
   Status Decode(serialize::Reader* r, compress::Link* link = nullptr);
@@ -278,11 +194,14 @@ struct ConfigAckMsg {
   Status Decode(serialize::Reader* r, compress::Link* link = nullptr);
 };
 
-/// Server -> worker: run one client's local round from `weights`.
+/// Server -> worker: run one client's local round from `weights`. With
+/// `reuse` set no tensor follows: the weights are the worker's stashed copy
+/// of this client's last download (see DownloadStash).
 struct TrainRequestMsg {
   static constexpr MsgType kType = MsgType::kTrainRequest;
   int32_t round = 0;
   int32_t client_id = 0;
+  bool reuse = false;
   std::vector<float> weights;
 
   void Encode(serialize::Writer* w, compress::Link* link = nullptr) const;
@@ -320,10 +239,11 @@ struct TrainResponseMsg {
 };
 
 /// Server -> worker: evaluate `weights` on one client's local test/val
-/// sets.
+/// sets. `reuse` works as in TrainRequestMsg.
 struct EvalRequestMsg {
   static constexpr MsgType kType = MsgType::kEvalRequest;
   int32_t client_id = 0;
+  bool reuse = false;
   std::vector<float> weights;
 
   void Encode(serialize::Writer* w, compress::Link* link = nullptr) const;

@@ -16,6 +16,7 @@
 #include "common/serialize.h"
 #include "net/compress/codec.h"
 #include "net/compress/wire.h"
+#include "net/rpc.h"
 
 namespace fedgta {
 namespace net {
@@ -531,8 +532,10 @@ TEST(LinkTest, TwoRoundExchangeKeepsBasesInLockstep) {
   // train exchanges: download (dense) -> upload weights (delta vs the
   // download) -> moments (delta vs last-acked) — twice.
   const Codec* delta = FindCodec("delta");
-  Link server(delta, 4);
-  Link worker(delta, 4);
+  DownloadStash server_stash;
+  DownloadStash worker_stash;
+  Link server(delta, 4, &server_stash);
+  Link worker(delta, 4, &worker_stash);
   const int32_t client = 3;
 
   std::vector<float> model(32, 1.0f);
@@ -541,6 +544,7 @@ TEST(LinkTest, TwoRoundExchangeKeepsBasesInLockstep) {
     // Download.
     serialize::Writer down;
     server.EncodeDownload(client, model, &down);
+    server_stash.Store(client, model);
     const std::string down_bytes = down.Encode();
     Result<serialize::Reader> down_r =
         serialize::Reader::FromBuffer(down_bytes);
@@ -548,6 +552,7 @@ TEST(LinkTest, TwoRoundExchangeKeepsBasesInLockstep) {
     std::vector<float> worker_model;
     ASSERT_TRUE(worker.DecodeDownload(client, &*down_r, &worker_model).ok());
     EXPECT_EQ(worker_model, model);  // downloads are dense: bit-exact
+    worker_stash.Store(client, worker_model);
 
     // Local training moves a few coordinates; upload the delta.
     worker_model[0] += 0.75f;
@@ -576,8 +581,8 @@ TEST(LinkTest, TwoRoundExchangeKeepsBasesInLockstep) {
 
 TEST(LinkTest, DesyncedMomentsBaseSurfacesAsError) {
   const Codec* delta = FindCodec("delta");
-  Link worker(delta, 2);
-  Link server(delta, 2);
+  Link worker(delta, 2, nullptr);
+  Link server(delta, 2, nullptr);
   const int32_t client = 0;
   const std::vector<float> moments = {1.0f, 2.0f, 3.0f, 4.0f};
 
@@ -616,10 +621,78 @@ TEST(LinkTest, DesyncedMomentsBaseSurfacesAsError) {
   EXPECT_EQ(out, moments);
 }
 
+/// One side of a delta connection: its download stash and the Link that
+/// reads it as the upload base.
+struct DeltaEnd {
+  DownloadStash stash;
+  Link link{FindCodec("delta"), 4, &stash};
+};
+
+/// Ships `weights` as a full TrainRequest download from `server` to
+/// `worker`, each side stashing its copy the way WorkerFleet and the
+/// worker runner do.
+void ResendDownload(int32_t client, const std::vector<float>& weights,
+                    DeltaEnd* server, DeltaEnd* worker) {
+  TrainRequestMsg req;
+  req.client_id = client;
+  req.weights = weights;
+  server->stash.Store(client, weights);
+  serialize::Writer w;
+  req.Encode(&w, &server->link);
+  const std::string bytes = w.Encode();
+  Result<serialize::Reader> r = serialize::Reader::FromBuffer(bytes);
+  ASSERT_TRUE(r.ok());
+  TrainRequestMsg got;
+  ASSERT_TRUE(got.Decode(&*r, &worker->link).ok());
+  ASSERT_FALSE(got.reuse);
+  worker->stash.Store(client, std::move(got.weights));
+}
+
+TEST(LinkTest, UploadAgainstAReusedStashMatchesOneAfterAResend) {
+  // The eval download of round t is the train download of round t+1. Once
+  // the worker holds it, pointing at the stash instead of sending it again
+  // must leave the upload delta byte-identical, and neither path may move
+  // the stash seq that the delta blob is tagged with.
+  const int32_t client = 5;
+  std::vector<float> round1(64), eval1(64);
+  for (size_t i = 0; i < round1.size(); ++i) {
+    round1[i] = 0.01f * static_cast<float>(i);
+    eval1[i] = round1[i] + (i % 5 == 0 ? 0.5f : 0.0f);
+  }
+  std::string uploads[2];
+  for (int resend = 0; resend < 2; ++resend) {
+    DeltaEnd server, worker;
+    ResendDownload(client, round1, &server, &worker);  // round 1 train
+    ResendDownload(client, eval1, &server, &worker);   // round 1 eval
+    ASSERT_EQ(server.stash.Find(client)->seq, 2);
+    ASSERT_EQ(worker.stash.Find(client)->seq, 2);
+    // Round 2 train: the server holds exactly these weights, so WorkerFleet
+    // would send only the marker; the alternative sends them again.
+    ASSERT_TRUE(server.stash.Holds(client, eval1));
+    if (resend == 1) ResendDownload(client, eval1, &server, &worker);
+    EXPECT_EQ(server.stash.Find(client)->seq, 2);
+    EXPECT_EQ(worker.stash.Find(client)->seq, 2);
+
+    std::vector<float> trained = worker.stash.Find(client)->weights;
+    trained[3] += 1.0f;
+    trained[40] -= 0.25f;
+    serialize::Writer up;
+    worker.link.EncodeUploadWeights(client, trained, &up);
+    uploads[resend] = up.Encode();
+    Result<serialize::Reader> r = serialize::Reader::FromBuffer(uploads[resend]);
+    ASSERT_TRUE(r.ok());
+    std::vector<float> got;
+    ASSERT_TRUE(server.link.DecodeUploadWeights(client, &*r, &got).ok());
+    EXPECT_EQ(got[3], trained[3]);
+    EXPECT_EQ(got[40], trained[40]);
+  }
+  EXPECT_EQ(uploads[0], uploads[1]);
+}
+
 TEST(LinkTest, RawLinkIsInactive) {
-  Link raw(FindCodec("raw"), 0);
+  Link raw(FindCodec("raw"), 0, nullptr);
   EXPECT_FALSE(raw.active());
-  Link delta(FindCodec("delta"), 16);
+  Link delta(FindCodec("delta"), 16, nullptr);
   EXPECT_TRUE(delta.active());
   EXPECT_EQ(delta.top_k(), 16);
   EXPECT_STREQ(delta.codec_name(), "delta");

@@ -25,6 +25,7 @@
 #include "fed/role.h"
 #include "fed/simulation.h"
 #include "net/socket.h"
+#include "obs/metrics.h"
 
 namespace fedgta {
 namespace {
@@ -239,6 +240,14 @@ TEST(HierarchyTest, FedGtaOverTwoAggregatorsIsBitIdenticalToSimulation) {
   // root and mid-tier status endpoints live.
   RemoteFedConfig config = BaseConfig();
   config.status_port = 0;
+  // Aggregator-sent bytes, rolled up into the root's registry.
+  auto fleet_bytes = [](const char* msg) {
+    const Counter* c = GlobalMetrics().FindCounter(
+        std::string("fleet.net.bytes_sent.") + msg);
+    return c != nullptr ? c->value() : 0;
+  };
+  const int64_t train0 = fleet_bytes("TrainRequest");
+  const int64_t eval0 = fleet_bytes("EvalRequest");
   const HierarchicalOutcome out =
       RunHierarchical(config, /*agg_status_ports=*/true);
   ASSERT_TRUE(out.result.ok()) << out.result.status();
@@ -246,6 +255,11 @@ TEST(HierarchyTest, FedGtaOverTwoAggregatorsIsBitIdenticalToSimulation) {
   const SimulationResult local = RunInProcess(config);
   ExpectBitIdentical(*out.result, local);
   EXPECT_GT(local.final_test_accuracy, 0.2);
+  // Eval runs every round, so on the aggregator -> worker leg only round
+  // 1's train requests carry weights; later ones reuse the eval download.
+  const int64_t eval_bytes = fleet_bytes("EvalRequest") - eval0;
+  EXPECT_GT(eval_bytes, 0);
+  EXPECT_LT(fleet_bytes("TrainRequest") - train0, eval_bytes / 2);
 
   // Mid-tier visibility (satellite): the root's status table names every
   // aggregator with its shard bounds, and the live probe notices that the

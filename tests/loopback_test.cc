@@ -10,17 +10,25 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "fed/failure.h"
+#include "fed/remote_client_runner.h"
 #include "fed/remote_coordinator.h"
+#include "fed/run_result.h"
+#include "fed/worker_fleet.h"
 #include "fed/simulation.h"
+#include "net/frame.h"
+#include "net/rpc.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
@@ -530,6 +538,286 @@ TEST(LoopbackTest, KilledWorkerDegradesToDroppedClients) {
   // The transport failures are visible in the metrics registry.
   EXPECT_EQ(dropped.value() - dropped0, 10);
   EXPECT_GE(retries.value() - retries0, 1);
+}
+
+
+/// One cell of the download-reuse matrix: whichever way the coordinator
+/// samples, barriers and evaluates, pointing at a stashed download instead
+/// of resending it must not change a single result bit.
+struct ReuseCase {
+  const char* codec;  // server --compress: "off" or "raw"
+  bool async;         // async runtime at tau = 2
+  int eval_every;
+  double participation;
+};
+
+std::string ReuseCaseName(const ReuseCase& c) {
+  return std::string(c.codec) + (c.async ? "_async" : "_sync") + "_eval" +
+         std::to_string(c.eval_every) +
+         (c.participation < 1.0 ? "_half" : "_full");
+}
+
+// gtest prints a parameter into the listed test name; without this it
+// dumps the raw bytes, pointer and padding included, which vary per build.
+void PrintTo(const ReuseCase& c, std::ostream* os) { *os << ReuseCaseName(c); }
+
+class DownloadReuseTest : public testing::TestWithParam<ReuseCase> {};
+
+TEST_P(DownloadReuseTest, MatchesSimulation) {
+  const ReuseCase& c = GetParam();
+  RemoteFedConfig config = BaseConfig();
+  config.seed = 23;
+  config.num_workers = 3;
+  config.sim.rounds = 4;
+  config.compress = c.codec;
+  config.sim.async = c.async;
+  config.sim.staleness_tau = c.async ? 2 : 0;
+  config.sim.eval_every = c.eval_every;
+  config.sim.participation = c.participation;
+  const int64_t train0 = CounterValue("net.bytes_sent.TrainRequest");
+  const int64_t eval0 = CounterValue("net.bytes_sent.EvalRequest");
+
+  std::vector<int> exit_codes;
+  Result<SimulationResult> remote =
+      RunRemote(config, /*max_train_requests=*/0, &exit_codes);
+  ASSERT_TRUE(remote.ok()) << remote.status();
+  // A worker that could not resolve a reuse marker complains and exits
+  // non-zero; every one must have reached the Shutdown goodbye.
+  for (int code : exit_codes) EXPECT_EQ(code, 0);
+  EXPECT_EQ(remote->total_dropped_clients, 0);
+
+  if (c.async && c.eval_every > 1) {
+    // Rounds without an eval barrier drain whatever updates have arrived
+    // by then, so these runs depend on timing and have no bit-exact
+    // oracle; completing with every exchange intact is the check.
+    EXPECT_GT(remote->total_admitted_updates, 0);
+    return;
+  }
+  const SimulationResult local = RunInProcess(config);
+  std::string diff;
+  EXPECT_TRUE(fed::DeterministicEquals(*remote, local, &diff)) << diff;
+
+  if (c.eval_every == 1 && c.participation == 1.0) {
+    // Every client is evaluated on every round, and its round-t eval
+    // download is its round-t+1 train download, so only round 1's train
+    // requests carry weights. Each eval request is one full download; a
+    // train request is the same plus its 4-byte round field.
+    const int64_t n = config.split.num_clients;
+    const int64_t later_rounds = config.sim.rounds - 1;
+    const int64_t eval_bytes = CounterValue("net.bytes_sent.EvalRequest") - eval0;
+    const int64_t full = eval_bytes / (config.sim.rounds * n);
+    const int64_t later =
+        CounterValue("net.bytes_sent.TrainRequest") - train0 - n * (full + 4);
+    EXPECT_LT(later, later_rounds * n * full);
+    // In fact each is a bare reuse marker (72 bytes framed).
+    EXPECT_LE(later, later_rounds * n * 128);
+  }
+}
+
+std::vector<ReuseCase> ReuseCases() {
+  std::vector<ReuseCase> cases;
+  for (const char* codec : {"off", "raw"}) {
+    for (bool async : {false, true}) {
+      for (int eval_every : {1, 2}) {
+        for (double participation : {1.0, 0.5}) {
+          cases.push_back({codec, async, eval_every, participation});
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Matrix, DownloadReuseTest,
+                         testing::ValuesIn(ReuseCases()),
+                         [](const testing::TestParamInfo<ReuseCase>& info) {
+                           return ReuseCaseName(info.param);
+                         });
+
+/// Drives one in-process RemoteClientRunner from a hand-written server:
+/// accepts it, completes the handshake for the first two clients of
+/// BaseConfig, then hands the socket to `send` for arbitrary requests.
+/// Returns the runner's Status; `complaint` receives the error text the
+/// worker sent back.
+Status ExchangeWithRunner(const std::function<void(net::Socket&)>& send,
+                   std::string* complaint) {
+  Result<net::ServerSocket> server = net::ServerSocket::Listen(0);
+  FEDGTA_RETURN_IF_ERROR(server.status());
+  RemoteRunnerOptions options;
+  options.port = server->port();
+  options.rpc.deadline_ms = 60000;
+  RemoteClientRunner runner(options);
+  Status result;
+  std::thread worker([&] { result = runner.Run(); });
+
+  Result<net::Socket> sock = server->Accept(60000);
+  EXPECT_TRUE(sock.ok()) << sock.status();
+  net::HelloMsg hello;
+  EXPECT_TRUE(net::ExpectMessage(*sock, &hello).ok());
+  net::AssignConfigMsg assign;
+  assign.config = ToWireConfig(BaseConfig());
+  assign.client_ids = {0, 1};
+  EXPECT_TRUE(net::SendMessage(*sock, assign).ok());
+  net::ConfigAckMsg ack;
+  EXPECT_TRUE(net::ExpectMessage(*sock, &ack).ok());
+  EXPECT_GT(ack.param_count, 0);
+
+  send(*sock);
+  net::EvalResponseMsg never;
+  const Status reply = net::ExpectMessage(*sock, &never);
+  EXPECT_EQ(reply.code(), StatusCode::kFailedPrecondition) << reply;
+  *complaint = std::string(reply.message());
+  worker.join();
+  return result;
+}
+
+TEST(WorkerProtocolTest, WorkerRefusesDownloadsItCannotUse) {
+  struct Case {
+    const char* name;
+    std::function<void(net::Socket&)> send;
+    const char* complaint;
+  };
+  const std::vector<Case> cases = {
+      {"short download",
+       [](net::Socket& s) {
+         net::TrainRequestMsg req;
+         req.round = 1;
+         req.weights = {1.0f, 2.0f, 3.0f};
+         ASSERT_TRUE(net::SendMessage(s, req).ok());
+       },
+       "carries 3 weights"},
+      {"reuse before any download",
+       [](net::Socket& s) {
+         net::EvalRequestMsg req;
+         req.client_id = 1;
+         req.reuse = true;
+         ASSERT_TRUE(net::SendMessage(s, req).ok());
+       },
+       "reuses a download never sent"},
+      {"reuse for an unhosted client",
+       [](net::Socket& s) {
+         net::TrainRequestMsg req;
+         req.client_id = 7;
+         req.reuse = true;
+         ASSERT_TRUE(net::SendMessage(s, req).ok());
+       },
+       "client 7: not hosted here"},
+      {"reuse marker with tensor bytes",
+       [](net::Socket& s) {
+         serialize::Writer w;
+         w.WriteU32(static_cast<uint32_t>(net::MsgType::kTrainRequest));
+         w.WriteU64(0);  // trace envelope
+         w.WriteU64(0);
+         w.WriteI32(0);
+         w.WriteI32(1);  // round
+         w.WriteI32(0);  // client id
+         w.WriteBool(true);
+         w.WriteFloatVec(std::vector<float>{1.0f});
+         ASSERT_TRUE(net::SendFrame(s, w).ok());
+       },
+       "reuse marker followed by tensor bytes"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::string complaint;
+    const Status st = ExchangeWithRunner(c.send, &complaint);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st;
+    EXPECT_NE(complaint.find(c.complaint), std::string::npos) << complaint;
+  }
+}
+
+/// A hand-written worker for one WorkerFleet: says Hello at `version`,
+/// reports a 4-parameter model for clients {0, 1}, then answers each
+/// TrainRequest with the next of `uploads` (weights and moments lengths).
+void FakeWorker(int port, uint32_t version,
+                const std::vector<std::pair<int, int>>& uploads,
+                Status* assign_status) {
+  Result<net::Socket> sock = net::Connect("127.0.0.1", port, 10000);
+  ASSERT_TRUE(sock.ok()) << sock.status();
+  net::HelloMsg hello;
+  hello.protocol_version = version;
+  ASSERT_TRUE(net::SendMessage(*sock, hello).ok());
+  net::AssignConfigMsg assign;
+  *assign_status = net::ExpectMessage(*sock, &assign);
+  if (!assign_status->ok()) return;
+  net::ConfigAckMsg ack;
+  ack.param_count = 4;
+  ack.init_params.assign(4, 0.5f);
+  ASSERT_TRUE(net::SendMessage(*sock, ack).ok());
+  for (const auto& [weights, moments] : uploads) {
+    net::TrainRequestMsg req;
+    ASSERT_TRUE(net::ExpectMessage(*sock, &req).ok());
+    net::TrainResponseMsg resp;
+    resp.client_id = req.client_id;
+    resp.round = req.round;
+    resp.weights.assign(static_cast<size_t>(weights), 1.0f);
+    resp.moments.assign(static_cast<size_t>(moments), 0.25f);
+    ASSERT_TRUE(net::SendMessage(*sock, resp).ok());
+  }
+  net::ShutdownMsg bye;
+  if (net::ExpectMessage(*sock, &bye).ok()) {
+    (void)net::SendMessage(*sock, net::ShutdownAckMsg());
+  }
+}
+
+WorkerFleetOptions FakeFleetOptions() {
+  WorkerFleetOptions options;
+  options.rpc.deadline_ms = 10000;
+  options.rpc.max_attempts = 1;
+  options.accept_timeout_ms = 10000;
+  return options;
+}
+
+TEST(WorkerProtocolTest, MisSizedUploadIsAnRpcErrorNotAnAbort) {
+  Result<net::ServerSocket> server = net::ServerSocket::Listen(0);
+  ASSERT_TRUE(server.ok()) << server.status();
+  Status assign_status;
+  // Uploads: short weights; a good one fixing the moments length at 2; a
+  // good one; then one whose moments disagree.
+  std::thread worker(FakeWorker, server->port(), net::kProtocolVersion,
+                     std::vector<std::pair<int, int>>{{3, 2}, {4, 2}, {4, 2},
+                                                      {4, 3}},
+                     &assign_status);
+  WorkerFleet fleet;
+  const std::vector<std::vector<int>> ownership = {{0, 1}};
+  ASSERT_TRUE(fleet.Accept(*server, 2, ownership, FakeFleetOptions()).ok());
+  FleetMetricsMerger merger(&GlobalMetrics());
+  const std::vector<float> model(4, 0.5f);
+  std::vector<Status> got;
+  for (int round = 1; round <= 4; ++round) {
+    net::TrainResponseMsg resp;
+    got.push_back(fleet.TrainClient(round, round % 2, model, &merger, &resp));
+  }
+  fleet.Shutdown();
+  worker.join();
+  EXPECT_TRUE(assign_status.ok()) << assign_status;
+  EXPECT_EQ(got[0].code(), StatusCode::kInvalidArgument) << got[0];
+  EXPECT_NE(got[0].ToString().find("upload of 3 weights"), std::string::npos);
+  EXPECT_TRUE(got[1].ok()) << got[1];
+  EXPECT_TRUE(got[2].ok()) << got[2];
+  EXPECT_EQ(got[3].code(), StatusCode::kInvalidArgument) << got[3];
+  EXPECT_NE(got[3].ToString().find("3 moments"), std::string::npos);
+}
+
+TEST(WorkerProtocolTest, V5HelloIsRefusedWithTheVersionError) {
+  Result<net::ServerSocket> server = net::ServerSocket::Listen(0);
+  ASSERT_TRUE(server.ok()) << server.status();
+  Status assign_status;
+  std::thread worker(FakeWorker, server->port(), 5u,
+                     std::vector<std::pair<int, int>>{}, &assign_status);
+  WorkerFleet fleet;
+  const std::vector<std::vector<int>> ownership = {{0, 1}};
+  const Status accepted =
+      fleet.Accept(*server, 2, ownership, FakeFleetOptions());
+  worker.join();
+  EXPECT_EQ(accepted.code(), StatusCode::kFailedPrecondition) << accepted;
+  EXPECT_NE(accepted.ToString().find("worker speaks 5"), std::string::npos)
+      << accepted;
+  // The worker hears the same complaint instead of an AssignConfig.
+  EXPECT_EQ(assign_status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(assign_status.ToString().find("worker speaks 5"),
+            std::string::npos)
+      << assign_status;
 }
 
 }  // namespace

@@ -539,31 +539,11 @@ TEST(RpcTest, HelloCodecCapabilitiesRoundTrip) {
   EXPECT_EQ(got.codec_capabilities, compress::AllCapabilities());
 }
 
-TEST(RpcTest, V3ShapedHelloDecodesToZeroCapabilities) {
-  // A v3 hello body stops after the clock stamp — no capabilities word.
-  serialize::Writer w;
-  w.WriteU32(3u);       // protocol_version
-  w.WriteI64(123456);   // t_send_us
-  const std::string encoded = w.Encode();
-  Result<serialize::Reader> reader = serialize::Reader::FromBuffer(encoded);
-  ASSERT_TRUE(reader.ok()) << reader.status();
-  HelloMsg hello;
-  ASSERT_TRUE(hello.Decode(&*reader).ok());
-  EXPECT_EQ(hello.protocol_version, 3u);
-  EXPECT_EQ(hello.t_send_us, 123456);
-  // No capabilities advertised means every negotiation lands on raw.
-  EXPECT_EQ(hello.codec_capabilities, 0u);
-  EXPECT_EQ(compress::Negotiate(compress::CodecId::kDelta,
-                                hello.codec_capabilities),
-            compress::CodecId::kRaw);
-}
-
-TEST(RpcTest, AssignConfigV4TrailerRoundTrips) {
+TEST(RpcTest, AssignConfigCodecFieldsRoundTrip) {
   AssignConfigMsg in;
   in.worker_index = 1;
   in.codec_id = static_cast<uint32_t>(compress::CodecId::kDelta);
   in.compress_topk = 64;
-  in.peer_version = 4;
   serialize::Writer w;
   in.Encode(&w);
   const std::string encoded = w.Encode();
@@ -576,34 +556,16 @@ TEST(RpcTest, AssignConfigV4TrailerRoundTrips) {
   EXPECT_EQ(out.compress_topk, 64);
 }
 
-TEST(RpcTest, V3PeerGetsNoAssignConfigTrailer) {
-  // Encoding for a v3 peer must stop exactly where the v3 decoder stops:
-  // its strict AtEnd check rejects any trailing bytes.
-  AssignConfigMsg in;
-  in.codec_id = static_cast<uint32_t>(compress::CodecId::kFp16);
-  in.compress_topk = 8;
-  in.peer_version = 3;
-  serialize::Writer w;
-  in.Encode(&w);
-  const std::string encoded = w.Encode();
-  Result<serialize::Reader> reader = serialize::Reader::FromBuffer(encoded);
-  ASSERT_TRUE(reader.ok()) << reader.status();
-  AssignConfigMsg out;
-  ASSERT_TRUE(out.Decode(&*reader).ok());
-  EXPECT_TRUE(reader->AtEnd());
-  // The v4-only fields decode to their raw defaults.
-  EXPECT_EQ(out.codec_id, 0u);
-  EXPECT_EQ(out.compress_topk, 0);
-}
-
 TEST(RpcTest, CompressedLinkRoundTripsTrainTensors) {
   // End-to-end over a socket pair: server-side link encodes the download,
   // worker-side link decodes it, and the worker's upload (top-k delta
   // against that download) reconstructs exactly at the shipped indices.
   const compress::Codec* delta = compress::FindCodec("delta");
   ASSERT_NE(delta, nullptr);
-  compress::Link server_link(delta, 0);
-  compress::Link worker_link(delta, 0);
+  DownloadStash server_stash;
+  DownloadStash worker_stash;
+  compress::Link server_link(delta, 0, &server_stash);
+  compress::Link worker_link(delta, 0, &worker_stash);
   Loop loop = MakeLoop();
 
   std::vector<float> download(256);
@@ -615,6 +577,7 @@ TEST(RpcTest, CompressedLinkRoundTripsTrainTensors) {
     req.client_id = 7;
     req.round = 1;
     req.weights = download;
+    server_stash.Store(req.client_id, download);
     ASSERT_TRUE(SendMessage(loop.peer, req, &server_link).ok());
     TrainResponseMsg resp;
     ASSERT_TRUE(ExpectMessage(loop.peer, &resp, &server_link).ok());
@@ -629,6 +592,7 @@ TEST(RpcTest, CompressedLinkRoundTripsTrainTensors) {
   ASSERT_TRUE(ExpectMessage(loop.client, &req, &worker_link).ok());
   ASSERT_EQ(req.weights.size(), download.size());
   EXPECT_EQ(req.weights, download);  // downloads ship dense: bit-exact
+  worker_stash.Store(req.client_id, req.weights);
   TrainResponseMsg resp;
   resp.client_id = 7;
   resp.round = 1;
@@ -638,59 +602,90 @@ TEST(RpcTest, CompressedLinkRoundTripsTrainTensors) {
   server.join();
 }
 
-TEST(RpcTest, HelloEncodesByteIdenticalToVersionReferences) {
-  // Downgrade proof for the shared TrailerWriter: the Hello body must be
-  // byte-identical to the hand-written layout of each protocol version.
-  // v3 stops after the clock stamp, v4 appends the capabilities word, v5
-  // appends the role word. The dialer always writes its newest layout, so
-  // the full encode must equal the v5 reference exactly.
+TEST(RpcTest, V6MessageLayoutsArePinned) {
+  // The frozen v6 layouts, field by field: every field is fixed (no
+  // version-gated trailers), and a download section is a bool reuse marker
+  // followed by the weights only when the marker is clear.
+  auto bytes = [](const auto& msg) {
+    serialize::Writer w;
+    msg.Encode(&w);
+    return w.Encode();
+  };
   HelloMsg hello;
   hello.t_send_us = 777;
   hello.codec_capabilities = 0x0Fu;
   hello.node_role = static_cast<uint32_t>(NodeRole::kAggregator);
-  serialize::Writer w;
-  hello.Encode(&w);
+  serialize::Writer hello_ref;
+  hello_ref.WriteU32(6u);
+  hello_ref.WriteI64(777);
+  hello_ref.WriteU32(0x0Fu);
+  hello_ref.WriteU32(1u);  // NodeRole::kAggregator
+  EXPECT_EQ(bytes(hello), hello_ref.Encode());
 
-  serialize::Writer v5;
-  v5.WriteU32(kProtocolVersion);
-  v5.WriteI64(777);
-  v5.WriteU32(0x0Fu);  // v4 trailer field
-  v5.WriteU32(1u);     // v5 trailer field: NodeRole::kAggregator
-  EXPECT_EQ(w.Encode(), v5.Encode());
+  AssignConfigMsg assign;
+  assign.client_ids = {2, 5};
+  assign.hello_recv_us = 11;
+  assign.assign_send_us = 12;
+  assign.worker_index = 3;
+  assign.codec_id = static_cast<uint32_t>(compress::CodecId::kInt8);
+  assign.compress_topk = 16;
+  serialize::Writer assign_ref;
+  assign.config.Encode(&assign_ref);
+  assign_ref.WriteI32Vec(assign.client_ids);
+  assign_ref.WriteI64(11);
+  assign_ref.WriteI64(12);
+  assign_ref.WriteI32(3);
+  assign_ref.WriteU32(2u);  // CodecId::kInt8
+  assign_ref.WriteI32(16);
+  EXPECT_EQ(bytes(assign), assign_ref.Encode());
+
+  TrainRequestMsg train;
+  train.round = 4;
+  train.client_id = 9;
+  train.weights = {1.5f, -2.0f};
+  serialize::Writer train_ref;
+  train_ref.WriteI32(4);
+  train_ref.WriteI32(9);
+  train_ref.WriteBool(false);
+  train_ref.WriteFloatVec(train.weights);
+  EXPECT_EQ(bytes(train), train_ref.Encode());
+
+  train.reuse = true;  // the weights are not sent, whatever they hold
+  serialize::Writer reuse_ref;
+  reuse_ref.WriteI32(4);
+  reuse_ref.WriteI32(9);
+  reuse_ref.WriteBool(true);
+  EXPECT_EQ(bytes(train), reuse_ref.Encode());
+
+  EvalRequestMsg eval;
+  eval.client_id = 9;
+  eval.reuse = true;
+  serialize::Writer eval_ref;
+  eval_ref.WriteI32(9);
+  eval_ref.WriteBool(true);
+  EXPECT_EQ(bytes(eval), eval_ref.Encode());
 }
 
-TEST(RpcTest, V4ShapedHelloDecodesRoleToWorker) {
-  // A v4 hello ends after the capabilities word; the missing v5 role
-  // field must default to worker so pre-v5 fleets keep their meaning.
+TEST(RpcTest, ReuseMarkerDecodesWithoutWeightsAndRejectsTrailingTensor) {
   serialize::Writer w;
-  w.WriteU32(4u);
-  w.WriteI64(42);
-  w.WriteU32(compress::AllCapabilities());
-  const std::string encoded = w.Encode();
+  w.WriteI32(9);
+  w.WriteBool(true);
+  std::string encoded = w.Encode();
   Result<serialize::Reader> reader = serialize::Reader::FromBuffer(encoded);
   ASSERT_TRUE(reader.ok()) << reader.status();
-  HelloMsg hello;
-  ASSERT_TRUE(hello.Decode(&*reader).ok());
-  EXPECT_TRUE(reader->AtEnd());
-  EXPECT_EQ(hello.codec_capabilities, compress::AllCapabilities());
-  EXPECT_EQ(hello.node_role, static_cast<uint32_t>(NodeRole::kWorker));
-}
+  EvalRequestMsg eval;
+  eval.weights = {3.0f};  // a decoded marker leaves no stale weights
+  ASSERT_TRUE(eval.Decode(&*reader).ok());
+  EXPECT_TRUE(eval.reuse);
+  EXPECT_TRUE(eval.weights.empty());
 
-TEST(RpcTest, AssignConfigV5BytesMatchV4) {
-  // v5 added no AssignConfig fields, so encoding for a v5 peer must be
-  // byte-identical to the v4 layout — the trailer only grows when a
-  // version actually appends something.
-  AssignConfigMsg in;
-  in.worker_index = 3;
-  in.codec_id = static_cast<uint32_t>(compress::CodecId::kInt8);
-  in.compress_topk = 16;
-  serialize::Writer w4;
-  in.peer_version = 4;
-  in.Encode(&w4);
-  serialize::Writer w5;
-  in.peer_version = 5;
-  in.Encode(&w5);
-  EXPECT_EQ(w4.Encode(), w5.Encode());
+  // A marker that still drags a tensor behind it is malformed.
+  w.WriteFloatVec(std::vector<float>{1.0f, 2.0f});
+  encoded = w.Encode();
+  reader = serialize::Reader::FromBuffer(encoded);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  const Status st = eval.Decode(&*reader);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st;
 }
 
 TEST(RpcTest, RoutedMsgRoundTripsOverSocket) {
