@@ -140,12 +140,9 @@ const FlagDef kFlags[] = {
        c.halt_after_round = ToInt(v);
      }},
     // Wire compression.
-    {"compress", kRun | kSrv | kWrk,
-     [](ExperimentCli& c, const std::string& v) {
-       c.compress = v;
-       c.compress_given = true;
-     }},
-    {"compress_topk", kRun | kSrv | kWrk,
+    {"compress", kSrv,
+     [](ExperimentCli& c, const std::string& v) { c.compress = v; }},
+    {"compress_topk", kSrv,
      [](ExperimentCli& c, const std::string& v) {
        c.compress_topk = ToInt(v);
        c.compress_topk_given = true;
@@ -241,15 +238,13 @@ std::string AsyncHelpLines() {
 }
 
 std::string CompressHelpLines() {
-  return "  --compress=MODE       wire codec for train/eval tensor traffic:\n"
-         "                        off | raw | fp16 | int8 | delta (default "
-         "off).\n"
-         "                        fp16/int8 quantize per tensor; delta ships\n"
-         "                        top-k sparsified updates against the last\n"
-         "                        exchanged model (DESIGN.md §5j). Workers "
-         "that\n"
-         "                        don't advertise the codec fall back to "
-         "raw\n"
+  return "  --compress=MODE       wire codec for train/eval tensor traffic,\n"
+         "                        assigned to every worker: raw | int8 | "
+         "delta\n"
+         "                        (default raw). int8 quantizes per tensor;\n"
+         "                        delta ships top-k sparsified uploads "
+         "against\n"
+         "                        the last exchanged model (DESIGN.md §5j)\n"
          "  --compress_topk=N     elements kept per delta-sparsified tensor\n"
          "                        (requires --compress=delta; default: "
          "n/8,\n"
@@ -282,16 +277,14 @@ Status Validate(Role role, ExperimentCli* cli) {
     return Invalid("unknown backend: " + cli->backend +
                    " (have: " + JoinBackends() + ")");
   }
-  // Compression flags apply (and validate) in every role: the server
-  // requests the codec, the worker restricts its advertisement, and
-  // run_experiment keeps flag parity for scripted A/B comparisons.
-  if (cli->compress != "off" &&
-      net::compress::FindCodec(cli->compress) == nullptr) {
+  // Only the server takes the compression flags; other roles keep the
+  // defaults, which pass.
+  if (net::compress::FindCodec(cli->compress) == nullptr) {
     std::string names;
     for (const std::string& name : net::compress::ListCodecNames()) {
       names += " " + name;
     }
-    return Invalid("--compress must be off or one of:" + names +
+    return Invalid("--compress must be one of:" + names +
                    " (got: " + cli->compress + ")");
   }
   if (cli->compress_topk_given) {
@@ -498,9 +491,6 @@ RemoteRunnerOptions ExperimentCli::ToRunnerOptions() const {
   options.rpc.max_attempts = connect_attempts;
   options.idle_timeout_ms = idle_timeout_ms;
   options.max_train_requests = max_train_requests;
-  // The absent flag advertises every codec (the server picks); an explicit
-  // --compress restricts the advertisement (or, with "off", disables it).
-  options.compress = compress_given ? compress : "";
   return options;
 }
 
@@ -596,13 +586,7 @@ std::string HelpText(Role role) {
           "  --fail_seed=N         failure-injection seed, independent of "
           "--seed\n"
           "                        (default 0xFA11)\n" +
-          AsyncHelpLines() +
-          "  --compress=MODE       accepted for flag parity with "
-          "fedgta_server\n"
-          "                        (validated, but the in-process run has "
-          "no\n"
-          "                        wire to compress)\n"
-          "  --compress_topk=N     ditto (requires --compress=delta)\n";
+          AsyncHelpLines();
       break;
     }
     case Role::kServer: {
@@ -677,6 +661,8 @@ std::string HelpText(Role role) {
     case Role::kWorker: {
       text =
           "fedgta_worker — distributed FedGTA worker process\n\n"
+          "The server assigns the wire codec and its top-k (fedgta_server\n"
+          "--compress/--compress_topk).\n\n"
           "  --host=ADDR           server address (default 127.0.0.1)\n"
           "  --port=N              server port (default 5714)\n"
           "  --deadline_ms=N       handshake receive deadline (default "
@@ -690,16 +676,6 @@ std::string HelpText(Role role) {
           "                        a killed process (fault-injection "
           "testing;\n"
           "                        0 = disabled)\n"
-          "  --compress=MODE       restrict the codecs advertised to the\n"
-          "                        server: off advertises none (forces "
-          "raw),\n"
-          "                        a codec name advertises just that one.\n"
-          "                        Default: advertise everything — the "
-          "server's\n"
-          "                        --compress choice decides\n"
-          "  --compress_topk=N     accepted for flag parity; the server's\n"
-          "                        assigned top-k is binding (requires\n"
-          "                        --compress=delta)\n"
           "  --trace_out=PATH      write this worker's Chrome trace; its "
           "spans\n"
           "                        carry the server's trace ids and clock "

@@ -88,13 +88,9 @@ struct ExperimentCli {
   bool resume = false;
   int halt_after_round = 0;
 
-  // Wire compression (all roles; DESIGN.md §5j). The server requests the
-  // codec for every worker connection; the worker restricts what it
-  // advertises (default: everything); run_experiment accepts the flags for
-  // CLI parity but the in-process run has no wire, so they validate as a
-  // no-op.
-  std::string compress = "off";
-  bool compress_given = false;
+  // Wire compression (server; DESIGN.md §5j): the codec assigned to every
+  // worker connection.
+  std::string compress = "raw";
   /// Elements kept per delta-sparsified tensor; 0 = auto (n/8, floored
   /// so small tensors ship whole). Requires --compress=delta.
   int compress_topk = 0;

@@ -12,6 +12,7 @@
 #include "common/timer.h"
 #include "core/similarity.h"
 #include "fed/failure.h"
+#include "net/compress/codec.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
@@ -118,6 +119,11 @@ Status ShardAssignBody::Decode(serialize::Reader* r) {
   FEDGTA_RETURN_IF_ERROR(r->ReadI32(&auto_lsh_min_participants));
   FEDGTA_RETURN_IF_ERROR(r->ReadI64(&hello_recv_us));
   FEDGTA_RETURN_IF_ERROR(r->ReadI64(&assign_send_us));
+  // The aggregator hands the codec name to WorkerFleet::Accept, which
+  // admits only registered codecs.
+  if (net::compress::FindCodec(compress) == nullptr) {
+    return InvalidArgumentError("unknown compress codec '" + compress + "'");
+  }
   // The Eq. 6 knobs size allocations and feed float-to-int casts in
   // LshShapeFor / ComputeLshSignatures: reject what no root would send.
   if (similarity_mode > static_cast<uint32_t>(SimilarityMode::kLsh) ||

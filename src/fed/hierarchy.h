@@ -48,7 +48,7 @@ struct ShardAssignBody {
   int32_t num_workers = 1;
   int32_t worker_index_base = 0;
   // Worker-fleet transport knobs.
-  std::string compress = "off";
+  std::string compress = "raw";
   int32_t compress_topk = 0;
   int32_t rpc_deadline_ms = 30000;
   int32_t rpc_max_attempts = 3;

@@ -26,27 +26,8 @@ Status RemoteClientRunner::Run() {
   net::Socket sock = std::move(*dialed);
   FEDGTA_RETURN_IF_ERROR(sock.SetRecvTimeout(options_.rpc.deadline_ms));
 
-  // Advertised codec set (DESIGN.md §5j): everything by default, nothing
-  // beyond raw under --compress=off, or a single named codec. The server
-  // negotiates its own request down to this set, so a restricted worker
-  // degrades the connection rather than failing the handshake.
-  uint32_t advertised =
-      net::compress::CapabilityBit(net::compress::CodecId::kRaw);
-  if (options_.compress.empty()) {
-    advertised = net::compress::AllCapabilities();
-  } else if (options_.compress != "off") {
-    const net::compress::Codec* codec =
-        net::compress::FindCodec(options_.compress);
-    if (codec == nullptr) {
-      return InvalidArgumentError("unknown compress codec '" +
-                                  options_.compress + "'");
-    }
-    advertised |= net::compress::CapabilityBit(codec->id());
-  }
-
   net::HelloMsg hello;
   hello.t_send_us = internal_obs::TraceNowMicros();
-  hello.codec_capabilities = advertised;
   FEDGTA_RETURN_IF_ERROR(net::SendMessage(sock, hello));
   net::AssignConfigMsg assign;
   FEDGTA_RETURN_IF_ERROR(net::ExpectMessage(sock, &assign));
@@ -55,18 +36,17 @@ Status RemoteClientRunner::Run() {
   // The last download of each hosted client (DESIGN.md §5e): what a
   // request's reuse marker points at, and the delta codec's upload base.
   net::DownloadStash downloads;
-  // The server's codec choice is binding, but only within what we
-  // advertised — anything else is a protocol violation, not a fallback.
+  // The server's codec choice is binding (DESIGN.md §5j); an id this build
+  // does not implement is a protocol violation, not a fallback.
   std::unique_ptr<net::compress::Link> link;
   const auto codec_id = static_cast<net::compress::CodecId>(assign.codec_id);
+  const net::compress::Codec* codec = net::compress::FindCodec(codec_id);
+  if (codec == nullptr) {
+    return Complain(sock, InvalidArgumentError(
+                              "server assigned unknown codec id " +
+                              std::to_string(assign.codec_id)));
+  }
   if (codec_id != net::compress::CodecId::kRaw) {
-    const net::compress::Codec* codec = net::compress::FindCodec(codec_id);
-    if (codec == nullptr ||
-        (advertised & net::compress::CapabilityBit(codec_id)) == 0) {
-      return Complain(sock, InvalidArgumentError(
-                                "server assigned unadvertised codec id " +
-                                std::to_string(assign.codec_id)));
-    }
     link = std::make_unique<net::compress::Link>(codec, assign.compress_topk,
                                                  &downloads);
   }

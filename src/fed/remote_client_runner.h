@@ -19,13 +19,6 @@ struct RemoteRunnerOptions {
   /// mid-protocol without a goodbye, exactly like a killed worker process.
   /// 0 disables.
   int max_train_requests = 0;
-  /// Which wire codecs to advertise in the Hello (DESIGN.md §5j). Empty
-  /// advertises every built-in codec (the default — the server picks);
-  /// "off" advertises none, forcing the connection down to raw; a codec
-  /// name advertises just that codec (plus raw). The server's choice among
-  /// the advertised set is binding; its `--compress_topk` rides along in
-  /// AssignConfig.
-  std::string compress;
 };
 
 /// One FedGTA worker process: dials the server, receives its experiment

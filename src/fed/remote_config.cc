@@ -45,8 +45,7 @@ Status ValidateDistributedConfig(const RemoteFedConfig& config) {
       return InvalidArgumentError("staleness_decay must be in (0, 1]");
     }
   }
-  if (config.compress != "off" &&
-      net::compress::FindCodec(config.compress) == nullptr) {
+  if (net::compress::FindCodec(config.compress) == nullptr) {
     return InvalidArgumentError("unknown compress codec '" + config.compress +
                                 "'");
   }

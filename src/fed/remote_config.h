@@ -30,12 +30,10 @@ struct RemoteFedConfig {
   /// in-process Simulation).
   SimulationConfig sim;
 
-  /// Wire compression (DESIGN.md §5j): "off" (no compression plane at
-  /// all — legacy bytes), or a codec name from
-  /// net::compress::ListCodecNames() ("raw", "fp16", "int8", "delta")
-  /// requested for every worker connection. Workers that don't advertise
-  /// the codec negotiate down to raw.
-  std::string compress = "off";
+  /// Wire compression (DESIGN.md §5j): a codec name from
+  /// net::compress::ListCodecNames() ("raw", "int8", "delta"), assigned to
+  /// every worker connection. Raw ships the uncompressed bytes.
+  std::string compress = "raw";
   /// Elements per delta-sparsified tensor; 0 = auto (n/8, floored so
   /// small tensors ship whole). Only meaningful
   /// with compress = "delta".

@@ -23,6 +23,10 @@ Status WorkerFleet::Accept(net::ServerSocket& server, int num_clients,
     }
   }
 
+  const net::compress::Codec* codec =
+      net::compress::FindCodec(options.compress);
+  FEDGTA_CHECK(codec != nullptr)
+      << "caller admitted unknown codec " << options.compress;
   param_count_ = -1;
   moments_size_.store(-1);
   init_params_.clear();
@@ -33,14 +37,12 @@ Status WorkerFleet::Accept(net::ServerSocket& server, int num_clients,
     net::HelloMsg hello;
     FEDGTA_RETURN_IF_ERROR(net::ExpectMessage(channel.socket(), &hello));
     const int64_t hello_recv_us = internal_obs::TraceNowMicros();
-    if (hello.protocol_version < net::kMinProtocolVersion ||
-        hello.protocol_version > net::kProtocolVersion) {
+    if (hello.protocol_version != net::kProtocolVersion) {
       return net::Complain(
           channel.socket(),
           FailedPreconditionError(
-              "protocol versions " + std::to_string(net::kMinProtocolVersion) +
-              ".." + std::to_string(net::kProtocolVersion) +
-              " accepted, worker speaks " +
+              "protocol v" + std::to_string(net::kProtocolVersion) +
+              " required, worker speaks " +
               std::to_string(hello.protocol_version)));
     }
     if (hello.node_role != static_cast<uint32_t>(net::NodeRole::kWorker)) {
@@ -49,18 +51,6 @@ Status WorkerFleet::Accept(net::ServerSocket& server, int num_clients,
           FailedPreconditionError(
               "expected a worker connection, peer announced role " +
               std::to_string(hello.node_role)));
-    }
-    // Codec negotiation: the requested codec if this worker advertised it,
-    // raw otherwise. A raw outcome builds no Link at all, so those
-    // connections ship uncompressed bytes.
-    net::compress::CodecId negotiated = net::compress::CodecId::kRaw;
-    if (options.compress != "off") {
-      const net::compress::Codec* requested =
-          net::compress::FindCodec(options.compress);
-      FEDGTA_CHECK(requested != nullptr)
-          << "caller admitted unknown codec " << options.compress;
-      negotiated = net::compress::Negotiate(requested->id(),
-                                            hello.codec_capabilities);
     }
     net::AssignConfigMsg assign;
     assign.config = options.wire;
@@ -71,12 +61,13 @@ Status WorkerFleet::Accept(net::ServerSocket& server, int num_clients,
     // them with its own send/recv times to shift its trace timebase.
     assign.hello_recv_us = hello_recv_us;
     assign.worker_index = options.worker_index_base + w;
-    assign.codec_id = static_cast<uint32_t>(negotiated);
+    // The server's codec is binding. Raw builds no Link at all, so those
+    // connections ship uncompressed bytes.
+    assign.codec_id = static_cast<uint32_t>(codec->id());
     assign.compress_topk = options.compress_topk;
-    if (negotiated != net::compress::CodecId::kRaw) {
+    if (codec->id() != net::compress::CodecId::kRaw) {
       link.compress = std::make_unique<net::compress::Link>(
-          net::compress::FindCodec(negotiated), options.compress_topk,
-          &link.downloads);
+          codec, options.compress_topk, &link.downloads);
     }
     assign.assign_send_us = internal_obs::TraceNowMicros();
     net::ConfigAckMsg ack;

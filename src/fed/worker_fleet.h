@@ -31,10 +31,10 @@ struct WorkerLink {
   /// request that would resend them carries only the reuse marker. Touched
   /// only by the one thread currently driving this worker's channel.
   net::DownloadStash downloads;
-  /// Negotiated per-connection compression state (DESIGN.md §5j), reading
-  /// `downloads` as its delta base; null when the connection negotiated
-  /// raw (or compress = "off"), keeping that path's bytes exactly the
-  /// uncompressed wire format. Same threading rule as `downloads`.
+  /// Per-connection compression state (DESIGN.md §5j), reading
+  /// `downloads` as its delta base; null for raw, keeping that path's bytes
+  /// exactly the uncompressed wire format. Same threading rule as
+  /// `downloads`.
   std::unique_ptr<net::compress::Link> compress;
   /// Shared with the published fleet status (the endpoint may outlive a
   /// rebuilt fleet).
@@ -55,8 +55,9 @@ std::string RenderWorkerRows(const std::vector<WorkerStatusEntry>& entries,
 struct WorkerFleetOptions {
   /// Experiment identity shipped in every AssignConfig.
   net::WireFedConfig wire;
-  /// Requested wire codec ("off" = no negotiation) and delta top-k.
-  std::string compress = "off";
+  /// Wire codec assigned to every worker connection (a
+  /// net::compress::ListCodecNames() name) and delta top-k.
+  std::string compress = "raw";
   int compress_topk = 0;
   net::RpcOptions rpc;
   int accept_timeout_ms = 60000;
@@ -69,7 +70,7 @@ struct WorkerFleetOptions {
 
 /// The worker-facing half of a federation server: accepts a fleet of
 /// worker connections, runs the Hello/AssignConfig/ConfigAck handshake
-/// (version check, codec negotiation, clock-sync echo), and drives
+/// (version check, codec assignment, clock-sync echo), and drives
 /// train/eval dispatch over them. Both the flat RemoteCoordinator and the
 /// regional aggregator (DESIGN.md §5k) delegate here, so the worker
 /// protocol has exactly one server-side implementation — a worker cannot
@@ -82,8 +83,8 @@ class WorkerFleet {
 
   /// Accepts one worker per `ownership` entry (ownership[w] = the
   /// ascending client ids worker w hosts; ids are global, < num_clients)
-  /// and completes the handshake with each. Enforces protocol version
-  /// bounds, worker role, and cross-worker parameter-count agreement.
+  /// and completes the handshake with each. Enforces the protocol
+  /// version, worker role, and cross-worker parameter-count agreement.
   Status Accept(net::ServerSocket& server, int num_clients,
                 const std::vector<std::vector<int>>& ownership,
                 const WorkerFleetOptions& options);

@@ -57,12 +57,11 @@ class RawCodec final : public Codec {
  public:
   CodecId id() const override { return CodecId::kRaw; }
   const char* name() const override { return "raw"; }
-  bool lossless() const override { return true; }
 
   void Encode(std::span<const float> values, const TensorSpec& spec,
               serialize::Writer* w) const override {
-    // Identity: exactly the legacy WriteFloatVec bytes, so a raw-negotiated
-    // connection is bit-identical to a pre-v4 one.
+    // Identity: exactly the WriteFloatVec bytes an uncompressed
+    // connection ships.
     w->WriteFloatVec(values);
     if (spec.reconstruction != nullptr) {
       spec.reconstruction->assign(values.begin(), values.end());
@@ -77,71 +76,10 @@ class RawCodec final : public Codec {
 
 // ---------------------------------------------------------------------------
 
-class Fp16Codec final : public Codec {
- public:
-  CodecId id() const override { return CodecId::kFp16; }
-  const char* name() const override { return "fp16"; }
-  bool lossless() const override { return false; }
-
-  // Blob: varint n | fp32 scale | n half-floats of value/scale.
-  // scale = max|x|, so every normalized value is in [-1, 1] and the
-  // round-trip error is bounded by scale * 2^-10 per element (tested).
-  void Encode(std::span<const float> values, const TensorSpec& spec,
-              serialize::Writer* w) const override {
-    const float scale = MaxAbs(values);
-    std::string blob;
-    blob.reserve(10 + sizeof(float) + 2 * values.size());
-    PutVarint(values.size(), &blob);
-    PutFloat(scale, &blob);
-    std::vector<float> recon(values.size(), 0.0f);
-    if (scale > 0.0f) {
-      for (size_t i = 0; i < values.size(); ++i) {
-        const uint16_t h = FloatToHalf(values[i] / scale);
-        char raw[2];
-        std::memcpy(raw, &h, 2);
-        blob.append(raw, 2);
-        recon[i] = HalfToFloat(h) * scale;
-      }
-    }
-    w->WriteString(blob);
-    if (spec.reconstruction != nullptr) *spec.reconstruction = std::move(recon);
-  }
-
-  Status Decode(serialize::Reader* r, const TensorSpec&,
-                std::vector<float>* out) const override {
-    std::string blob;
-    FEDGTA_RETURN_IF_ERROR(r->ReadString(&blob));
-    size_t pos = 0;
-    uint64_t n = 0;
-    FEDGTA_RETURN_IF_ERROR(GetCount(blob, &pos, 0, &n));
-    float scale = 0.0f;
-    FEDGTA_RETURN_IF_ERROR(GetFloat(blob, &pos, &scale));
-    out->assign(n, 0.0f);
-    if (scale != 0.0f) {
-      if ((blob.size() - pos) / 2 < n) {
-        return OutOfRangeError("fp16 tensor truncated");
-      }
-      for (uint64_t i = 0; i < n; ++i) {
-        uint16_t h = 0;
-        std::memcpy(&h, blob.data() + pos, 2);
-        pos += 2;
-        (*out)[i] = HalfToFloat(h) * scale;
-      }
-    }
-    if (pos != blob.size()) {
-      return InvalidArgumentError("trailing bytes in fp16 tensor");
-    }
-    return OkStatus();
-  }
-};
-
-// ---------------------------------------------------------------------------
-
 class Int8Codec final : public Codec {
  public:
   CodecId id() const override { return CodecId::kInt8; }
   const char* name() const override { return "int8"; }
-  bool lossless() const override { return false; }
 
   // Blob: varint n | fp32 scale | n int8 of round(value/scale).
   // scale = max|x| / 127, so quantized values fit [-127, 127] and the
@@ -203,7 +141,6 @@ class DeltaCodec final : public Codec {
  public:
   CodecId id() const override { return CodecId::kDelta; }
   const char* name() const override { return "delta"; }
-  bool lossless() const override { return false; }
 
   // Blob, dense form (no usable base — stream start or resync):
   //   u8 flag=0 | varint n | n fp32 values
@@ -384,25 +321,12 @@ class DeltaCodec final : public Codec {
 };
 
 const RawCodec kRawCodec;
-const Fp16Codec kFp16Codec;
 const Int8Codec kInt8Codec;
 const DeltaCodec kDeltaCodec;
 
-const Codec* const kCodecs[] = {&kRawCodec, &kFp16Codec, &kInt8Codec,
-                                &kDeltaCodec};
+const Codec* const kCodecs[] = {&kRawCodec, &kInt8Codec, &kDeltaCodec};
 
 }  // namespace
-
-uint32_t AllCapabilities() {
-  uint32_t mask = 0;
-  for (const Codec* c : kCodecs) mask |= CapabilityBit(c->id());
-  return mask;
-}
-
-CodecId Negotiate(CodecId requested, uint32_t peer_capabilities) {
-  if ((peer_capabilities & CapabilityBit(requested)) != 0) return requested;
-  return CodecId::kRaw;
-}
 
 const Codec* FindCodec(std::string_view name) {
   for (const Codec* c : kCodecs) {
@@ -462,58 +386,6 @@ Status GetZigzag(std::string_view buf, size_t* pos, int64_t* out) {
   FEDGTA_RETURN_IF_ERROR(GetVarint(buf, pos, &raw));
   *out = static_cast<int64_t>((raw >> 1) ^ (~(raw & 1) + 1));
   return OkStatus();
-}
-
-uint16_t FloatToHalf(float f) {
-  uint32_t x = 0;
-  std::memcpy(&x, &f, sizeof(x));
-  const uint16_t sign = static_cast<uint16_t>((x >> 16) & 0x8000u);
-  x &= 0x7FFFFFFFu;
-  if (x >= 0x47800000u) {  // |f| >= 65536, or inf/NaN
-    if (x > 0x7F800000u) return sign | 0x7E00u;  // NaN
-    return sign | 0x7C00u;                       // inf (saturate)
-  }
-  if (x < 0x38800000u) {  // |f| < 2^-14: subnormal half or zero
-    const uint32_t shift = 126u - (x >> 23);  // 13..; >24 underflows
-    if (shift > 24u) return sign;
-    const uint32_t mant = (x & 0x7FFFFFu) | 0x800000u;
-    uint32_t half = mant >> shift;
-    const uint32_t rem = mant & ((1u << shift) - 1u);
-    const uint32_t halfway = 1u << (shift - 1u);
-    if (rem > halfway || (rem == halfway && (half & 1u))) ++half;
-    return sign | static_cast<uint16_t>(half);
-  }
-  uint32_t half = (((x >> 23) - 112u) << 10) | ((x >> 13) & 0x3FFu);
-  const uint32_t rem = x & 0x1FFFu;
-  if (rem > 0x1000u || (rem == 0x1000u && (half & 1u))) ++half;
-  return sign | static_cast<uint16_t>(half);
-}
-
-float HalfToFloat(uint16_t h) {
-  const uint32_t sign = static_cast<uint32_t>(h & 0x8000u) << 16;
-  const uint32_t exp = (h >> 10) & 0x1Fu;
-  uint32_t man = h & 0x3FFu;
-  uint32_t x;
-  if (exp == 0) {
-    if (man == 0) {
-      x = sign;
-    } else {
-      int e = 0;
-      while ((man & 0x400u) == 0) {
-        man <<= 1;
-        ++e;
-      }
-      man &= 0x3FFu;
-      x = sign | (static_cast<uint32_t>(113 - e) << 23) | (man << 13);
-    }
-  } else if (exp == 31) {
-    x = sign | 0x7F800000u | (man << 13);
-  } else {
-    x = sign | ((exp + 112u) << 23) | (man << 13);
-  }
-  float f = 0.0f;
-  std::memcpy(&f, &x, sizeof(f));
-  return f;
 }
 
 }  // namespace compress

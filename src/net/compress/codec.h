@@ -17,15 +17,13 @@ namespace compress {
 ///
 /// A codec turns one float tensor into a compact blob inside a
 /// serialize::Writer stream and back. Codecs are identified by a stable
-/// wire id; the set a peer supports is advertised as a capability bitmask
-/// in the Hello message and the server picks one per connection
-/// (Negotiate). The `raw` codec is the identity — a connection that
-/// negotiated raw never constructs a compression context at all, so its
-/// tensor bytes are exactly WriteFloatVec's.
+/// wire id, which the server assigns to every worker connection in
+/// AssignConfig; the worker refuses an id it does not implement. The `raw`
+/// codec is the identity — a raw connection never constructs a
+/// compression context at all, so its tensor bytes are exactly
+/// WriteFloatVec's.
 ///
 ///   raw   — identity (lossless).
-///   fp16  — per-tensor-scale IEEE half quantization. Error bound (tested):
-///           |x̂ - x| <= max|x| * 2^-10 per element.
 ///   int8  — per-tensor-scale 8-bit quantization, scale = max|x| / 127.
 ///           Error bound (tested): |x̂ - x| <= max|x| / 253 per element.
 ///   delta — top-k sparsified overwrite-diff against a base tensor:
@@ -41,25 +39,16 @@ namespace compress {
 /// unboundedly (the frame layer's CRC rejects most corruption before a
 /// codec ever sees it; these checks catch the rest).
 
-enum class CodecId : uint8_t {
+/// Wire ids, as AssignConfigMsg::codec_id carries them. 1 belonged to a
+/// retired fp16 codec and stays unassigned.
+enum class CodecId : uint32_t {
   kRaw = 0,
-  kFp16 = 1,
   kInt8 = 2,
   kDelta = 3,
 };
 
-/// Hello capability bit for one codec id.
-constexpr uint32_t CapabilityBit(CodecId id) {
-  return 1u << static_cast<uint32_t>(id);
-}
-/// Every codec this build implements (a v4 worker's default advertisement).
-uint32_t AllCapabilities();
-/// Picks the connection codec: `requested` if the peer advertised it,
-/// otherwise raw (the v3 peer case — an empty mask — always lands here).
-CodecId Negotiate(CodecId requested, uint32_t peer_capabilities);
-
 /// Per-tensor parameters threaded into Encode/Decode. Only the delta codec
-/// reads them; the quantizers are stateless.
+/// reads them; the int8 quantizer is stateless.
 struct TensorSpec {
   /// Delta base. Empty, or a size other than the tensor's, triggers the
   /// dense fallback section.
@@ -99,7 +88,6 @@ class Codec {
   virtual ~Codec() = default;
   virtual CodecId id() const = 0;
   virtual const char* name() const = 0;
-  virtual bool lossless() const = 0;
   /// Appends the encoded tensor to `w`.
   virtual void Encode(std::span<const float> values, const TensorSpec& spec,
                       serialize::Writer* w) const = 0;
@@ -109,7 +97,7 @@ class Codec {
                         std::vector<float>* out) const = 0;
 };
 
-/// Registry lookups. Names: raw fp16 int8 delta. Unknown name/id returns
+/// Registry lookups. Names: raw int8 delta. Unknown name/id returns
 /// nullptr — the CLI and the handshake both validate through these.
 const Codec* FindCodec(std::string_view name);
 const Codec* FindCodec(CodecId id);
@@ -131,10 +119,6 @@ void PutVarint(uint64_t v, std::string* out);
 void PutZigzag(int64_t v, std::string* out);
 Status GetVarint(std::string_view buf, size_t* pos, uint64_t* out);
 Status GetZigzag(std::string_view buf, size_t* pos, int64_t* out);
-
-/// IEEE 754 binary16 conversion (round-to-nearest-even on encode).
-uint16_t FloatToHalf(float f);
-float HalfToFloat(uint16_t h);
 
 }  // namespace compress
 }  // namespace net

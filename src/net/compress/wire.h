@@ -16,13 +16,13 @@ namespace compress {
 
 /// Per-connection compression state (DESIGN.md §5j).
 ///
-/// One Link lives on each side of a negotiated connection: the coordinator
+/// One Link lives on each side of a compressed connection: the coordinator
 /// holds one per worker channel, the worker holds one for its socket. The
-/// Link maps the three tensor streams of the protocol onto the negotiated
+/// Link maps the three tensor streams of the protocol onto the assigned
 /// codec and owns the delta-base state those streams need:
 ///
 ///   downloads (TrainRequest/EvalRequest weights, server → worker)
-///     fp16/int8: quantized, stateless.
+///     int8: quantized, stateless.
 ///     delta: shipped raw dense. The connection's DownloadStash (which the
 ///     caller fills: the server with what it sent, the worker with what it
 ///     decoded) is the client's exchange base; the Link only reads it.
@@ -40,8 +40,8 @@ namespace compress {
 /// A Link must be used by one thread at a time; the repo's strict
 /// request/response alternation per connection guarantees that.
 ///
-/// `--compress=off` never constructs a Link at all (callers pass nullptr),
-/// so that path's bytes are exactly the legacy wire format.
+/// A raw connection never constructs a Link at all (callers pass nullptr),
+/// so its bytes are exactly the uncompressed wire format.
 class Link {
  public:
   /// `codec` must be non-null (from FindCodec). `top_k` = elements per
@@ -49,12 +49,6 @@ class Link {
   /// is the connection's stash, read as the delta upload base; it must
   /// outlive the Link. Null leaves delta uploads without a base (dense).
   Link(const Codec* codec, int top_k, const DownloadStash* downloads);
-
-  /// True when tensor streams are rewritten (codec != raw).
-  bool active() const { return codec_->id() != CodecId::kRaw; }
-  CodecId codec_id() const { return codec_->id(); }
-  const char* codec_name() const { return codec_->name(); }
-  int top_k() const { return top_k_; }
 
   void EncodeDownload(int32_t client_id, std::span<const float> weights,
                       serialize::Writer* w);

@@ -59,7 +59,7 @@ void SetSendThrottleBytesPerSec(int64_t bytes_per_sec) {
   g_send_throttle_bytes_per_sec.store(bytes_per_sec);
 }
 
-Status SendFrame(Socket& sock, const serialize::Writer& writer, FrameKind kind,
+Status SendFrame(Socket& sock, const serialize::Writer& writer,
                  int64_t saved_bytes, int64_t* wire_bytes) {
   std::string encoded;
   {
@@ -74,8 +74,7 @@ Status SendFrame(Socket& sock, const serialize::Writer& writer, FrameKind kind,
   // Explicit little-endian encode, byte by byte: a raw struct write would
   // ship 4 uninitialized padding bytes and break on a big-endian peer.
   uint8_t header[kFrameHeaderBytes];
-  PutLe32(kind == FrameKind::kCompressed ? kFrameMagicCompressed : kFrameMagic,
-          header);
+  PutLe32(kFrameMagic, header);
   PutLe64(encoded.size(), header + 4);
 
   FEDGTA_PHASE_SCOPE("net_send");
@@ -94,17 +93,13 @@ Status SendFrame(Socket& sock, const serialize::Writer& writer, FrameKind kind,
   return OkStatus();
 }
 
-Result<serialize::Reader> RecvFrame(Socket& sock, FrameKind* kind) {
+Result<serialize::Reader> RecvFrame(Socket& sock) {
   uint8_t header[kFrameHeaderBytes];
   std::string encoded;
-  FrameKind got_kind = FrameKind::kRaw;
   {
     FEDGTA_PHASE_SCOPE("net_recv");
     FEDGTA_RETURN_IF_ERROR(sock.ReadFull(header, sizeof(header)));
-    const uint32_t magic = GetLe32(header);
-    if (magic == kFrameMagicCompressed) {
-      got_kind = FrameKind::kCompressed;
-    } else if (magic != kFrameMagic) {
+    if (GetLe32(header) != kFrameMagic) {
       return InvalidArgumentError("bad frame magic (stream corrupted)");
     }
     const uint64_t payload_size = GetLe64(header + 4);
@@ -123,7 +118,6 @@ Result<serialize::Reader> RecvFrame(Socket& sock, FrameKind* kind) {
   // when a compression Link is attached to this connection.
   BytesRaw().Increment(wire);
   Messages().Increment();
-  if (kind != nullptr) *kind = got_kind;
   // Integrity (magic/version/CRC) is the serialize layer's job; a flipped
   // bit anywhere in the payload surfaces here as an error Status.
   FEDGTA_PHASE_SCOPE("net_serialize");

@@ -14,7 +14,7 @@ namespace net {
 /// Wire layout of one frame — an explicit 12-byte little-endian header,
 /// encoded byte by byte (never a raw struct copy, which would ship
 /// compiler padding and assume same-endian peers):
-///   [0..3]  u32 frame magic, "FGNF" (raw) or "FGNZ" (compressed payload)
+///   [0..3]  u32 frame magic, "FGNF"
 ///   [4..11] u64 payload size
 ///   [12..]  payload bytes
 /// The payload is a serialize::Writer::Encode() buffer — i.e. it carries
@@ -23,26 +23,20 @@ namespace net {
 /// truncated, or foreign frame always yields an error Status and never a
 /// crash or a silent partial decode.
 ///
-/// The two magics distinguish frames whose payload ran through a
-/// compression Link from plain ones; both are framed and validated
-/// identically. Counters: `net.bytes_sent`/`net.bytes_recv`/`net.messages`
-/// as before, plus `net.bytes_wire` (frame bytes actually moved) and
+/// Compressed and uncompressed payloads share the one magic: which codec a
+/// connection runs is fixed by its AssignConfig, not by each frame.
+/// Counters: `net.bytes_sent`/`net.bytes_recv`/`net.messages`, plus
+/// `net.bytes_wire` (frame bytes actually moved) and
 /// `net.bytes_raw` (what those frames would have cost uncompressed — the
 /// send path folds in the codec's saved bytes; the receive path adds its
 /// share after decode via the rpc layer).
 
-inline constexpr uint32_t kFrameMagic = 0x464E4746u;            // "FGNF"
-inline constexpr uint32_t kFrameMagicCompressed = 0x5A4E4746u;  // "FGNZ"
+inline constexpr uint32_t kFrameMagic = 0x464E4746u;  // "FGNF"
 /// Exact encoded header size on the wire.
 inline constexpr size_t kFrameHeaderBytes = 12;
 /// Upper bound on a frame payload; anything larger is treated as stream
 /// corruption instead of an allocation attempt.
 inline constexpr uint64_t kMaxFramePayload = 1ull << 31;  // 2 GiB
-
-enum class FrameKind {
-  kRaw = 0,         // "FGNF": payload bytes are the legacy wire format
-  kCompressed = 1,  // "FGNZ": payload carries codec-encoded tensors
-};
 
 /// Serializes `writer`'s buffer and ships it as one frame. Accumulates
 /// `net.bytes_sent` / `net.messages` / `net.bytes_wire`, and
@@ -51,15 +45,13 @@ enum class FrameKind {
 /// `wire_bytes` is non-null it receives the total bytes put on the wire,
 /// so callers can keep per-message-type counters.
 Status SendFrame(Socket& sock, const serialize::Writer& writer,
-                 FrameKind kind = FrameKind::kRaw, int64_t saved_bytes = 0,
-                 int64_t* wire_bytes = nullptr);
+                 int64_t saved_bytes = 0, int64_t* wire_bytes = nullptr);
 
 /// Receives one frame and returns a validated Reader over its payload.
 /// The socket's recv timeout bounds the wait (kDeadlineExceeded).
 /// Accumulates `net.bytes_recv` / `net.messages` / `net.bytes_wire` /
-/// `net.bytes_raw`. If `kind` is non-null it reports which magic the
-/// frame carried.
-Result<serialize::Reader> RecvFrame(Socket& sock, FrameKind* kind = nullptr);
+/// `net.bytes_raw`.
+Result<serialize::Reader> RecvFrame(Socket& sock);
 
 /// Global outbound throttle for bandwidth-constrained experiments: when
 /// set to a positive rate, SendFrame sleeps so this process's sends

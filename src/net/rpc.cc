@@ -30,7 +30,7 @@ void Backoff(int attempt, int base_ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
-/// A tensor field: codec-encoded through `link` when it is active, plain
+/// A tensor field: codec-encoded through `link` when there is one, plain
 /// WriteFloatVec bytes otherwise.
 using LinkEncoder = void (compress::Link::*)(int32_t, std::span<const float>,
                                              serialize::Writer*);
@@ -39,7 +39,7 @@ using LinkDecoder = Status (compress::Link::*)(int32_t, serialize::Reader*,
 
 void WriteTensor(compress::Link* link, LinkEncoder encode, int32_t client_id,
                  std::span<const float> values, serialize::Writer* w) {
-  if (link != nullptr && link->active()) {
+  if (link != nullptr) {
     (link->*encode)(client_id, values, w);
   } else {
     w->WriteFloatVec(values);
@@ -48,9 +48,8 @@ void WriteTensor(compress::Link* link, LinkEncoder encode, int32_t client_id,
 
 Status ReadTensor(compress::Link* link, LinkDecoder decode, int32_t client_id,
                   serialize::Reader* r, std::vector<float>* out) {
-  return link != nullptr && link->active()
-             ? (link->*decode)(client_id, r, out)
-             : r->ReadFloatVec(out);
+  return link != nullptr ? (link->*decode)(client_id, r, out)
+                         : r->ReadFloatVec(out);
 }
 
 /// The download section of Train/Eval requests: the reuse marker, then
@@ -168,13 +167,11 @@ void AddRecvSavedBytes(int64_t saved) {
 void HelloMsg::Encode(serialize::Writer* w, compress::Link* /*link*/) const {
   w->WriteU32(protocol_version);
   w->WriteI64(t_send_us);
-  w->WriteU32(codec_capabilities);
   w->WriteU32(node_role);
 }
 Status HelloMsg::Decode(serialize::Reader* r, compress::Link* /*link*/) {
   FEDGTA_RETURN_IF_ERROR(r->ReadU32(&protocol_version));
   FEDGTA_RETURN_IF_ERROR(r->ReadI64(&t_send_us));
-  FEDGTA_RETURN_IF_ERROR(r->ReadU32(&codec_capabilities));
   return r->ReadU32(&node_role);
 }
 

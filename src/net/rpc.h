@@ -41,21 +41,18 @@ namespace net {
 /// coordinator maps onto the failure model: an unreachable or timed-out
 /// worker is a dropped participant for the round.
 ///
-/// Tensor fields are codec-encoded on connections that negotiated a codec
-/// (DESIGN.md §5j), and root ↔ aggregator traffic rides the generic Routed
-/// envelope (§5k); a worker cannot tell whether its server is the root or
-/// a regional aggregator.
+/// Tensor fields are codec-encoded on connections the server assigned a
+/// codec other than raw (DESIGN.md §5j), and root ↔ aggregator traffic
+/// rides the generic Routed envelope (§5k); a worker cannot tell whether
+/// its server is the root or a regional aggregator.
 ///
-/// The protocol is frozen at v6: every peer ships from this repo, so a
-/// server accepts exactly this version and every message has one fixed
+/// The protocol is frozen at v7: every peer ships from this repo, so both
+/// ends accept exactly this version and every message has one fixed
 /// layout. A Train/Eval request whose weights equal the last ones sent for
 /// that client on this connection carries `reuse` and no tensor; the worker
 /// uses its DownloadStash copy instead.
 
-inline constexpr uint32_t kProtocolVersion = 6;
-/// Oldest peer version the server speaks; equal to kProtocolVersion since
-/// the v6 freeze.
-inline constexpr uint32_t kMinProtocolVersion = 6;
+inline constexpr uint32_t kProtocolVersion = 7;
 
 enum class MsgType : uint32_t {
   kHello = 1,
@@ -81,9 +78,6 @@ struct HelloMsg {
   static constexpr MsgType kType = MsgType::kHello;
   uint32_t protocol_version = kProtocolVersion;
   int64_t t_send_us = 0;
-  /// compress::CapabilityBit mask of codecs this worker can decode; 0
-  /// negotiates raw.
-  uint32_t codec_capabilities = 0;
   /// What kind of process is dialing in (a NodeRole value).
   uint32_t node_role = 0;
 
@@ -170,9 +164,8 @@ struct AssignConfigMsg {
   /// This worker's 0-based index in the fleet (stable process identity for
   /// trace pids and the worker.<id>.* metrics namespace).
   int32_t worker_index = 0;
-  /// The codec the server negotiated for this connection (a
-  /// compress::CodecId the worker advertised, or raw) and the delta top-k
-  /// knob.
+  /// The codec of this connection (a compress::CodecId; binding — the
+  /// worker refuses an id it does not implement) and the delta top-k knob.
   uint32_t codec_id = 0;
   int32_t compress_topk = 0;
 
@@ -343,9 +336,8 @@ void AddRecvSavedBytes(int64_t saved);
 
 /// Ships one typed message as one frame, stamping the calling thread's
 /// TraceContext into the envelope (all zeros when no context is active).
-/// With an active compression Link the tensor fields are codec-encoded
-/// and the frame is marked compressed; a null (or raw) link produces the
-/// legacy bytes.
+/// With a compression Link the tensor fields are codec-encoded; a null
+/// link produces the uncompressed bytes.
 template <typename M>
 Status SendMessage(Socket& sock, const M& msg,
                    compress::Link* link = nullptr) {
@@ -356,12 +348,9 @@ Status SendMessage(Socket& sock, const M& msg,
   writer.WriteU64(ctx.span_id);
   writer.WriteI32(ctx.round);
   msg.Encode(&writer, link);
-  const bool compressed = link != nullptr && link->active();
   const int64_t saved = link != nullptr ? link->TakeSavedBytes() : 0;
   int64_t wire = 0;
-  FEDGTA_RETURN_IF_ERROR(SendFrame(
-      sock, writer, compressed ? FrameKind::kCompressed : FrameKind::kRaw,
-      saved, &wire));
+  FEDGTA_RETURN_IF_ERROR(SendFrame(sock, writer, saved, &wire));
   AddSentMessageBytes(M::kType, wire);
   return OkStatus();
 }

@@ -1,8 +1,8 @@
 // Wire-compression plane tests (DESIGN.md §5j): varint/zigzag primitives,
-// fp16/int8 quantization against their documented error bounds on
-// adversarial tensors, delta exact-reconstruction and desync detection,
-// corruption fuzzing (malformed blobs are error Statuses, never crashes),
-// negotiation, and the per-connection Link's stream lifecycle.
+// int8 quantization against its documented error bound on adversarial
+// tensors, delta exact-reconstruction and desync detection, corruption
+// fuzzing (malformed blobs are error Statuses, never crashes), the codec
+// registry, and the per-connection Link's stream lifecycle.
 
 #include <cmath>
 #include <cstdint>
@@ -137,42 +137,9 @@ TEST(ZigzagTest, RoundTripsSignedBoundaries) {
   EXPECT_EQ(buf.size(), 1u);
 }
 
-TEST(HalfFloatTest, ConvertsExactAndSpecialValues) {
-  // Values exactly representable in binary16 survive unchanged.
-  for (float v : {0.0f, 1.0f, -1.0f, 0.5f, -2.5f, 1024.0f, 6.103515625e-5f}) {
-    EXPECT_EQ(HalfToFloat(FloatToHalf(v)), v) << v;
-  }
-  // Overflow saturates to infinity; NaN stays NaN.
-  EXPECT_TRUE(std::isinf(HalfToFloat(FloatToHalf(1e20f))));
-  EXPECT_TRUE(std::isnan(HalfToFloat(FloatToHalf(
-      std::numeric_limits<float>::quiet_NaN()))));
-  // Half subnormals round-trip through the normalization path.
-  const uint16_t half_min_subnormal = 0x0001;
-  const float tiny = HalfToFloat(half_min_subnormal);
-  EXPECT_GT(tiny, 0.0f);
-  EXPECT_EQ(FloatToHalf(tiny), half_min_subnormal);
-}
-
-TEST(QuantizerTest, Fp16ErrorWithinDocumentedBound) {
-  const Codec* fp16 = FindCodec("fp16");
-  ASSERT_NE(fp16, nullptr);
-  EXPECT_FALSE(fp16->lossless());
-  for (const std::vector<float>& tensor : AdversarialTensors()) {
-    std::vector<float> out;
-    ASSERT_TRUE(RoundTrip(*fp16, tensor, &out).ok());
-    ASSERT_EQ(out.size(), tensor.size());
-    const float bound = MaxAbs(tensor) * 0x1p-10f;
-    for (size_t i = 0; i < tensor.size(); ++i) {
-      EXPECT_LE(std::fabs(out[i] - tensor[i]), bound)
-          << "elem " << i << " of tensor with max " << MaxAbs(tensor);
-    }
-  }
-}
-
 TEST(QuantizerTest, Int8ErrorWithinDocumentedBound) {
   const Codec* int8 = FindCodec("int8");
   ASSERT_NE(int8, nullptr);
-  EXPECT_FALSE(int8->lossless());
   for (const std::vector<float>& tensor : AdversarialTensors()) {
     std::vector<float> out;
     ASSERT_TRUE(RoundTrip(*int8, tensor, &out).ok());
@@ -187,23 +154,21 @@ TEST(QuantizerTest, Int8ErrorWithinDocumentedBound) {
 TEST(QuantizerTest, AllZeroTensorIsExactAndTiny) {
   // scale == 0 ships no per-element payload at all.
   const std::vector<float> zeros(1000, 0.0f);
-  for (const char* name : {"fp16", "int8"}) {
-    const Codec* codec = FindCodec(name);
-    ASSERT_NE(codec, nullptr);
-    serialize::Writer w;
-    codec->Encode(zeros, TensorSpec{}, &w);
-    EXPECT_LT(w.payload().size(), 32u) << name;
-    std::vector<float> out;
-    ASSERT_TRUE(RoundTrip(*codec, zeros, &out).ok());
-    EXPECT_EQ(out, zeros);
-  }
+  const Codec* int8 = FindCodec("int8");
+  ASSERT_NE(int8, nullptr);
+  serialize::Writer w;
+  int8->Encode(zeros, TensorSpec{}, &w);
+  EXPECT_LT(w.payload().size(), 32u);
+  std::vector<float> out;
+  ASSERT_TRUE(RoundTrip(*int8, zeros, &out).ok());
+  EXPECT_EQ(out, zeros);
 }
 
 TEST(QuantizerTest, ReconstructionOutputMatchesDecoderExactly) {
   // The encode-side `reconstruction` out-param must be bit-identical to
   // what the decoder produces — the delta Link's base bookkeeping depends
   // on it.
-  for (const char* name : {"raw", "fp16", "int8", "delta"}) {
+  for (const char* name : {"raw", "int8", "delta"}) {
     const Codec* codec = FindCodec(name);
     ASSERT_NE(codec, nullptr);
     const std::vector<float> tensor = {3.14159f, -2.5f, 0.0f, 1e-6f, 88.0f};
@@ -222,7 +187,6 @@ TEST(QuantizerTest, ReconstructionOutputMatchesDecoderExactly) {
 TEST(DeltaTest, NoBaseFallsBackToDenseAndIsBitExact) {
   const Codec* delta = FindCodec("delta");
   ASSERT_NE(delta, nullptr);
-  EXPECT_FALSE(delta->lossless());  // lossy only when sparsifying
   for (const std::vector<float>& tensor : AdversarialTensors()) {
     std::vector<float> out;
     ASSERT_TRUE(RoundTrip(*delta, tensor, &out).ok());
@@ -410,7 +374,7 @@ TEST(CorruptionTest, FlippedBytesNeverCrashOnlyErrorStatuses) {
   // Either the serialize layer's CRC rejects the buffer or the codec's own
   // bounds checks do — a flip must never crash or return garbage lengths.
   const std::vector<float> tensor = {1.5f, -2.25f, 0.0f, 8.0f, -1e-3f};
-  for (const char* name : {"raw", "fp16", "int8", "delta"}) {
+  for (const char* name : {"raw", "int8", "delta"}) {
     const Codec* codec = FindCodec(name);
     serialize::Writer w;
     codec->Encode(tensor, TensorSpec{}, &w);
@@ -431,7 +395,7 @@ TEST(CorruptionTest, FlippedBytesNeverCrashOnlyErrorStatuses) {
 
 TEST(CorruptionTest, StructurallyMalformedBlobsAreErrors) {
   const Codec* delta = FindCodec("delta");
-  const Codec* fp16 = FindCodec("fp16");
+  const Codec* int8 = FindCodec("int8");
   const auto decode = [](const Codec* codec, const std::string& blob,
                          const TensorSpec& spec) {
     serialize::Writer w;
@@ -448,15 +412,16 @@ TEST(CorruptionTest, StructurallyMalformedBlobsAreErrors) {
     std::string blob;
     PutVarint(kMaxTensorElems + 1, &blob);
     blob.append(4, '\0');  // "scale"
-    EXPECT_FALSE(decode(fp16, blob, TensorSpec{}).ok());
+    EXPECT_FALSE(decode(int8, blob, TensorSpec{}).ok());
   }
   // Count that doesn't match the bytes that follow.
   {
     std::string blob;
     PutVarint(100, &blob);
-    blob.append(4, '\0');
-    blob.append(10, '\x7F');  // 5 halves, not 100
-    EXPECT_FALSE(decode(fp16, blob, TensorSpec{}).ok());
+    const float scale = 1.0f;
+    blob.append(reinterpret_cast<const char*>(&scale), sizeof(scale));
+    blob.append(10, '\x7F');  // 10 quantized values, not 100
+    EXPECT_FALSE(decode(int8, blob, TensorSpec{}).ok());
   }
   std::vector<float> base(4, 1.0f);
   TensorSpec with_base;
@@ -498,24 +463,12 @@ TEST(CorruptionTest, StructurallyMalformedBlobsAreErrors) {
   }
 }
 
-TEST(NegotiateTest, PicksRequestedWhenAdvertisedElseRaw) {
-  EXPECT_EQ(Negotiate(CodecId::kDelta, AllCapabilities()), CodecId::kDelta);
-  EXPECT_EQ(Negotiate(CodecId::kFp16, AllCapabilities()), CodecId::kFp16);
-  // v3 peer: empty mask.
-  EXPECT_EQ(Negotiate(CodecId::kDelta, 0), CodecId::kRaw);
-  // Peer advertising only raw+int8 cannot serve a delta request.
-  const uint32_t mask =
-      CapabilityBit(CodecId::kRaw) | CapabilityBit(CodecId::kInt8);
-  EXPECT_EQ(Negotiate(CodecId::kDelta, mask), CodecId::kRaw);
-  EXPECT_EQ(Negotiate(CodecId::kInt8, mask), CodecId::kInt8);
-  EXPECT_EQ(Negotiate(CodecId::kRaw, 0), CodecId::kRaw);
-}
-
 TEST(RegistryTest, LooksUpEveryCodecByNameAndId) {
   const std::vector<std::string> names = ListCodecNames();
-  ASSERT_EQ(names.size(), 4u);
+  ASSERT_EQ(names.size(), 3u);
   EXPECT_EQ(names[0], "raw");
-  EXPECT_EQ(names[3], "delta");
+  EXPECT_EQ(names[1], "int8");
+  EXPECT_EQ(names[2], "delta");
   for (const std::string& name : names) {
     const Codec* codec = FindCodec(name);
     ASSERT_NE(codec, nullptr) << name;
@@ -524,7 +477,15 @@ TEST(RegistryTest, LooksUpEveryCodecByNameAndId) {
   }
   EXPECT_EQ(FindCodec("gzip"), nullptr);
   EXPECT_EQ(FindCodec(static_cast<CodecId>(250)), nullptr);
-  EXPECT_TRUE(FindCodec("raw")->lossless());
+  // The retired fp16 codec and the old "off" spelling of raw are gone; so
+  // is fp16's wire id.
+  EXPECT_EQ(FindCodec("fp16"), nullptr);
+  EXPECT_EQ(FindCodec("off"), nullptr);
+  EXPECT_EQ(FindCodec(static_cast<CodecId>(1)), nullptr);
+  // Wire ids are unchanged, so AssignConfig bytes are too.
+  EXPECT_EQ(FindCodec("raw")->id(), static_cast<CodecId>(0));
+  EXPECT_EQ(FindCodec("int8")->id(), static_cast<CodecId>(2));
+  EXPECT_EQ(FindCodec("delta")->id(), static_cast<CodecId>(3));
 }
 
 TEST(LinkTest, TwoRoundExchangeKeepsBasesInLockstep) {
@@ -687,15 +648,6 @@ TEST(LinkTest, UploadAgainstAReusedStashMatchesOneAfterAResend) {
     EXPECT_EQ(got[40], trained[40]);
   }
   EXPECT_EQ(uploads[0], uploads[1]);
-}
-
-TEST(LinkTest, RawLinkIsInactive) {
-  Link raw(FindCodec("raw"), 0, nullptr);
-  EXPECT_FALSE(raw.active());
-  Link delta(FindCodec("delta"), 16, nullptr);
-  EXPECT_TRUE(delta.active());
-  EXPECT_EQ(delta.top_k(), 16);
-  EXPECT_STREQ(delta.codec_name(), "delta");
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Black-box flag validation of the run_experiment CLI: every rejected
 // configuration must exit non-zero with a message naming the offending
-// flag, before paying for dataset generation.
+// flag, before paying for dataset generation. The server and worker roles
+// share the flag table and are parsed in-process.
 
 #include <sys/wait.h>
 
@@ -40,6 +41,28 @@ void ExpectRejected(const std::string& args, const std::string& needle) {
   EXPECT_NE(result.output.find(needle), std::string::npos)
       << args << " printed:\n"
       << result.output;
+}
+
+// The server and worker binaries would block on sockets, so their roles
+// are parsed in-process.
+fedgta::Result<fedgta::cli::ExperimentCli> Parse(
+    fedgta::cli::Role role, std::vector<std::string> args) {
+  std::string prog = "flags_test_binary";
+  std::vector<char*> argv = {prog.data()};
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return fedgta::cli::ParseAndValidate(role, static_cast<int>(argv.size()),
+                                       argv.data());
+}
+
+/// `args` in the server role must fail with a message containing `needle`.
+void ExpectServerRejects(std::vector<std::string> args,
+                         const std::string& needle) {
+  const fedgta::Result<fedgta::cli::ExperimentCli> cli =
+      Parse(fedgta::cli::Role::kServer, args);
+  ASSERT_FALSE(cli.ok());
+  EXPECT_EQ(cli.status().code(), fedgta::StatusCode::kInvalidArgument);
+  EXPECT_NE(cli.status().ToString().find(needle), std::string::npos)
+      << cli.status();
 }
 
 TEST(FlagsTest, HelpExitsZeroAndListsFlags) {
@@ -141,39 +164,35 @@ TEST(FlagsTest, AsyncWithRoundAlignedStrategyIsRejected) {
 }
 
 TEST(FlagsTest, HelpListsCompressFlags) {
-  const CliResult result = RunCli("--help");
-  EXPECT_EQ(result.exit_code, 0);
-  EXPECT_NE(result.output.find("--compress"), std::string::npos);
-  EXPECT_NE(result.output.find("--compress_topk"), std::string::npos);
+  // Only the server assigns a codec, so only its help lists the flags.
+  const std::string server = fedgta::cli::HelpText(fedgta::cli::Role::kServer);
+  EXPECT_NE(server.find("--compress=MODE"), std::string::npos);
+  EXPECT_NE(server.find("raw | int8 | delta"), std::string::npos);
+  EXPECT_NE(server.find("--compress_topk"), std::string::npos);
+  for (fedgta::cli::Role role :
+       {fedgta::cli::Role::kRunExperiment, fedgta::cli::Role::kWorker}) {
+    EXPECT_EQ(fedgta::cli::HelpText(role).find("--compress="),
+              std::string::npos);
+  }
 }
 
 TEST(FlagsTest, UnknownCompressCodecIsRejected) {
-  ExpectRejected("--compress=gzip", "--compress must be off or one of");
+  ExpectServerRejects({"--compress=gzip"},
+                      "--compress must be one of: raw int8 delta");
 }
 
 TEST(FlagsTest, CompressTopkWithoutDeltaIsRejected) {
-  ExpectRejected("--compress_topk=4",
-                 "--compress_topk requires --compress=delta");
-  ExpectRejected("--compress=int8 --compress_topk=4",
-                 "--compress_topk requires --compress=delta");
+  ExpectServerRejects({"--compress_topk=4"},
+                      "--compress_topk requires --compress=delta");
+  ExpectServerRejects({"--compress=int8", "--compress_topk=4"},
+                      "--compress_topk requires --compress=delta");
 }
 
 TEST(FlagsTest, CompressTopkOutOfRangeIsRejected) {
-  ExpectRejected("--compress=delta --compress_topk=0",
-                 "--compress_topk must be >= 1");
-  ExpectRejected("--compress=delta --compress_topk=-3",
-                 "--compress_topk must be >= 1");
-}
-
-// The server and worker roles share the same flag table and validation;
-// exercise them in-process (the binaries would block on sockets).
-fedgta::Result<fedgta::cli::ExperimentCli> Parse(
-    fedgta::cli::Role role, std::vector<std::string> args) {
-  std::string prog = "flags_test_binary";
-  std::vector<char*> argv = {prog.data()};
-  for (std::string& arg : args) argv.push_back(arg.data());
-  return fedgta::cli::ParseAndValidate(role, static_cast<int>(argv.size()),
-                                       argv.data());
+  ExpectServerRejects({"--compress=delta", "--compress_topk=0"},
+                      "--compress_topk must be >= 1");
+  ExpectServerRejects({"--compress=delta", "--compress_topk=-3"},
+                      "--compress_topk must be >= 1");
 }
 
 TEST(RoleFlagsTest, ServerAcceptsAndPlumbsCompressFlags) {
@@ -187,34 +206,33 @@ TEST(RoleFlagsTest, ServerAcceptsAndPlumbsCompressFlags) {
 }
 
 TEST(RoleFlagsTest, ServerRejectsBadCompressValues) {
-  EXPECT_FALSE(Parse(fedgta::cli::Role::kServer, {"--compress=gzip"}).ok());
-  EXPECT_FALSE(
-      Parse(fedgta::cli::Role::kServer, {"--compress_topk=4"}).ok());
-  EXPECT_FALSE(Parse(fedgta::cli::Role::kServer,
-                     {"--compress=delta", "--compress_topk=0"})
-                   .ok());
+  // "off" was a second spelling of raw and fp16 a retired codec; both are
+  // now unknown names. Unknown codecs and bad top-k values in general are
+  // the FlagsTest.*Compress* cases above.
+  for (const char* bad : {"--compress=off", "--compress=fp16"}) {
+    SCOPED_TRACE(bad);
+    ExpectServerRejects({bad}, "--compress must be one of: raw int8 delta");
+  }
+  // Absent, the server ships raw.
+  fedgta::Result<fedgta::cli::ExperimentCli> dflt =
+      Parse(fedgta::cli::Role::kServer, {});
+  ASSERT_TRUE(dflt.ok()) << dflt.status();
+  EXPECT_EQ(dflt->ToRemoteConfig().compress, "raw");
 }
 
-TEST(RoleFlagsTest, WorkerCompressFlagRestrictsAdvertisement) {
-  // No flag: advertise everything (empty sentinel).
-  fedgta::Result<fedgta::cli::ExperimentCli> dflt =
-      Parse(fedgta::cli::Role::kWorker, {});
-  ASSERT_TRUE(dflt.ok()) << dflt.status();
-  EXPECT_EQ(dflt->ToRunnerOptions().compress, "");
-  // Explicit codec: advertise just that one.
-  fedgta::Result<fedgta::cli::ExperimentCli> fp16 =
-      Parse(fedgta::cli::Role::kWorker, {"--compress=fp16"});
-  ASSERT_TRUE(fp16.ok()) << fp16.status();
-  EXPECT_EQ(fp16->ToRunnerOptions().compress, "fp16");
-  // Explicit off: advertise none.
-  fedgta::Result<fedgta::cli::ExperimentCli> off =
-      Parse(fedgta::cli::Role::kWorker, {"--compress=off"});
-  ASSERT_TRUE(off.ok()) << off.status();
-  EXPECT_EQ(off->ToRunnerOptions().compress, "off");
-  // Bad values are rejected in the worker role too.
-  EXPECT_FALSE(Parse(fedgta::cli::Role::kWorker, {"--compress=lzma"}).ok());
-  EXPECT_FALSE(
-      Parse(fedgta::cli::Role::kWorker, {"--compress_topk=2"}).ok());
+TEST(RoleFlagsTest, CompressFlagsAreServerOnly) {
+  // The worker takes the server's AssignConfig codec, and run_experiment
+  // has no wire, so both reject the flags as unknown.
+  for (const char* flag : {"--compress=delta", "--compress_topk=2"}) {
+    SCOPED_TRACE(flag);
+    const std::string needle = std::string("unknown flag: ") + flag;
+    const fedgta::Result<fedgta::cli::ExperimentCli> worker =
+        Parse(fedgta::cli::Role::kWorker, {flag});
+    ASSERT_FALSE(worker.ok());
+    EXPECT_NE(worker.status().ToString().find(needle), std::string::npos)
+        << worker.status();
+    ExpectRejected(flag, needle);
+  }
 }
 
 }  // namespace

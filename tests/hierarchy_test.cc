@@ -372,7 +372,7 @@ TEST(HierarchyTest, TopologyRejectsMoreAggregatorsThanWorkers) {
 // ComputeLshSignatures on the aggregator: hostile values must come back as
 // an error Status from the decoder, never as overflow, a NaN-to-int cast
 // or a multi-GB projection.
-TEST(HierarchyTest, ShardAssignDecoderRejectsHostileLshFields) {
+TEST(HierarchyTest, ShardAssignDecoderRejectsHostileFields) {
   const auto decode = [](const fed::ShardAssignBody& in) {
     serialize::Writer writer;
     in.Encode(&writer);
@@ -407,6 +407,12 @@ TEST(HierarchyTest, ShardAssignDecoderRejectsHostileLshFields) {
   add("mode=UINT32_MAX", [](auto& b) {
     b.similarity_mode = std::numeric_limits<uint32_t>::max();
   });
+  // The codec reaches WorkerFleet::Accept, which admits only registered
+  // names: "off" was a second spelling of raw, fp16 a retired codec.
+  add("compress=off", [](auto& b) { b.compress = "off"; });
+  add("compress=fp16", [](auto& b) { b.compress = "fp16"; });
+  add("compress=gzip", [](auto& b) { b.compress = "gzip"; });
+  add("compress empty", [](auto& b) { b.compress.clear(); });
   for (const auto& [what, body] : hostile) {
     const Status status = decode(body);
     EXPECT_FALSE(status.ok()) << what;

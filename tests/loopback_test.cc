@@ -38,8 +38,7 @@ namespace fedgta {
 namespace {
 
 pid_t SpawnWorker(int port, int max_train_requests = 0,
-                  const std::string& trace_out = "",
-                  const std::string& compress = "") {
+                  const std::string& trace_out = "") {
   const pid_t pid = fork();
   if (pid == 0) {
     std::vector<std::string> args = {
@@ -51,9 +50,6 @@ pid_t SpawnWorker(int port, int max_train_requests = 0,
         "--num_threads=2",
         "--max_train_requests=" + std::to_string(max_train_requests)};
     if (!trace_out.empty()) args.push_back("--trace_out=" + trace_out);
-    // Absent: the worker advertises every codec and the server's request
-    // decides. "off" (or a codec name) restricts the advertisement.
-    if (!compress.empty()) args.push_back("--compress=" + compress);
     std::vector<char*> argv;
     argv.reserve(args.size() + 1);
     for (std::string& arg : args) argv.push_back(arg.data());
@@ -69,15 +65,13 @@ pid_t SpawnWorker(int port, int max_train_requests = 0,
 /// coordinator's dispatch threads start inside Run()).
 Result<SimulationResult> RunRemote(const RemoteFedConfig& config,
                                    int max_train_requests = 0,
-                                   std::vector<int>* exit_codes = nullptr,
-                                   const std::string& worker_compress = "") {
+                                   std::vector<int>* exit_codes = nullptr) {
   RemoteCoordinator coordinator(config);
   FEDGTA_RETURN_IF_ERROR(coordinator.Listen(0));
   std::vector<pid_t> pids;
   pids.reserve(static_cast<size_t>(config.num_workers));
   for (int w = 0; w < config.num_workers; ++w) {
-    pids.push_back(SpawnWorker(coordinator.port(), max_train_requests,
-                               /*trace_out=*/"", worker_compress));
+    pids.push_back(SpawnWorker(coordinator.port(), max_train_requests));
   }
   Result<SimulationResult> result = coordinator.Run();
   for (pid_t pid : pids) {
@@ -441,10 +435,15 @@ TEST(LoopbackTest, ObservabilityPlaneStitchesTracesMetricsAndStatus) {
   for (const std::string& t : worker_traces) std::remove(t.c_str());
 }
 
-TEST(LoopbackTest, DeltaCompressedRunSavesBytesAndStaysAccurate) {
+/// A lossy codec end to end: real worker processes, the server's
+/// --compress assigned to every connection.
+class CompressedRunTest : public testing::TestWithParam<const char*> {};
+
+TEST_P(CompressedRunTest, SavesBytesAndStaysAccurate) {
+  const std::string codec = GetParam();
   RemoteFedConfig config = BaseConfig();
   config.num_workers = 3;
-  config.compress = "delta";
+  config.compress = codec;
   config.status_port = 0;
   // A model big enough for auto top-k to sparsify (96*64 + 64*7 weights >
   // kDeltaAutoFloor); the tiny SGC head ships whole under the auto floor,
@@ -469,8 +468,8 @@ TEST(LoopbackTest, DeltaCompressedRunSavesBytesAndStaysAccurate) {
   }
   ASSERT_TRUE(remote.ok()) << remote.status();
 
-  // Delta sparsification is lossy on uploads, so exact bit-identity is off
-  // the table — but the run must stay in the oracle's neighborhood.
+  // Quantization and sparsification are lossy, so exact bit-identity is
+  // off the table — but the run must stay in the oracle's neighborhood.
   const SimulationResult local = RunInProcess(config);
   EXPECT_GT(remote->final_test_accuracy, 0.1);
   EXPECT_NEAR(remote->final_test_accuracy, local.final_test_accuracy, 0.15);
@@ -485,27 +484,16 @@ TEST(LoopbackTest, DeltaCompressedRunSavesBytesAndStaysAccurate) {
 
   // The live status endpoint reports the wire plane.
   const std::string status = QueryStatus(coordinator.status_port(), "status");
-  EXPECT_NE(status.find("net (compress=delta):"), std::string::npos)
+  EXPECT_NE(status.find("net (compress=" + codec + "):"), std::string::npos)
       << status;
   EXPECT_NE(status.find("compression_ratio:"), std::string::npos) << status;
 }
 
-TEST(LoopbackTest, CompressionNegotiatesToRawAgainstRestrictedWorkers) {
-  // The server asks for delta but every worker advertises nothing
-  // (--compress=off) — the same degradation path a v3 peer takes. The
-  // negotiated-raw run must stay bit-identical to the in-process oracle:
-  // no Link is constructed, so the bytes are the legacy wire format.
-  RemoteFedConfig config = BaseConfig();
-  config.num_workers = 2;
-  config.sim.rounds = 2;
-  config.compress = "delta";
-  std::vector<int> exit_codes;
-  Result<SimulationResult> remote =
-      RunRemote(config, /*max_train_requests=*/0, &exit_codes, "off");
-  ASSERT_TRUE(remote.ok()) << remote.status();
-  for (int code : exit_codes) EXPECT_EQ(code, 0);
-  ExpectBitIdentical(*remote, RunInProcess(config));
-}
+INSTANTIATE_TEST_SUITE_P(Codecs, CompressedRunTest,
+                         testing::Values("int8", "delta"),
+                         [](const testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
 
 TEST(LoopbackTest, KilledWorkerDegradesToDroppedClients) {
   RemoteFedConfig config = BaseConfig();
@@ -543,16 +531,16 @@ TEST(LoopbackTest, KilledWorkerDegradesToDroppedClients) {
 
 /// One cell of the download-reuse matrix: whichever way the coordinator
 /// samples, barriers and evaluates, pointing at a stashed download instead
-/// of resending it must not change a single result bit.
+/// of resending it must not change a single result bit. Every cell runs the
+/// raw codec, the one whose stream has a bit-exact oracle.
 struct ReuseCase {
-  const char* codec;  // server --compress: "off" or "raw"
-  bool async;         // async runtime at tau = 2
+  bool async;  // async runtime at tau = 2
   int eval_every;
   double participation;
 };
 
 std::string ReuseCaseName(const ReuseCase& c) {
-  return std::string(c.codec) + (c.async ? "_async" : "_sync") + "_eval" +
+  return std::string("raw") + (c.async ? "_async" : "_sync") + "_eval" +
          std::to_string(c.eval_every) +
          (c.participation < 1.0 ? "_half" : "_full");
 }
@@ -569,7 +557,6 @@ TEST_P(DownloadReuseTest, MatchesSimulation) {
   config.seed = 23;
   config.num_workers = 3;
   config.sim.rounds = 4;
-  config.compress = c.codec;
   config.sim.async = c.async;
   config.sim.staleness_tau = c.async ? 2 : 0;
   config.sim.eval_every = c.eval_every;
@@ -616,12 +603,10 @@ TEST_P(DownloadReuseTest, MatchesSimulation) {
 
 std::vector<ReuseCase> ReuseCases() {
   std::vector<ReuseCase> cases;
-  for (const char* codec : {"off", "raw"}) {
-    for (bool async : {false, true}) {
-      for (int eval_every : {1, 2}) {
-        for (double participation : {1.0, 0.5}) {
-          cases.push_back({codec, async, eval_every, participation});
-        }
+  for (bool async : {false, true}) {
+    for (int eval_every : {1, 2}) {
+      for (double participation : {1.0, 0.5}) {
+        cases.push_back({async, eval_every, participation});
       }
     }
   }
@@ -636,11 +621,12 @@ INSTANTIATE_TEST_SUITE_P(Matrix, DownloadReuseTest,
 
 /// Drives one in-process RemoteClientRunner from a hand-written server:
 /// accepts it, completes the handshake for the first two clients of
-/// BaseConfig, then hands the socket to `send` for arbitrary requests.
-/// Returns the runner's Status; `complaint` receives the error text the
-/// worker sent back.
+/// BaseConfig with `codec_id` assigned, then hands the socket to `send` for
+/// arbitrary requests. Returns the runner's Status; `complaint` receives
+/// the error text the worker sent back, during the handshake or after
+/// `send`.
 Status ExchangeWithRunner(const std::function<void(net::Socket&)>& send,
-                   std::string* complaint) {
+                          std::string* complaint, uint32_t codec_id = 0) {
   Result<net::ServerSocket> server = net::ServerSocket::Listen(0);
   FEDGTA_RETURN_IF_ERROR(server.status());
   RemoteRunnerOptions options;
@@ -657,18 +643,39 @@ Status ExchangeWithRunner(const std::function<void(net::Socket&)>& send,
   net::AssignConfigMsg assign;
   assign.config = ToWireConfig(BaseConfig());
   assign.client_ids = {0, 1};
+  assign.codec_id = codec_id;
   EXPECT_TRUE(net::SendMessage(*sock, assign).ok());
   net::ConfigAckMsg ack;
-  EXPECT_TRUE(net::ExpectMessage(*sock, &ack).ok());
-  EXPECT_GT(ack.param_count, 0);
-
-  send(*sock);
-  net::EvalResponseMsg never;
-  const Status reply = net::ExpectMessage(*sock, &never);
+  Status reply = net::ExpectMessage(*sock, &ack);
+  if (reply.ok()) {
+    EXPECT_GT(ack.param_count, 0);
+    send(*sock);
+    net::EvalResponseMsg never;
+    reply = net::ExpectMessage(*sock, &never);
+  }
   EXPECT_EQ(reply.code(), StatusCode::kFailedPrecondition) << reply;
   *complaint = std::string(reply.message());
   worker.join();
   return result;
+}
+
+TEST(WorkerProtocolTest, WorkerRefusesCodecIdsItDoesNotImplement) {
+  // 1 is the retired fp16 codec's id; 99 was never assigned. The server's
+  // codec is binding, so the worker complains instead of falling back.
+  for (uint32_t id : {1u, 99u}) {
+    SCOPED_TRACE(id);
+    std::string complaint;
+    const Status st = ExchangeWithRunner(
+        [](net::Socket& s) {
+          ADD_FAILURE() << "the worker accepted the codec";
+          (void)net::SendMessage(s, net::ShutdownMsg());
+        },
+        &complaint, id);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st;
+    EXPECT_NE(complaint.find("unknown codec id " + std::to_string(id)),
+              std::string::npos)
+        << complaint;
+  }
 }
 
 TEST(WorkerProtocolTest, WorkerRefusesDownloadsItCannotUse) {
@@ -799,11 +806,11 @@ TEST(WorkerProtocolTest, MisSizedUploadIsAnRpcErrorNotAnAbort) {
   EXPECT_NE(got[3].ToString().find("3 moments"), std::string::npos);
 }
 
-TEST(WorkerProtocolTest, V5HelloIsRefusedWithTheVersionError) {
+TEST(WorkerProtocolTest, V6HelloIsRefusedWithTheVersionError) {
   Result<net::ServerSocket> server = net::ServerSocket::Listen(0);
   ASSERT_TRUE(server.ok()) << server.status();
   Status assign_status;
-  std::thread worker(FakeWorker, server->port(), 5u,
+  std::thread worker(FakeWorker, server->port(), 6u,
                      std::vector<std::pair<int, int>>{}, &assign_status);
   WorkerFleet fleet;
   const std::vector<std::vector<int>> ownership = {{0, 1}};
@@ -811,13 +818,46 @@ TEST(WorkerProtocolTest, V5HelloIsRefusedWithTheVersionError) {
       fleet.Accept(*server, 2, ownership, FakeFleetOptions());
   worker.join();
   EXPECT_EQ(accepted.code(), StatusCode::kFailedPrecondition) << accepted;
-  EXPECT_NE(accepted.ToString().find("worker speaks 5"), std::string::npos)
+  EXPECT_NE(accepted.ToString().find("worker speaks 6"), std::string::npos)
       << accepted;
   // The worker hears the same complaint instead of an AssignConfig.
   EXPECT_EQ(assign_status.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(assign_status.ToString().find("worker speaks 5"),
+  EXPECT_NE(assign_status.ToString().find("worker speaks 6"),
             std::string::npos)
       << assign_status;
+}
+
+TEST(WorkerProtocolTest, V6HelloLayoutWithCodecMaskStartsNoSession) {
+  // A v6 worker's Hello, byte for byte: version, clock stamp, the codec
+  // capability mask v7 dropped, then the node role.
+  Result<net::ServerSocket> server = net::ServerSocket::Listen(0);
+  ASSERT_TRUE(server.ok()) << server.status();
+  Status assign_status;
+  std::thread worker([&] {
+    Result<net::Socket> sock = net::Connect("127.0.0.1", server->port(), 10000);
+    ASSERT_TRUE(sock.ok()) << sock.status();
+    serialize::Writer w;
+    w.WriteU32(static_cast<uint32_t>(net::MsgType::kHello));
+    w.WriteU64(0);  // trace envelope
+    w.WriteU64(0);
+    w.WriteI32(0);
+    w.WriteU32(6);      // protocol version
+    w.WriteI64(1234);   // t_send_us
+    w.WriteU32(0x0Du);  // codec mask: raw, int8, delta
+    w.WriteU32(static_cast<uint32_t>(net::NodeRole::kWorker));
+    ASSERT_TRUE(net::SendFrame(*sock, w).ok());
+    ASSERT_TRUE(sock->SetRecvTimeout(10000).ok());
+    net::AssignConfigMsg assign;
+    assign_status = net::ExpectMessage(*sock, &assign);
+  });
+  WorkerFleet fleet;
+  const std::vector<std::vector<int>> ownership = {{0, 1}};
+  const Status accepted =
+      fleet.Accept(*server, 2, ownership, FakeFleetOptions());
+  worker.join();
+  EXPECT_FALSE(accepted.ok());
+  EXPECT_FALSE(assign_status.ok()) << "a v6 worker was handed a session";
+  EXPECT_EQ(fleet.param_count(), -1);
 }
 
 }  // namespace

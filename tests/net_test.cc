@@ -503,42 +503,6 @@ TEST(FrameTest, WireHeaderIsExactTwelveByteLittleEndianLayout) {
   EXPECT_EQ(std::string(raw.begin() + kFrameHeaderBytes, raw.end()), encoded);
 }
 
-TEST(FrameTest, CompressedFrameKindRoundTripsWithDistinctMagic) {
-  Loop loop = MakeLoop();
-  serialize::Writer writer;
-  writer.WriteString("compressed-kind payload");
-  std::thread sender([&] {
-    ASSERT_TRUE(SendFrame(loop.peer, writer, FrameKind::kCompressed).ok());
-  });
-  FrameKind kind = FrameKind::kRaw;
-  Result<serialize::Reader> reader = RecvFrame(loop.client, &kind);
-  sender.join();
-  ASSERT_TRUE(reader.ok()) << reader.status();
-  EXPECT_EQ(kind, FrameKind::kCompressed);
-  std::string text;
-  ASSERT_TRUE(reader->ReadString(&text).ok());
-  EXPECT_EQ(text, "compressed-kind payload");
-  // The compressed magic is "FGNZ" — a v3 binary's magic check rejects it
-  // rather than misparsing (compressed frames are only sent after a v4
-  // negotiation, so this is belt and braces).
-  EXPECT_NE(kFrameMagic, kFrameMagicCompressed);
-}
-
-TEST(RpcTest, HelloCodecCapabilitiesRoundTrip) {
-  Loop loop = MakeLoop();
-  std::thread sender([&] {
-    HelloMsg hello;
-    hello.codec_capabilities = compress::AllCapabilities();
-    ASSERT_TRUE(SendMessage(loop.peer, hello).ok());
-  });
-  HelloMsg got;
-  const Status received = ExpectMessage(loop.client, &got);
-  sender.join();
-  ASSERT_TRUE(received.ok()) << received;
-  EXPECT_EQ(got.protocol_version, kProtocolVersion);
-  EXPECT_EQ(got.codec_capabilities, compress::AllCapabilities());
-}
-
 TEST(RpcTest, AssignConfigCodecFieldsRoundTrip) {
   AssignConfigMsg in;
   in.worker_index = 1;
@@ -602,10 +566,12 @@ TEST(RpcTest, CompressedLinkRoundTripsTrainTensors) {
   server.join();
 }
 
-TEST(RpcTest, V6MessageLayoutsArePinned) {
-  // The frozen v6 layouts, field by field: every field is fixed (no
+TEST(RpcTest, V7MessageLayoutsArePinned) {
+  // The frozen v7 layouts, field by field: every field is fixed (no
   // version-gated trailers), and a download section is a bool reuse marker
-  // followed by the weights only when the marker is clear.
+  // followed by the weights only when the marker is clear. Only Hello
+  // differs from v6: it lost the u32 codec capability mask after
+  // t_send_us, because the server's codec assignment is binding.
   auto bytes = [](const auto& msg) {
     serialize::Writer w;
     msg.Encode(&w);
@@ -613,12 +579,10 @@ TEST(RpcTest, V6MessageLayoutsArePinned) {
   };
   HelloMsg hello;
   hello.t_send_us = 777;
-  hello.codec_capabilities = 0x0Fu;
   hello.node_role = static_cast<uint32_t>(NodeRole::kAggregator);
   serialize::Writer hello_ref;
-  hello_ref.WriteU32(6u);
+  hello_ref.WriteU32(7u);
   hello_ref.WriteI64(777);
-  hello_ref.WriteU32(0x0Fu);
   hello_ref.WriteU32(1u);  // NodeRole::kAggregator
   EXPECT_EQ(bytes(hello), hello_ref.Encode());
 
