@@ -93,12 +93,15 @@ BENCHMARK(BM_LabelPropagation)
     ->Range(4000, 64000)
     ->Unit(benchmark::kMillisecond);
 
+// Args: rows, classes. 5 hops, K = 3 (the FedGTA defaults). The last shape
+// is one ogbn-arxiv client of the inproc-arxiv benchmark workload.
 void BM_MixedMoments(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
+  const int c = static_cast<int>(state.range(1));
   Rng rng(5);
   std::vector<Matrix> hops;
   for (int l = 0; l < 5; ++l) {
-    Matrix y(n, 8);
+    Matrix y(n, c);
     y.GaussianInit(rng, 1.0f);
     RowSoftmaxInPlace(&y);
     hops.push_back(std::move(y));
@@ -108,8 +111,11 @@ void BM_MixedMoments(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MixedMoments)
-    ->RangeMultiplier(4)
-    ->Range(4000, 64000)
+    ->ArgNames({"rows", "classes"})
+    ->Args({4000, 8})
+    ->Args({16000, 8})
+    ->Args({64000, 8})
+    ->Args({2400, 40})
     ->Unit(benchmark::kMillisecond);
 
 void BM_Louvain(benchmark::State& state) {

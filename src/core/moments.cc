@@ -1,6 +1,6 @@
 #include "core/moments.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "common/check.h"
 #include "obs/phase.h"
@@ -17,30 +17,39 @@ std::vector<float> MixedMoments(const std::vector<Matrix>& y_hops,
   FEDGTA_CHECK_GT(n, 0);
   FEDGTA_CHECK_GT(c, 0);
 
+  const size_t orders = static_cast<size_t>(moment_order);
+  const size_t classes = static_cast<size_t>(c);
   std::vector<float> moments;
-  moments.reserve(y_hops.size() * static_cast<size_t>(moment_order) *
-                  static_cast<size_t>(c));
-  std::vector<double> acc(static_cast<size_t>(c));
+  moments.reserve(y_hops.size() * orders * classes);
+  // One sweep per hop: each row's mean once, its deviations d, and the
+  // powers d^o as a running product, summed into acc[(o - 1) * c + j].
+  std::vector<double> acc(orders * classes);
+  std::vector<double> dev(classes);
+  std::vector<double> power(classes);
   for (const Matrix& y : y_hops) {
     FEDGTA_CHECK_EQ(y.rows(), n);
     FEDGTA_CHECK_EQ(y.cols(), c);
-    for (int order = 1; order <= moment_order; ++order) {
-      std::fill(acc.begin(), acc.end(), 0.0);
-      for (int64_t i = 0; i < n; ++i) {
-        const float* row = y.data() + i * c;
-        double mean = 0.0;
-        for (int64_t j = 0; j < c; ++j) mean += row[j];
-        mean /= static_cast<double>(c);
-        for (int64_t j = 0; j < c; ++j) {
-          acc[static_cast<size_t>(j)] +=
-              std::pow(static_cast<double>(row[j]) - mean, order);
+    std::fill(acc.begin(), acc.end(), 0.0);
+    for (int64_t i = 0; i < n; ++i) {
+      const float* row = y.data() + i * c;
+      double mean = 0.0;
+      for (int64_t j = 0; j < c; ++j) mean += row[j];
+      mean /= static_cast<double>(c);
+      for (size_t j = 0; j < classes; ++j) {
+        dev[j] = static_cast<double>(row[j]) - mean;
+        power[j] = dev[j];
+        acc[j] += dev[j];
+      }
+      for (size_t o = 1; o < orders; ++o) {
+        double* sum = acc.data() + o * classes;
+        for (size_t j = 0; j < classes; ++j) {
+          power[j] *= dev[j];
+          sum[j] += power[j];
         }
       }
-      for (int64_t j = 0; j < c; ++j) {
-        moments.push_back(
-            static_cast<float>(acc[static_cast<size_t>(j)] /
-                               static_cast<double>(n)));
-      }
+    }
+    for (double sum : acc) {
+      moments.push_back(static_cast<float>(sum / static_cast<double>(n)));
     }
   }
   return moments;

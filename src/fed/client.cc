@@ -133,14 +133,11 @@ std::vector<float> Client::GradientAtCurrentParams() {
 
 Matrix Client::Predict() { return model_->Forward(/*training=*/false); }
 
-double Client::TestAccuracy() {
-  if (data_->test_idx.empty()) return 0.0;
-  return Accuracy(Predict(), data_->labels, data_->test_idx);
-}
-
-double Client::ValAccuracy() {
-  if (data_->val_idx.empty()) return 0.0;
-  return Accuracy(Predict(), data_->labels, data_->val_idx);
+Client::Accuracies Client::EvalAccuracies() {
+  if (data_->test_idx.empty() && data_->val_idx.empty()) return {};
+  const Matrix logits = Predict();
+  return {Accuracy(logits, data_->labels, data_->test_idx),
+          Accuracy(logits, data_->labels, data_->val_idx)};
 }
 
 ClientMetrics Client::ComputeFedGtaMetrics(const FedGtaOptions& options) {

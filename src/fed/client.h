@@ -78,9 +78,16 @@ class Client {
   /// Full-view (inference) logits for every local node.
   Matrix Predict();
 
-  /// Accuracy of the current weights on the local test / validation set.
-  double TestAccuracy();
-  double ValAccuracy();
+  /// Accuracy of the current weights on the local test and validation
+  /// sets, both scored from one inference forward pass. An empty split
+  /// scores 0.
+  struct Accuracies {
+    double test = 0.0;
+    double val = 0.0;
+  };
+  Accuracies EvalAccuracies();
+  double TestAccuracy() { return EvalAccuracies().test; }
+  double ValAccuracy() { return EvalAccuracies().val; }
 
   /// Client-side FedGTA metric computation (Algorithm 1 lines 5-10) using
   /// the current weights over the full local graph. Round-invariant pieces

@@ -256,12 +256,9 @@ Status RemoteClientRunner::Run() {
           // Closes before the delta cut, same as remote_train.
           FEDGTA_PHASE_SCOPE("remote_eval");
           client->SetParams(*weights);
-          if (!client->data().test_idx.empty()) {
-            resp.test_accuracy = client->TestAccuracy();
-          }
-          if (!client->data().val_idx.empty()) {
-            resp.val_accuracy = client->ValAccuracy();
-          }
+          const Client::Accuracies scored = client->EvalAccuracies();
+          resp.test_accuracy = scored.test;
+          resp.val_accuracy = scored.val;
         }
         resp.metrics = metrics_encoder.Next();
         FEDGTA_RETURN_IF_ERROR(net::SendMessage(sock, resp));

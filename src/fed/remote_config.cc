@@ -137,6 +137,24 @@ Status SetupFromWireConfig(const net::WireFedConfig& wire,
   if (wire.batch_size < 0) {
     return InvalidArgumentError("batch_size must be >= 0");
   }
+  // FedGTA's metric kernels check these with FEDGTA_CHECK; a hostile value
+  // must fail the handshake, not abort the process at its first upload.
+  if (wire.gta_k < 1) {
+    return InvalidArgumentError("gta_k must be >= 1, got " +
+                                std::to_string(wire.gta_k));
+  }
+  if (wire.gta_moment_order < 1) {
+    return InvalidArgumentError("gta_moment_order must be >= 1, got " +
+                                std::to_string(wire.gta_moment_order));
+  }
+  if (!(wire.gta_alpha >= 0.0f && wire.gta_alpha <= 1.0f)) {
+    return InvalidArgumentError("gta_alpha must be in [0, 1], got " +
+                                std::to_string(wire.gta_alpha));
+  }
+  if (wire.gta_use_feature_moments && wire.gta_feature_moment_dims < 1) {
+    return InvalidArgumentError("gta_feature_moment_dims must be >= 1, got " +
+                                std::to_string(wire.gta_feature_moment_dims));
+  }
 
   OptimizerType opt_type;
   if (wire.optimizer == "adam") {

@@ -140,12 +140,9 @@ Status Simulation::Evaluate(int /*round*/, fed::ClientAccuracies* acc) {
       static_cast<int64_t>(clients_.size()), [this, acc](int64_t i) {
         Client& client = clients_[static_cast<size_t>(i)];
         client.SetParams(strategy_->ParamsFor(client.id()));
-        if (!client.data().test_idx.empty()) {
-          acc->test[static_cast<size_t>(i)] = client.TestAccuracy();
-        }
-        if (!client.data().val_idx.empty()) {
-          acc->val[static_cast<size_t>(i)] = client.ValAccuracy();
-        }
+        const Client::Accuracies scored = client.EvalAccuracies();
+        acc->test[static_cast<size_t>(i)] = scored.test;
+        acc->val[static_cast<size_t>(i)] = scored.val;
         acc->evaluated[static_cast<size_t>(i)] = 1;
       });
   return OkStatus();

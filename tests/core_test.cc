@@ -1,4 +1,9 @@
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -7,6 +12,7 @@
 #include "core/moments.h"
 #include "core/similarity.h"
 #include "core/smoothing_confidence.h"
+#include "common/random.h"
 #include "graph/generator.h"
 #include "graph/normalized_adjacency.h"
 #include "linalg/ops.h"
@@ -157,6 +163,103 @@ TEST(MomentsTest, DistinguishesLabelDistributions) {
   const auto c = MixedMoments({soft(50, 4, 2)}, 3);
   EXPECT_GT(CosineSimilarity(a, b), 0.99);
   EXPECT_LT(CosineSimilarity(a, c), 0.5);
+}
+
+// The Eq. 5 kernel as first written: the row mean recomputed per order and
+// std::pow per element. Reference for the one-sweep MixedMoments.
+std::vector<float> PowMixedMoments(const std::vector<Matrix>& y_hops,
+                                   int moment_order) {
+  const int64_t n = y_hops.front().rows();
+  const int64_t c = y_hops.front().cols();
+  std::vector<float> moments;
+  std::vector<double> acc(static_cast<size_t>(c));
+  for (const Matrix& y : y_hops) {
+    for (int order = 1; order <= moment_order; ++order) {
+      std::fill(acc.begin(), acc.end(), 0.0);
+      for (int64_t i = 0; i < n; ++i) {
+        const float* row = y.data() + i * c;
+        double mean = 0.0;
+        for (int64_t j = 0; j < c; ++j) mean += row[j];
+        mean /= static_cast<double>(c);
+        for (int64_t j = 0; j < c; ++j) {
+          acc[static_cast<size_t>(j)] +=
+              std::pow(static_cast<double>(row[j]) - mean, order);
+        }
+      }
+      for (int64_t j = 0; j < c; ++j) {
+        moments.push_back(static_cast<float>(acc[static_cast<size_t>(j)] /
+                                             static_cast<double>(n)));
+      }
+    }
+  }
+  return moments;
+}
+
+// Seeded softmax rows, one matrix per hop.
+std::vector<Matrix> SoftmaxHops(int hops, int n, int c, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Matrix> out;
+  for (int l = 0; l < hops; ++l) {
+    Matrix y(n, c);
+    y.GaussianInit(rng, 1.0f);
+    RowSoftmaxInPlace(&y);
+    out.push_back(std::move(y));
+  }
+  return out;
+}
+
+// Number of representable floats between a and b.
+int64_t UlpDistance(float a, float b) {
+  auto ordered = [](float f) {
+    int32_t bits;
+    std::memcpy(&bits, &f, sizeof(bits));
+    return bits >= 0 ? int64_t{bits} : int64_t{INT32_MIN} - bits;
+  };
+  return std::llabs(ordered(a) - ordered(b));
+}
+
+TEST(MomentsTest, MatchesPowReference) {
+  int64_t values = 0;
+  int64_t exact = 0;
+  uint64_t seed = 11;
+  for (int c : {3, 40}) {
+    for (int order : {1, 2, 3, 4, 8, 20}) {
+      for (int hops : {1, 5}) {
+        SCOPED_TRACE(testing::Message() << "classes=" << c << " order="
+                                        << order << " hops=" << hops);
+        const std::vector<Matrix> y = SoftmaxHops(hops, 300, c, ++seed);
+        const std::vector<float> got = MixedMoments(y, order);
+        const std::vector<float> want = PowMixedMoments(y, order);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_LE(UlpDistance(got[i], want[i]), 1)
+              << "index " << i << ": " << got[i] << " vs " << want[i];
+          exact += got[i] == want[i] ? 1 : 0;
+        }
+        values += static_cast<int64_t>(got.size());
+      }
+    }
+  }
+  std::printf("MixedMoments: %lld of %lld values bitwise equal to pow\n",
+              static_cast<long long>(exact), static_cast<long long>(values));
+}
+
+TEST(MomentsTest, LowerOrdersArePrefixOfHigher) {
+  const int c = 7;
+  const int hops = 3;
+  const std::vector<Matrix> y = SoftmaxHops(hops, 50, c, 3);
+  for (int order = 1; order <= 8; ++order) {
+    SCOPED_TRACE(order);
+    const std::vector<float> lower = MixedMoments(y, order);
+    const std::vector<float> higher = MixedMoments(y, order + 1);
+    for (int l = 0; l < hops; ++l) {
+      for (int i = 0; i < order * c; ++i) {
+        EXPECT_EQ(lower[static_cast<size_t>(l * order * c + i)],
+                  higher[static_cast<size_t>(l * (order + 1) * c + i)])
+            << "hop " << l << " entry " << i;
+      }
+    }
+  }
 }
 
 TEST(SimilarityTest, MatrixIsSymmetricWithUnitDiagonal) {

@@ -19,6 +19,7 @@
 #include "fed/strategy.h"
 #include "graph/generator.h"
 #include "linalg/ops.h"
+#include "nn/loss.h"
 #include "obs/metrics.h"
 
 namespace fedgta {
@@ -83,6 +84,30 @@ TEST(ClientTest, TrainingReducesLoss) {
   for (int i = 0; i < 20; ++i) last = client.TrainLocal(1);
   EXPECT_LT(last, first);
   EXPECT_GT(client.TestAccuracy(), 0.3);
+}
+
+TEST(ClientTest, OnePassEvalMatchesSeparateForwardPasses) {
+  FederatedDataset fed = MakeTinyFederated();
+  OptimizerConfig opt;
+  opt.lr = 0.05f;
+  for (ModelType type : {ModelType::kGcn, ModelType::kSage, ModelType::kSgc}) {
+    SCOPED_TRACE(ModelTypeName(type));
+    ModelConfig model = TinyModel();
+    model.type = type;
+    model.dropout = 0.5f;
+    Client client(&fed.clients[0], model, opt, 3);
+    client.TrainLocal(10);
+    const ClientData& data = client.data();
+    ASSERT_FALSE(data.test_idx.empty());
+    ASSERT_FALSE(data.val_idx.empty());
+    const double test = Accuracy(client.Predict(), data.labels, data.test_idx);
+    const double val = Accuracy(client.Predict(), data.labels, data.val_idx);
+    const Client::Accuracies scored = client.EvalAccuracies();
+    EXPECT_EQ(scored.test, test);
+    EXPECT_EQ(scored.val, val);
+    EXPECT_EQ(client.TestAccuracy(), test);
+    EXPECT_EQ(client.ValAccuracy(), val);
+  }
 }
 
 TEST(ClientTest, GradHookObservesAndModifiesGrads) {

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -621,12 +622,13 @@ INSTANTIATE_TEST_SUITE_P(Matrix, DownloadReuseTest,
 
 /// Drives one in-process RemoteClientRunner from a hand-written server:
 /// accepts it, completes the handshake for the first two clients of
-/// BaseConfig with `codec_id` assigned, then hands the socket to `send` for
-/// arbitrary requests. Returns the runner's Status; `complaint` receives
-/// the error text the worker sent back, during the handshake or after
-/// `send`.
-Status ExchangeWithRunner(const std::function<void(net::Socket&)>& send,
-                          std::string* complaint, uint32_t codec_id = 0) {
+/// BaseConfig (after `edit` rewrites the AssignConfig, if given), then hands
+/// the socket to `send` for arbitrary requests. Returns the runner's Status;
+/// `complaint` receives the error text the worker sent back, during the
+/// handshake or after `send`.
+Status ExchangeWithRunner(
+    const std::function<void(net::Socket&)>& send, std::string* complaint,
+    const std::function<void(net::AssignConfigMsg&)>& edit = {}) {
   Result<net::ServerSocket> server = net::ServerSocket::Listen(0);
   FEDGTA_RETURN_IF_ERROR(server.status());
   RemoteRunnerOptions options;
@@ -643,7 +645,7 @@ Status ExchangeWithRunner(const std::function<void(net::Socket&)>& send,
   net::AssignConfigMsg assign;
   assign.config = ToWireConfig(BaseConfig());
   assign.client_ids = {0, 1};
-  assign.codec_id = codec_id;
+  if (edit) edit(assign);
   EXPECT_TRUE(net::SendMessage(*sock, assign).ok());
   net::ConfigAckMsg ack;
   Status reply = net::ExpectMessage(*sock, &ack);
@@ -670,11 +672,57 @@ TEST(WorkerProtocolTest, WorkerRefusesCodecIdsItDoesNotImplement) {
           ADD_FAILURE() << "the worker accepted the codec";
           (void)net::SendMessage(s, net::ShutdownMsg());
         },
-        &complaint, id);
+        &complaint, [id](net::AssignConfigMsg& a) { a.codec_id = id; });
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st;
     EXPECT_NE(complaint.find("unknown codec id " + std::to_string(id)),
               std::string::npos)
         << complaint;
+  }
+}
+
+TEST(WorkerProtocolTest, WorkerRefusesHostileFedGtaFields) {
+  // Each of these would pass the handshake and then abort the worker at a
+  // FEDGTA_CHECK in label propagation or the moment kernel during its
+  // first FedGTA upload.
+  struct Case {
+    const char* name;
+    std::function<void(net::WireFedConfig&)> edit;
+    const char* complaint;
+  };
+  const std::vector<Case> cases = {
+      {"k = 0", [](net::WireFedConfig& w) { w.gta_k = 0; },
+       "gta_k must be >= 1, got 0"},
+      {"k < 0", [](net::WireFedConfig& w) { w.gta_k = -3; },
+       "gta_k must be >= 1, got -3"},
+      {"order = 0", [](net::WireFedConfig& w) { w.gta_moment_order = 0; },
+       "gta_moment_order must be >= 1, got 0"},
+      {"alpha < 0", [](net::WireFedConfig& w) { w.gta_alpha = -0.25f; },
+       "gta_alpha must be in [0, 1]"},
+      {"alpha > 1", [](net::WireFedConfig& w) { w.gta_alpha = 1.5f; },
+       "gta_alpha must be in [0, 1]"},
+      {"alpha NaN",
+       [](net::WireFedConfig& w) {
+         w.gta_alpha = std::numeric_limits<float>::quiet_NaN();
+       },
+       "gta_alpha must be in [0, 1]"},
+      {"feature dims = 0",
+       [](net::WireFedConfig& w) {
+         w.gta_use_feature_moments = true;
+         w.gta_feature_moment_dims = 0;
+       },
+       "gta_feature_moment_dims must be >= 1, got 0"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::string complaint;
+    const Status st = ExchangeWithRunner(
+        [](net::Socket& s) {
+          ADD_FAILURE() << "the worker accepted the config";
+          (void)net::SendMessage(s, net::ShutdownMsg());
+        },
+        &complaint, [&c](net::AssignConfigMsg& a) { c.edit(a.config); });
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st;
+    EXPECT_NE(complaint.find(c.complaint), std::string::npos) << complaint;
   }
 }
 
