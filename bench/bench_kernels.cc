@@ -46,19 +46,54 @@ LabeledGraph MakeGraph(int n, uint64_t seed) {
   return GeneratePlantedPartition(cfg, rng);
 }
 
+// Args: m, k, n (C is m x n, the inner dimension k), transpose A,
+// transpose B, backend (index into ListBackends(); -1 = the active one).
 void BM_Gemm(benchmark::State& state) {
-  const int64_t n = state.range(0);
+  const int64_t m = state.range(0);
+  const int64_t k = state.range(1);
+  const int64_t n = state.range(2);
+  const bool ta = state.range(3) != 0;
+  const bool tb = state.range(4) != 0;
+  const std::vector<std::string> backends = linalg::ListBackends();
+  const std::string backend =
+      state.range(5) < 0
+          ? std::string(linalg::ActiveBackendName())
+          : backends.at(static_cast<size_t>(state.range(5)));
+  linalg::ScopedBackend scoped(backend);
+  state.SetLabel(linalg::ActiveBackend().description());
   Rng rng(1);
-  Matrix a(n, n), b(n, n), c(n, n);
+  Matrix a = ta ? Matrix(k, m) : Matrix(m, k);
+  Matrix b = tb ? Matrix(n, k) : Matrix(k, n);
+  Matrix c(m, n);
   a.GaussianInit(rng, 1.0f);
   b.GaussianInit(rng, 1.0f);
   for (auto _ : state) {
-    Gemm(a, Transpose::kNo, b, Transpose::kNo, 1.0f, 0.0f, &c);
+    Gemm(a, ta ? Transpose::kYes : Transpose::kNo, b,
+         tb ? Transpose::kYes : Transpose::kNo, 1.0f, 0.0f, &c);
     benchmark::DoNotOptimize(c.data());
   }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
+  state.SetItemsProcessed(state.iterations() * m * n * k);
 }
-BENCHMARK(BM_Gemm)->Arg(128)->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Gemm)
+    ->Args({128, 128, 128, 0, 0, -1})
+    ->Args({256, 256, 256, 0, 0, -1})
+    ->Args({512, 512, 512, 0, 0, -1})
+    ->Unit(benchmark::kMillisecond);
+
+// One ogbn-arxiv client of the inproc-arxiv benchmark workload (about 2,400
+// rows, hidden 64, 40 classes) trains a 2-layer GCN with these GEMMs: the
+// forward X·W, the backward dY·Wᵀ, and the weight gradient Xᵀ·dY. Each
+// runs under every built-in backend.
+void ArxivClientGemms(benchmark::internal::Benchmark* bench) {
+  const int64_t backends =
+      static_cast<int64_t>(linalg::ListBackends().size());
+  for (int64_t backend = 0; backend < backends; ++backend) {
+    bench->Args({2400, 64, 64, 0, 0, backend});
+    bench->Args({2400, 40, 64, 0, 1, backend});
+    bench->Args({64, 2400, 64, 1, 0, backend});
+  }
+}
+BENCHMARK(BM_Gemm)->Apply(ArxivClientGemms)->Unit(benchmark::kMicrosecond);
 
 void BM_SpMM(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -24,8 +24,11 @@ BUILD_DIR=${BUILD_DIR:-build-asan}
 TSAN_BUILD_DIR=${TSAN_BUILD_DIR:-build-tsan}
 JOBS=${JOBS:-$(nproc)}
 
+# _GLIBCXX_ASSERTIONS adds libstdc++'s precondition checks (bounds of
+# operator[], std::clamp's lo <= hi, ...) to the sanitizer stage.
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS \
   -DFEDGTA_SANITIZE=ON
 cmake --build "$BUILD_DIR" -j"$JOBS"
 

@@ -20,10 +20,11 @@ namespace {
 constexpr double kPi = 3.14159265358979323846;
 
 /// Row panel height for the exact sweep: bounds the transient block buffer
-/// to ~8 MiB regardless of the participant count.
+/// to ~8 MiB regardless of the participant count. Not std::clamp: with
+/// fewer than 16 participants the upper bound is below the lower one.
 int64_t SweepPanelRows(int64_t p) {
-  return std::clamp<int64_t>((int64_t{1} << 21) / std::max<int64_t>(1, p),
-                             16, std::max<int64_t>(1, p));
+  const int64_t rows = std::max<int64_t>(1, p);
+  return std::min(std::max<int64_t>((int64_t{1} << 21) / rows, 16), rows);
 }
 
 /// Exact Eq. 6: sweep the cosine block in row panels through the backend

@@ -15,9 +15,8 @@ void GcnModel::Prepare(const ModelInput& input, Rng& rng) {
   FEDGTA_CHECK(input.graph_full != nullptr && input.graph_train != nullptr &&
                input.features != nullptr);
   adj_full_ = NormalizedAdjacency(*input.graph_full, r_);
-  adj_train_ = input.graph_train == input.graph_full
-                   ? adj_full_
-                   : NormalizedAdjacency(*input.graph_train, r_);
+  train_is_full_ = input.graph_train == input.graph_full;
+  if (!train_is_full_) adj_train_ = NormalizedAdjacency(*input.graph_train, r_);
   features_ = input.features;
   dropout_rng_ = rng.Fork(0x6c4);
 
@@ -32,7 +31,7 @@ void GcnModel::Prepare(const ModelInput& input, Rng& rng) {
 Matrix GcnModel::Forward(bool training) {
   FEDGTA_CHECK(!layers_.empty()) << "Forward before Prepare";
   last_training_ = training;
-  const CsrMatrix& adj = training ? adj_train_ : adj_full_;
+  const CsrMatrix& adj = Adjacency(training);
   const int hidden_count = num_layers_ - 1;
   pre_activations_.assign(static_cast<size_t>(hidden_count), Matrix());
   dropout_masks_.assign(static_cast<size_t>(hidden_count), Matrix());
@@ -57,7 +56,13 @@ Matrix GcnModel::Forward(bool training) {
 
 void GcnModel::Backward(const Matrix& dlogits, const Matrix* dhidden) {
   FEDGTA_CHECK(!layers_.empty());
-  const CsrMatrix& adj = last_training_ ? adj_train_ : adj_full_;
+  const CsrMatrix& adj = Adjacency(last_training_);
+  // Layer 0's input gradient would be d(features), which nothing reads, so
+  // layer 0 accumulates its parameter gradients only.
+  if (num_layers_ == 1) {
+    layers_[0].BackwardParams(dlogits);
+    return;
+  }
   // Ã is symmetric (r = 0.5) up to the kernel coefficient; for r != 0.5 the
   // exact adjoint is Ã^T, which equals Ã only in the symmetric case, so we
   // propagate through the transpose-free path used in practice for r = 0.5.
@@ -77,6 +82,10 @@ void GcnModel::Backward(const Matrix& dlogits, const Matrix* dhidden) {
       DropoutBackward(dropout_masks_[static_cast<size_t>(l)], &grad);
     }
     ReluBackwardInPlace(pre_activations_[static_cast<size_t>(l)], &grad);
+    if (l == 0) {
+      layers_[0].BackwardParams(grad);
+      break;
+    }
     grad = layers_[static_cast<size_t>(l)].Backward(grad);
     grad = adj * grad;
   }

@@ -30,8 +30,14 @@ class GcnModel : public GnnModel {
   float dropout_;
   float r_;
 
+  /// Ã of the training view (`training`) or of the full graph.
+  const CsrMatrix& Adjacency(bool training) const {
+    return training && !train_is_full_ ? adj_train_ : adj_full_;
+  }
+
   CsrMatrix adj_full_;
-  CsrMatrix adj_train_;
+  CsrMatrix adj_train_;  // empty when the training view is the full graph
+  bool train_is_full_ = false;
   const Matrix* features_ = nullptr;
   std::vector<Linear> layers_;
   Rng dropout_rng_{0};

@@ -16,10 +16,8 @@ void SageModel::Prepare(const ModelInput& input, Rng& rng) {
                input.features != nullptr);
   mean_full_ = RowMeanAdjacency(*input.graph_full);
   mean_full_t_ = mean_full_.Transposed();
-  if (input.graph_train == input.graph_full) {
-    mean_train_ = mean_full_;
-    mean_train_t_ = mean_full_t_;
-  } else {
+  train_is_full_ = input.graph_train == input.graph_full;
+  if (!train_is_full_) {
     mean_train_ = RowMeanAdjacency(*input.graph_train);
     mean_train_t_ = mean_train_.Transposed();
   }
@@ -39,7 +37,7 @@ void SageModel::Prepare(const ModelInput& input, Rng& rng) {
 Matrix SageModel::Forward(bool training) {
   FEDGTA_CHECK(!self_layers_.empty()) << "Forward before Prepare";
   last_training_ = training;
-  const CsrMatrix& mean = training ? mean_train_ : mean_full_;
+  const CsrMatrix& mean = Mean(training);
   const int hidden_count = num_layers_ - 1;
   pre_activations_.assign(static_cast<size_t>(hidden_count), Matrix());
   dropout_masks_.assign(static_cast<size_t>(hidden_count), Matrix());
@@ -66,14 +64,21 @@ Matrix SageModel::Forward(bool training) {
 
 void SageModel::Backward(const Matrix& dlogits, const Matrix* dhidden) {
   FEDGTA_CHECK(!self_layers_.empty());
-  const CsrMatrix& mean_t = last_training_ ? mean_train_t_ : mean_full_t_;
+  const CsrMatrix& mean_t = MeanTransposed(last_training_);
 
   Matrix dz = dlogits;
   for (int l = num_layers_ - 1; l >= 0; --l) {
-    Matrix dh = self_layers_[static_cast<size_t>(l)].Backward(dz);
-    Matrix dagg = nbr_layers_[static_cast<size_t>(l)].Backward(dz);
+    Linear& self_layer = self_layers_[static_cast<size_t>(l)];
+    Linear& nbr_layer = nbr_layers_[static_cast<size_t>(l)];
+    // Layer 0's input gradient would be d(features), which nothing reads.
+    if (l == 0) {
+      self_layer.BackwardParams(dz);
+      nbr_layer.BackwardParams(dz);
+      break;
+    }
+    Matrix dh = self_layer.Backward(dz);
+    Matrix dagg = nbr_layer.Backward(dz);
     dh += mean_t * dagg;
-    if (l == 0) break;
     // dh is the gradient on the previous layer's post-dropout activation.
     if (dhidden != nullptr && l == num_layers_ - 1) {
       FEDGTA_CHECK_EQ(dhidden->rows(), dh.rows());

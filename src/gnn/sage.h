@@ -27,10 +27,21 @@ class SageModel : public GnnModel {
   int hidden_dim_;
   float dropout_;
 
+  /// Mean adjacency of the training view (`training`) or the full graph.
+  const CsrMatrix& Mean(bool training) const {
+    return training && !train_is_full_ ? mean_train_ : mean_full_;
+  }
+  /// Its transpose, the adjoint used by Backward.
+  const CsrMatrix& MeanTransposed(bool training) const {
+    return training && !train_is_full_ ? mean_train_t_ : mean_full_t_;
+  }
+
   CsrMatrix mean_full_;
   CsrMatrix mean_full_t_;
+  // Both empty when the training view is the full graph.
   CsrMatrix mean_train_;
   CsrMatrix mean_train_t_;
+  bool train_is_full_ = false;
   const Matrix* features_ = nullptr;
   std::vector<Linear> self_layers_;
   std::vector<Linear> nbr_layers_;

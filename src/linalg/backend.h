@@ -75,6 +75,13 @@ struct SpmmCall {
 ///    order not depend on which operand a row came in through. The
 ///    symmetric LSH pass of Eq. 6 exact-checks each unordered pair once
 ///    and mirrors the result into both rows on this contract.
+///  * ISA variants within a backend: a backend that compiles one kernel for
+///    several ISAs and picks one at run time must make every variant do
+///    identical per-element operations — no FMA, no reassociation — so its
+///    floats do not depend on the host. The reference backend's baseline
+///    and AVX2 variants are bitwise equal (linalg_test pins it). The one
+///    exception is "simd", whose AVX2+FMA and portable variants differ in
+///    rounding by design; its description() names the variant running.
 ///  * Cross-backend results only need to agree within floating-point
 ///    reassociation tolerance (the equivalence suite uses 1e-4 relative).
 class Backend {
@@ -162,6 +169,20 @@ namespace internal {
 std::unique_ptr<Backend> MakeReferenceBackend();
 std::unique_ptr<Backend> MakeBlockedBackend();
 std::unique_ptr<Backend> MakeSimdBackend();
+
+/// The reference backend's GEMM and SpMM row kernels, one body compiled for
+/// the baseline ISA and for AVX2 without FMA. The backend runs the AVX2 pair
+/// when ReferenceAvx2Supported(); both write bitwise-equal outputs. Non-x86
+/// builds compile the baseline only, and the Avx2 names run it.
+bool ReferenceAvx2Supported();
+void ReferenceGemmRowsBaseline(const GemmCall& call, int64_t row_begin,
+                               int64_t row_end);
+void ReferenceGemmRowsAvx2(const GemmCall& call, int64_t row_begin,
+                           int64_t row_end);
+void ReferenceSpmmRowsBaseline(const SpmmCall& call, int64_t row_begin,
+                               int64_t row_end);
+void ReferenceSpmmRowsAvx2(const SpmmCall& call, int64_t row_begin,
+                           int64_t row_end);
 }  // namespace internal
 
 }  // namespace linalg

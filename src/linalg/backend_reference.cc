@@ -1,68 +1,179 @@
 // The "reference" kernel backend: the original straightforward loops, kept
-// as the correctness oracle every other backend is tested against. Must
-// stay simple enough to audit by eye — performance work belongs in
-// backend_blocked.cc / backend_simd.cc.
+// as the correctness oracle every other backend is tested against. The
+// kernel bodies must stay simple enough to audit by eye — tiling and
+// intrinsics belong in backend_blocked.cc / backend_simd.cc.
+//
+// Only their compilation differs: each body is compiled twice, for the
+// baseline ISA and for target("avx2"), and the backend picks the variant
+// once with __builtin_cpu_supports. Both do the same operations on every
+// output element: GEMM adds alpha*A(i, p) * B(p, j) in ascending p, skips a
+// zero alpha*A(i, p), and rounds the product before adding it (no FMA: this
+// file builds with -ffp-contract=off, and the avx2 target leaves fma off).
+// Wider vectors only handle more j at once, so every float is bitwise equal
+// on every host.
 
 #include <algorithm>
+#include <vector>
 
 #include "linalg/backend.h"
+
+// The bodies are inlined into each variant so they compile for its ISA.
+#define FEDGTA_REFERENCE_BODY inline __attribute__((always_inline))
 
 namespace fedgta {
 namespace linalg {
 namespace {
 
+/// Columns per contiguous copy of a strided B. Bounds the per-thread copy
+/// (k x 256 floats) when B is wide, e.g. the transposed signature matrix
+/// of an Eq. 6 exact sweep.
+constexpr int64_t kPanelCols = 256;
+
+/// c[0, w) += alpha * A(i, :) * B(:, [0, w)), where B row p starts at
+/// b + p * ldb and is contiguous.
+FEDGTA_REFERENCE_BODY void AccumulateRow(const GemmCall& call, int64_t i,
+                                         const float* b, int64_t ldb,
+                                         int64_t w, float* c) {
+  for (int64_t p = 0; p < call.k; ++p) {
+    const float a_ip = call.alpha * call.a.At(i, p);
+    if (a_ip == 0.0f) continue;
+    const float* b_row = b + p * ldb;
+    for (int64_t j = 0; j < w; ++j) c[j] += a_ip * b_row[j];
+  }
+}
+
+FEDGTA_REFERENCE_BODY void GemmRowsBody(const GemmCall& call,
+                                        int64_t row_begin, int64_t row_end) {
+  const int64_t n = call.n;
+  const int64_t k = call.k;
+  for (int64_t i = row_begin; i < row_end; ++i) {
+    float* c_row = call.c + i * n;
+    if (call.beta == 0.0f) {
+      std::fill(c_row, c_row + n, 0.0f);
+    } else if (call.beta != 1.0f) {
+      for (int64_t j = 0; j < n; ++j) c_row[j] *= call.beta;
+    }
+  }
+  // ikj loop order: stream through B rows when B is untransposed
+  // (col_stride == 1), the common case.
+  if (call.b.col_stride == 1) {
+    for (int64_t i = row_begin; i < row_end; ++i) {
+      AccumulateRow(call, i, call.b.base, call.b.row_stride, n,
+                    call.c + i * n);
+    }
+    return;
+  }
+  // A single row reads the strided B once; copying it would cost as much.
+  if (row_end - row_begin < 2) {
+    for (int64_t i = row_begin; i < row_end; ++i) {
+      float* c_row = call.c + i * n;
+      for (int64_t p = 0; p < k; ++p) {
+        const float a_ip = call.alpha * call.a.At(i, p);
+        if (a_ip == 0.0f) continue;
+        for (int64_t j = 0; j < n; ++j) c_row[j] += a_ip * call.b.At(p, j);
+      }
+    }
+    return;
+  }
+  // Otherwise copy B into contiguous column panels, so the inner loop
+  // streams them like an untransposed B.
+  thread_local std::vector<float> panel;
+  for (int64_t j0 = 0; j0 < n; j0 += kPanelCols) {
+    const int64_t w = std::min(kPanelCols, n - j0);
+    panel.resize(static_cast<size_t>(k * w));
+    for (int64_t p = 0; p < k; ++p) {
+      for (int64_t j = 0; j < w; ++j) panel[p * w + j] = call.b.At(p, j0 + j);
+    }
+    for (int64_t i = row_begin; i < row_end; ++i) {
+      AccumulateRow(call, i, panel.data(), w, w, call.c + i * n + j0);
+    }
+  }
+}
+
+FEDGTA_REFERENCE_BODY void SpmmRowsBody(const SpmmCall& call,
+                                        int64_t row_begin, int64_t row_end) {
+  const int64_t f = call.f;
+  for (int64_t r = row_begin; r < row_end; ++r) {
+    float* dst = call.out + r * f;
+    std::fill(dst, dst + f, 0.0f);
+    for (int64_t p = call.row_ptr[r]; p < call.row_ptr[r + 1]; ++p) {
+      const float w = call.values[p];
+      const float* src =
+          call.dense + static_cast<int64_t>(call.col_idx[p]) * f;
+      for (int64_t j = 0; j < f; ++j) dst[j] += w * src[j];
+    }
+  }
+}
+
 class ReferenceBackend : public Backend {
  public:
+  ReferenceBackend() {
+    if (internal::ReferenceAvx2Supported()) {
+      gemm_rows_ = internal::ReferenceGemmRowsAvx2;
+      spmm_rows_ = internal::ReferenceSpmmRowsAvx2;
+    }
+  }
+
   std::string_view name() const override { return "reference"; }
 
   void GemmRows(const GemmCall& call, int64_t row_begin,
                 int64_t row_end) const override {
-    const int64_t n = call.n;
-    const int64_t k = call.k;
-    for (int64_t i = row_begin; i < row_end; ++i) {
-      float* c_row = call.c + i * n;
-      if (call.beta == 0.0f) {
-        std::fill(c_row, c_row + n, 0.0f);
-      } else if (call.beta != 1.0f) {
-        for (int64_t j = 0; j < n; ++j) c_row[j] *= call.beta;
-      }
-      // ikj loop order: stream through B rows when B is untransposed
-      // (col_stride == 1), the common case.
-      for (int64_t p = 0; p < k; ++p) {
-        const float a_ip = call.alpha * call.a.At(i, p);
-        if (a_ip == 0.0f) continue;
-        if (call.b.col_stride == 1) {
-          const float* b_row = call.b.base + p * call.b.row_stride;
-          for (int64_t j = 0; j < n; ++j) c_row[j] += a_ip * b_row[j];
-        } else {
-          for (int64_t j = 0; j < n; ++j) c_row[j] += a_ip * call.b.At(p, j);
-        }
-      }
-    }
+    gemm_rows_(call, row_begin, row_end);
   }
 
   void SpmmRows(const SpmmCall& call, int64_t row_begin,
                 int64_t row_end) const override {
-    const int64_t f = call.f;
-    for (int64_t r = row_begin; r < row_end; ++r) {
-      float* dst = call.out + r * f;
-      std::fill(dst, dst + f, 0.0f);
-      for (int64_t p = call.row_ptr[r]; p < call.row_ptr[r + 1]; ++p) {
-        const float w = call.values[p];
-        const float* src =
-            call.dense + static_cast<int64_t>(call.col_idx[p]) * f;
-        for (int64_t j = 0; j < f; ++j) dst[j] += w * src[j];
-      }
-    }
+    spmm_rows_(call, row_begin, row_end);
   }
+
+ private:
+  void (*gemm_rows_)(const GemmCall&, int64_t, int64_t) =
+      internal::ReferenceGemmRowsBaseline;
+  void (*spmm_rows_)(const SpmmCall&, int64_t, int64_t) =
+      internal::ReferenceSpmmRowsBaseline;
 };
 
 }  // namespace
 
 namespace internal {
+
 std::unique_ptr<Backend> MakeReferenceBackend() {
   return std::make_unique<ReferenceBackend>();
 }
+
+#if defined(__x86_64__) || defined(__i386__)
+bool ReferenceAvx2Supported() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2");
+}
+#define FEDGTA_REFERENCE_AVX2 __attribute__((target("avx2")))
+#else
+bool ReferenceAvx2Supported() { return false; }
+#define FEDGTA_REFERENCE_AVX2
+#endif
+
+void ReferenceGemmRowsBaseline(const GemmCall& call, int64_t row_begin,
+                               int64_t row_end) {
+  GemmRowsBody(call, row_begin, row_end);
+}
+
+FEDGTA_REFERENCE_AVX2 void ReferenceGemmRowsAvx2(const GemmCall& call,
+                                                 int64_t row_begin,
+                                                 int64_t row_end) {
+  GemmRowsBody(call, row_begin, row_end);
+}
+
+void ReferenceSpmmRowsBaseline(const SpmmCall& call, int64_t row_begin,
+                               int64_t row_end) {
+  SpmmRowsBody(call, row_begin, row_end);
+}
+
+FEDGTA_REFERENCE_AVX2 void ReferenceSpmmRowsAvx2(const SpmmCall& call,
+                                                 int64_t row_begin,
+                                                 int64_t row_end) {
+  SpmmRowsBody(call, row_begin, row_end);
+}
+
 }  // namespace internal
 
 }  // namespace linalg

@@ -19,12 +19,16 @@ Matrix Linear::Forward(const Matrix& x) {
 }
 
 Matrix Linear::Backward(const Matrix& dy) {
+  BackwardParams(dy);
+  return MatMul(dy, w_, Transpose::kNo, Transpose::kYes);
+}
+
+void Linear::BackwardParams(const Matrix& dy) {
   FEDGTA_CHECK_EQ(dy.cols(), w_.cols());
   FEDGTA_CHECK_EQ(dy.rows(), cached_input_.rows())
       << "Backward without matching Forward";
   Gemm(cached_input_, Transpose::kYes, dy, Transpose::kNo, 1.0f, 1.0f, &dw_);
   db_ += ColumnSums(dy);
-  return MatMul(dy, w_, Transpose::kNo, Transpose::kYes);
 }
 
 std::vector<ParamRef> Linear::Params() {

@@ -8,7 +8,8 @@
 namespace fedgta {
 
 /// Fully connected layer Y = X W + b with manual backprop. Forward caches
-/// the input; Backward accumulates dW, db and returns dX.
+/// the input; Backward accumulates dW, db and returns dX. A first layer,
+/// whose dX nobody reads, calls BackwardParams instead.
 class Linear {
  public:
   /// Glorot-initialized weights, zero bias.
@@ -20,6 +21,9 @@ class Linear {
   /// Accumulates dW += X^T dY, db += column-sums(dY); returns dX = dY W^T.
   /// Must follow a Forward call with matching shapes.
   Matrix Backward(const Matrix& dy);
+
+  /// Backward without dX: accumulates dW and db only.
+  void BackwardParams(const Matrix& dy);
 
   std::vector<ParamRef> Params();
   void ZeroGrad();

@@ -10,6 +10,7 @@
 #include "graph/normalized_adjacency.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
+#include "obs/metrics.h"
 
 namespace fedgta {
 namespace {
@@ -280,6 +281,49 @@ TEST(FactoryTest, NamesRoundTrip) {
   }
   EXPECT_FALSE(ParseModelType("transformer").ok());
 }
+
+// Layer 0's input gradient is d(features), which nothing reads: one
+// Backward of an L-layer coupled model runs no GEMM or SpMM for it.
+struct BackwardCostCase {
+  ModelType type;
+  int num_layers;
+  int64_t gemms;
+  int64_t spmms;
+};
+
+class BackwardCostTest : public ::testing::TestWithParam<BackwardCostCase> {};
+
+TEST_P(BackwardCostTest, SkipsLayerZeroInputGradient) {
+  const BackwardCostCase c = GetParam();
+  TestInput t = MakeTestInput(23);
+  ModelConfig cfg = ConfigFor(c.type);
+  cfg.num_layers = c.num_layers;
+  auto model = MakeModel(cfg);
+  Rng rng(24);
+  model->Prepare(t.input, rng);
+  Matrix dlogits;
+  (void)SoftmaxCrossEntropy(model->Forward(true), t.labels, t.train_rows,
+                            &dlogits);
+  Counter& gemms = GlobalMetrics().GetCounter("phase.gemm.calls");
+  Counter& spmms = GlobalMetrics().GetCounter("phase.spmm.calls");
+  const int64_t gemms_before = gemms.value();
+  const int64_t spmms_before = spmms.value();
+  model->ZeroGrad();
+  model->Backward(dlogits, nullptr);
+  EXPECT_EQ(gemms.value() - gemms_before, c.gemms);
+  EXPECT_EQ(spmms.value() - spmms_before, c.spmms);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CoupledModels, BackwardCostTest,
+    ::testing::Values(BackwardCostCase{ModelType::kGcn, 2, 3, 1},
+                      BackwardCostCase{ModelType::kSage, 2, 6, 1},
+                      BackwardCostCase{ModelType::kGcn, 1, 1, 0},
+                      BackwardCostCase{ModelType::kSage, 1, 2, 0}),
+    [](const auto& info) {
+      return std::string(ModelTypeName(info.param.type)) + "_" +
+             std::to_string(info.param.num_layers) + "layer";
+    });
 
 TEST(HiddenTest, MoonHookSeesLastHidden) {
   TestInput t = MakeTestInput(21);

@@ -1,7 +1,11 @@
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "linalg/backend.h"
 #include "linalg/csr.h"
 #include "linalg/matrix.h"
 #include "linalg/ops.h"
@@ -154,6 +158,185 @@ TEST(GemmTest, LargeParallelPathMatchesNaive) {
   Matrix got = MatMul(a, b);
   Matrix want = NaiveMatMul(a, b, false, false);
   EXPECT_TRUE(got.AllClose(want, 1e-2f));
+}
+
+// ---------------------------------------------------------------------------
+// The reference kernels are the bitwise oracle. These cases pin them to the
+// plain one-row-at-a-time ikj loop, and their baseline and AVX2 compilations
+// to each other, bit for bit.
+
+// The reference GEMM loop before it was compiled per ISA: one output row at
+// a time, B read in place through its strides.
+void PlainReferenceGemmRows(const linalg::GemmCall& call, int64_t row_begin,
+                            int64_t row_end) {
+  const int64_t n = call.n;
+  const int64_t k = call.k;
+  for (int64_t i = row_begin; i < row_end; ++i) {
+    float* c_row = call.c + i * n;
+    if (call.beta == 0.0f) {
+      std::fill(c_row, c_row + n, 0.0f);
+    } else if (call.beta != 1.0f) {
+      for (int64_t j = 0; j < n; ++j) c_row[j] *= call.beta;
+    }
+    for (int64_t p = 0; p < k; ++p) {
+      const float a_ip = call.alpha * call.a.At(i, p);
+      if (a_ip == 0.0f) continue;
+      if (call.b.col_stride == 1) {
+        const float* b_row = call.b.base + p * call.b.row_stride;
+        for (int64_t j = 0; j < n; ++j) c_row[j] += a_ip * b_row[j];
+      } else {
+        for (int64_t j = 0; j < n; ++j) c_row[j] += a_ip * call.b.At(p, j);
+      }
+    }
+  }
+}
+
+bool BitwiseEqual(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+// Operands of one GEMM case, stored as the dispatch layer (ops.cc) views
+// them. A_eff has ~1/3 zero entries and an all-zero column `kZeroCol`,
+// whose B_eff row holds an Inf: a kernel that does not skip zero a_ip
+// writes NaN.
+struct KernelOperands {
+  static constexpr int64_t kZeroCol = 2;
+  std::vector<float> a, b, c0;
+  linalg::GemmCall call;
+
+  KernelOperands(bool ta, bool tb, int64_t m, int64_t n, int64_t k,
+                 float alpha, float beta, uint64_t seed) {
+    Rng rng(seed);
+    a.resize(static_cast<size_t>(m * k));
+    b.resize(static_cast<size_t>(k * n));
+    c0.resize(static_cast<size_t>(m * n));
+    for (float& v : a) v = rng.Bernoulli(0.33) ? 0.0f : rng.Normal(0.0f, 1.0f);
+    for (float& v : b) v = rng.Normal(0.0f, 1.0f);
+    for (float& v : c0) v = rng.Normal(0.0f, 1.0f);
+    call.a = {a.data(), ta ? 1 : k, ta ? m : 1};
+    call.b = {b.data(), tb ? 1 : n, tb ? k : 1};
+    for (int64_t i = 0; i < m; ++i) {
+      a[static_cast<size_t>(i * call.a.row_stride +
+                            kZeroCol * call.a.col_stride)] = 0.0f;
+    }
+    b[static_cast<size_t>(kZeroCol * call.b.row_stride +
+                          (n / 2) * call.b.col_stride)] =
+        std::numeric_limits<float>::infinity();
+    call.m = m;
+    call.n = n;
+    call.k = k;
+    call.alpha = alpha;
+    call.beta = beta;
+  }
+
+  /// C after running `kernel` over `splits` (consecutive row-range ends).
+  template <typename Kernel>
+  std::vector<float> Run(Kernel kernel, const std::vector<int64_t>& splits) {
+    std::vector<float> c = c0;
+    linalg::GemmCall run = call;
+    run.c = c.data();
+    int64_t lo = 0;
+    for (int64_t hi : splits) {
+      kernel(run, lo, hi);
+      lo = hi;
+    }
+    return c;
+  }
+};
+
+template <typename Check>
+void ForEachKernelCase(Check check) {
+  uint64_t seed = 100;
+  for (const bool ta : {false, true}) {
+    for (const bool tb : {false, true}) {
+      for (const float alpha : {1.0f, 0.5f}) {
+        for (const float beta : {0.0f, 1.0f, -0.5f}) {
+          for (const int64_t m : {int64_t{1}, int64_t{13}}) {
+            for (const int64_t n : {3, 40, 64, 300}) {
+              SCOPED_TRACE(testing::Message()
+                           << "ta=" << ta << " tb=" << tb << " alpha="
+                           << alpha << " beta=" << beta << " m=" << m
+                           << " n=" << n);
+              KernelOperands ops(ta, tb, m, n, /*k=*/29, alpha, beta, ++seed);
+              check(ops);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ReferenceKernelTest, GemmMatchesPlainLoopBitwise) {
+  const linalg::Backend* reference = linalg::FindBackend("reference");
+  ASSERT_NE(reference, nullptr);
+  auto kernel = [reference](const linalg::GemmCall& call, int64_t lo,
+                            int64_t hi) { reference->GemmRows(call, lo, hi); };
+  ForEachKernelCase([&](KernelOperands& ops) {
+    const int64_t m = ops.call.m;
+    const std::vector<float> want = ops.Run(PlainReferenceGemmRows, {m});
+    for (float v : want) ASSERT_FALSE(std::isnan(v)) << "zero a_ip not skipped";
+    EXPECT_TRUE(BitwiseEqual(ops.Run(kernel, {m}), want));
+    if (m > 2) {
+      // Row ranges of 1, 2 and the rest: single-row and panelled paths.
+      EXPECT_TRUE(BitwiseEqual(ops.Run(kernel, {1, 3, m}), want));
+    }
+  });
+}
+
+TEST(ReferenceKernelTest, GemmAvx2MatchesBaselineBitwise) {
+  if (!linalg::internal::ReferenceAvx2Supported()) {
+    GTEST_SKIP() << "host has no AVX2";
+  }
+  ForEachKernelCase([](KernelOperands& ops) {
+    const int64_t m = ops.call.m;
+    const std::vector<int64_t> splits =
+        m > 2 ? std::vector<int64_t>{1, 3, m} : std::vector<int64_t>{m};
+    EXPECT_TRUE(
+        BitwiseEqual(ops.Run(linalg::internal::ReferenceGemmRowsAvx2, splits),
+                     ops.Run(linalg::internal::ReferenceGemmRowsBaseline,
+                             splits)));
+  });
+}
+
+TEST(ReferenceKernelTest, SpmmAvx2MatchesBaselineBitwise) {
+  if (!linalg::internal::ReferenceAvx2Supported()) {
+    GTEST_SKIP() << "host has no AVX2";
+  }
+  Rng rng(31);
+  const int64_t rows = 50;
+  const int64_t inner = 70;
+  std::vector<int64_t> row_ptr{0};
+  std::vector<int32_t> col_idx;
+  std::vector<float> values;
+  for (int64_t r = 0; r < rows; ++r) {
+    const int64_t nnz = r % 7 == 0 ? 0 : rng.UniformInt(1, 12);
+    for (int64_t e = 0; e < nnz; ++e) {
+      col_idx.push_back(static_cast<int32_t>(rng.UniformInt(0, inner - 1)));
+      values.push_back(rng.Normal(0.0f, 1.0f));
+    }
+    row_ptr.push_back(static_cast<int64_t>(col_idx.size()));
+  }
+  for (const int64_t f : {3, 40, 64, 300}) {
+    std::vector<float> dense(static_cast<size_t>(inner * f));
+    for (float& v : dense) v = rng.Normal(0.0f, 1.0f);
+    linalg::SpmmCall call;
+    call.row_ptr = row_ptr.data();
+    call.col_idx = col_idx.data();
+    call.values = values.data();
+    call.dense = dense.data();
+    call.f = f;
+    // Non-zero garbage: kernels must overwrite their rows.
+    std::vector<float> base(static_cast<size_t>(rows * f), 7.0f);
+    std::vector<float> avx2 = base;
+    call.out = base.data();
+    linalg::internal::ReferenceSpmmRowsBaseline(call, 0, rows);
+    call.out = avx2.data();
+    linalg::internal::ReferenceSpmmRowsAvx2(call, 0, 20);
+    linalg::internal::ReferenceSpmmRowsAvx2(call, 20, rows);
+    EXPECT_TRUE(BitwiseEqual(avx2, base)) << "f=" << f;
+  }
 }
 
 TEST(OpsTest, AddRowBroadcast) {

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 #include <gtest/gtest.h>
@@ -115,6 +116,29 @@ TEST(LinearTest, BackwardReturnsInputGradient) {
   // dx = dy W^T: with dy = e0, dx = first column of W.
   EXPECT_NEAR(dx(0, 0), layer.weight()(0, 0), 1e-6f);
   EXPECT_NEAR(dx(0, 2), layer.weight()(2, 0), 1e-6f);
+}
+
+TEST(LinearTest, BackwardParamsMatchesBackward) {
+  Rng init_a(5);
+  Rng init_b(5);
+  Linear full(6, 4, init_a);
+  Linear params_only(6, 4, init_b);
+  Rng rng(6);
+  for (int step = 0; step < 2; ++step) {  // the second step accumulates
+    Matrix x(9, 6);
+    x.GaussianInit(rng, 1.0f);
+    Matrix dy(9, 4);
+    dy.GaussianInit(rng, 1.0f);
+    (void)full.Forward(x);
+    (void)params_only.Forward(x);
+    (void)full.Backward(dy);
+    params_only.BackwardParams(dy);
+  }
+  const std::vector<float> want = FlattenGrads(full.Params());
+  const std::vector<float> got = FlattenGrads(params_only.Params());
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0);
 }
 
 TEST(MlpTest, ForwardShapesAndHidden) {
