@@ -2,7 +2,8 @@
 // SpMM, label propagation, moments, Louvain, and METIS-style partitioning.
 // These back the Table 1 / §4.5 discussion with kernel-level numbers.
 //
-// Before the google-benchmark suite, main() runs two sweeps:
+// Before the google-benchmark suite, an unfiltered run (no
+// --benchmark_filter) runs two sweeps:
 //  * a kernel-backend sweep (reference/blocked/simd) over GEMM and SpMM,
 //    written to BENCH_kernels_backends.json — the artifact behind the
 //    backend speedup claims (see DESIGN.md "Kernel backends");
@@ -18,6 +19,7 @@
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -371,10 +373,16 @@ void RunBackendSweep(const char* out_path) {
 }  // namespace fedgta
 
 int main(int argc, char** argv) {
-  std::printf("== kernel-backend sweep (reference/blocked/simd) ==\n");
-  fedgta::RunBackendSweep("BENCH_kernels_backends.json");
-  std::printf("== thread-scaling sweep (shared pool: 1/2/4/8 threads) ==\n");
-  fedgta::RunThreadScalingSweep("BENCH_parallel.json");
+  // A filtered run is a kernel spot check: it skips the minutes-long sweeps.
+  const bool filtered = std::any_of(argv + 1, argv + argc, [](const char* arg) {
+    return std::string_view(arg).starts_with("--benchmark_filter");
+  });
+  if (!filtered) {
+    std::printf("== kernel-backend sweep (reference/blocked/simd) ==\n");
+    fedgta::RunBackendSweep("BENCH_kernels_backends.json");
+    std::printf("== thread-scaling sweep (shared pool: 1/2/4/8 threads) ==\n");
+    fedgta::RunThreadScalingSweep("BENCH_parallel.json");
+  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -170,28 +169,28 @@ ArmResult RunPlaneArm(const Round& round, SimilarityMode mode) {
 
 // --- Sharded arm: the hierarchical Eq. 6/7 plane, in process -------------
 //
-// K ShardPlanes run the regional-aggregator exchange (DESIGN.md §5k)
-// without the network: stage, signature concat, candidate prescreen
-// against the global frame, cross-shard moment fetch, set admission, and
-// globally-deduplicated Eq. 7 (local sets aggregated in place, cross-shard
-// sets via the chained ascending-shard partial pass). The point of the arm
-// is the memory claim: no process ever materializes the full participant
-// state, so per-process peak state must sit strictly below the
+// The root builds the Eq. 6 groups from the survivors' moment rows with
+// the single-server code (DESIGN.md §5k), and K ShardPlanes run Eq. 7 over
+// their staged weights without the network: local sets aggregated in
+// place, cross-shard sets via the chained ascending-shard partial pass.
+// The point of the arm is the memory claim: no process holds another
+// shard's weights, so per-process peak state must sit strictly below the
 // single-server plane's — while staying bit-identical to it.
 
 struct ShardedResult {
   double seconds = 0.0;
   int64_t unique_sets = 0;
-  /// Largest per-shard participant-state footprint: staged params +
-  /// normalized moment rows + fetched remote rows + the installed global
-  /// signature frame.
+  /// Largest per-process participant-state footprint: a shard's staged
+  /// uploads (params + moment rows), or the root's moment table.
   int64_t peak_state_bytes = 0;
 };
 
-int64_t ShardStateBytes(int staged, int remote_rows, size_t global_sig_words) {
-  return static_cast<int64_t>(staged) * (kParamDim + kMomentDim) * 4 +
-         static_cast<int64_t>(remote_rows) * kMomentDim * 4 +
-         static_cast<int64_t>(global_sig_words) * 8;
+int64_t ShardStateBytes(int staged) {
+  return static_cast<int64_t>(staged) * (kParamDim + kMomentDim) * 4;
+}
+
+int64_t RootStateBytes(int survivors) {
+  return static_cast<int64_t>(survivors) * kMomentDim * 4;
 }
 
 ShardedResult RunShardedArm(const Round& round, int num_shards,
@@ -206,83 +205,50 @@ ShardedResult RunShardedArm(const Round& round, int num_shards,
   WallTimer timer;
 
   std::vector<std::unique_ptr<fed::ShardPlane>> planes;
-  std::vector<uint64_t> global_sigs;
   for (int a = 0; a < num_shards; ++a) {
     planes.push_back(std::make_unique<fed::ShardPlane>(
-        n, topo.ClientShard(a), options, round.train_sizes));
+        topo.ClientShard(a), options.disable_confidence, round.train_sizes));
     std::vector<fed::ShardUpload> uploads;
     for (int id = topo.ClientShard(a).begin; id < topo.ClientShard(a).end;
          ++id) {
-      fed::ShardUpload up;
-      up.client_id = id;
-      up.params = round.params[static_cast<size_t>(id)];
-      up.moments = round.metrics[static_cast<size_t>(id)].moments;
-      up.confidence = round.metrics[static_cast<size_t>(id)].confidence;
-      uploads.push_back(std::move(up));
+      uploads.push_back({id, round.params[static_cast<size_t>(id)],
+                         round.metrics[static_cast<size_t>(id)].confidence});
     }
     planes.back()->StageRound(std::move(uploads));
-    const std::vector<uint64_t> sigs = planes.back()->Signatures();
-    global_sigs.insert(global_sigs.end(), sigs.begin(), sigs.end());
   }
 
-  std::vector<double> confidences;
-  confidences.reserve(static_cast<size_t>(n));
+  // The root's Eq. 6 over the shipped moment rows.
+  std::vector<std::vector<float>> moments(static_cast<size_t>(n));
   for (int id : round.participants) {
-    confidences.push_back(round.metrics[static_cast<size_t>(id)].confidence);
+    moments[static_cast<size_t>(id)] =
+        round.metrics[static_cast<size_t>(id)].moments;
   }
-  std::vector<fed::ShardPlane::Candidates> candidates;
-  for (int a = 0; a < num_shards; ++a) {
-    planes[static_cast<size_t>(a)]->InstallGlobalFrame(
-        round.participants, confidences, global_sigs);
-    candidates.push_back(
-        planes[static_cast<size_t>(a)]->ComputeCandidates(/*use_lsh=*/true));
-  }
-  for (int a = 0; a < num_shards; ++a) {
-    std::vector<std::vector<int>> by_owner(static_cast<size_t>(num_shards));
-    for (int id : candidates[static_cast<size_t>(a)].remote_wanted) {
-      by_owner[static_cast<size_t>(topo.AggregatorOf(id))].push_back(id);
-    }
-    for (int src = 0; src < num_shards; ++src) {
-      const std::vector<int>& ids = by_owner[static_cast<size_t>(src)];
-      if (ids.empty()) continue;
-      planes[static_cast<size_t>(a)]->InstallRemoteRows(
-          ids, planes[static_cast<size_t>(src)]->ExportRows(ids));
-    }
-  }
+  std::vector<std::vector<int>> sets;
+  const std::vector<AggregationGroup> groups =
+      GroupByAggregationSet(moments, round.participants, options, &sets);
+  FEDGTA_CHECK(sets == oracle.sets)
+      << "root-built sets diverge from single-server";
 
-  // Global dedup, the root's Phase 5-7 in miniature: one Eq. 7 evaluation
-  // per distinct canonical set, local sets short-circuited on their shard.
-  std::map<std::vector<int>, std::vector<float>> groups;
-  for (int a = 0; a < num_shards; ++a) {
-    const fed::ShardPlane& plane = *planes[static_cast<size_t>(a)];
-    const auto sets = plane.BuildSets(candidates[static_cast<size_t>(a)]);
-    FEDGTA_CHECK_EQ(sets.size(), plane.staged().size());
-    for (size_t r = 0; r < sets.size(); ++r) {
-      const int id = plane.staged()[r];
-      FEDGTA_CHECK(sets[r] == oracle.sets[static_cast<size_t>(id)])
-          << "sharded set diverges from single-server at client " << id;
-      std::vector<int> canonical = sets[r];
-      std::sort(canonical.begin(), canonical.end());
-      auto it = groups.find(canonical);
-      if (it == groups.end()) {
-        std::vector<float> acc;
-        const bool local =
-            std::all_of(canonical.begin(), canonical.end(),
-                        [&](int m) { return plane.shard().contains(m); });
-        if (local) {
-          acc = plane.AggregateLocalSet(canonical);
-        } else {
-          const double weight_sum = plane.WeightSum(canonical);
-          acc.assign(kParamDim, 0.0f);
-          for (int src = 0; src < num_shards; ++src) {
-            planes[static_cast<size_t>(src)]->AccumulatePartial(
-                canonical, weight_sum, &acc);
-          }
-        }
-        it = groups.emplace(std::move(canonical), std::move(acc)).first;
+  // Eq. 7, one evaluation per group: local sets on their shard, the rest
+  // chained across the shards with the root's weight sum.
+  for (const AggregationGroup& group : groups) {
+    const std::vector<int>& canonical = group.canonical;
+    const fed::ShardPlane& first =
+        *planes[static_cast<size_t>(topo.AggregatorOf(canonical.front()))];
+    std::vector<float> acc;
+    if (first.shard().contains(canonical.back())) {
+      acc = first.AggregateLocalSet(canonical);
+    } else {
+      double weight_sum = 0.0;
+      for (int m : canonical) {
+        weight_sum += round.metrics[static_cast<size_t>(m)].confidence;
       }
-      personalized[static_cast<size_t>(id)] = it->second;
+      acc.assign(kParamDim, 0.0f);
+      for (const auto& plane : planes) {
+        plane->AccumulatePartial(canonical, weight_sum, &acc);
+      }
     }
+    for (int id : group.clients) personalized[static_cast<size_t>(id)] = acc;
   }
   result.seconds = timer.Seconds();
   result.unique_sets = static_cast<int64_t>(groups.size());
@@ -290,14 +256,12 @@ ShardedResult RunShardedArm(const Round& round, int num_shards,
   FEDGTA_CHECK(personalized == oracle.personalized)
       << "sharded personalized weights diverge from single-server";
 
-  for (int a = 0; a < num_shards; ++a) {
-    result.peak_state_bytes = std::max(
-        result.peak_state_bytes,
-        ShardStateBytes(
-            static_cast<int>(planes[static_cast<size_t>(a)]->staged().size()),
-            static_cast<int>(
-                candidates[static_cast<size_t>(a)].remote_wanted.size()),
-            global_sigs.size()));
+  result.peak_state_bytes =
+      RootStateBytes(static_cast<int>(round.participants.size()));
+  for (const auto& plane : planes) {
+    result.peak_state_bytes =
+        std::max(result.peak_state_bytes,
+                 ShardStateBytes(static_cast<int>(plane->staged().size())));
   }
   return result;
 }

@@ -7,8 +7,8 @@
 // be started before the server), receives its contiguous client shard and
 // worker slice via ShardAssign, publishes its worker-facing port, accepts
 // the shard's fedgta_worker processes, and then serves the root's routed
-// envelopes — train fan-out plus the shard-local half of the Eq. 6/7
-// similarity/aggregation plane — until the root says Shutdown. Flag
+// envelopes — train fan-out plus the shard's half of the Eq. 7
+// aggregation — until the root says Shutdown. Flag
 // parsing and validation are shared with the other binaries
 // (src/eval/cli.h).
 

@@ -115,6 +115,61 @@ ClientMetrics ComputeClientMetrics(const Graph& graph, const Matrix& logits,
   return metrics;
 }
 
+std::vector<AggregationGroup> GroupByAggregationSet(
+    const std::vector<std::vector<float>>& moments,
+    const std::vector<int>& participants, const FedGtaOptions& options,
+    std::vector<std::vector<int>>* sets_out) {
+  // Eq. (6): aggregation sets from moment similarity.
+  std::vector<std::vector<int>> sets;
+  if (options.disable_moments) {
+    sets.assign(moments.size(), {});
+    for (int i : participants) {
+      sets[static_cast<size_t>(i)] = participants;
+    }
+  } else if (options.adaptive_epsilon) {
+    // Adaptive-ε extension: threshold at the round's similarity quantile
+    // so the set sizes track the actual client heterogeneity. The quantile
+    // needs every pairwise value, so this path computes the full exact
+    // block once and derives both the threshold and the sets from it.
+    const SimilarityBlock block = ComputeSimilarityBlock(moments, participants);
+    const double epsilon = SimilarityQuantile(block, options.adaptive_quantile);
+    sets = SetsFromSimilarityBlock(block, static_cast<int>(moments.size()),
+                                   epsilon);
+  } else {
+    sets = BuildAggregationSets(moments, participants, options.epsilon,
+                                options.similarity);
+  }
+
+  // Clients whose aggregation sets contain the same members get the same
+  // personalized weights, so group participants by canonical (sorted) set
+  // membership; Eq. (7) then runs once per group.
+  std::vector<AggregationGroup> groups;
+  std::unordered_map<std::vector<int>, size_t, SetHash> index;
+  index.reserve(participants.size());
+  for (int i : participants) {
+    const auto& set = sets[static_cast<size_t>(i)];
+    FEDGTA_CHECK(!set.empty());
+    std::vector<int> canonical = set;
+    std::sort(canonical.begin(), canonical.end());
+    auto [it, inserted] =
+        index.try_emplace(std::move(canonical), groups.size());
+    if (inserted) {
+      groups.push_back(AggregationGroup{it->first, {}});
+    }
+    groups[it->second].clients.push_back(i);
+  }
+  MetricsRegistry& obs = GlobalMetrics();
+  obs.GetCounter("fedgta.aggregation.unique_sets")
+      .Increment(static_cast<int64_t>(groups.size()));
+  const int64_t reused = static_cast<int64_t>(participants.size()) -
+                         static_cast<int64_t>(groups.size());
+  if (reused > 0) {
+    obs.GetCounter("fedgta.aggregation.dedup_reused").Increment(reused);
+  }
+  if (sets_out != nullptr) *sets_out = std::move(sets);
+  return groups;
+}
+
 void FedGtaAggregate(const std::vector<ClientMetrics>& metrics,
                      const std::vector<std::vector<float>>& params,
                      const std::vector<int64_t>& train_sizes,
@@ -127,75 +182,20 @@ void FedGtaAggregate(const std::vector<ClientMetrics>& metrics,
   FEDGTA_CHECK_EQ(metrics.size(), train_sizes.size());
   FEDGTA_CHECK_EQ(metrics.size(), personalized->size());
 
-  // Eq. (6): aggregation sets from moment similarity.
-  std::vector<std::vector<int>> sets;
-  if (options.disable_moments) {
-    sets.assign(metrics.size(), {});
-    for (int i : participants) {
-      sets[static_cast<size_t>(i)] = participants;
-    }
-  } else {
-    std::vector<std::vector<float>> moments(metrics.size());
+  std::vector<std::vector<float>> moments(metrics.size());
+  if (!options.disable_moments) {
     for (int i : participants) {
       moments[static_cast<size_t>(i)] = metrics[static_cast<size_t>(i)].moments;
     }
-    if (options.adaptive_epsilon) {
-      // Adaptive-ε extension: threshold at the round's similarity quantile
-      // so the set sizes track the actual client heterogeneity. The quantile
-      // needs every pairwise value, so this path computes the full exact
-      // block once and derives both the threshold and the sets from it.
-      const SimilarityBlock block =
-          ComputeSimilarityBlock(moments, participants);
-      const double epsilon =
-          SimilarityQuantile(block, options.adaptive_quantile);
-      sets = SetsFromSimilarityBlock(block,
-                                     static_cast<int>(metrics.size()),
-                                     epsilon);
-    } else {
-      sets = BuildAggregationSets(moments, participants, options.epsilon,
-                                  options.similarity);
-    }
   }
+  const std::vector<AggregationGroup> groups = GroupByAggregationSet(
+      moments, participants, options, aggregation_sets_out);
 
-  // Eq. (7): confidence-weighted aggregation within each set. Clients whose
-  // aggregation sets contain the same members get the same personalized
-  // weights, so group participants by canonical (sorted) set membership and
-  // compute each group's weight vector once. Accumulation runs in canonical
-  // member order — fixed by the set contents, not by which client asked —
-  // so the result is identical for every group member and invariant to the
-  // thread count (groups write disjoint `personalized` entries).
-  struct SetGroup {
-    std::vector<int> canonical;
-    std::vector<int> clients;
-  };
-  std::vector<SetGroup> groups;
-  {
-    std::unordered_map<std::vector<int>, size_t, SetHash> index;
-    index.reserve(participants.size());
-    for (int i : participants) {
-      const auto& set = sets[static_cast<size_t>(i)];
-      FEDGTA_CHECK(!set.empty());
-      std::vector<int> canonical = set;
-      std::sort(canonical.begin(), canonical.end());
-      auto [it, inserted] =
-          index.try_emplace(std::move(canonical), groups.size());
-      if (inserted) {
-        groups.push_back(SetGroup{it->first, {}});
-      }
-      groups[it->second].clients.push_back(i);
-    }
-  }
-  {
-    MetricsRegistry& obs = GlobalMetrics();
-    obs.GetCounter("fedgta.aggregation.unique_sets")
-        .Increment(static_cast<int64_t>(groups.size()));
-    const int64_t reused =
-        static_cast<int64_t>(participants.size()) -
-        static_cast<int64_t>(groups.size());
-    if (reused > 0) {
-      obs.GetCounter("fedgta.aggregation.dedup_reused").Increment(reused);
-    }
-  }
+  // Eq. (7): confidence-weighted aggregation within each set. Accumulation
+  // runs in canonical member order — fixed by the set contents, not by
+  // which client asked — so the result is identical for every group member
+  // and invariant to the thread count (groups write disjoint
+  // `personalized` entries).
   ParallelForChunked(
       0, static_cast<int64_t>(groups.size()),
       [&](int64_t lo, int64_t hi) {
@@ -231,7 +231,6 @@ void FedGtaAggregate(const std::vector<ClientMetrics>& metrics,
         }
       },
       /*min_chunk=*/1);
-  if (aggregation_sets_out != nullptr) *aggregation_sets_out = std::move(sets);
 }
 
 }  // namespace fedgta

@@ -96,6 +96,27 @@ ClientMetrics ComputeClientMetrics(const Graph& graph, const Matrix& logits,
                                    const Matrix* features = nullptr,
                                    ClientMetricsCache* cache = nullptr);
 
+/// Participants whose Eq. (6) sets hold the same members, and so get the
+/// same Eq. (7) weights.
+struct AggregationGroup {
+  /// The shared set, ascending.
+  std::vector<int> canonical;
+  /// Participants owning it, in participant order.
+  std::vector<int> clients;
+};
+
+/// The Eq. (6) half of FedGtaAggregate, shared with the hierarchical root
+/// (DESIGN.md §5k): builds every participant's aggregation set from
+/// `moments` (indexed by client id, which also sizes the set table; unread
+/// under disable_moments) and groups the participants by canonical set, in
+/// order of first appearance. Counts `fedgta.aggregation.unique_sets` and
+/// `fedgta.aggregation.dedup_reused`. The sets, indexed by client id, go to
+/// *sets_out when it is non-null.
+std::vector<AggregationGroup> GroupByAggregationSet(
+    const std::vector<std::vector<float>>& moments,
+    const std::vector<int>& participants, const FedGtaOptions& options,
+    std::vector<std::vector<int>>* sets_out = nullptr);
+
 /// Server-side personalized aggregation (Algorithm 2 / Eq. 6-7). For each
 /// participant i, averages participants' `params` restricted to its
 /// aggregation set, weighted by smoothing confidence (or by `train_sizes`

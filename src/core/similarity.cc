@@ -66,6 +66,44 @@ std::vector<std::vector<int>> SetsViaExactSweep(
   return sets;
 }
 
+/// The Eq. 6 exact check of normalized row `row` (`d` floats) against
+/// the rows of `table` listed in `candidates`: one 1 x |candidates| backend
+/// GEMM, then each candidate whose cosine reaches ε is appended to
+/// *admitted, in order. By the GemmRows chunk-invariance and operand-
+/// symmetry contracts (linalg/backend.h) each cosine has the bits of both
+/// its exact-oracle elements (a, b) and (b, a).
+void AdmitByCosine(const float* row, int64_t d,
+                   const std::vector<int32_t>& candidates, const float* table,
+                   double epsilon, std::vector<int32_t>* admitted) {
+  if (candidates.empty()) return;
+  // One 1 x c GEMM against the gathered candidate rows (transposed view);
+  // the buffers are per thread and reused across rows and calls.
+  thread_local Matrix gathered;
+  thread_local Matrix sims;
+  const int64_t c = static_cast<int64_t>(candidates.size());
+  gathered.EnsureShape(c, d);
+  for (int64_t k = 0; k < c; ++k) {
+    std::memcpy(gathered.data() + k * d,
+                table + int64_t{candidates[static_cast<size_t>(k)]} * d,
+                static_cast<size_t>(d) * sizeof(float));
+  }
+  sims.EnsureShape(1, c);
+  linalg::GemmCall call;
+  call.a = {row, d, 1};
+  call.b = {gathered.data(), 1, d};
+  call.m = 1;
+  call.n = c;
+  call.k = d;
+  call.c = sims.data();
+  linalg::ActiveBackend().GemmRows(call, 0, 1);
+  const float eps = static_cast<float>(epsilon);
+  for (int64_t k = 0; k < c; ++k) {
+    if (sims.data()[k] >= eps) {
+      admitted->push_back(candidates[static_cast<size_t>(k)]);
+    }
+  }
+}
+
 /// LSH Eq. 6, one symmetric pass: each unordered pair (a, b > a) is
 /// screened and, if it survives, exact-checked once; admitted pairs are
 /// then mirrored into both rows.
@@ -76,7 +114,7 @@ std::vector<std::vector<int>> SetsViaLsh(const Matrix& normalized,
                                          SimilarityStats* stats) {
   const int64_t p = normalized.rows();
   const int64_t d = normalized.cols();
-  const LshShape shape = LshShapeFor(epsilon, plane);
+  const internal::LshShape shape = internal::LshShapeFor(epsilon, plane);
 
   std::vector<uint64_t> sig;
   {
@@ -102,13 +140,11 @@ std::vector<std::vector<int>> SetsViaLsh(const Matrix& normalized,
         int64_t screened = 0;
         for (int64_t a = edge(k); a < edge(k + 1); ++a) {
           cand.clear();
-          LshScreen(sig.data() + a * shape.words, sig.data(), a + 1, p, shape,
-                    &cand);
+          internal::LshScreen(sig.data() + a * shape.words, sig.data(), a + 1,
+                              p, shape, &cand);
           screened += static_cast<int64_t>(cand.size());
-          AdmitByCosine(
-              normalized.data() + a * d, d, cand,
-              [&](int32_t b) { return normalized.data() + int64_t{b} * d; },
-              epsilon, &upper[static_cast<size_t>(a)]);
+          AdmitByCosine(normalized.data() + a * d, d, cand, normalized.data(),
+                        epsilon, &upper[static_cast<size_t>(a)]);
         }
         survivors += screened;
       },
@@ -141,7 +177,7 @@ std::vector<std::vector<int>> SetsViaLsh(const Matrix& normalized,
 template <int64_t kWords>
 __attribute__((always_inline)) inline int64_t ScreenRows(
     const uint64_t* sig, const uint64_t* sigs, int64_t begin, int64_t end,
-    const LshShape& shape, std::vector<int32_t>* candidates) {
+    const internal::LshShape& shape, std::vector<int32_t>* candidates) {
   const int64_t words = kWords > 0 ? kWords : shape.words;
   const size_t kept = candidates->size();
   for (int64_t b = begin; b < end; ++b) {
@@ -217,26 +253,12 @@ std::string SimilarityPlaneStatus() {
   return plane.empty() ? plane : "similarity:\n" + plane;
 }
 
-LshShape LshShapeFor(double epsilon, const SimilarityPlaneOptions& plane) {
-  LshShape shape;
-  shape.words = std::max<int64_t>(1, (plane.lsh_signature_bits + 63) / 64);
-  shape.bits = shape.words * 64;
-  // The prune threshold in Hamming bits. A keep-limit >= 1 keeps every
-  // pair (ε <= -1 admits everything; the screen must not prune).
-  const double t_eps = std::acos(std::clamp(epsilon, -1.0, 1.0)) / kPi;
-  const double keep_limit = t_eps + plane.lsh_margin;
-  shape.h_max = keep_limit >= 1.0
-                    ? shape.bits
-                    : static_cast<int64_t>(keep_limit *
-                                           static_cast<double>(shape.bits));
-  return shape;
-}
-
 std::vector<uint64_t> ComputeLshSignatures(
     const Matrix& normalized, const SimilarityPlaneOptions& plane) {
   const int64_t p = normalized.rows();
   const int64_t d = normalized.cols();
-  const LshShape shape = LshShapeFor(/*epsilon=*/1.0, plane);
+  const internal::LshShape shape =
+      internal::LshShapeFor(/*epsilon=*/1.0, plane);
   const int64_t words = shape.words;
   const int64_t bits = shape.bits;
   std::vector<uint64_t> sig(static_cast<size_t>(p * words), 0);
@@ -266,6 +288,21 @@ std::vector<uint64_t> ComputeLshSignatures(
 
 namespace internal {
 
+LshShape LshShapeFor(double epsilon, const SimilarityPlaneOptions& plane) {
+  LshShape shape;
+  shape.words = std::max<int64_t>(1, (plane.lsh_signature_bits + 63) / 64);
+  shape.bits = shape.words * 64;
+  // The prune threshold in Hamming bits. A keep-limit >= 1 keeps every
+  // pair (ε <= -1 admits everything; the screen must not prune).
+  const double t_eps = std::acos(std::clamp(epsilon, -1.0, 1.0)) / kPi;
+  const double keep_limit = t_eps + plane.lsh_margin;
+  shape.h_max = keep_limit >= 1.0
+                    ? shape.bits
+                    : static_cast<int64_t>(keep_limit *
+                                           static_cast<double>(shape.bits));
+  return shape;
+}
+
 int64_t LshScreenPortable(const uint64_t* sig, const uint64_t* sigs,
                           int64_t begin, int64_t end, const LshShape& shape,
                           std::vector<int32_t>* candidates) {
@@ -273,8 +310,6 @@ int64_t LshScreenPortable(const uint64_t* sig, const uint64_t* sigs,
              ? ScreenRows<4>(sig, sigs, begin, end, shape, candidates)
              : ScreenRows<0>(sig, sigs, begin, end, shape, candidates);
 }
-
-}  // namespace internal
 
 #if defined(__x86_64__) || defined(__i386__)
 /// The same loop on hardware popcnt; LshScreen enters it only when cpuid
@@ -300,42 +335,10 @@ int64_t LshScreen(const uint64_t* sig, const uint64_t* sigs, int64_t begin,
     return LshScreenPopcnt(sig, sigs, begin, end, shape, candidates);
   }
 #endif
-  return internal::LshScreenPortable(sig, sigs, begin, end, shape,
-                                     candidates);
+  return LshScreenPortable(sig, sigs, begin, end, shape, candidates);
 }
 
-void AdmitByCosine(const float* row, int64_t d,
-                   const std::vector<int32_t>& candidates,
-                   const std::function<const float*(int32_t)>& row_of,
-                   double epsilon, std::vector<int32_t>* admitted) {
-  if (candidates.empty()) return;
-  // One 1 x c GEMM against the gathered candidate rows (transposed view);
-  // the buffers are per thread and reused across rows and calls.
-  thread_local Matrix gathered;
-  thread_local Matrix sims;
-  const int64_t c = static_cast<int64_t>(candidates.size());
-  gathered.EnsureShape(c, d);
-  for (int64_t k = 0; k < c; ++k) {
-    std::memcpy(gathered.data() + k * d,
-                row_of(candidates[static_cast<size_t>(k)]),
-                static_cast<size_t>(d) * sizeof(float));
-  }
-  sims.EnsureShape(1, c);
-  linalg::GemmCall call;
-  call.a = {row, d, 1};
-  call.b = {gathered.data(), 1, d};
-  call.m = 1;
-  call.n = c;
-  call.k = d;
-  call.c = sims.data();
-  linalg::ActiveBackend().GemmRows(call, 0, 1);
-  const float eps = static_cast<float>(epsilon);
-  for (int64_t k = 0; k < c; ++k) {
-    if (sims.data()[k] >= eps) {
-      admitted->push_back(candidates[static_cast<size_t>(k)]);
-    }
-  }
-}
+}  // namespace internal
 
 Matrix StackNormalizedMoments(const std::vector<std::vector<float>>& moments,
                               const std::vector<int>& participants) {

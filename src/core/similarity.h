@@ -2,7 +2,6 @@
 #define FEDGTA_CORE_SIMILARITY_H_
 
 #include <cstdint>
-#include <functional>
 #include <string_view>
 #include <vector>
 
@@ -59,9 +58,15 @@ void RecordSetStats(const SimilarityStats& stats);
 /// (empty before).
 std::string SimilarityPlaneStatus();
 
-/// Resolved LSH geometry for one (ε, plane) pair. Deterministic in its
-/// inputs, so every process of a sharded fleet derives the same shape from
-/// the shipped plane options (DESIGN.md §5k).
+/// Packed sign-random-projection signatures of the normalized moment rows,
+/// row-major `normalized.rows() x words` (lsh_signature_bits rounded up to
+/// 64-bit words). The projection matrix depends only on (plane.lsh_seed,
+/// moment dimension) and each row is hashed independently.
+std::vector<uint64_t> ComputeLshSignatures(const Matrix& normalized,
+                                           const SimilarityPlaneOptions& plane);
+
+namespace internal {
+/// Resolved LSH geometry for one (ε, plane) pair.
 struct LshShape {
   /// Packed signature width: words 64-bit words = bits sign bits.
   int64_t words = 1;
@@ -72,42 +77,20 @@ struct LshShape {
 };
 LshShape LshShapeFor(double epsilon, const SimilarityPlaneOptions& plane);
 
-/// Packed sign-random-projection signatures of the normalized moment rows,
-/// row-major `normalized.rows() x shape.words`. The projection matrix
-/// depends only on (plane.lsh_seed, moment dimension) and each row is
-/// hashed independently, so a shard slice of the global row matrix yields
-/// exactly the rows a whole-fleet computation would — the contract that
-/// lets regional aggregators exchange signatures instead of moments.
-std::vector<uint64_t> ComputeLshSignatures(const Matrix& normalized,
-                                           const SimilarityPlaneOptions& plane);
-
 /// The Eq. 6 Hamming prescreen: appends to *candidates, ascending, every
 /// row in [begin, end) of the packed table `sigs` (shape.words per row)
 /// within shape.h_max bits of `sig`, and returns how many it pruned. Runs
 /// on hardware popcnt when the CPU has it (runtime dispatch, like the simd
-/// backend), else on the portable std::popcount loop; same list either way.
+/// backend), else on LshScreenPortable; same list either way.
 int64_t LshScreen(const uint64_t* sig, const uint64_t* sigs, int64_t begin,
                   int64_t end, const LshShape& shape,
                   std::vector<int32_t>* candidates);
-
-namespace internal {
-/// LshScreen's portable fallback, exposed so tests can pin that it agrees
-/// with the hardware-popcount path.
+/// LshScreen's portable std::popcount loop, exposed so tests can pin that
+/// it agrees with the hardware-popcount path.
 int64_t LshScreenPortable(const uint64_t* sig, const uint64_t* sigs,
                           int64_t begin, int64_t end, const LshShape& shape,
                           std::vector<int32_t>* candidates);
 }  // namespace internal
-
-/// The Eq. 6 exact check of one normalized row (`d` floats) against
-/// `candidates`, whose rows `row_of` resolves: one 1 x |candidates| backend
-/// GEMM, then each candidate whose cosine reaches ε is appended to
-/// *admitted, in order. By the GemmRows chunk-invariance and operand-
-/// symmetry contracts (linalg/backend.h) each cosine has the bits of both
-/// its exact-oracle elements (a, b) and (b, a).
-void AdmitByCosine(const float* row, int64_t d,
-                   const std::vector<int32_t>& candidates,
-                   const std::function<const float*(int32_t)>& row_of,
-                   double epsilon, std::vector<int32_t>* admitted);
 
 /// Compact participants-indexed cosine block: values(a, b) is the cosine
 /// similarity of participants[a] and participants[b]. It allocates only
@@ -146,12 +129,12 @@ double SimilarityQuantile(const SimilarityBlock& block, double q);
 ///   I_i = { j participant : cos(M_i, M_j) >= epsilon } ∪ {i},
 /// returned indexed by client id (non-participants get empty sets). The
 /// default plane is kExact, the determinism oracle: it sweeps the GEMM
-/// block in row panels. kLsh visits each unordered pair once — LshScreen,
-/// then AdmitByCosine on the survivors — mirrors admitted pairs into both
-/// rows and orders every row by participant index, so its sets match the
-/// oracle's member for member whenever the screen has no false negatives
-/// (see lsh_margin). Candidate generation is timed under the
-/// `similarity_candidates` phase and counted in the
+/// block in row panels. kLsh visits each unordered pair once — the Hamming
+/// prescreen, then an exact cosine check of the survivors — mirrors
+/// admitted pairs into both rows and orders every row by participant
+/// index, so its sets match the oracle's member for member whenever the
+/// screen has no false negatives (see lsh_margin). Candidate generation is
+/// timed under the `similarity_candidates` phase and counted in the
 /// `fedgta.similarity.pairs_{exact,pruned}` counters.
 std::vector<std::vector<int>> BuildAggregationSets(
     const std::vector<std::vector<float>>& moments,

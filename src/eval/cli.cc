@@ -691,7 +691,7 @@ std::string HelpText(Role role) {
           "\n"
           "Dials the root server, receives a contiguous client shard plus a\n"
           "worker slice via ShardAssign, accepts those workers, and serves\n"
-          "the shard-local half of the Eq. 6/7 plane (DESIGN.md §5k).\n\n"
+          "the shard's half of the Eq. 7 aggregation (DESIGN.md §5k).\n\n"
           "  --host=ADDR           root server address (default 127.0.0.1)\n"
           "  --port=N              root server port (default 5714)\n"
           "  --listen_port=N       worker-facing listening port, 0 = "

@@ -1,9 +1,7 @@
 #include "fed/aggregator.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -65,10 +63,6 @@ class Session {
   Result<net::RoutedMsg> HandleRouted(const net::RoutedMsg& req);
   Result<net::RoutedMsg> HandleInitModel(const net::RoutedMsg& req);
   Result<net::RoutedMsg> HandleTrainShard(const net::RoutedMsg& req);
-  Result<net::RoutedMsg> HandleSignatureExchange(const net::RoutedMsg& req);
-  Result<net::RoutedMsg> HandleCandidatePairs(const net::RoutedMsg& req);
-  Result<net::RoutedMsg> HandleMomentFetch(const net::RoutedMsg& req);
-  Result<net::RoutedMsg> HandleSetBuild(const net::RoutedMsg& req);
   Result<net::RoutedMsg> HandlePartialAggregate(const net::RoutedMsg& req);
   Result<net::RoutedMsg> HandleGroupDeliver(const net::RoutedMsg& req);
   Result<net::RoutedMsg> HandleEvalShard(const net::RoutedMsg& req);
@@ -84,7 +78,6 @@ class Session {
   ShardRange shard_;
   bool relay_ = false;
   WorkerSetup setup_;
-  FedGtaOptions gta_;  // server-side Eq. 6/7 knobs, root overrides applied
   std::unique_ptr<ShardPlane> plane_;
   WorkerFleet fleet_;
   int64_t param_count_ = -1;
@@ -94,15 +87,8 @@ class Session {
 
   /// Shard slice of the personalized parameter table (FedGTA plane only),
   /// indexed by client id - shard_.begin. Seeded by InitModel, updated by
-  /// local-set aggregation and GroupDeliver — the sharded counterpart of
-  /// FedGtaStrategy's full table.
+  /// GroupDeliver — the sharded counterpart of FedGtaStrategy's full table.
   std::vector<std::vector<float>> personal_;
-
-  // --- per-round Eq. 6/7 exchange state ---
-  ShardPlane::Candidates candidates_;
-  bool candidates_ready_ = false;
-  /// SetReport order -> staged global ids owning that cross-shard set.
-  std::vector<std::vector<int>> cross_rows_;
 
   /// Last processed routed request and its reply: RpcChannel::Call
   /// re-sends a request whose reply send failed, and re-running TrainShard
@@ -170,20 +156,7 @@ Status Session::Handshake() {
   relay_ = assign_.relay;
 
   if (!relay_) {
-    // The worker config carries the client-side Eq. 3-5 knobs; the root
-    // ships its server-side Eq. 6/7 settings separately, exactly as the
-    // flat server would have kept them.
-    gta_ = setup_.gta;
-    gta_.epsilon = assign_.epsilon;
-    gta_.disable_confidence = assign_.disable_confidence;
-    gta_.similarity.mode =
-        static_cast<SimilarityMode>(assign_.similarity_mode);
-    gta_.similarity.lsh_signature_bits = assign_.lsh_signature_bits;
-    gta_.similarity.lsh_margin = assign_.lsh_margin;
-    gta_.similarity.lsh_seed = assign_.lsh_seed;
-    gta_.similarity.auto_lsh_min_participants =
-        assign_.auto_lsh_min_participants;
-    plane_ = std::make_unique<ShardPlane>(n_clients, shard_, gta_,
+    plane_ = std::make_unique<ShardPlane>(shard_, assign_.disable_confidence,
                                           setup_.data.train_sizes());
   }
 
@@ -312,7 +285,7 @@ Result<net::RoutedMsg> Session::HandleTrainShard(const net::RoutedMsg& req) {
   done.losses.reserve(n);
   done.num_samples.reserve(n);
   done.confidences.reserve(n);
-  if (relay_) done.weights.resize(n);
+  (relay_ ? done.weights : done.moments).resize(n);
   std::vector<ShardUpload> uploads;
   for (size_t i = 0; i < n; ++i) {
     const bool ok = rpc_status[i].ok();
@@ -333,146 +306,18 @@ Result<net::RoutedMsg> Session::HandleTrainShard(const net::RoutedMsg& req) {
     if (relay_) {
       done.weights[i] = std::move(resp.weights);
     } else {
+      done.moments[i] = std::move(resp.moments);
       ShardUpload up;
       up.client_id = participants[i];
       up.params = std::move(resp.weights);
-      up.moments = std::move(resp.moments);
       up.confidence = resp.confidence;
       uploads.push_back(std::move(up));
     }
   }
-  if (!relay_) {
-    plane_->StageRound(std::move(uploads));
-    candidates_ = ShardPlane::Candidates();
-    candidates_ready_ = false;
-    cross_rows_.clear();
-  }
+  if (!relay_) plane_->StageRound(std::move(uploads));
   net::RoutedMsg reply = MakeEnvelope(EK::kTrainShardDone, req.round, done);
   reply.metrics = encoder_.Next();
   return reply;
-}
-
-Result<net::RoutedMsg> Session::HandleSignatureExchange(
-    const net::RoutedMsg& req) {
-  if (relay_) {
-    return InvalidArgumentError("SignatureExchange in relay mode");
-  }
-  SignatureBlockBody block;
-  block.rows = static_cast<int64_t>(plane_->staged().size());
-  block.words = LshShapeFor(gta_.epsilon, gta_.similarity).words;
-  block.signatures = plane_->Signatures();
-  return MakeEnvelope(EK::kSignatureBlock, req.round, block);
-}
-
-Result<net::RoutedMsg> Session::HandleCandidatePairs(
-    const net::RoutedMsg& req) {
-  if (relay_) {
-    return InvalidArgumentError("CandidatePairs in relay mode");
-  }
-  CandidatePairsBody frame;
-  FEDGTA_RETURN_IF_ERROR(UnpackEnvelope(req, EK::kCandidatePairs, &frame));
-  if (frame.survivors.size() != frame.confidences.size()) {
-    return InvalidArgumentError("survivor frame misaligned");
-  }
-  if (frame.use_lsh) {
-    const LshShape shape = LshShapeFor(gta_.epsilon, gta_.similarity);
-    if (frame.words != shape.words ||
-        frame.signatures.size() !=
-            frame.survivors.size() * static_cast<size_t>(shape.words)) {
-      return InvalidArgumentError("survivor signature block misshapen");
-    }
-  }
-  plane_->InstallGlobalFrame(
-      std::vector<int>(frame.survivors.begin(), frame.survivors.end()),
-      std::move(frame.confidences), std::move(frame.signatures));
-  candidates_ = plane_->ComputeCandidates(frame.use_lsh);
-  candidates_ready_ = true;
-  CandidateWantsBody wants;
-  wants.wanted.assign(candidates_.remote_wanted.begin(),
-                      candidates_.remote_wanted.end());
-  wants.pairs_exact = candidates_.pairs_exact;
-  wants.pairs_pruned = candidates_.pairs_pruned;
-  return MakeEnvelope(EK::kCandidateWants, req.round, wants);
-}
-
-Result<net::RoutedMsg> Session::HandleMomentFetch(const net::RoutedMsg& req) {
-  if (relay_) {
-    return InvalidArgumentError("MomentFetch in relay mode");
-  }
-  MomentFetchBody body;
-  FEDGTA_RETURN_IF_ERROR(UnpackEnvelope(req, EK::kMomentFetch, &body));
-  const std::vector<int>& staged = plane_->staged();
-  std::vector<int> ids;
-  ids.reserve(body.ids.size());
-  for (int32_t id : body.ids) {
-    if (!std::binary_search(staged.begin(), staged.end(), id)) {
-      return InvalidArgumentError("moment fetch for unstaged client " +
-                                  std::to_string(id));
-    }
-    ids.push_back(id);
-  }
-  MomentBlockBody block;
-  block.rows = plane_->ExportRows(ids);
-  return MakeEnvelope(EK::kMomentBlock, req.round, block);
-}
-
-Result<net::RoutedMsg> Session::HandleSetBuild(const net::RoutedMsg& req) {
-  if (relay_) {
-    return InvalidArgumentError("SetBuild in relay mode");
-  }
-  if (!candidates_ready_) {
-    return InvalidArgumentError("SetBuild before CandidatePairs");
-  }
-  SetBuildBody body;
-  FEDGTA_RETURN_IF_ERROR(UnpackEnvelope(req, EK::kSetBuild, &body));
-  if (body.ids.size() != body.rows.size()) {
-    return InvalidArgumentError("remote row block misaligned");
-  }
-  plane_->InstallRemoteRows(
-      std::vector<int>(body.ids.begin(), body.ids.end()),
-      std::move(body.rows));
-  const std::vector<std::vector<int>> sets = plane_->BuildSets(candidates_);
-  const std::vector<int>& staged = plane_->staged();
-
-  // Shard-local dedup, mirroring the single-server canonical-set keying:
-  // a set wholly inside the shard can only be owned by this shard's rows,
-  // so aggregating it here (WeightSum + ascending Axpy = the single-server
-  // stream) is globally correct. Boundary-crossing sets go up canonical,
-  // deduplicated per shard, in first-appearance order.
-  std::map<std::vector<int32_t>, std::vector<int>> local_groups;
-  std::map<std::vector<int32_t>, size_t> cross_index;
-  SetReportBody report;
-  cross_rows_.clear();
-  for (size_t a = 0; a < sets.size(); ++a) {
-    std::vector<int32_t> canonical(sets[a].begin(), sets[a].end());
-    std::sort(canonical.begin(), canonical.end());
-    bool local = true;
-    for (int32_t j : canonical) {
-      if (!shard_.contains(j)) {
-        local = false;
-        break;
-      }
-    }
-    if (local) {
-      local_groups[canonical].push_back(staged[a]);
-    } else {
-      auto [it, inserted] = cross_index.emplace(canonical, cross_rows_.size());
-      if (inserted) {
-        report.sets.push_back(canonical);
-        cross_rows_.emplace_back();
-      }
-      cross_rows_[it->second].push_back(staged[a]);
-    }
-  }
-  for (const auto& [canonical, owners] : local_groups) {
-    const std::vector<int> members(canonical.begin(), canonical.end());
-    const std::vector<float> aggregated = plane_->AggregateLocalSet(members);
-    for (int id : owners) {
-      personal_[static_cast<size_t>(id - shard_.begin)] = aggregated;
-    }
-  }
-  report.local_unique = static_cast<int64_t>(local_groups.size());
-  return MakeEnvelope(EK::kSetReport, req.round, report);
 }
 
 Result<net::RoutedMsg> Session::HandlePartialAggregate(
@@ -502,20 +347,34 @@ Result<net::RoutedMsg> Session::HandleGroupDeliver(const net::RoutedMsg& req) {
   }
   GroupDeliverBody body;
   FEDGTA_RETURN_IF_ERROR(UnpackEnvelope(req, EK::kGroupDeliver, &body));
-  if (body.report_index.size() != body.params.size()) {
-    return InvalidArgumentError("group delivery misaligned");
+  const std::vector<int>& staged = plane_->staged();
+  if (body.group_of.size() != staged.size()) {
+    return InvalidArgumentError("group delivery misaligned with the staged "
+                                "survivors");
   }
-  for (size_t k = 0; k < body.report_index.size(); ++k) {
-    const int64_t ri = body.report_index[k];
-    if (ri < 0 || ri >= static_cast<int64_t>(cross_rows_.size())) {
-      return InvalidArgumentError("group delivery for an unreported set");
+  // Validate the whole delivery before touching the table: a local set is
+  // aggregated here, so every member must be staged on this shard.
+  for (size_t k = 0; k < body.params.size(); ++k) {
+    for (int32_t j : body.local_sets[k]) {
+      if (!plane_->IsStaged(j)) {
+        return InvalidArgumentError("local set member " + std::to_string(j) +
+                                    " is not staged on this shard");
+      }
     }
-    if (static_cast<int64_t>(body.params[k].size()) != param_count_) {
+    if (!body.params[k].empty() &&
+        static_cast<int64_t>(body.params[k].size()) != param_count_) {
       return InvalidArgumentError("delivered parameter length mismatch");
     }
-    for (int id : cross_rows_[static_cast<size_t>(ri)]) {
-      personal_[static_cast<size_t>(id - shard_.begin)] = body.params[k];
+  }
+  for (size_t k = 0; k < body.params.size(); ++k) {
+    if (body.params[k].empty()) {
+      body.params[k] = plane_->AggregateLocalSet(std::vector<int>(
+          body.local_sets[k].begin(), body.local_sets[k].end()));
     }
+  }
+  for (size_t r = 0; r < staged.size(); ++r) {
+    personal_[static_cast<size_t>(staged[r] - shard_.begin)] =
+        body.params[static_cast<size_t>(body.group_of[r])];
   }
   return MakeEnvelope(EK::kGroupAck, req.round);
 }
@@ -564,14 +423,6 @@ Result<net::RoutedMsg> Session::HandleRouted(const net::RoutedMsg& req) {
       return HandleInitModel(req);
     case EK::kTrainShard:
       return HandleTrainShard(req);
-    case EK::kSignatureExchange:
-      return HandleSignatureExchange(req);
-    case EK::kCandidatePairs:
-      return HandleCandidatePairs(req);
-    case EK::kMomentFetch:
-      return HandleMomentFetch(req);
-    case EK::kSetBuild:
-      return HandleSetBuild(req);
     case EK::kPartialAggregate:
       return HandlePartialAggregate(req);
     case EK::kGroupDeliver:

@@ -33,15 +33,15 @@ struct AggregatorOptions {
   int idle_timeout_ms = 0;
 };
 
-/// One regional aggregator process (DESIGN.md §5k): dials the root with a
-/// v5 aggregator Hello, receives its contiguous client shard plus worker
+/// One regional aggregator process (DESIGN.md §5k): dials the root with an
+/// aggregator Hello, receives its contiguous client shard plus worker
 /// slice via ShardAssign, accepts its workers through the shared
 /// WorkerFleet handshake, and then serves the root's routed envelopes —
-/// TrainShard dispatch, the shard-local half of the Eq. 6/7 plane
-/// (ShardPlane), the chained partial passes, and EvalShard. In the FedGTA
-/// plane the personalized parameter table lives here, sharded: neither
-/// the root nor any single process ever materializes the full
-/// participant state.
+/// TrainShard dispatch (survivor moment rows ride up in the reply), the
+/// shard's half of Eq. 7 (ShardPlane: the chained partial pass and the
+/// local sets of GroupDeliver), and EvalShard. In the FedGTA plane the
+/// personalized parameter table lives here, sharded: no process holds
+/// another shard's weights.
 ///
 /// Relay mode (fedavg/fedprox) reduces this process to a fan-out hop:
 /// the root's global download rides in on TrainShard/EvalShard and the

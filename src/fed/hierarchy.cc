@@ -1,8 +1,6 @@
 #include "fed/hierarchy.h"
 
 #include <algorithm>
-#include <cmath>
-#include <map>
 #include <thread>
 #include <type_traits>
 #include <unordered_map>
@@ -10,7 +8,6 @@
 
 #include "common/string_util.h"
 #include "common/timer.h"
-#include "core/similarity.h"
 #include "fed/failure.h"
 #include "net/compress/codec.h"
 #include "obs/metrics.h"
@@ -21,15 +18,10 @@ namespace fedgta {
 namespace fed {
 namespace {
 
-/// Widest LSH signature a ShardAssign may ask for (bounds the d x bits
-/// projection an aggregator allocates; the default is 256).
-constexpr int32_t kMaxLshSignatureBits = 4096;
-
 // Length-prefixed lists of what serialize.h writes natively (it has no
-// u32/u64-vector or vector-of-vectors primitive): a u64 count, then the
+// u32-vector or vector-of-vectors primitive): a u64 count, then the
 // elements. Put/Get pick the element codec by type.
 void Put(serialize::Writer* w, uint32_t x) { w->WriteU32(x); }
-void Put(serialize::Writer* w, uint64_t x) { w->WriteU64(x); }
 void Put(serialize::Writer* w, const std::vector<float>& x) {
   w->WriteFloatVec(x);
 }
@@ -37,7 +29,6 @@ void Put(serialize::Writer* w, const std::vector<int32_t>& x) {
   w->WriteI32Vec(x);
 }
 Status Get(serialize::Reader* r, uint32_t* x) { return r->ReadU32(x); }
-Status Get(serialize::Reader* r, uint64_t* x) { return r->ReadU64(x); }
 Status Get(serialize::Reader* r, std::vector<float>* x) {
   return r->ReadFloatVec(x);
 }
@@ -84,13 +75,7 @@ void ShardAssignBody::Encode(serialize::Writer* w) const {
   w->WriteI32(rpc_backoff_ms);
   w->WriteI32(accept_timeout_ms);
   w->WriteBool(relay);
-  w->WriteDouble(epsilon);
   w->WriteBool(disable_confidence);
-  w->WriteU32(similarity_mode);
-  w->WriteI32(lsh_signature_bits);
-  w->WriteDouble(lsh_margin);
-  w->WriteU64(lsh_seed);
-  w->WriteI32(auto_lsh_min_participants);
   w->WriteI64(hello_recv_us);
   w->WriteI64(assign_send_us);
 }
@@ -110,31 +95,13 @@ Status ShardAssignBody::Decode(serialize::Reader* r) {
   FEDGTA_RETURN_IF_ERROR(r->ReadI32(&rpc_backoff_ms));
   FEDGTA_RETURN_IF_ERROR(r->ReadI32(&accept_timeout_ms));
   FEDGTA_RETURN_IF_ERROR(r->ReadBool(&relay));
-  FEDGTA_RETURN_IF_ERROR(r->ReadDouble(&epsilon));
   FEDGTA_RETURN_IF_ERROR(r->ReadBool(&disable_confidence));
-  FEDGTA_RETURN_IF_ERROR(r->ReadU32(&similarity_mode));
-  FEDGTA_RETURN_IF_ERROR(r->ReadI32(&lsh_signature_bits));
-  FEDGTA_RETURN_IF_ERROR(r->ReadDouble(&lsh_margin));
-  FEDGTA_RETURN_IF_ERROR(r->ReadU64(&lsh_seed));
-  FEDGTA_RETURN_IF_ERROR(r->ReadI32(&auto_lsh_min_participants));
   FEDGTA_RETURN_IF_ERROR(r->ReadI64(&hello_recv_us));
   FEDGTA_RETURN_IF_ERROR(r->ReadI64(&assign_send_us));
   // The aggregator hands the codec name to WorkerFleet::Accept, which
   // admits only registered codecs.
   if (net::compress::FindCodec(compress) == nullptr) {
     return InvalidArgumentError("unknown compress codec '" + compress + "'");
-  }
-  // The Eq. 6 knobs size allocations and feed float-to-int casts in
-  // LshShapeFor / ComputeLshSignatures: reject what no root would send.
-  if (similarity_mode > static_cast<uint32_t>(SimilarityMode::kLsh) ||
-      lsh_signature_bits < 1 || lsh_signature_bits > kMaxLshSignatureBits ||
-      !std::isfinite(lsh_margin) || lsh_margin < 0.0 ||
-      !std::isfinite(epsilon)) {
-    return InvalidArgumentError(StrFormat(
-        "invalid Eq. 6 settings: similarity_mode %u, lsh_signature_bits %d "
-        "(max %d), lsh_margin %g, epsilon %g",
-        similarity_mode, lsh_signature_bits, kMaxLshSignatureBits, lsh_margin,
-        epsilon));
   }
   return OkStatus();
 }
@@ -178,6 +145,7 @@ void TrainShardDoneBody::Encode(serialize::Writer* w) const {
   w->WriteI64Vec(num_samples);
   w->WriteDoubleVec(confidences);
   WriteList(weights, w);
+  WriteList(moments, w);
   w->WriteI64(upload_floats);
   w->WriteI64(download_floats);
 }
@@ -189,84 +157,16 @@ Status TrainShardDoneBody::Decode(serialize::Reader* r) {
   FEDGTA_RETURN_IF_ERROR(r->ReadI64Vec(&num_samples));
   FEDGTA_RETURN_IF_ERROR(r->ReadDoubleVec(&confidences));
   FEDGTA_RETURN_IF_ERROR(ReadList(r, &weights));
+  FEDGTA_RETURN_IF_ERROR(ReadList(r, &moments));
   FEDGTA_RETURN_IF_ERROR(r->ReadI64(&upload_floats));
-  return r->ReadI64(&download_floats);
-}
-
-void SignatureBlockBody::Encode(serialize::Writer* w) const {
-  w->WriteI64(rows);
-  w->WriteI64(words);
-  WriteList(signatures, w);
-}
-
-Status SignatureBlockBody::Decode(serialize::Reader* r) {
-  FEDGTA_RETURN_IF_ERROR(r->ReadI64(&rows));
-  FEDGTA_RETURN_IF_ERROR(r->ReadI64(&words));
-  return ReadList(r, &signatures);
-}
-
-void CandidatePairsBody::Encode(serialize::Writer* w) const {
-  w->WriteI32Vec(survivors);
-  w->WriteDoubleVec(confidences);
-  w->WriteBool(use_lsh);
-  w->WriteI64(words);
-  WriteList(signatures, w);
-}
-
-Status CandidatePairsBody::Decode(serialize::Reader* r) {
-  FEDGTA_RETURN_IF_ERROR(r->ReadI32Vec(&survivors));
-  FEDGTA_RETURN_IF_ERROR(r->ReadDoubleVec(&confidences));
-  FEDGTA_RETURN_IF_ERROR(r->ReadBool(&use_lsh));
-  FEDGTA_RETURN_IF_ERROR(r->ReadI64(&words));
-  return ReadList(r, &signatures);
-}
-
-void CandidateWantsBody::Encode(serialize::Writer* w) const {
-  w->WriteI32Vec(wanted);
-  w->WriteI64(pairs_exact);
-  w->WriteI64(pairs_pruned);
-}
-
-Status CandidateWantsBody::Decode(serialize::Reader* r) {
-  FEDGTA_RETURN_IF_ERROR(r->ReadI32Vec(&wanted));
-  FEDGTA_RETURN_IF_ERROR(r->ReadI64(&pairs_exact));
-  return r->ReadI64(&pairs_pruned);
-}
-
-void MomentFetchBody::Encode(serialize::Writer* w) const {
-  w->WriteI32Vec(ids);
-}
-
-Status MomentFetchBody::Decode(serialize::Reader* r) {
-  return r->ReadI32Vec(&ids);
-}
-
-void MomentBlockBody::Encode(serialize::Writer* w) const {
-  WriteList(rows, w);
-}
-
-Status MomentBlockBody::Decode(serialize::Reader* r) {
-  return ReadList(r, &rows);
-}
-
-void SetBuildBody::Encode(serialize::Writer* w) const {
-  w->WriteI32Vec(ids);
-  WriteList(rows, w);
-}
-
-Status SetBuildBody::Decode(serialize::Reader* r) {
-  FEDGTA_RETURN_IF_ERROR(r->ReadI32Vec(&ids));
-  return ReadList(r, &rows);
-}
-
-void SetReportBody::Encode(serialize::Writer* w) const {
-  WriteList(sets, w);
-  w->WriteI64(local_unique);
-}
-
-Status SetReportBody::Decode(serialize::Reader* r) {
-  FEDGTA_RETURN_IF_ERROR(ReadList(r, &sets));
-  return r->ReadI64(&local_unique);
+  FEDGTA_RETURN_IF_ERROR(r->ReadI64(&download_floats));
+  const size_t n = rpc_ok.size();
+  if (seconds.size() != n || losses.size() != n || num_samples.size() != n ||
+      confidences.size() != n || (!weights.empty() && weights.size() != n) ||
+      (!moments.empty() && moments.size() != n)) {
+    return InvalidArgumentError("train shard reply lists misaligned");
+  }
+  return OkStatus();
 }
 
 void PartialAggregateBody::Encode(serialize::Writer* w) const {
@@ -302,13 +202,30 @@ Status PartialBlockBody::Decode(serialize::Reader* r) {
 }
 
 void GroupDeliverBody::Encode(serialize::Writer* w) const {
-  w->WriteI64Vec(report_index);
+  WriteList(local_sets, w);
   WriteList(params, w);
+  w->WriteI64Vec(group_of);
 }
 
 Status GroupDeliverBody::Decode(serialize::Reader* r) {
-  FEDGTA_RETURN_IF_ERROR(r->ReadI64Vec(&report_index));
-  return ReadList(r, &params);
+  FEDGTA_RETURN_IF_ERROR(ReadList(r, &local_sets));
+  FEDGTA_RETURN_IF_ERROR(ReadList(r, &params));
+  FEDGTA_RETURN_IF_ERROR(r->ReadI64Vec(&group_of));
+  if (local_sets.size() != params.size()) {
+    return InvalidArgumentError("group delivery lists misaligned");
+  }
+  for (size_t k = 0; k < params.size(); ++k) {
+    if (local_sets[k].empty() == params[k].empty()) {
+      return InvalidArgumentError(
+          "a delivered group needs exactly one of a local set and a vector");
+    }
+  }
+  for (int64_t g : group_of) {
+    if (g < 0 || g >= static_cast<int64_t>(params.size())) {
+      return InvalidArgumentError("survivor assigned to an undelivered group");
+    }
+  }
+  return OkStatus();
 }
 
 void EvalShardBody::Encode(serialize::Writer* w) const {
@@ -338,6 +255,23 @@ net::RoutedMsg MakeEnvelope(net::EnvelopeKind kind, int round) {
   msg.kind = static_cast<uint32_t>(kind);
   msg.round = round;
   return msg;
+}
+
+Result<std::vector<std::vector<float>>> MomentTable(
+    int num_clients, std::vector<LocalResult>& results) {
+  std::vector<std::vector<float>> table(static_cast<size_t>(num_clients));
+  const size_t width =
+      results.empty() ? 0 : results.front().metrics.moments.size();
+  for (LocalResult& r : results) {
+    if (r.metrics.moments.size() != width) {
+      return InvalidArgumentError(StrFormat(
+          "moment rows of %zu and %zu floats: every survivor must upload the "
+          "same width",
+          width, r.metrics.moments.size()));
+    }
+    table[static_cast<size_t>(r.client_id)] = std::move(r.metrics.moments);
+  }
+  return table;
 }
 
 // ---------------------------------------------------------------------------
@@ -398,8 +332,8 @@ Status RootCoordinator::Handshake() {
   if (!relay_) {
     if (gta_.adaptive_epsilon) {
       return FailedPreconditionError(
-          "adaptive epsilon needs the full similarity block and cannot run "
-          "sharded (see DESIGN.md §5k)");
+          "adaptive epsilon is not supported with regional aggregators "
+          "(see DESIGN.md §5k)");
     }
     if (gta_.disable_moments) {
       return FailedPreconditionError(
@@ -465,14 +399,7 @@ Status RootCoordinator::Handshake() {
     assign.rpc_backoff_ms = config_.rpc.backoff_ms;
     assign.accept_timeout_ms = config_.accept_timeout_ms;
     assign.relay = relay_;
-    assign.epsilon = gta_.epsilon;
     assign.disable_confidence = gta_.disable_confidence;
-    assign.similarity_mode = static_cast<uint32_t>(gta_.similarity.mode);
-    assign.lsh_signature_bits = gta_.similarity.lsh_signature_bits;
-    assign.lsh_margin = gta_.similarity.lsh_margin;
-    assign.lsh_seed = gta_.similarity.lsh_seed;
-    assign.auto_lsh_min_participants =
-        gta_.similarity.auto_lsh_min_participants;
     assign.hello_recv_us = hello_recv_us;
     assign.assign_send_us = internal_obs::TraceNowMicros();
 
@@ -589,232 +516,52 @@ Status RootCoordinator::ParallelExchange(
   return OkStatus();
 }
 
-double RootCoordinator::MemberWeight(
-    int client_id, const std::vector<double>& confidence_by_id) const {
+double RootCoordinator::MemberWeight(int client_id) const {
   return gta_.disable_confidence
              ? static_cast<double>(std::max<int64_t>(
                    1, train_sizes_[static_cast<size_t>(client_id)]))
-             : confidence_by_id[static_cast<size_t>(client_id)];
+             : confidence_by_id_[static_cast<size_t>(client_id)];
 }
 
-Status RootCoordinator::AggregateFedGta(
+Status RootCoordinator::AggregateGroups(
     int round, const std::vector<int>& survivors,
-    const std::vector<double>& confidences) {
-  std::vector<ShardRoundState>* shards = &round_shards_;
-  MetricsRegistry& metrics = GlobalMetrics();
-  const SimilarityPlaneOptions& plane = gta_.similarity;
-  const size_t gp = survivors.size();
-  const bool use_lsh =
-      plane.mode == SimilarityMode::kLsh ||
-      (plane.mode == SimilarityMode::kAuto &&
-       static_cast<int>(gp) >= plane.auto_lsh_min_participants);
-  const LshShape shape = LshShapeFor(gta_.epsilon, plane);
-
-  // Which shards staged survivors this round (ascending survivors are
-  // shard-major, so a two-pointer walk partitions them).
-  std::vector<char> active(aggs_.size(), 0);
-  std::vector<int64_t> shard_rows(aggs_.size(), 0);
-  {
-    size_t cursor = 0;
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      while (cursor < gp && aggs_[a].clients.contains(survivors[cursor])) {
-        ++shard_rows[a];
-        ++cursor;
-      }
-      active[a] = shard_rows[a] > 0 ? 1 : 0;
-    }
-  }
-
-  // Phase 1 (LSH rounds only): collect the shard signature slices; their
-  // shard-order concatenation is the global signature matrix.
-  std::vector<uint64_t> signatures;
-  if (use_lsh) {
-    std::vector<SignatureBlockBody> blocks(aggs_.size());
-    FEDGTA_RETURN_IF_ERROR(ParallelExchange(
-        active, "the signature exchange", [&](size_t a) -> Status {
-          net::RoutedMsg response;
-          FEDGTA_RETURN_IF_ERROR(CallAggregator(
-              a, MakeEnvelope(net::EnvelopeKind::kSignatureExchange, round),
-              &response));
-          FEDGTA_RETURN_IF_ERROR(UnpackEnvelope(
-              response, net::EnvelopeKind::kSignatureBlock, &blocks[a]));
-          if (blocks[a].rows != shard_rows[a] ||
-              blocks[a].words != shape.words ||
-              static_cast<int64_t>(blocks[a].signatures.size()) !=
-                  blocks[a].rows * blocks[a].words) {
-            return InvalidArgumentError("signature block shape mismatch");
-          }
-          return OkStatus();
-        }));
-    signatures.reserve(gp * static_cast<size_t>(shape.words));
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      signatures.insert(signatures.end(), blocks[a].signatures.begin(),
-                        blocks[a].signatures.end());
-    }
-  }
-
-  // Phase 2: broadcast the global survivor frame, collect want-lists.
-  CandidatePairsBody frame;
-  frame.survivors.assign(survivors.begin(), survivors.end());
-  frame.confidences = confidences;
-  frame.use_lsh = use_lsh;
-  frame.words = use_lsh ? shape.words : 0;
-  frame.signatures = signatures;
-  FEDGTA_RETURN_IF_ERROR(ParallelExchange(
-      active, "candidate generation", [&](size_t a) -> Status {
-        net::RoutedMsg response;
-        FEDGTA_RETURN_IF_ERROR(CallAggregator(
-            a, MakeEnvelope(net::EnvelopeKind::kCandidatePairs, round, frame),
-            &response));
-        return UnpackEnvelope(response, net::EnvelopeKind::kCandidateWants,
-                              &(*shards)[a].wants);
-      }));
-  {
-    SimilarityStats stats;
-    stats.mode_used = use_lsh ? SimilarityMode::kLsh : SimilarityMode::kExact;
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      if (!active[a]) continue;
-      stats.pairs_exact += (*shards)[a].wants.pairs_exact;
-      stats.pairs_pruned += (*shards)[a].wants.pairs_pruned;
-    }
-    RecordSetStats(stats);
-  }
-
-  // Phase 3: route the wanted normalized rows between shards. The root
-  // holds each row only transiently, keyed by id.
-  std::vector<std::vector<int32_t>> fetch(aggs_.size());
-  {
-    std::vector<char> wanted_flag(
-        static_cast<size_t>(data_.num_clients()), 0);
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      if (!active[a]) continue;
-      for (int32_t id : (*shards)[a].wants.wanted) {
-        if (id < 0 || id >= data_.num_clients()) {
-          return InvalidArgumentError("want-list id out of range");
-        }
-        wanted_flag[static_cast<size_t>(id)] = 1;
-      }
-    }
-    size_t owner = 0;
-    for (int id = 0; id < data_.num_clients(); ++id) {
-      if (!wanted_flag[static_cast<size_t>(id)]) continue;
-      while (!aggs_[owner].clients.contains(id)) ++owner;
-      fetch[owner].push_back(id);
-    }
-  }
-  std::unordered_map<int, std::vector<float>> rows_by_id;
-  {
-    std::vector<char> fetch_active(aggs_.size(), 0);
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      fetch_active[a] = fetch[a].empty() ? 0 : 1;
-    }
-    std::vector<MomentBlockBody> blocks(aggs_.size());
-    FEDGTA_RETURN_IF_ERROR(ParallelExchange(
-        fetch_active, "the moment fetch", [&](size_t a) -> Status {
-          MomentFetchBody body;
-          body.ids = fetch[a];
-          net::RoutedMsg response;
-          FEDGTA_RETURN_IF_ERROR(CallAggregator(
-              a, MakeEnvelope(net::EnvelopeKind::kMomentFetch, round, body),
-              &response));
-          FEDGTA_RETURN_IF_ERROR(UnpackEnvelope(
-              response, net::EnvelopeKind::kMomentBlock, &blocks[a]));
-          if (blocks[a].rows.size() != fetch[a].size()) {
-            return InvalidArgumentError("moment block count mismatch");
-          }
-          return OkStatus();
-        }));
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      for (size_t k = 0; k < fetch[a].size(); ++k) {
-        rows_by_id[fetch[a][k]] = std::move(blocks[a].rows[k]);
-      }
-    }
-  }
-
-  // Phase 4: ship each shard the rows it wanted; it runs exact Eq. 6
-  // admission and reports the canonical sets that cross its boundary.
-  FEDGTA_RETURN_IF_ERROR(ParallelExchange(
-      active, "set building", [&](size_t a) -> Status {
-        SetBuildBody body;
-        body.ids = (*shards)[a].wants.wanted;
-        body.rows.reserve(body.ids.size());
-        for (int32_t id : body.ids) body.rows.push_back(rows_by_id.at(id));
-        net::RoutedMsg response;
-        FEDGTA_RETURN_IF_ERROR(CallAggregator(
-            a, MakeEnvelope(net::EnvelopeKind::kSetBuild, round, body),
-            &response));
-        return UnpackEnvelope(response, net::EnvelopeKind::kSetReport,
-                              &(*shards)[a].report);
-      }));
-
-  // Phase 5: dedup the cross-shard canonical sets globally and compute
-  // their Eq. 7 weight sums (double-accumulated in canonical order — the
-  // single-server group loop's arithmetic).
-  struct Group {
-    std::vector<int32_t> canonical;
-    double weight_sum = 0.0;
-    std::vector<float> acc;
-    /// (shard, index into that shard's SetReport order).
-    std::vector<std::pair<size_t, int64_t>> reporters;
+    const std::vector<AggregationGroup>& groups) {
+  // Ascending ids are shard-major and canonical sets ascending, so a set
+  // lies inside one shard iff its first and last members do.
+  const auto shard_of = [&](int id) {
+    size_t a = 0;
+    while (!aggs_[a].clients.contains(id)) ++a;
+    return a;
   };
-  std::vector<Group> groups;
-  int64_t local_unique = 0;
-  {
-    std::map<std::vector<int32_t>, size_t> index;
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      if (!active[a]) continue;
-      local_unique += (*shards)[a].report.local_unique;
-      const SetReportBody& report = (*shards)[a].report;
-      for (size_t ri = 0; ri < report.sets.size(); ++ri) {
-        auto [it, inserted] =
-            index.emplace(report.sets[ri], groups.size());
-        if (inserted) {
-          Group g;
-          g.canonical = report.sets[ri];
-          groups.push_back(std::move(g));
-        }
-        groups[it->second].reporters.emplace_back(
-            a, static_cast<int64_t>(ri));
-      }
-    }
-    for (Group& g : groups) {
-      double weight_sum = 0.0;
-      for (int32_t j : g.canonical) {
-        if (j < 0 || j >= data_.num_clients()) {
-          return InvalidArgumentError("canonical set member out of range");
-        }
-        weight_sum += MemberWeight(j, confidence_by_id_);
-      }
-      g.weight_sum = weight_sum;
-      g.acc.assign(static_cast<size_t>(param_count_), 0.0f);
-    }
+  std::vector<char> local(groups.size(), 0);
+  std::vector<PartialSet> cross(groups.size());
+  for (size_t g = 0; g < groups.size(); ++g) {
+    const std::vector<int>& canonical = groups[g].canonical;
+    local[g] = shard_of(canonical.front()) == shard_of(canonical.back());
+    if (local[g]) continue;
+    // Double-accumulated in canonical order: the single-server arithmetic.
+    double weight_sum = 0.0;
+    for (int j : canonical) weight_sum += MemberWeight(j);
+    cross[g].canonical.assign(canonical.begin(), canonical.end());
+    cross[g].weight_sum = weight_sum;
+    cross[g].acc.assign(static_cast<size_t>(param_count_), 0.0f);
   }
-  const int64_t unique_sets = local_unique + static_cast<int64_t>(groups.size());
-  metrics.GetCounter("fedgta.aggregation.unique_sets").Increment(unique_sets);
-  metrics.GetCounter("fedgta.aggregation.dedup_reused")
-      .Increment(static_cast<int64_t>(gp) - unique_sets);
 
-  // Phase 6: chained Eq. 7 partials, strictly in ascending shard order —
-  // each shard folds its members onto the travelling accumulators, which
-  // replays the single-server left-associated float sums bit for bit.
+  // Chained Eq. 7 partials, strictly in ascending shard order — each shard
+  // folds its members onto the travelling accumulators, which replays the
+  // single-server left-associated float sums bit for bit.
   for (size_t a = 0; a < aggs_.size(); ++a) {
-    if (!active[a]) continue;
     PartialAggregateBody body;
     std::vector<size_t> group_of;
+    const auto member_here = [&](int32_t j) {
+      return aggs_[a].clients.contains(j);
+    };
     for (size_t g = 0; g < groups.size(); ++g) {
-      bool member_here = false;
-      for (int32_t j : groups[g].canonical) {
-        if (aggs_[a].clients.contains(j)) {
-          member_here = true;
-          break;
-        }
+      if (local[g] || std::none_of(cross[g].canonical.begin(),
+                                   cross[g].canonical.end(), member_here)) {
+        continue;
       }
-      if (!member_here) continue;
-      PartialSet set;
-      set.canonical = groups[g].canonical;
-      set.weight_sum = groups[g].weight_sum;
-      set.acc = groups[g].acc;
-      body.sets.push_back(std::move(set));
+      body.sets.push_back(cross[g]);
       group_of.push_back(g);
     }
     if (body.sets.empty()) continue;
@@ -836,23 +583,44 @@ Status RootCoordinator::AggregateFedGta(
                            rpc.message());
     }
     for (size_t k = 0; k < group_of.size(); ++k) {
-      groups[group_of[k]].acc = std::move(block.accs[k]);
+      cross[group_of[k]].acc = std::move(block.accs[k]);
     }
   }
 
-  // Phase 7: deliver the finished vectors back to every reporting shard.
-  // A failure here only loses that shard's own personalization (its
-  // clients drop from later rounds anyway), so it degrades like a dead
-  // worker instead of aborting the run.
-  std::vector<GroupDeliverBody> deliver(aggs_.size());
+  // One delivery per shard: its local sets, aggregated there, and the
+  // finished cross-shard vectors its survivors own. A failure here only
+  // loses that shard's own personalization (its clients drop from later
+  // rounds anyway), so it degrades like a dead worker instead of aborting
+  // the run.
+  std::vector<size_t> group_by_id(static_cast<size_t>(data_.num_clients()));
   for (size_t g = 0; g < groups.size(); ++g) {
-    for (const auto& [a, ri] : groups[g].reporters) {
-      deliver[a].report_index.push_back(ri);
-      deliver[a].params.push_back(groups[g].acc);
+    for (int id : groups[g].clients) group_by_id[static_cast<size_t>(id)] = g;
+  }
+  std::vector<GroupDeliverBody> deliver(aggs_.size());
+  std::vector<char> active(aggs_.size(), 0);
+  for (size_t a = 0; a < aggs_.size(); ++a) {
+    std::unordered_map<size_t, int64_t> slot;
+    GroupDeliverBody& body = deliver[a];
+    for (int id : survivors) {
+      if (!aggs_[a].clients.contains(id)) continue;
+      const size_t g = group_by_id[static_cast<size_t>(id)];
+      const auto [it, inserted] =
+          slot.emplace(g, static_cast<int64_t>(body.params.size()));
+      if (inserted) {
+        body.local_sets.emplace_back();
+        body.params.emplace_back();
+        if (local[g]) {
+          body.local_sets.back().assign(groups[g].canonical.begin(),
+                                        groups[g].canonical.end());
+        } else {
+          body.params.back() = cross[g].acc;
+        }
+      }
+      body.group_of.push_back(it->second);
     }
+    active[a] = body.group_of.empty() ? 0 : 1;
   }
   (void)ParallelExchange(active, "group delivery", [&](size_t a) {
-    if (deliver[a].report_index.empty()) return OkStatus();
     net::RoutedMsg response;
     FEDGTA_RETURN_IF_ERROR(CallAggregator(
         a, MakeEnvelope(net::EnvelopeKind::kGroupDeliver, round, deliver[a]),
@@ -941,13 +709,10 @@ std::vector<ClientOutcome> RootCoordinator::Train(
         &response));
     FEDGTA_RETURN_IF_ERROR(UnpackEnvelope(
         response, net::EnvelopeKind::kTrainShardDone, &shard.done));
+    // The decoder aligned every list with rpc_ok (or left it empty).
     const size_t expect = shard.participants.size();
     if (shard.done.rpc_ok.size() != expect ||
-        shard.done.seconds.size() != expect ||
-        shard.done.losses.size() != expect ||
-        shard.done.num_samples.size() != expect ||
-        shard.done.confidences.size() != expect ||
-        (relay_ && shard.done.weights.size() != expect)) {
+        (relay_ ? shard.done.weights : shard.done.moments).size() != expect) {
       aggs_[a].alive = false;
       aggs_[a].health->healthy.store(false, std::memory_order_relaxed);
       return InvalidArgumentError("train reply misaligned");
@@ -958,8 +723,7 @@ std::vector<ClientOutcome> RootCoordinator::Train(
 
   // Outcomes in participant order (= shard order). A dead aggregator maps
   // every shard participant onto the transport-failure dropout semantics.
-  // In the FedGTA plane params and moments stay staged at the aggregator;
-  // only the scalars travel.
+  // In the FedGTA plane the weights stay staged at the aggregator.
   std::vector<ClientOutcome> outcomes;
   outcomes.reserve(n_part);
   for (ShardRoundState& shard : round_shards_) {
@@ -975,7 +739,11 @@ std::vector<ClientOutcome> RootCoordinator::Train(
       r.num_samples = shard.done.num_samples[i];
       r.loss = shard.done.losses[i];
       r.metrics.confidence = shard.done.confidences[i];
-      if (relay_) r.params = std::move(shard.done.weights[i]);
+      if (relay_) {
+        r.params = std::move(shard.done.weights[i]);
+      } else {
+        r.metrics.moments = std::move(shard.done.moments[i]);
+      }
     }
   }
   return outcomes;
@@ -984,13 +752,16 @@ std::vector<ClientOutcome> RootCoordinator::Train(
 Status RootCoordinator::Aggregate(int round, const std::vector<int>& ids,
                                   std::vector<LocalResult>& results) {
   if (relay_) return RoundTransport::Aggregate(round, ids, results);
-  std::vector<double> confidences;
-  confidences.reserve(results.size());
+  Result<std::vector<std::vector<float>>> moments =
+      MomentTable(data_.num_clients(), results);
+  FEDGTA_RETURN_IF_ERROR(moments.status());
   for (const LocalResult& r : results) {
-    confidences.push_back(r.metrics.confidence);
     confidence_by_id_[static_cast<size_t>(r.client_id)] = r.metrics.confidence;
   }
-  return AggregateFedGta(round, ids, confidences);
+  // Eq. 6 exactly as the flat server runs it, counters included.
+  const std::vector<AggregationGroup> groups =
+      GroupByAggregationSet(*moments, ids, gta_);
+  return AggregateGroups(round, ids, groups);
 }
 
 Strategy::CommunicationStats RootCoordinator::Communication(

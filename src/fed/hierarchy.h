@@ -24,20 +24,19 @@
 namespace fedgta {
 namespace fed {
 
-/// Envelope bodies of the v5 routed root ↔ aggregator plane (DESIGN.md
-/// §5k). Each struct is the nested serialize payload of one EnvelopeKind:
+/// Envelope bodies of the routed root ↔ aggregator plane (DESIGN.md §5k).
+/// Each struct is the nested serialize payload of one EnvelopeKind:
 /// RoutedMsg carries it as an opaque string, so the wire protocol never
 /// grows a new MsgType for a new hierarchical phase. Encode/Decode pairs
 /// follow the checkpoint conventions (fixed order, length-prefixed
-/// vectors); bodies are versioned implicitly by the v5 floor of the
-/// aggregator link — a pre-v5 peer is rejected at Hello time, so trailer
-/// gymnastics are unnecessary here.
+/// vectors); bodies are versioned by the protocol version the Hello
+/// carries — any other version is rejected there.
 
 /// root → agg: everything one regional aggregator needs before it can
 /// accept its worker slice — the worker-facing wire config (relayed
 /// verbatim into AssignConfig), its shard of the client space, the worker
-/// split, the transport knobs of its fleet, and the server-side Eq. 6/7
-/// options the flat server would have kept to itself.
+/// split, the transport knobs of its fleet, and the Eq. 7 weighting its
+/// local sets use.
 struct ShardAssignBody {
   net::WireFedConfig config;
   int32_t agg_index = 0;
@@ -55,16 +54,10 @@ struct ShardAssignBody {
   int32_t rpc_backoff_ms = 50;
   int32_t accept_timeout_ms = 60000;
   /// Relay mode (fedavg/fedprox): survivor weights ship up to the root,
-  /// which aggregates centrally; the Eq. 6/7 plane below stays idle.
+  /// which aggregates centrally; the shard's Eq. 7 plane stays idle.
   bool relay = false;
-  // Server-side FedGTA aggregation knobs (never shipped to workers).
-  double epsilon = 0.3;
+  /// FedGTA's "w/o Conf." ablation (server-side, never shipped to workers).
   bool disable_confidence = false;
-  uint32_t similarity_mode = 0;  // SimilarityMode
-  int32_t lsh_signature_bits = 256;
-  double lsh_margin = 0.18;
-  uint64_t lsh_seed = 0x5EED5111ull;
-  int32_t auto_lsh_min_participants = 512;
   /// Clock sync echo (same NTP midpoint scheme as AssignConfig): root
   /// trace clock at Hello arrival / at this send.
   int64_t hello_recv_us = 0;
@@ -110,10 +103,11 @@ struct TrainShardBody {
 };
 
 /// agg → root: per-participant round outcome, aligned with the request.
-/// In the FedGTA plane only scalars travel — params and moments stay
-/// staged at the aggregator — which is what keeps the root's peak state
-/// independent of the participant count. Relay mode additionally ships
-/// survivor weights (empty vectors elsewhere).
+/// The FedGTA plane ships each survivor's raw Eq. 5 moment row, from which
+/// the root builds the round's Eq. 6 sets; weights stay staged at the
+/// aggregator. Relay mode ships survivor weights instead. Rows for
+/// non-survivors are empty; the decoder rejects any list not aligned with
+/// `rpc_ok` (weights and moments may also be empty as a whole).
 struct TrainShardDoneBody {
   std::vector<uint32_t> rpc_ok;
   std::vector<double> seconds;
@@ -121,89 +115,12 @@ struct TrainShardDoneBody {
   std::vector<int64_t> num_samples;
   std::vector<double> confidences;
   std::vector<std::vector<float>> weights;  // relay survivors only
+  std::vector<std::vector<float>> moments;  // FedGTA survivors only
   /// Shard totals of the simulated communication volume, computed at the
   /// aggregator over its survivor results with the base
   /// Strategy::RoundCommunication formula (integer sums — order-free).
   int64_t upload_floats = 0;
   int64_t download_floats = 0;
-
-  void Encode(serialize::Writer* w) const;
-  Status Decode(serialize::Reader* r);
-};
-
-/// agg → root: packed sign-projection signatures of the shard's staged
-/// rows (row-major rows x words). Concatenated in shard order at the root
-/// they equal the signatures a single server would compute over the full
-/// survivor matrix (per-row hashing; see ComputeLshSignatures).
-struct SignatureBlockBody {
-  int64_t rows = 0;
-  int64_t words = 0;
-  std::vector<uint64_t> signatures;
-
-  void Encode(serialize::Writer* w) const;
-  Status Decode(serialize::Reader* r);
-};
-
-/// root → agg: the round's global survivor frame — every shard's
-/// survivors ascending (= shard-major), aligned confidences, and the
-/// concatenated signatures when the round runs the LSH prescreen.
-struct CandidatePairsBody {
-  std::vector<int32_t> survivors;
-  std::vector<double> confidences;
-  bool use_lsh = false;
-  int64_t words = 0;
-  std::vector<uint64_t> signatures;
-
-  void Encode(serialize::Writer* w) const;
-  Status Decode(serialize::Reader* r);
-};
-
-/// agg → root: ascending ids outside this shard whose normalized moment
-/// rows Eq. 6 admission needs here, plus the shard's candidate-generation
-/// counts (each ordered pair is judged from its row's shard exactly once,
-/// so the root's sums equal the single-server counters).
-struct CandidateWantsBody {
-  std::vector<int32_t> wanted;
-  int64_t pairs_exact = 0;
-  int64_t pairs_pruned = 0;
-
-  void Encode(serialize::Writer* w) const;
-  Status Decode(serialize::Reader* r);
-};
-
-/// root → agg: staged ids whose normalized rows other shards asked for.
-struct MomentFetchBody {
-  std::vector<int32_t> ids;
-
-  void Encode(serialize::Writer* w) const;
-  Status Decode(serialize::Reader* r);
-};
-
-/// agg → root: the fetched rows, aligned with the MomentFetch ids.
-struct MomentBlockBody {
-  std::vector<std::vector<float>> rows;
-
-  void Encode(serialize::Writer* w) const;
-  Status Decode(serialize::Reader* r);
-};
-
-/// root → agg: the remote rows this shard wanted (aligned `ids`/`rows`);
-/// the aggregator then runs exact Eq. 6 admission over its cached
-/// candidates.
-struct SetBuildBody {
-  std::vector<int32_t> ids;
-  std::vector<std::vector<float>> rows;
-
-  void Encode(serialize::Writer* w) const;
-  Status Decode(serialize::Reader* r);
-};
-
-/// agg → root: the canonical (sorted) aggregation sets of this shard's
-/// rows that cross a shard boundary, deduplicated per shard; sets wholly
-/// inside the shard were aggregated locally and only their count travels.
-struct SetReportBody {
-  std::vector<std::vector<int32_t>> sets;
-  int64_t local_unique = 0;
 
   void Encode(serialize::Writer* w) const;
   Status Decode(serialize::Reader* r);
@@ -235,12 +152,16 @@ struct PartialBlockBody {
   Status Decode(serialize::Reader* r);
 };
 
-/// root → agg: final aggregated vectors for the cross-shard sets this
-/// shard reported; `report_index` points into the shard's own SetReport
-/// order, the aggregator fans each vector out to its rows in that group.
+/// root → agg: one shard's share of the round's Eq. 6/7 outcome, once per
+/// round after the chained pass. Group k is either a canonical set wholly
+/// inside the shard (`local_sets[k]`), which the shard aggregates itself,
+/// or the finished vector of a set that crosses a shard boundary
+/// (`params[k]`); the other entry is empty. `group_of` gives each staged
+/// survivor, ascending, its group.
 struct GroupDeliverBody {
-  std::vector<int64_t> report_index;
+  std::vector<std::vector<int32_t>> local_sets;
   std::vector<std::vector<float>> params;
+  std::vector<int64_t> group_of;
 
   void Encode(serialize::Writer* w) const;
   Status Decode(serialize::Reader* r);
@@ -303,18 +224,26 @@ Status UnpackEnvelope(const net::RoutedMsg& msg, net::EnvelopeKind kind,
   return OkStatus();
 }
 
+/// The root's Eq. 6 input: moves each survivor's shipped moment row out of
+/// `results` into a client-id-indexed table of `num_clients` rows, the
+/// layout GroupByAggregationSet reads. Each shard's WorkerFleet pins only
+/// its own row width, so rows of differing widths are InvalidArgument here
+/// instead of an abort in StackNormalizedMoments.
+Result<std::vector<std::vector<float>>> MomentTable(
+    int num_clients, std::vector<LocalResult>& results);
+
 /// The root of a hierarchical federation (DESIGN.md §5k) and the
 /// RoundEngine's transport for it: accepts `config.num_aggregators`
 /// regional aggregators (Hello with node_role = kAggregator), deals each a
 /// contiguous client shard and worker slice via ShardAssign, and turns the
 /// engine's train / aggregate / evaluate calls into the routed envelope
-/// sequence — TrainShard, the signature/candidate/moment/set exchange, the
-/// chained Eq. 7 partial passes, GroupDeliver, EvalShard. The root never
-/// materializes the full participant set: in the FedGTA plane only
-/// scalars, packed signatures, canonical id sets, and per-set accumulators
-/// cross its link, and the run result is bit-identical to the in-process
-/// Simulation (see fed::DeterministicEquals). A dead aggregator's shard
-/// degrades to dropped clients.
+/// sequence — TrainShard, the chained Eq. 7 partial pass, one
+/// GroupDeliver per shard, EvalShard. In the FedGTA plane the root builds
+/// the Eq. 6 sets itself, with the single-server code, from the moment
+/// rows that ride up in TrainShardDone; weights never leave their shard
+/// except inside the chained pass. The run result is bit-identical to the
+/// in-process Simulation (see fed::DeterministicEquals). A dead
+/// aggregator's shard degrades to dropped clients.
 ///
 /// Shardable non-FedGTA strategies (fedavg, fedprox) run in relay mode:
 /// the root keeps the Strategy and full survivor weights travel through
@@ -359,8 +288,6 @@ class RootCoordinator : private RoundTransport {
     std::vector<ClientFate> fates;
     TrainShardDoneBody done;
     bool trained = false;  // TrainShard exchange succeeded
-    CandidateWantsBody wants;
-    SetReportBody report;
   };
 
   Status ValidateConfig() const;
@@ -381,21 +308,22 @@ class RootCoordinator : private RoundTransport {
   std::vector<ClientOutcome> Train(
       int round, const std::vector<int>& participants,
       const std::vector<ClientFate>& fates) override;
-  /// Relay mode: Strategy::Aggregate at the root. FedGTA plane: the routed
-  /// Eq. 6/7 sequence (AggregateFedGta).
+  /// Relay mode: Strategy::Aggregate at the root. FedGTA plane: Eq. 6 here,
+  /// then the routed Eq. 7 sequence (AggregateGroups).
   Status Aggregate(int round, const std::vector<int>& ids,
                    std::vector<LocalResult>& results) override;
   Strategy::CommunicationStats Communication(
       const std::vector<LocalResult>& results) override;
   Status Evaluate(int round, ClientAccuracies* acc) override;
 
-  /// The distributed Eq. 6/7 phase sequence over this round's survivors.
-  Status AggregateFedGta(int round, const std::vector<int>& survivors,
-                         const std::vector<double>& confidences);
+  /// The routed Eq. 7 over the round's Eq. 6 groups: the chained partial
+  /// pass for sets that cross a shard boundary, then one GroupDeliver per
+  /// shard with survivors.
+  Status AggregateGroups(int round, const std::vector<int>& survivors,
+                         const std::vector<AggregationGroup>& groups);
   /// Eq. 7 weight of one survivor at the root (confidence, or the
   /// train-size fallback) — the same value ShardPlane::MemberWeight uses.
-  double MemberWeight(int client_id,
-                      const std::vector<double>& confidence_by_id) const;
+  double MemberWeight(int client_id) const;
   std::string RenderStatus(const std::string& command) const;
 
   RemoteFedConfig config_;

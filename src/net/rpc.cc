@@ -120,22 +120,6 @@ const char* EnvelopeKindName(EnvelopeKind kind) {
       return "TrainShard";
     case EnvelopeKind::kTrainShardDone:
       return "TrainShardDone";
-    case EnvelopeKind::kSignatureExchange:
-      return "SignatureExchange";
-    case EnvelopeKind::kSignatureBlock:
-      return "SignatureBlock";
-    case EnvelopeKind::kCandidatePairs:
-      return "CandidatePairs";
-    case EnvelopeKind::kCandidateWants:
-      return "CandidateWants";
-    case EnvelopeKind::kMomentFetch:
-      return "MomentFetch";
-    case EnvelopeKind::kMomentBlock:
-      return "MomentBlock";
-    case EnvelopeKind::kSetBuild:
-      return "SetBuild";
-    case EnvelopeKind::kSetReport:
-      return "SetReport";
     case EnvelopeKind::kPartialAggregate:
       return "PartialAggregate";
     case EnvelopeKind::kPartialBlock:

@@ -46,13 +46,13 @@ namespace net {
 /// rides the generic Routed envelope (§5k); a worker cannot tell whether
 /// its server is the root or a regional aggregator.
 ///
-/// The protocol is frozen at v7: every peer ships from this repo, so both
+/// The protocol is frozen at v8: every peer ships from this repo, so both
 /// ends accept exactly this version and every message has one fixed
 /// layout. A Train/Eval request whose weights equal the last ones sent for
 /// that client on this connection carries `reuse` and no tensor; the worker
 /// uses its DownloadStash copy instead.
 
-inline constexpr uint32_t kProtocolVersion = 7;
+inline constexpr uint32_t kProtocolVersion = 8;
 
 enum class MsgType : uint32_t {
   kHello = 1,
@@ -286,21 +286,13 @@ enum class EnvelopeKind : uint32_t {
   kShardReady = 2,        // agg → root: param count, init params, status port
   kInitModel = 3,         // root → agg: common initialization broadcast
   kTrainShard = 4,        // root → agg: run one round over shard survivors
-  kTrainShardDone = 5,    // agg → root: per-participant scalars (no tensors)
-  kSignatureExchange = 6, // root → agg: compute shard LSH signatures
-  kSignatureBlock = 7,    // agg → root: packed sign-projection words
-  kCandidatePairs = 8,    // root → agg: all signatures + confidences
-  kCandidateWants = 9,    // agg → root: remote moment rows this shard needs
-  kMomentFetch = 10,      // root → agg: rows other shards asked for
-  kMomentBlock = 11,      // agg → root: the normalized rows
-  kSetBuild = 12,         // root → agg: fetched remote rows, build Eq. 6 sets
-  kSetReport = 13,        // agg → root: cross-shard canonical sets
-  kPartialAggregate = 14, // root → agg: chained Eq. 7 accumulator pass
-  kPartialBlock = 15,     // agg → root: updated accumulators
-  kGroupDeliver = 16,     // root → agg: final vector for a cross-shard set
-  kGroupAck = 17,         // agg → root
-  kEvalShard = 18,        // root → agg: evaluate shard clients
-  kEvalShardDone = 19,    // agg → root: per-client accuracies
+  kTrainShardDone = 5,    // agg → root: per-participant scalars + moment rows
+  kPartialAggregate = 6,  // root → agg: chained Eq. 7 accumulator pass
+  kPartialBlock = 7,      // agg → root: updated accumulators
+  kGroupDeliver = 8,      // root → agg: local sets + cross-shard vectors
+  kGroupAck = 9,          // agg → root
+  kEvalShard = 10,        // root → agg: evaluate shard clients
+  kEvalShardDone = 11,    // agg → root: per-client accuracies
 };
 
 const char* EnvelopeKindName(EnvelopeKind kind);

@@ -2,6 +2,8 @@
 // abort, captured via gtest death tests) or via error Status, never
 // silently accepted.
 
+#include <unistd.h>
+
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -109,8 +111,11 @@ TEST(FailureDeathTest, ResultValueOnErrorAborts) {
 class CheckpointCorruptionTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // One file per case and process: ctest runs the cases concurrently.
     path_ = (std::filesystem::temp_directory_path() /
-             "fedgta_corruption_test.ckpt")
+             ("fedgta_corruption_test_" + std::to_string(getpid()) + "_" +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+              ".ckpt"))
                 .string();
     serialize::Writer writer;
     writer.WriteString("state");

@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -20,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "common/serialize.h"
+#include "core/similarity.h"
 #include "fed/hierarchy.h"
 #include "fed/remote_config.h"
 #include "fed/role.h"
@@ -237,44 +237,70 @@ RemoteFedConfig BaseConfig() {
 
 TEST(HierarchyTest, FedGtaOverTwoAggregatorsIsBitIdenticalToSimulation) {
   // The acceptance topology: root + 2 aggregators + 4 workers, with the
-  // root and mid-tier status endpoints live.
-  RemoteFedConfig config = BaseConfig();
-  config.status_port = 0;
-  // Aggregator-sent bytes, rolled up into the root's registry.
-  auto fleet_bytes = [](const char* msg) {
-    const Counter* c = GlobalMetrics().FindCounter(
-        std::string("fleet.net.bytes_sent.") + msg);
-    return c != nullptr ? c->value() : 0;
-  };
-  const int64_t train0 = fleet_bytes("TrainRequest");
-  const int64_t eval0 = fleet_bytes("EvalRequest");
-  const HierarchicalOutcome out =
-      RunHierarchical(config, /*agg_status_ports=*/true);
-  ASSERT_TRUE(out.result.ok()) << out.result.status();
-  for (int code : out.exit_codes) EXPECT_EQ(code, 0);
-  const SimulationResult local = RunInProcess(config);
-  ExpectBitIdentical(*out.result, local);
-  EXPECT_GT(local.final_test_accuracy, 0.2);
-  // Eval runs every round, so on the aggregator -> worker leg only round
-  // 1's train requests carry weights; later ones reuse the eval download.
-  const int64_t eval_bytes = fleet_bytes("EvalRequest") - eval0;
-  EXPECT_GT(eval_bytes, 0);
-  EXPECT_LT(fleet_bytes("TrainRequest") - train0, eval_bytes / 2);
+  // root and mid-tier status endpoints live; once on the exact Eq. 6
+  // oracle and once through the LSH screen.
+  for (SimilarityMode mode : {SimilarityMode::kExact, SimilarityMode::kLsh}) {
+    SCOPED_TRACE(SimilarityModeName(mode));
+    RemoteFedConfig config = BaseConfig();
+    config.status_port = 0;
+    config.strategy_options.fedgta.similarity.mode = mode;
+    const auto counter = [](const std::string& name) {
+      const Counter* c = GlobalMetrics().FindCounter(name);
+      return c != nullptr ? c->value() : 0;
+    };
+    // The root builds the Eq. 6 sets itself, so its plane counters must
+    // move exactly as the in-process server's do.
+    const std::vector<std::string> plane = {
+        "fedgta.similarity.pairs_exact", "fedgta.similarity.pairs_pruned",
+        "fedgta.aggregation.unique_sets",
+        "fedgta.similarity.mode." + std::string(SimilarityModeName(mode))};
+    const auto snapshot = [&] {
+      std::vector<int64_t> values;
+      for (const std::string& name : plane) values.push_back(counter(name));
+      return values;
+    };
+    // Aggregator-sent bytes, rolled up into the root's registry.
+    const auto fleet_bytes = [&](const char* msg) {
+      return counter(std::string("fleet.net.bytes_sent.") + msg);
+    };
+    const int64_t train0 = fleet_bytes("TrainRequest");
+    const int64_t eval0 = fleet_bytes("EvalRequest");
+    const std::vector<int64_t> root0 = snapshot();
+    const HierarchicalOutcome out =
+        RunHierarchical(config, /*agg_status_ports=*/true);
+    const std::vector<int64_t> root1 = snapshot();
+    ASSERT_TRUE(out.result.ok()) << out.result.status();
+    for (int code : out.exit_codes) EXPECT_EQ(code, 0);
+    const SimulationResult local = RunInProcess(config);
+    const std::vector<int64_t> local1 = snapshot();
+    ExpectBitIdentical(*out.result, local);
+    EXPECT_GT(local.final_test_accuracy, 0.2);
+    for (size_t k = 0; k < plane.size(); ++k) {
+      EXPECT_EQ(root1[k] - root0[k], local1[k] - root1[k]) << plane[k];
+    }
+    EXPECT_GT(root1[0] - root0[0], 0);
+    EXPECT_EQ(root1[3] - root0[3], config.sim.rounds);  // one Eq. 6 a round
+    // Eval runs every round, so on the aggregator -> worker leg only round
+    // 1's train requests carry weights; later ones reuse the eval download.
+    const int64_t eval_bytes = fleet_bytes("EvalRequest") - eval0;
+    EXPECT_GT(eval_bytes, 0);
+    EXPECT_LT(fleet_bytes("TrainRequest") - train0, eval_bytes / 2);
 
-  // Mid-tier visibility (satellite): the root's status table names every
-  // aggregator with its shard bounds, and the live probe notices that the
-  // mid-tier processes are gone after shutdown.
-  const std::string& status = out.final_status;
-  EXPECT_NE(status.find("fedgta root status"), std::string::npos) << status;
-  EXPECT_NE(status.find("aggregators: 2"), std::string::npos) << status;
-  EXPECT_NE(status.find("aggregator 0: healthy shard=[0,5) clients=5 "
-                        "workers=2"),
-            std::string::npos)
-      << status;
-  EXPECT_NE(status.find("aggregator 1: healthy shard=[5,10) clients=5 "
-                        "workers=2"),
-            std::string::npos)
-      << status;
+    // Mid-tier visibility (satellite): the root's status table names every
+    // aggregator with its shard bounds, and the live probe notices that the
+    // mid-tier processes are gone after shutdown.
+    const std::string& status = out.final_status;
+    EXPECT_NE(status.find("fedgta root status"), std::string::npos) << status;
+    EXPECT_NE(status.find("aggregators: 2"), std::string::npos) << status;
+    EXPECT_NE(status.find("aggregator 0: healthy shard=[0,5) clients=5 "
+                          "workers=2"),
+              std::string::npos)
+        << status;
+    EXPECT_NE(status.find("aggregator 1: healthy shard=[5,10) clients=5 "
+                          "workers=2"),
+              std::string::npos)
+        << status;
+  }
 }
 
 TEST(HierarchyTest, FailureInjectionAndSamplingStayIdentical) {
@@ -313,7 +339,7 @@ TEST(HierarchyTest, KilledWorkerDegradesToDroppedClients) {
   // The hierarchy twin of the flat plane's killed-worker test: shard 0's
   // two workers vanish after one train request each. Round 1 keeps 2 of
   // shard 0's 5 participants, later rounds lose all 5; shard 1 is healthy.
-  // Both the sharded Eq. 6/7 plane and the relay plane must degrade to
+  // Both the sharded Eq. 7 plane and the relay plane must degrade to
   // dropped clients instead of failing the run.
   for (const char* strategy : {"fedgta", "fedavg"}) {
     SCOPED_TRACE(strategy);
@@ -368,45 +394,33 @@ TEST(HierarchyTest, TopologyRejectsMoreAggregatorsThanWorkers) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
-// ShardAssign carries the root's Eq. 6 knobs straight into LshShapeFor and
-// ComputeLshSignatures on the aggregator: hostile values must come back as
-// an error Status from the decoder, never as overflow, a NaN-to-int cast
-// or a multi-GB projection.
+/// Encodes `in` and decodes it back as a fresh Body, returning the decode
+/// status.
+template <typename Body>
+Status DecodeRoundTrip(const Body& in) {
+  serialize::Writer writer;
+  in.Encode(&writer);
+  Result<serialize::Reader> reader =
+      serialize::Reader::FromBuffer(writer.Encode());
+  EXPECT_TRUE(reader.ok()) << reader.status();
+  Body out;
+  return out.Decode(&*reader);
+}
+
+// Hostile ShardAssign values must come back as an error Status from the
+// decoder, never as an aggregator abort further down.
 TEST(HierarchyTest, ShardAssignDecoderRejectsHostileFields) {
   const auto decode = [](const fed::ShardAssignBody& in) {
-    serialize::Writer writer;
-    in.Encode(&writer);
-    Result<serialize::Reader> reader =
-        serialize::Reader::FromBuffer(writer.Encode());
-    EXPECT_TRUE(reader.ok()) << reader.status();
-    fed::ShardAssignBody out;
-    return out.Decode(&*reader);
+    return DecodeRoundTrip(in);
   };
   ASSERT_TRUE(decode(fed::ShardAssignBody()).ok());
 
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
   std::vector<std::pair<std::string, fed::ShardAssignBody>> hostile;
   const auto add = [&](std::string what, auto mutate) {
     fed::ShardAssignBody body;
     mutate(body);
     hostile.emplace_back(std::move(what), body);
   };
-  add("bits=0", [](auto& b) { b.lsh_signature_bits = 0; });
-  add("bits<0", [](auto& b) { b.lsh_signature_bits = -64; });
-  add("bits=INT32_MAX", [](auto& b) {
-    b.lsh_signature_bits = std::numeric_limits<int32_t>::max();
-  });
-  add("bits huge", [](auto& b) { b.lsh_signature_bits = 1 << 24; });
-  add("margin=NaN", [&](auto& b) { b.lsh_margin = nan; });
-  add("margin=inf", [&](auto& b) { b.lsh_margin = inf; });
-  add("margin<0", [](auto& b) { b.lsh_margin = -0.5; });
-  add("epsilon=NaN", [&](auto& b) { b.epsilon = nan; });
-  add("epsilon=-inf", [&](auto& b) { b.epsilon = -inf; });
-  add("mode=3", [](auto& b) { b.similarity_mode = 3; });
-  add("mode=UINT32_MAX", [](auto& b) {
-    b.similarity_mode = std::numeric_limits<uint32_t>::max();
-  });
   // The codec reaches WorkerFleet::Accept, which admits only registered
   // names: "off" was a second spelling of raw, fp16 a retired codec.
   add("compress=off", [](auto& b) { b.compress = "off"; });
@@ -417,6 +431,129 @@ TEST(HierarchyTest, ShardAssignDecoderRejectsHostileFields) {
     const Status status = decode(body);
     EXPECT_FALSE(status.ok()) << what;
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << what;
+  }
+}
+
+// A TrainShardDone whose moment rows (or any other per-participant list)
+// do not line up with rpc_ok is a decode error, so the root never indexes
+// past a short list.
+TEST(HierarchyTest, TrainShardDoneDecoderRejectsMisalignedLists) {
+  fed::TrainShardDoneBody aligned;
+  aligned.rpc_ok = {1, 0, 1};
+  aligned.seconds = {0.1, 0.0, 0.2};
+  aligned.losses = {1.0, 0.0, 2.0};
+  aligned.num_samples = {5, 0, 7};
+  aligned.confidences = {0.5, 0.0, 0.7};
+  aligned.moments = {{1.0f, 2.0f}, {}, {3.0f, 4.0f}};
+  ASSERT_TRUE(DecodeRoundTrip(aligned).ok());
+  fed::TrainShardDoneBody relay = aligned;
+  relay.moments.clear();
+  relay.weights = {{1.0f}, {}, {2.0f}};
+  ASSERT_TRUE(DecodeRoundTrip(relay).ok());
+
+  std::vector<std::pair<std::string, fed::TrainShardDoneBody>> hostile;
+  const auto add = [&](std::string what, auto mutate) {
+    fed::TrainShardDoneBody body = aligned;
+    mutate(body);
+    hostile.emplace_back(std::move(what), body);
+  };
+  add("moments short", [](auto& b) { b.moments.pop_back(); });
+  add("moments long", [](auto& b) { b.moments.emplace_back(); });
+  add("weights short", [](auto& b) { b.weights = {{1.0f}}; });
+  add("seconds short", [](auto& b) { b.seconds.pop_back(); });
+  add("confidences long", [](auto& b) { b.confidences.push_back(0.1); });
+  add("rpc_ok long", [](auto& b) { b.rpc_ok.push_back(1); });
+  for (const auto& [what, body] : hostile) {
+    const Status status = DecodeRoundTrip(body);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << what;
+  }
+}
+
+// Each shard's WorkerFleet pins the moment width of its own uploads only,
+// so rows of two shards may disagree; the root's Eq. 6 input refuses them
+// instead of aborting in StackNormalizedMoments.
+TEST(HierarchyTest, RaggedMomentRowsAcrossShardsAreInvalidArgument) {
+  const auto result = [](int client_id, size_t width) {
+    LocalResult r;
+    r.client_id = client_id;
+    r.metrics.moments.assign(width, 0.5f);
+    return r;
+  };
+  std::vector<LocalResult> same = {result(1, 45), result(7, 45)};
+  Result<std::vector<std::vector<float>>> table = fed::MomentTable(10, same);
+  ASSERT_TRUE(table.ok()) << table.status();
+  ASSERT_EQ(table->size(), 10u);
+  EXPECT_EQ((*table)[7].size(), 45u);
+  EXPECT_TRUE((*table)[0].empty());
+
+  for (size_t other : {size_t{44}, size_t{0}, size_t{46}}) {
+    std::vector<LocalResult> ragged = {result(1, 45), result(2, 45),
+                                       result(7, other)};
+    const Status status = fed::MomentTable(10, ragged).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << other;
+  }
+}
+
+// The aggregator applies a GroupDeliver straight to its parameter table:
+// every survivor must point at a delivered group, and each group must be
+// exactly one of a local set and a finished vector.
+TEST(HierarchyTest, GroupDeliverDecoderRejectsHostileFields) {
+  fed::GroupDeliverBody good;
+  good.local_sets = {{2, 3}, {}};
+  good.params = {{}, {1.0f, 2.0f}};
+  good.group_of = {0, 0, 1};
+  ASSERT_TRUE(DecodeRoundTrip(good).ok());
+
+  std::vector<std::pair<std::string, fed::GroupDeliverBody>> hostile;
+  const auto add = [&](std::string what, auto mutate) {
+    fed::GroupDeliverBody body = good;
+    mutate(body);
+    hostile.emplace_back(std::move(what), body);
+  };
+  add("group_of<0", [](auto& b) { b.group_of[1] = -1; });
+  add("group_of past end", [](auto& b) { b.group_of[2] = 2; });
+  add("lists misaligned", [](auto& b) { b.params.emplace_back(); });
+  add("both set", [](auto& b) { b.params[0] = {1.0f}; });
+  add("neither set", [](auto& b) { b.local_sets[0].clear(); });
+  for (const auto& [what, body] : hostile) {
+    const Status status = DecodeRoundTrip(body);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << what;
+  }
+}
+
+// The root refuses an aggregator that speaks an older protocol, and the
+// aggregator hears why instead of a ShardAssign.
+TEST(HierarchyTest, OldAggregatorHelloIsRefusedWithTheVersionError) {
+  for (uint32_t version : {6u, 7u}) {
+    SCOPED_TRACE(version);
+    RemoteFedConfig config = BaseConfig();
+    config.accept_timeout_ms = 10000;
+    fed::RootCoordinator root(config);
+    ASSERT_TRUE(root.Listen(0).ok());
+    Result<SimulationResult> result = InternalError("root never ran");
+    std::thread root_thread([&] { result = root.Run(); });
+    Status assign_status = InternalError("never connected");
+    Result<net::Socket> sock = net::Connect("127.0.0.1", root.port(), 10000);
+    EXPECT_TRUE(sock.ok()) << sock.status();
+    if (sock.ok()) {
+      net::HelloMsg hello;
+      hello.protocol_version = version;
+      hello.node_role = static_cast<uint32_t>(net::NodeRole::kAggregator);
+      EXPECT_TRUE(net::SendMessage(*sock, hello).ok());
+      EXPECT_TRUE(sock->SetRecvTimeout(10000).ok());
+      net::RoutedMsg assigned;
+      assign_status = net::ExpectMessage(*sock, &assigned);
+    }
+    root_thread.join();
+    const std::string speaks = "peer speaks " + std::to_string(version);
+    EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition)
+        << result.status();
+    EXPECT_NE(result.status().ToString().find(speaks), std::string::npos)
+        << result.status();
+    EXPECT_EQ(assign_status.code(), StatusCode::kFailedPrecondition)
+        << assign_status;
+    EXPECT_NE(assign_status.ToString().find(speaks), std::string::npos)
+        << assign_status;
   }
 }
 

@@ -855,24 +855,29 @@ TEST(WorkerProtocolTest, MisSizedUploadIsAnRpcErrorNotAnAbort) {
 }
 
 TEST(WorkerProtocolTest, V6HelloIsRefusedWithTheVersionError) {
-  Result<net::ServerSocket> server = net::ServerSocket::Listen(0);
-  ASSERT_TRUE(server.ok()) << server.status();
-  Status assign_status;
-  std::thread worker(FakeWorker, server->port(), 6u,
-                     std::vector<std::pair<int, int>>{}, &assign_status);
-  WorkerFleet fleet;
-  const std::vector<std::vector<int>> ownership = {{0, 1}};
-  const Status accepted =
-      fleet.Accept(*server, 2, ownership, FakeFleetOptions());
-  worker.join();
-  EXPECT_EQ(accepted.code(), StatusCode::kFailedPrecondition) << accepted;
-  EXPECT_NE(accepted.ToString().find("worker speaks 6"), std::string::npos)
-      << accepted;
-  // The worker hears the same complaint instead of an AssignConfig.
-  EXPECT_EQ(assign_status.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(assign_status.ToString().find("worker speaks 6"),
-            std::string::npos)
-      << assign_status;
+  // v6, and v7: the last layout before the TrainShardDone change, whose
+  // Hello is byte-identical to today's.
+  for (uint32_t version : {6u, 7u}) {
+    SCOPED_TRACE(version);
+    Result<net::ServerSocket> server = net::ServerSocket::Listen(0);
+    ASSERT_TRUE(server.ok()) << server.status();
+    Status assign_status;
+    std::thread worker(FakeWorker, server->port(), version,
+                       std::vector<std::pair<int, int>>{}, &assign_status);
+    WorkerFleet fleet;
+    const std::vector<std::vector<int>> ownership = {{0, 1}};
+    const Status accepted =
+        fleet.Accept(*server, 2, ownership, FakeFleetOptions());
+    worker.join();
+    const std::string speaks = "worker speaks " + std::to_string(version);
+    EXPECT_EQ(accepted.code(), StatusCode::kFailedPrecondition) << accepted;
+    EXPECT_NE(accepted.ToString().find(speaks), std::string::npos)
+        << accepted;
+    // The worker hears the same complaint instead of an AssignConfig.
+    EXPECT_EQ(assign_status.code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(assign_status.ToString().find(speaks), std::string::npos)
+        << assign_status;
+  }
 }
 
 TEST(WorkerProtocolTest, V6HelloLayoutWithCodecMaskStartsNoSession) {

@@ -567,11 +567,13 @@ TEST(RpcTest, CompressedLinkRoundTripsTrainTensors) {
 }
 
 TEST(RpcTest, V7MessageLayoutsArePinned) {
-  // The frozen v7 layouts, field by field: every field is fixed (no
-  // version-gated trailers), and a download section is a bool reuse marker
-  // followed by the weights only when the marker is clear. Only Hello
-  // differs from v6: it lost the u32 codec capability mask after
-  // t_send_us, because the server's codec assignment is binding.
+  // The worker-protocol layouts frozen at v7, field by field: every field
+  // is fixed (no version-gated trailers), and a download section is a bool
+  // reuse marker followed by the weights only when the marker is clear.
+  // Only Hello differs from v6: it lost the u32 codec capability mask
+  // after t_send_us, because the server's codec assignment is binding. v8
+  // changed only a routed root ↔ aggregator body, so here only the
+  // version number moved.
   auto bytes = [](const auto& msg) {
     serialize::Writer w;
     msg.Encode(&w);
@@ -581,7 +583,7 @@ TEST(RpcTest, V7MessageLayoutsArePinned) {
   hello.t_send_us = 777;
   hello.node_role = static_cast<uint32_t>(NodeRole::kAggregator);
   serialize::Writer hello_ref;
-  hello_ref.WriteU32(7u);
+  hello_ref.WriteU32(8u);
   hello_ref.WriteI64(777);
   hello_ref.WriteU32(1u);  // NodeRole::kAggregator
   EXPECT_EQ(bytes(hello), hello_ref.Encode());
@@ -659,7 +661,7 @@ TEST(RpcTest, RoutedMsgRoundTripsOverSocket) {
   Loop loop = MakeLoop();
   std::thread sender([&] {
     RoutedMsg msg;
-    msg.kind = static_cast<uint32_t>(EnvelopeKind::kSignatureExchange);
+    msg.kind = static_cast<uint32_t>(EnvelopeKind::kPartialAggregate);
     msg.round = 12;
     msg.src = 0;
     msg.dst = 2;
@@ -670,13 +672,13 @@ TEST(RpcTest, RoutedMsgRoundTripsOverSocket) {
   const Status received = ExpectMessage(loop.client, &got);
   sender.join();
   ASSERT_TRUE(received.ok()) << received;
-  EXPECT_EQ(got.kind, static_cast<uint32_t>(EnvelopeKind::kSignatureExchange));
+  EXPECT_EQ(got.kind, static_cast<uint32_t>(EnvelopeKind::kPartialAggregate));
   EXPECT_EQ(got.round, 12);
   EXPECT_EQ(got.src, 0);
   EXPECT_EQ(got.dst, 2);
   EXPECT_EQ(got.body, std::string("\x00\x01payload\xFF", 10));
   EXPECT_STREQ(EnvelopeKindName(static_cast<EnvelopeKind>(got.kind)),
-               "SignatureExchange");
+               "PartialAggregate");
 }
 
 }  // namespace

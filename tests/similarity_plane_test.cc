@@ -250,7 +250,7 @@ TEST(LshScreenTest, PopcntAndPortableScreensAgree) {
     SimilarityPlaneOptions plane;
     plane.lsh_signature_bits = static_cast<int>(64 * words);
     for (double epsilon : {-1.0, -0.5, 0.0, 0.3, 0.9}) {
-      const LshShape shape = LshShapeFor(epsilon, plane);
+      const internal::LshShape shape = internal::LshShapeFor(epsilon, plane);
       ASSERT_EQ(shape.words, words);
       if (epsilon <= -1.0) {
         EXPECT_EQ(shape.h_max, shape.bits);
@@ -266,7 +266,8 @@ TEST(LshScreenTest, PopcntAndPortableScreensAgree) {
           EXPECT_EQ(pruned, 0);
         }
         std::vector<int32_t> hardware;
-        EXPECT_EQ(LshScreen(sig, sigs.data(), a + 1, rows, shape, &hardware),
+        EXPECT_EQ(internal::LshScreen(sig, sigs.data(), a + 1, rows, shape,
+                                      &hardware),
                   pruned);
         EXPECT_EQ(hardware, portable)
             << "words=" << words << " epsilon=" << epsilon << " a=" << a;
@@ -454,12 +455,10 @@ TEST(FedGtaAggregatePlaneTest, AdaptiveEpsilonComputesSimilarityOnce) {
 
 // --- Shard-boundary parity (DESIGN.md §5k) ---------------------------------
 //
-// Drives the full cross-shard exchange in-process over K ShardPlanes —
-// stage, signature concat, global frame install, candidate generation,
-// moment fetch, set admission — and checks the result against the
-// single-server oracle. This is the satellite contract: candidate pairs
-// that cross shard boundaries must match the oracle's sets exactly, for
-// every seed, shard count, and similarity mode.
+// The hierarchical root builds the Eq. 6 groups with the single-server
+// code (GroupByAggregationSet); the shards then run Eq. 7 over their staged
+// weights. These tests stage K ShardPlanes in-process and check the
+// sharded Eq. 7 against the single-server oracle.
 
 struct ShardedFixture {
   int n = 0;
@@ -490,180 +489,87 @@ ShardedFixture MakeShardedFixture(int n, int dim, uint64_t seed) {
   return f;
 }
 
-// Stages every shard, runs the signature/candidate/moment exchange the
-// root drives over RPC, and returns one ShardPlane per shard, ready for
-// BuildSets. `candidates` receives each shard's candidate structure.
-std::vector<std::unique_ptr<fed::ShardPlane>> RunShardedExchange(
-    const ShardedFixture& f, const fed::Topology& topo,
-    const FedGtaOptions& options, bool use_lsh,
-    std::vector<fed::ShardPlane::Candidates>* candidates) {
-  const int shards = topo.num_aggregators();
-  std::vector<std::unique_ptr<fed::ShardPlane>> planes;
-  std::vector<uint64_t> global_sigs;
-  for (int a = 0; a < shards; ++a) {
-    planes.push_back(std::make_unique<fed::ShardPlane>(
-        f.n, topo.ClientShard(a), options, f.train_sizes));
-    std::vector<fed::ShardUpload> uploads;
-    for (int id : f.participants) {
-      if (!topo.ClientShard(a).contains(id)) continue;
-      fed::ShardUpload up;
-      up.client_id = id;
-      up.params = f.params[static_cast<size_t>(id)];
-      up.moments = f.moments[static_cast<size_t>(id)];
-      up.confidence = f.confidences[static_cast<size_t>(id)];
-      uploads.push_back(std::move(up));
-    }
-    planes.back()->StageRound(std::move(uploads));
-    if (use_lsh) {
-      // Shard-order concat == survivor-major global order (contiguity).
-      const std::vector<uint64_t> sigs = planes.back()->Signatures();
-      global_sigs.insert(global_sigs.end(), sigs.begin(), sigs.end());
-    }
-  }
-  std::vector<double> frame_confidences;
-  for (int id : f.participants) {
-    frame_confidences.push_back(f.confidences[static_cast<size_t>(id)]);
-  }
-  candidates->clear();
-  for (int a = 0; a < shards; ++a) {
-    planes[static_cast<size_t>(a)]->InstallGlobalFrame(
-        f.participants, frame_confidences, global_sigs);
-    candidates->push_back(
-        planes[static_cast<size_t>(a)]->ComputeCandidates(use_lsh));
-  }
-  // MomentFetch: serve each shard's want-list from the owning shards.
-  for (int a = 0; a < shards; ++a) {
-    std::vector<std::vector<int>> by_owner(static_cast<size_t>(shards));
-    for (int id : (*candidates)[static_cast<size_t>(a)].remote_wanted) {
-      by_owner[static_cast<size_t>(topo.AggregatorOf(id))].push_back(id);
-    }
-    for (int src = 0; src < shards; ++src) {
-      const std::vector<int>& ids = by_owner[static_cast<size_t>(src)];
-      if (ids.empty()) continue;
-      EXPECT_NE(src, a) << "shard wants a row it already owns";
-      planes[static_cast<size_t>(a)]->InstallRemoteRows(
-          ids, planes[static_cast<size_t>(src)]->ExportRows(ids));
-    }
-  }
-  return planes;
-}
-
-TEST(ShardPlaneParityTest, CrossShardSetsMatchSingleServerOracle) {
-  const int n = 48;
-  const double epsilon = 0.3;
-  for (uint64_t seed : {5ull, 311ull, 991ull}) {
-    const ShardedFixture f = MakeShardedFixture(n, /*dim=*/8, seed);
-    for (int shards : {2, 3, 4}) {
-      for (bool use_lsh : {false, true}) {
-        FedGtaOptions options;
-        options.epsilon = epsilon;
-        options.similarity.mode =
-            use_lsh ? SimilarityMode::kLsh : SimilarityMode::kExact;
-
-        SimilarityStats oracle_stats;
-        const auto oracle_sets = BuildAggregationSets(
-            f.moments, f.participants, epsilon, options.similarity,
-            &oracle_stats);
-
-        const fed::Topology topo(n, shards, shards);
-        std::vector<fed::ShardPlane::Candidates> candidates;
-        const auto planes =
-            RunShardedExchange(f, topo, options, use_lsh, &candidates);
-
-        // The sharded prescreen must examine exactly the pairs the
-        // single-server sweep examines, with the same prune decisions.
-        int64_t pairs_exact = 0;
-        int64_t pairs_pruned = 0;
-        for (const auto& c : candidates) {
-          pairs_exact += c.pairs_exact;
-          pairs_pruned += c.pairs_pruned;
-        }
-        EXPECT_EQ(pairs_exact, oracle_stats.pairs_exact)
-            << "shards=" << shards << " lsh=" << use_lsh << " seed=" << seed;
-        EXPECT_EQ(pairs_pruned, oracle_stats.pairs_pruned)
-            << "shards=" << shards << " lsh=" << use_lsh << " seed=" << seed;
-
-        // Every staged row's admitted set equals the oracle's, across
-        // shard boundaries.
-        for (int a = 0; a < shards; ++a) {
-          const auto sets =
-              planes[static_cast<size_t>(a)]->BuildSets(
-                  candidates[static_cast<size_t>(a)]);
-          const std::vector<int>& staged =
-              planes[static_cast<size_t>(a)]->staged();
-          ASSERT_EQ(sets.size(), staged.size());
-          for (size_t r = 0; r < staged.size(); ++r) {
-            EXPECT_EQ(sets[r],
-                      oracle_sets[static_cast<size_t>(staged[r])])
-                << "client " << staged[r] << " shard " << a
-                << " shards=" << shards << " lsh=" << use_lsh
-                << " seed=" << seed;
-          }
-        }
-      }
-    }
-  }
-}
-
-// The Eq. 7 half of the contract: chaining AccumulatePartial across the
-// shards in ascending shard order must reproduce the single-server
-// personalized weights bit for bit, and a set that never crosses a shard
-// boundary must short-circuit through AggregateLocalSet to the same bits.
+// The Eq. 7 half of the contract: on root-built sets, chaining
+// AccumulatePartial across the shards in ascending shard order must
+// reproduce the single-server personalized weights bit for bit, and a set
+// that never crosses a shard boundary must short-circuit through
+// AggregateLocalSet to the same bits.
 TEST(ShardPlaneParityTest, ChainedPartialsBitIdenticalToSingleServer) {
   const int n = 36;
   const int dim = 40;
   const ShardedFixture f = MakeShardedFixture(n, dim, /*seed=*/77);
 
-  FedGtaOptions options;
-  options.epsilon = 0.4;
+  // ε = 0.4 crosses shard boundaries with most sets; at 0.99 most are
+  // singletons, which stay inside their shard.
+  int local_sets = 0;
+  int cross_sets = 0;
+  for (double epsilon : {0.4, 0.99}) {
+    FedGtaOptions options;
+    options.epsilon = epsilon;
 
-  // Single-server oracle: the full Eq. 6+7 plane.
-  std::vector<ClientMetrics> metrics(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    metrics[static_cast<size_t>(i)].moments =
-        f.moments[static_cast<size_t>(i)];
-    metrics[static_cast<size_t>(i)].confidence =
-        f.confidences[static_cast<size_t>(i)];
-  }
-  std::vector<std::vector<float>> oracle_out(static_cast<size_t>(n));
-  std::vector<std::vector<int>> oracle_sets;
-  FedGtaAggregate(metrics, f.params, f.train_sizes, f.participants, options,
-                  &oracle_out, &oracle_sets);
+    // Single-server oracle: the full Eq. 6+7 plane.
+    std::vector<ClientMetrics> metrics(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      metrics[static_cast<size_t>(i)].moments =
+          f.moments[static_cast<size_t>(i)];
+      metrics[static_cast<size_t>(i)].confidence =
+          f.confidences[static_cast<size_t>(i)];
+    }
+    std::vector<std::vector<float>> oracle_out(static_cast<size_t>(n));
+    FedGtaAggregate(metrics, f.params, f.train_sizes, f.participants, options,
+                    &oracle_out);
 
-  for (int shards : {2, 3}) {
-    const fed::Topology topo(n, shards, shards);
-    std::vector<fed::ShardPlane::Candidates> candidates;
-    const auto planes =
-        RunShardedExchange(f, topo, options, /*use_lsh=*/false, &candidates);
+    // The root's Eq. 6 over the same rows.
+    const std::vector<AggregationGroup> groups =
+        GroupByAggregationSet(f.moments, f.participants, options);
 
-    for (int a = 0; a < shards; ++a) {
-      const fed::ShardPlane& plane = *planes[static_cast<size_t>(a)];
-      const auto sets = plane.BuildSets(candidates[static_cast<size_t>(a)]);
-      for (size_t r = 0; r < plane.staged().size(); ++r) {
-        const int id = plane.staged()[r];
-        std::vector<int> canonical = sets[r];
-        std::sort(canonical.begin(), canonical.end());
-        const bool local =
-            std::all_of(canonical.begin(), canonical.end(), [&](int m) {
-              return plane.shard().contains(m);
-            });
+    for (int shards : {2, 3}) {
+      const fed::Topology topo(n, shards, shards);
+      std::vector<std::unique_ptr<fed::ShardPlane>> planes;
+      for (int a = 0; a < shards; ++a) {
+        planes.push_back(std::make_unique<fed::ShardPlane>(
+            topo.ClientShard(a), options.disable_confidence, f.train_sizes));
+        std::vector<fed::ShardUpload> uploads;
+        for (int id : f.participants) {
+          if (!topo.ClientShard(a).contains(id)) continue;
+          uploads.push_back({id, f.params[static_cast<size_t>(id)],
+                             f.confidences[static_cast<size_t>(id)]});
+        }
+        planes.back()->StageRound(std::move(uploads));
+      }
+      const auto plane_of = [&](int id) -> const fed::ShardPlane& {
+        return *planes[static_cast<size_t>(topo.AggregatorOf(id))];
+      };
+
+      for (const AggregationGroup& group : groups) {
+        const std::vector<int>& canonical = group.canonical;
+        const fed::ShardPlane& first = plane_of(canonical.front());
+        const bool local = first.shard().contains(canonical.back());
         std::vector<float> got;
         if (local) {
-          got = plane.AggregateLocalSet(canonical);
+          ++local_sets;
+          got = first.AggregateLocalSet(canonical);
         } else {
-          const double weight_sum = plane.WeightSum(canonical);
+          ++cross_sets;
+          // The root's weight sum, double-accumulated in canonical order.
+          double weight_sum = 0.0;
+          for (int m : canonical) weight_sum += plane_of(m).MemberWeight(m);
           got.assign(static_cast<size_t>(dim), 0.0f);
-          for (int src = 0; src < shards; ++src) {
-            planes[static_cast<size_t>(src)]->AccumulatePartial(
-                canonical, weight_sum, &got);
+          for (const auto& plane : planes) {
+            plane->AccumulatePartial(canonical, weight_sum, &got);
           }
         }
-        EXPECT_EQ(got, oracle_out[static_cast<size_t>(id)])
-            << "client " << id << " shards=" << shards
-            << (local ? " (local set)" : " (cross-shard set)");
+        for (int id : group.clients) {
+          EXPECT_EQ(got, oracle_out[static_cast<size_t>(id)])
+              << "client " << id << " epsilon=" << epsilon
+              << " shards=" << shards
+              << (local ? " (local set)" : " (cross-shard set)");
+        }
       }
     }
   }
+  EXPECT_GT(local_sets, 0);
+  EXPECT_GT(cross_sets, 0);
 }
 
 TEST(FedGtaAggregatePlaneTest, PairCountersAccumulateInRegistry) {
