@@ -37,7 +37,7 @@ class TrimmedFedAvg : public Strategy {
       const size_t hi = results.size() > 2 ? column.size() - 1 : column.size();
       double sum = 0.0;
       for (size_t c = lo; c < hi; ++c) sum += column[c];
-      global_params_[j] = static_cast<float>(sum / static_cast<double>(hi - lo));
+      global_model_[j] = static_cast<float>(sum / static_cast<double>(hi - lo));
     }
   }
 };

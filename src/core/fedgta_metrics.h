@@ -101,7 +101,9 @@ ClientMetrics ComputeClientMetrics(const Graph& graph, const Matrix& logits,
 struct AggregationGroup {
   /// The shared set, ascending.
   std::vector<int> canonical;
-  /// Participants owning it, in participant order.
+  /// Clients that receive its Eq. 7 result: the participants owning it,
+  /// in participant order (every client, ascending, for the hierarchy's
+  /// fedavg/fedprox set).
   std::vector<int> clients;
 };
 

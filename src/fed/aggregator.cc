@@ -67,16 +67,13 @@ class Session {
   Result<net::RoutedMsg> HandleGroupDeliver(const net::RoutedMsg& req);
   Result<net::RoutedMsg> HandleEvalShard(const net::RoutedMsg& req);
 
-  /// Weight source for train/eval dispatch: the root's relayed download,
-  /// or this shard's slice of the personalized table.
-  WorkerFleet::WeightsFn WeightsFor(
-      std::shared_ptr<const std::vector<float>> relayed) const;
+  /// Weight source for train/eval dispatch: this shard's table.
+  WorkerFleet::WeightsFn WeightsFor() const;
 
   AggregatorOptions options_;
   net::Socket sock_;
   ShardAssignBody assign_;
   ShardRange shard_;
-  bool relay_ = false;
   WorkerSetup setup_;
   std::unique_ptr<ShardPlane> plane_;
   WorkerFleet fleet_;
@@ -85,9 +82,10 @@ class Session {
   FleetMetricsMerger merger_{&GlobalMetrics(), "worker"};
   MetricsDeltaEncoder encoder_{&GlobalMetrics()};
 
-  /// Shard slice of the personalized parameter table (FedGTA plane only),
+  /// Shard slice of the parameter table, one vector per shard client,
   /// indexed by client id - shard_.begin. Seeded by InitModel, updated by
-  /// GroupDeliver — the sharded counterpart of FedGtaStrategy's full table.
+  /// GroupDeliver — the sharded counterpart of FedGtaStrategy's
+  /// personalized table, and of the one global vector of fedavg/fedprox.
   std::vector<std::vector<float>> personal_;
 
   /// Last processed routed request and its reply: RpcChannel::Call
@@ -153,12 +151,8 @@ Status Session::Handshake() {
     return Complain(sock_,
                     InvalidArgumentError("worker_index_base must be >= 0"));
   }
-  relay_ = assign_.relay;
-
-  if (!relay_) {
-    plane_ = std::make_unique<ShardPlane>(shard_, assign_.disable_confidence,
-                                          setup_.data.train_sizes());
-  }
+  plane_ = std::make_unique<ShardPlane>(shard_, assign_.disable_confidence,
+                                        setup_.data.train_sizes());
 
   Result<net::ServerSocket> listener =
       net::ServerSocket::Listen(options_.listen_port, assign_.num_workers + 8);
@@ -207,20 +201,13 @@ Status Session::Handshake() {
   return sock_.SetRecvTimeout(options_.idle_timeout_ms);
 }
 
-WorkerFleet::WeightsFn Session::WeightsFor(
-    std::shared_ptr<const std::vector<float>> relayed) const {
-  if (relay_) {
-    return [relayed](int) { return *relayed; };
-  }
+WorkerFleet::WeightsFn Session::WeightsFor() const {
   return [this](int client_id) {
     return personal_[static_cast<size_t>(client_id - shard_.begin)];
   };
 }
 
 Result<net::RoutedMsg> Session::HandleInitModel(const net::RoutedMsg& req) {
-  if (relay_) {
-    return InvalidArgumentError("InitModel is a FedGTA-plane envelope");
-  }
   InitModelBody body;
   FEDGTA_RETURN_IF_ERROR(UnpackEnvelope(req, EK::kInitModel, &body));
   if (static_cast<int64_t>(body.params.size()) != param_count_) {
@@ -251,11 +238,7 @@ Result<net::RoutedMsg> Session::HandleTrainShard(const net::RoutedMsg& req) {
                                   std::to_string(fate));
     }
   }
-  if (relay_) {
-    if (static_cast<int64_t>(body.global_params.size()) != param_count_) {
-      return InvalidArgumentError("relayed download length mismatch");
-    }
-  } else if (personal_.empty()) {
+  if (personal_.empty()) {
     return InvalidArgumentError("TrainShard before InitModel");
   }
 
@@ -266,16 +249,13 @@ Result<net::RoutedMsg> Session::HandleTrainShard(const net::RoutedMsg& req) {
   for (uint32_t fate : body.fates) {
     fates.push_back(static_cast<ClientFate>(fate));
   }
-  const WorkerFleet::WeightsFn weights_for =
-      WeightsFor(std::make_shared<const std::vector<float>>(
-          std::move(body.global_params)));
   std::vector<net::TrainResponseMsg> responses;
   std::vector<Status> rpc_status;
   {
     // Closes before the metrics delta is cut below, so this round's own
     // dispatch increments ship with this reply (see the worker runner).
     FEDGTA_PHASE_SCOPE("shard_train");
-    fleet_.TrainRound(req.round, participants, fates, weights_for, &merger_,
+    fleet_.TrainRound(req.round, participants, fates, WeightsFor(), &merger_,
                       &responses, &rpc_status);
   }
 
@@ -285,7 +265,7 @@ Result<net::RoutedMsg> Session::HandleTrainShard(const net::RoutedMsg& req) {
   done.losses.reserve(n);
   done.num_samples.reserve(n);
   done.confidences.reserve(n);
-  (relay_ ? done.weights : done.moments).resize(n);
+  done.moments.resize(n);
   std::vector<ShardUpload> uploads;
   for (size_t i = 0; i < n; ++i) {
     const bool ok = rpc_status[i].ok();
@@ -303,18 +283,14 @@ Result<net::RoutedMsg> Session::HandleTrainShard(const net::RoutedMsg& req) {
     done.upload_floats += static_cast<int64_t>(resp.weights.size()) +
                           static_cast<int64_t>(resp.moments.size()) +
                           (resp.moments.empty() ? 0 : 1);
-    if (relay_) {
-      done.weights[i] = std::move(resp.weights);
-    } else {
-      done.moments[i] = std::move(resp.moments);
-      ShardUpload up;
-      up.client_id = participants[i];
-      up.params = std::move(resp.weights);
-      up.confidence = resp.confidence;
-      uploads.push_back(std::move(up));
-    }
+    done.moments[i] = std::move(resp.moments);
+    ShardUpload up;
+    up.client_id = participants[i];
+    up.params = std::move(resp.weights);
+    up.confidence = resp.confidence;
+    uploads.push_back(std::move(up));
   }
-  if (!relay_) plane_->StageRound(std::move(uploads));
+  plane_->StageRound(std::move(uploads));
   net::RoutedMsg reply = MakeEnvelope(EK::kTrainShardDone, req.round, done);
   reply.metrics = encoder_.Next();
   return reply;
@@ -322,9 +298,6 @@ Result<net::RoutedMsg> Session::HandleTrainShard(const net::RoutedMsg& req) {
 
 Result<net::RoutedMsg> Session::HandlePartialAggregate(
     const net::RoutedMsg& req) {
-  if (relay_) {
-    return InvalidArgumentError("PartialAggregate in relay mode");
-  }
   PartialAggregateBody body;
   FEDGTA_RETURN_IF_ERROR(UnpackEnvelope(req, EK::kPartialAggregate, &body));
   PartialBlockBody block;
@@ -342,15 +315,10 @@ Result<net::RoutedMsg> Session::HandlePartialAggregate(
 }
 
 Result<net::RoutedMsg> Session::HandleGroupDeliver(const net::RoutedMsg& req) {
-  if (relay_) {
-    return InvalidArgumentError("GroupDeliver in relay mode");
-  }
   GroupDeliverBody body;
   FEDGTA_RETURN_IF_ERROR(UnpackEnvelope(req, EK::kGroupDeliver, &body));
-  const std::vector<int>& staged = plane_->staged();
-  if (body.group_of.size() != staged.size()) {
-    return InvalidArgumentError("group delivery misaligned with the staged "
-                                "survivors");
+  if (body.group_of.size() != personal_.size()) {
+    return InvalidArgumentError("group delivery misaligned with the shard");
   }
   // Validate the whole delivery before touching the table: a local set is
   // aggregated here, so every member must be staged on this shard.
@@ -372,33 +340,26 @@ Result<net::RoutedMsg> Session::HandleGroupDeliver(const net::RoutedMsg& req) {
           body.local_sets[k].begin(), body.local_sets[k].end()));
     }
   }
-  for (size_t r = 0; r < staged.size(); ++r) {
-    personal_[static_cast<size_t>(staged[r] - shard_.begin)] =
-        body.params[static_cast<size_t>(body.group_of[r])];
+  for (size_t r = 0; r < personal_.size(); ++r) {
+    if (body.group_of[r] >= 0) {
+      personal_[r] = body.params[static_cast<size_t>(body.group_of[r])];
+    }
   }
   return MakeEnvelope(EK::kGroupAck, req.round);
 }
 
 Result<net::RoutedMsg> Session::HandleEvalShard(const net::RoutedMsg& req) {
-  EvalShardBody body;
-  FEDGTA_RETURN_IF_ERROR(UnpackEnvelope(req, EK::kEvalShard, &body));
-  if (relay_) {
-    if (static_cast<int64_t>(body.global_params.size()) != param_count_) {
-      return InvalidArgumentError("relayed eval download length mismatch");
-    }
-  } else if (personal_.empty()) {
+  if (personal_.empty()) {
     return InvalidArgumentError("EvalShard before InitModel");
   }
-  const WorkerFleet::WeightsFn weights_for =
-      WeightsFor(std::make_shared<const std::vector<float>>(
-          std::move(body.global_params)));
   const size_t n = static_cast<size_t>(setup_.data.num_clients());
   std::vector<double> test_acc(n, 0.0);
   std::vector<double> val_acc(n, 0.0);
   std::vector<char> evaluated(n, 0);
   {
     FEDGTA_PHASE_SCOPE("shard_eval");
-    fleet_.EvalClients(weights_for, &merger_, &test_acc, &val_acc, &evaluated);
+    fleet_.EvalClients(WeightsFor(), &merger_, &test_acc, &val_acc,
+                       &evaluated);
   }
   EvalShardDoneBody done;
   const size_t rows = static_cast<size_t>(shard_.size());
@@ -489,9 +450,8 @@ std::string Session::RenderStatus(const std::string& command) const {
   if (command == "timeline") return GlobalTimeline().ToJsonLines();
 
   std::string out = "fedgta aggregator status\n";
-  out += StrFormat("aggregator: %d/%d shard=[%d,%d) relay=%s\n",
-                   assign_.agg_index, assign_.num_aggregators, shard_.begin,
-                   shard_.end, relay_ ? "yes" : "no");
+  out += StrFormat("aggregator: %d/%d shard=[%d,%d)\n", assign_.agg_index,
+                   assign_.num_aggregators, shard_.begin, shard_.end);
   const std::vector<WorkerStatusEntry> fleet = fleet_.StatusSnapshot();
   out += StrFormat("workers: %zu (global base %d)\n", fleet.size(),
                    assign_.worker_index_base);

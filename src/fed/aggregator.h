@@ -39,13 +39,10 @@ struct AggregatorOptions {
 /// WorkerFleet handshake, and then serves the root's routed envelopes —
 /// TrainShard dispatch (survivor moment rows ride up in the reply), the
 /// shard's half of Eq. 7 (ShardPlane: the chained partial pass and the
-/// local sets of GroupDeliver), and EvalShard. In the FedGTA plane the
-/// personalized parameter table lives here, sharded: no process holds
-/// another shard's weights.
-///
-/// Relay mode (fedavg/fedprox) reduces this process to a fan-out hop:
-/// the root's global download rides in on TrainShard/EvalShard and the
-/// survivors' full weights ride back up unchanged.
+/// local sets of GroupDeliver), and EvalShard. The parameter table lives
+/// here, sharded, one vector per shard client: no process holds another
+/// shard's weights. The aggregator does not know which strategy it
+/// serves; the root's groups, weighting and receivers decide that.
 class RegionalAggregator {
  public:
   explicit RegionalAggregator(const AggregatorOptions& options);

@@ -16,7 +16,7 @@ LocalResult FedDcStrategy::TrainClient(Client& client, int epochs,
                                        const TrainHooks& extra_hooks) {
   const int id = client.id();
   client.SetParams(ParamsFor(id));
-  const std::vector<float> start(global_params_);
+  const std::vector<float> start(global_model_);
   const std::vector<float>& h_i = drift_[static_cast<size_t>(id)];
 
   TrainHooks hooks;
@@ -51,7 +51,7 @@ void FedDcStrategy::Aggregate(const std::vector<int>& /*participants*/,
     const std::vector<float>& h = drift_[static_cast<size_t>(r.client_id)];
     for (size_t j = 0; j < r.params.size(); ++j) r.params[j] += h[j];
   }
-  WeightedAverage(corrected, &global_params_);
+  WeightedAverage(corrected, &global_model_);
 }
 
 void FedDcStrategy::SaveState(serialize::Writer* writer) const {

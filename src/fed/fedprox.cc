@@ -6,7 +6,7 @@ LocalResult FedProxStrategy::TrainClient(Client& client, int epochs,
                                          const TrainHooks& extra_hooks) {
   client.SetParams(ParamsFor(client.id()));
   // Snapshot of the round's global weights for the proximal pull.
-  const std::vector<float> anchor(global_params_);
+  const std::vector<float> anchor(global_model_);
   TrainHooks hooks;
   hooks.grad_hook = [this, &anchor](std::span<const float> params,
                                     std::span<float> grads) {
@@ -27,7 +27,7 @@ LocalResult FedProxStrategy::TrainClient(Client& client, int epochs,
 void FedProxStrategy::Aggregate(const std::vector<int>& /*participants*/,
                                 const std::vector<LocalResult>& results) {
   if (results.empty()) return;
-  WeightedAverage(results, &global_params_);
+  WeightedAverage(results, &global_model_);
 }
 
 }  // namespace fedgta

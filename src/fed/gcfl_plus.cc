@@ -25,11 +25,11 @@ std::span<const float> GcflPlusStrategy::ParamsFor(int client_id) const {
 std::vector<float> GcflPlusStrategy::WindowVector(int client_id) const {
   const auto& history = update_history_[static_cast<size_t>(client_id)];
   std::vector<float> window;
-  window.reserve(static_cast<size_t>(window_) * global_params_.size());
+  window.reserve(static_cast<size_t>(window_) * global_model_.size());
   for (const std::vector<float>& update : history) {
     window.insert(window.end(), update.begin(), update.end());
   }
-  window.resize(static_cast<size_t>(window_) * global_params_.size(), 0.0f);
+  window.resize(static_cast<size_t>(window_) * global_model_.size(), 0.0f);
   return window;
 }
 

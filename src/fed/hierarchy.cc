@@ -1,6 +1,7 @@
 #include "fed/hierarchy.h"
 
 #include <algorithm>
+#include <numeric>
 #include <thread>
 #include <type_traits>
 #include <unordered_map>
@@ -74,7 +75,6 @@ void ShardAssignBody::Encode(serialize::Writer* w) const {
   w->WriteI32(rpc_max_attempts);
   w->WriteI32(rpc_backoff_ms);
   w->WriteI32(accept_timeout_ms);
-  w->WriteBool(relay);
   w->WriteBool(disable_confidence);
   w->WriteI64(hello_recv_us);
   w->WriteI64(assign_send_us);
@@ -94,7 +94,6 @@ Status ShardAssignBody::Decode(serialize::Reader* r) {
   FEDGTA_RETURN_IF_ERROR(r->ReadI32(&rpc_max_attempts));
   FEDGTA_RETURN_IF_ERROR(r->ReadI32(&rpc_backoff_ms));
   FEDGTA_RETURN_IF_ERROR(r->ReadI32(&accept_timeout_ms));
-  FEDGTA_RETURN_IF_ERROR(r->ReadBool(&relay));
   FEDGTA_RETURN_IF_ERROR(r->ReadBool(&disable_confidence));
   FEDGTA_RETURN_IF_ERROR(r->ReadI64(&hello_recv_us));
   FEDGTA_RETURN_IF_ERROR(r->ReadI64(&assign_send_us));
@@ -129,13 +128,11 @@ Status InitModelBody::Decode(serialize::Reader* r) {
 void TrainShardBody::Encode(serialize::Writer* w) const {
   w->WriteI32Vec(participants);
   WriteList(fates, w);
-  w->WriteFloatVec(global_params);
 }
 
 Status TrainShardBody::Decode(serialize::Reader* r) {
   FEDGTA_RETURN_IF_ERROR(r->ReadI32Vec(&participants));
-  FEDGTA_RETURN_IF_ERROR(ReadList(r, &fates));
-  return r->ReadFloatVec(&global_params);
+  return ReadList(r, &fates);
 }
 
 void TrainShardDoneBody::Encode(serialize::Writer* w) const {
@@ -144,7 +141,6 @@ void TrainShardDoneBody::Encode(serialize::Writer* w) const {
   w->WriteDoubleVec(losses);
   w->WriteI64Vec(num_samples);
   w->WriteDoubleVec(confidences);
-  WriteList(weights, w);
   WriteList(moments, w);
   w->WriteI64(upload_floats);
   w->WriteI64(download_floats);
@@ -156,14 +152,12 @@ Status TrainShardDoneBody::Decode(serialize::Reader* r) {
   FEDGTA_RETURN_IF_ERROR(r->ReadDoubleVec(&losses));
   FEDGTA_RETURN_IF_ERROR(r->ReadI64Vec(&num_samples));
   FEDGTA_RETURN_IF_ERROR(r->ReadDoubleVec(&confidences));
-  FEDGTA_RETURN_IF_ERROR(ReadList(r, &weights));
   FEDGTA_RETURN_IF_ERROR(ReadList(r, &moments));
   FEDGTA_RETURN_IF_ERROR(r->ReadI64(&upload_floats));
   FEDGTA_RETURN_IF_ERROR(r->ReadI64(&download_floats));
   const size_t n = rpc_ok.size();
   if (seconds.size() != n || losses.size() != n || num_samples.size() != n ||
-      confidences.size() != n || (!weights.empty() && weights.size() != n) ||
-      (!moments.empty() && moments.size() != n)) {
+      confidences.size() != n || moments.size() != n) {
     return InvalidArgumentError("train shard reply lists misaligned");
   }
   return OkStatus();
@@ -221,19 +215,11 @@ Status GroupDeliverBody::Decode(serialize::Reader* r) {
     }
   }
   for (int64_t g : group_of) {
-    if (g < 0 || g >= static_cast<int64_t>(params.size())) {
-      return InvalidArgumentError("survivor assigned to an undelivered group");
+    if (g < -1 || g >= static_cast<int64_t>(params.size())) {
+      return InvalidArgumentError("client assigned to an undelivered group");
     }
   }
   return OkStatus();
-}
-
-void EvalShardBody::Encode(serialize::Writer* w) const {
-  w->WriteFloatVec(global_params);
-}
-
-Status EvalShardBody::Decode(serialize::Reader* r) {
-  return r->ReadFloatVec(&global_params);
 }
 
 void EvalShardDoneBody::Encode(serialize::Writer* w) const {
@@ -328,19 +314,10 @@ Status RootCoordinator::Handshake() {
         "(see DESIGN.md §5k)");
   }
   strategy_ = std::move(*strategy);
-  relay_ = !caps.uploads_topology_metrics;
-  if (!relay_) {
-    if (gta_.adaptive_epsilon) {
-      return FailedPreconditionError(
-          "adaptive epsilon is not supported with regional aggregators "
-          "(see DESIGN.md §5k)");
-    }
-    if (gta_.disable_moments) {
-      return FailedPreconditionError(
-          "disable_moments makes every participant one global set; run the "
-          "flat server instead");
-    }
-  }
+  // FedAvg is Eq. 7 with one set of every survivor and train-size weights
+  // (FedGTA without moments and without confidence).
+  global_set_ = !caps.uploads_topology_metrics;
+  if (global_set_) gta_.disable_confidence = true;
 
   data_ = MaterializeFederatedDataset(config_.dataset, config_.seed,
                                       config_.split, config_.federated);
@@ -398,7 +375,6 @@ Status RootCoordinator::Handshake() {
     assign.rpc_max_attempts = config_.rpc.max_attempts;
     assign.rpc_backoff_ms = config_.rpc.backoff_ms;
     assign.accept_timeout_ms = config_.accept_timeout_ms;
-    assign.relay = relay_;
     assign.disable_confidence = gta_.disable_confidence;
     assign.hello_recv_us = hello_recv_us;
     assign.assign_send_us = internal_obs::TraceNowMicros();
@@ -439,21 +415,16 @@ Status RootCoordinator::Handshake() {
         "unhosted?)");
   }
 
-  if (relay_) {
-    strategy_->Initialize(data_.num_clients(), train_sizes_, init_params_);
-  } else {
-    // Seed every shard's personalized table with client 0's fresh weights —
-    // the same common initialization FedGtaStrategy::Initialize installs.
-    InitModelBody init;
-    init.params = init_params_;
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      net::RoutedMsg response;
-      FEDGTA_RETURN_IF_ERROR(CallAggregator(
-          a, MakeEnvelope(net::EnvelopeKind::kInitModel, 0, init),
-          &response));
-      if (response.kind != static_cast<uint32_t>(net::EnvelopeKind::kGroupAck)) {
-        return InvalidArgumentError("unexpected InitModel reply");
-      }
+  // Seed every shard's table with client 0's fresh weights — the common
+  // initialization Strategy::Initialize installs.
+  InitModelBody init;
+  init.params = init_params_;
+  for (size_t a = 0; a < aggs_.size(); ++a) {
+    net::RoutedMsg response;
+    FEDGTA_RETURN_IF_ERROR(CallAggregator(
+        a, MakeEnvelope(net::EnvelopeKind::kInitModel, 0, init), &response));
+    if (response.kind != static_cast<uint32_t>(net::EnvelopeKind::kGroupAck)) {
+      return InvalidArgumentError("unexpected InitModel reply");
     }
   }
   confidence_by_id_.assign(static_cast<size_t>(data_.num_clients()), 0.0);
@@ -524,10 +495,10 @@ double RootCoordinator::MemberWeight(int client_id) const {
 }
 
 Status RootCoordinator::AggregateGroups(
-    int round, const std::vector<int>& survivors,
-    const std::vector<AggregationGroup>& groups) {
-  // Ascending ids are shard-major and canonical sets ascending, so a set
-  // lies inside one shard iff its first and last members do.
+    int round, const std::vector<AggregationGroup>& groups) {
+  // Ascending ids are shard-major, and canonical sets and receivers
+  // ascending, so a group lies inside one shard iff its lowest and highest
+  // member or receiver do.
   const auto shard_of = [&](int id) {
     size_t a = 0;
     while (!aggs_[a].clients.contains(id)) ++a;
@@ -537,7 +508,9 @@ Status RootCoordinator::AggregateGroups(
   std::vector<PartialSet> cross(groups.size());
   for (size_t g = 0; g < groups.size(); ++g) {
     const std::vector<int>& canonical = groups[g].canonical;
-    local[g] = shard_of(canonical.front()) == shard_of(canonical.back());
+    const std::vector<int>& receivers = groups[g].clients;
+    local[g] = shard_of(std::min(canonical.front(), receivers.front())) ==
+               shard_of(std::max(canonical.back(), receivers.back()));
     if (local[g]) continue;
     // Double-accumulated in canonical order: the single-server arithmetic.
     double weight_sum = 0.0;
@@ -588,37 +561,43 @@ Status RootCoordinator::AggregateGroups(
   }
 
   // One delivery per shard: its local sets, aggregated there, and the
-  // finished cross-shard vectors its survivors own. A failure here only
-  // loses that shard's own personalization (its clients drop from later
+  // finished vectors of the other groups its clients receive. A failure
+  // here only loses that shard's own update (its clients drop from later
   // rounds anyway), so it degrades like a dead worker instead of aborting
   // the run.
-  std::vector<size_t> group_by_id(static_cast<size_t>(data_.num_clients()));
+  std::vector<int64_t> group_by_id(static_cast<size_t>(data_.num_clients()),
+                                   -1);
   for (size_t g = 0; g < groups.size(); ++g) {
-    for (int id : groups[g].clients) group_by_id[static_cast<size_t>(id)] = g;
+    for (int id : groups[g].clients) {
+      group_by_id[static_cast<size_t>(id)] = static_cast<int64_t>(g);
+    }
   }
   std::vector<GroupDeliverBody> deliver(aggs_.size());
   std::vector<char> active(aggs_.size(), 0);
   for (size_t a = 0; a < aggs_.size(); ++a) {
-    std::unordered_map<size_t, int64_t> slot;
+    std::unordered_map<int64_t, int64_t> slot;
     GroupDeliverBody& body = deliver[a];
-    for (int id : survivors) {
-      if (!aggs_[a].clients.contains(id)) continue;
-      const size_t g = group_by_id[static_cast<size_t>(id)];
+    for (int id = aggs_[a].clients.begin; id < aggs_[a].clients.end; ++id) {
+      const int64_t g = group_by_id[static_cast<size_t>(id)];
+      if (g < 0) {
+        body.group_of.push_back(-1);
+        continue;
+      }
       const auto [it, inserted] =
           slot.emplace(g, static_cast<int64_t>(body.params.size()));
       if (inserted) {
         body.local_sets.emplace_back();
         body.params.emplace_back();
-        if (local[g]) {
-          body.local_sets.back().assign(groups[g].canonical.begin(),
-                                        groups[g].canonical.end());
+        if (local[static_cast<size_t>(g)]) {
+          const std::vector<int>& set = groups[static_cast<size_t>(g)].canonical;
+          body.local_sets.back().assign(set.begin(), set.end());
         } else {
-          body.params.back() = cross[g].acc;
+          body.params.back() = cross[static_cast<size_t>(g)].acc;
         }
       }
       body.group_of.push_back(it->second);
     }
-    active[a] = body.group_of.empty() ? 0 : 1;
+    active[a] = body.params.empty() ? 0 : 1;
   }
   (void)ParallelExchange(active, "group delivery", [&](size_t a) {
     net::RoutedMsg response;
@@ -700,19 +679,14 @@ std::vector<ClientOutcome> RootCoordinator::Train(
     for (ClientFate fate : shard.fates) {
       body.fates.push_back(static_cast<uint32_t>(fate));
     }
-    if (relay_) {
-      body.global_params = strategy_->DownloadFor(shard.participants.front());
-    }
     net::RoutedMsg response;
     FEDGTA_RETURN_IF_ERROR(CallAggregator(
         a, MakeEnvelope(net::EnvelopeKind::kTrainShard, round, body),
         &response));
     FEDGTA_RETURN_IF_ERROR(UnpackEnvelope(
         response, net::EnvelopeKind::kTrainShardDone, &shard.done));
-    // The decoder aligned every list with rpc_ok (or left it empty).
-    const size_t expect = shard.participants.size();
-    if (shard.done.rpc_ok.size() != expect ||
-        (relay_ ? shard.done.weights : shard.done.moments).size() != expect) {
+    // The decoder aligned every list with rpc_ok.
+    if (shard.done.rpc_ok.size() != shard.participants.size()) {
       aggs_[a].alive = false;
       aggs_[a].health->healthy.store(false, std::memory_order_relaxed);
       return InvalidArgumentError("train reply misaligned");
@@ -723,7 +697,7 @@ std::vector<ClientOutcome> RootCoordinator::Train(
 
   // Outcomes in participant order (= shard order). A dead aggregator maps
   // every shard participant onto the transport-failure dropout semantics.
-  // In the FedGTA plane the weights stay staged at the aggregator.
+  // The weights stay staged at the aggregator.
   std::vector<ClientOutcome> outcomes;
   outcomes.reserve(n_part);
   for (ShardRoundState& shard : round_shards_) {
@@ -739,11 +713,7 @@ std::vector<ClientOutcome> RootCoordinator::Train(
       r.num_samples = shard.done.num_samples[i];
       r.loss = shard.done.losses[i];
       r.metrics.confidence = shard.done.confidences[i];
-      if (relay_) {
-        r.params = std::move(shard.done.weights[i]);
-      } else {
-        r.metrics.moments = std::move(shard.done.moments[i]);
-      }
+      r.metrics.moments = std::move(shard.done.moments[i]);
     }
   }
   return outcomes;
@@ -751,7 +721,13 @@ std::vector<ClientOutcome> RootCoordinator::Train(
 
 Status RootCoordinator::Aggregate(int round, const std::vector<int>& ids,
                                   std::vector<LocalResult>& results) {
-  if (relay_) return RoundTransport::Aggregate(round, ids, results);
+  if (global_set_) {
+    // Built here, not by GroupByAggregationSet: the in-process FedAvg moves
+    // none of its set counters.
+    AggregationGroup all{ids, std::vector<int>(train_sizes_.size())};
+    std::iota(all.clients.begin(), all.clients.end(), 0);
+    return AggregateGroups(round, {all});
+  }
   Result<std::vector<std::vector<float>>> moments =
       MomentTable(data_.num_clients(), results);
   FEDGTA_RETURN_IF_ERROR(moments.status());
@@ -761,12 +737,11 @@ Status RootCoordinator::Aggregate(int round, const std::vector<int>& ids,
   // Eq. 6 exactly as the flat server runs it, counters included.
   const std::vector<AggregationGroup> groups =
       GroupByAggregationSet(*moments, ids, gta_);
-  return AggregateGroups(round, ids, groups);
+  return AggregateGroups(round, groups);
 }
 
 Strategy::CommunicationStats RootCoordinator::Communication(
-    const std::vector<LocalResult>& results) {
-  if (relay_) return RoundTransport::Communication(results);
+    const std::vector<LocalResult>& /*results*/) {
   // Shard-local sums of the base RoundCommunication formula — integer
   // adds, so the shard-order total equals the single-server total.
   Strategy::CommunicationStats comm;
@@ -779,8 +754,6 @@ Strategy::CommunicationStats RootCoordinator::Communication(
 }
 
 Status RootCoordinator::Evaluate(int round, ClientAccuracies* acc) {
-  EvalShardBody request;
-  if (relay_) request.global_params = strategy_->DownloadFor(0);
   std::vector<char> active(aggs_.size(), 0);
   for (size_t a = 0; a < aggs_.size(); ++a) {
     active[a] = aggs_[a].alive ? 1 : 0;
@@ -791,7 +764,7 @@ Status RootCoordinator::Evaluate(int round, ClientAccuracies* acc) {
   (void)ParallelExchange(active, "evaluation", [&](size_t a) {
     net::RoutedMsg response;
     FEDGTA_RETURN_IF_ERROR(CallAggregator(
-        a, MakeEnvelope(net::EnvelopeKind::kEvalShard, round, request),
+        a, MakeEnvelope(net::EnvelopeKind::kEvalShard, round),
         &response));
     EvalShardDoneBody done;
     FEDGTA_RETURN_IF_ERROR(

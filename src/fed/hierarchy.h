@@ -33,10 +33,10 @@ namespace fed {
 /// carries — any other version is rejected there.
 
 /// root → agg: everything one regional aggregator needs before it can
-/// accept its worker slice — the worker-facing wire config (relayed
-/// verbatim into AssignConfig), its shard of the client space, the worker
+/// accept its worker slice — the worker-facing wire config (forwarded
+/// verbatim as AssignConfig), its shard of the client space, the worker
 /// split, the transport knobs of its fleet, and the Eq. 7 weighting its
-/// local sets use.
+/// sets use.
 struct ShardAssignBody {
   net::WireFedConfig config;
   int32_t agg_index = 0;
@@ -53,10 +53,9 @@ struct ShardAssignBody {
   int32_t rpc_max_attempts = 3;
   int32_t rpc_backoff_ms = 50;
   int32_t accept_timeout_ms = 60000;
-  /// Relay mode (fedavg/fedprox): survivor weights ship up to the root,
-  /// which aggregates centrally; the shard's Eq. 7 plane stays idle.
-  bool relay = false;
-  /// FedGTA's "w/o Conf." ablation (server-side, never shipped to workers).
+  /// Eq. 7 weights by train size instead of confidence: FedGTA's "w/o
+  /// Conf." ablation, and every strategy that uploads no confidence
+  /// (fedavg, fedprox). Server-side, never shipped to workers.
   bool disable_confidence = false;
   /// Clock sync echo (same NTP midpoint scheme as AssignConfig): root
   /// trace clock at Hello arrival / at this send.
@@ -80,7 +79,7 @@ struct ShardReadyBody {
 };
 
 /// root → agg: client 0's fresh weights, broadcast so every shard seeds
-/// its personalized-parameter table identically (FedGTA plane only).
+/// its parameter table identically.
 struct InitModelBody {
   std::vector<float> params;
 
@@ -89,33 +88,28 @@ struct InitModelBody {
 };
 
 /// root → agg: one round's shard participants (ascending global ids) with
-/// their injected fates. In relay mode the strategy's download rides along
-/// once (fedavg/fedprox serve the same global vector to every client); in
-/// the FedGTA plane the aggregator serves its own personalized table and
-/// `global_params` stays empty.
+/// their injected fates. The aggregator serves each its row of the
+/// shard's parameter table.
 struct TrainShardBody {
   std::vector<int32_t> participants;
   std::vector<uint32_t> fates;  // ClientFate, aligned
-  std::vector<float> global_params;
 
   void Encode(serialize::Writer* w) const;
   Status Decode(serialize::Reader* r);
 };
 
 /// agg → root: per-participant round outcome, aligned with the request.
-/// The FedGTA plane ships each survivor's raw Eq. 5 moment row, from which
-/// the root builds the round's Eq. 6 sets; weights stay staged at the
-/// aggregator. Relay mode ships survivor weights instead. Rows for
-/// non-survivors are empty; the decoder rejects any list not aligned with
-/// `rpc_ok` (weights and moments may also be empty as a whole).
+/// Each survivor's raw Eq. 5 moment row rides along (empty for strategies
+/// that upload none), from which the root builds the round's Eq. 6 sets;
+/// weights stay staged at the aggregator. Rows for non-survivors are
+/// empty; the decoder rejects any list not aligned with `rpc_ok`.
 struct TrainShardDoneBody {
   std::vector<uint32_t> rpc_ok;
   std::vector<double> seconds;
   std::vector<double> losses;
   std::vector<int64_t> num_samples;
   std::vector<double> confidences;
-  std::vector<std::vector<float>> weights;  // relay survivors only
-  std::vector<std::vector<float>> moments;  // FedGTA survivors only
+  std::vector<std::vector<float>> moments;
   /// Shard totals of the simulated communication volume, computed at the
   /// aggregator over its survivor results with the base
   /// Strategy::RoundCommunication formula (integer sums — order-free).
@@ -152,25 +146,18 @@ struct PartialBlockBody {
   Status Decode(serialize::Reader* r);
 };
 
-/// root → agg: one shard's share of the round's Eq. 6/7 outcome, once per
-/// round after the chained pass. Group k is either a canonical set wholly
-/// inside the shard (`local_sets[k]`), which the shard aggregates itself,
-/// or the finished vector of a set that crosses a shard boundary
-/// (`params[k]`); the other entry is empty. `group_of` gives each staged
-/// survivor, ascending, its group.
+/// root → agg: one shard's share of the round's Eq. 7 outcome, once per
+/// round after the chained pass. Group k is either a canonical set whose
+/// members and receivers all lie inside the shard (`local_sets[k]`), which
+/// the shard aggregates itself, or the finished vector of any other set
+/// (`params[k]`); the other entry is empty. `group_of[r]` is the group
+/// shard client `shard_begin + r` receives, or -1 when it keeps its
+/// current weights (FedGTA personalizes survivors only; a global model
+/// reaches every client).
 struct GroupDeliverBody {
   std::vector<std::vector<int32_t>> local_sets;
   std::vector<std::vector<float>> params;
   std::vector<int64_t> group_of;
-
-  void Encode(serialize::Writer* w) const;
-  Status Decode(serialize::Reader* r);
-};
-
-/// root → agg: evaluate every shard client. Relay mode ships the global
-/// download; the FedGTA plane evaluates the personalized table.
-struct EvalShardBody {
-  std::vector<float> global_params;
 
   void Encode(serialize::Writer* w) const;
   Status Decode(serialize::Reader* r);
@@ -238,16 +225,16 @@ Result<std::vector<std::vector<float>>> MomentTable(
 /// contiguous client shard and worker slice via ShardAssign, and turns the
 /// engine's train / aggregate / evaluate calls into the routed envelope
 /// sequence — TrainShard, the chained Eq. 7 partial pass, one
-/// GroupDeliver per shard, EvalShard. In the FedGTA plane the root builds
-/// the Eq. 6 sets itself, with the single-server code, from the moment
-/// rows that ride up in TrainShardDone; weights never leave their shard
-/// except inside the chained pass. The run result is bit-identical to the
-/// in-process Simulation (see fed::DeterministicEquals). A dead
-/// aggregator's shard degrades to dropped clients.
-///
-/// Shardable non-FedGTA strategies (fedavg, fedprox) run in relay mode:
-/// the root keeps the Strategy and full survivor weights travel through
-/// the aggregators unchanged — same results, two hops.
+/// GroupDeliver per shard, EvalShard (bodyless: each aggregator evaluates
+/// its own table). FedGTA's groups are its Eq. 6 sets, which the root
+/// builds itself, with the single-server code, from the moment rows that
+/// ride up in TrainShardDone. Strategies that upload no topology metrics
+/// (fedavg, fedprox) are Eq. 7 with one set of every survivor, weighted by
+/// train size, whose result every client receives. Weights never leave
+/// their shard except inside the chained pass. The run result is
+/// bit-identical to the in-process Simulation (see
+/// fed::DeterministicEquals). A dead aggregator's shard degrades to
+/// dropped clients, except during the chained pass, which fails the run.
 class RootCoordinator : private RoundTransport {
  public:
   explicit RootCoordinator(const RemoteFedConfig& config);
@@ -304,22 +291,24 @@ class RootCoordinator : private RoundTransport {
   Status ParallelExchange(const std::vector<char>& active, const char* phase,
                           const std::function<Status(size_t)>& fn);
   // RoundTransport
+  /// Never called: Aggregate and Communication below replace the
+  /// defaults that read it.
   Strategy& strategy() override { return *strategy_; }
   std::vector<ClientOutcome> Train(
       int round, const std::vector<int>& participants,
       const std::vector<ClientFate>& fates) override;
-  /// Relay mode: Strategy::Aggregate at the root. FedGTA plane: Eq. 6 here,
-  /// then the routed Eq. 7 sequence (AggregateGroups).
+  /// The round's Eq. 7 groups (FedGTA: Eq. 6 here; otherwise one global
+  /// set), then the routed Eq. 7 sequence (AggregateGroups).
   Status Aggregate(int round, const std::vector<int>& ids,
                    std::vector<LocalResult>& results) override;
   Strategy::CommunicationStats Communication(
       const std::vector<LocalResult>& results) override;
   Status Evaluate(int round, ClientAccuracies* acc) override;
 
-  /// The routed Eq. 7 over the round's Eq. 6 groups: the chained partial
-  /// pass for sets that cross a shard boundary, then one GroupDeliver per
-  /// shard with survivors.
-  Status AggregateGroups(int round, const std::vector<int>& survivors,
+  /// The routed Eq. 7 over the round's groups (`clients` = receivers): the
+  /// chained partial pass for every group not wholly inside one shard,
+  /// then one GroupDeliver per shard with receivers.
+  Status AggregateGroups(int round,
                          const std::vector<AggregationGroup>& groups);
   /// Eq. 7 weight of one survivor at the root (confidence, or the
   /// train-size fallback) — the same value ShardPlane::MemberWeight uses.
@@ -328,8 +317,10 @@ class RootCoordinator : private RoundTransport {
 
   RemoteFedConfig config_;
   net::ServerSocket server_;
-  std::unique_ptr<Strategy> strategy_;  // aggregates only in relay mode
-  bool relay_ = false;
+  std::unique_ptr<Strategy> strategy_;
+  /// fedavg/fedprox: one Eq. 7 set of every survivor, received by every
+  /// client (the strategy uploads no topology metrics).
+  bool global_set_ = false;
   FederatedDataset data_;
   std::vector<int64_t> train_sizes_;
   FedGtaOptions gta_;  // server-side Eq. 6/7 knobs

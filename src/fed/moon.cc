@@ -38,7 +38,7 @@ LocalResult MoonStrategy::TrainClient(Client& client, int epochs,
   // Reference representations from the global model and the client's
   // previous local model on the same (full-batch) input. They are fixed
   // during this round's local steps.
-  const Matrix z_global = client.HiddenWithParams(global_params_);
+  const Matrix z_global = client.HiddenWithParams(global_model_);
   const Matrix z_prev =
       client.HiddenWithParams(previous_local_[static_cast<size_t>(id)]);
 
@@ -75,7 +75,7 @@ LocalResult MoonStrategy::TrainClient(Client& client, int epochs,
 void MoonStrategy::Aggregate(const std::vector<int>& /*participants*/,
                              const std::vector<LocalResult>& results) {
   if (results.empty()) return;
-  WeightedAverage(results, &global_params_);
+  WeightedAverage(results, &global_model_);
 }
 
 void MoonStrategy::SaveState(serialize::Writer* writer) const {

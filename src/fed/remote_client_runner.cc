@@ -202,7 +202,7 @@ Status RemoteClientRunner::Run() {
             TrainHooks hooks;
             if (is_fedprox) {
               // The proximal anchor is the download itself (the simulation
-              // anchors on global_params_, which is exactly what the server
+              // anchors on global_model_, which is exactly what the server
               // sent or pointed at).
               const std::vector<float>& anchor = *weights;
               const float mu = setup.prox_mu;

@@ -16,9 +16,9 @@ namespace fed {
 ///              /   \            /    \
 ///         worker  worker    worker  worker      (fedgta_worker)
 ///
-/// The flat deployment of PR 4 is the degenerate topology with zero
+/// The flat deployment is the degenerate topology with zero
 /// aggregators: the root speaks the worker protocol directly. With
-/// aggregators, the root speaks only v5 routed envelopes to its
+/// aggregators, the root speaks only routed envelopes to its
 /// aggregators, and each aggregator speaks the unchanged worker protocol
 /// downward — a worker cannot tell which deployment it is part of.
 enum class Role {

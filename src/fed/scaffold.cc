@@ -64,7 +64,7 @@ void ScaffoldStrategy::Aggregate(const std::vector<int>& /*participants*/,
   if (results.empty()) return;
   // x <- x + (1/|S|) Σ (y_i - x): with unit server lr this equals averaging
   // participant weights; the paper setup weights by data size.
-  WeightedAverage(results, &global_params_);
+  WeightedAverage(results, &global_model_);
   // c <- c + (|S|/N) * mean of control deltas, accumulated in result order
   // so the float summation matches the serial round exactly.
   const float scale = static_cast<float>(results.size()) /
@@ -91,7 +91,7 @@ Status ScaffoldStrategy::LoadState(serialize::Reader* reader) {
   FEDGTA_RETURN_IF_ERROR(reader->ReadFloatVec(&server_control));
   std::vector<std::vector<float>> client_control;
   FEDGTA_RETURN_IF_ERROR(LoadFloatVecs(reader, &client_control));
-  if (server_control.size() != global_params_.size() ||
+  if (server_control.size() != global_model_.size() ||
       client_control.size() != static_cast<size_t>(num_clients_)) {
     return FailedPreconditionError("control-variate shape mismatch");
   }

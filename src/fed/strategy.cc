@@ -18,12 +18,12 @@ void Strategy::Initialize(int num_clients,
   FEDGTA_CHECK_EQ(train_sizes.size(), static_cast<size_t>(num_clients));
   num_clients_ = num_clients;
   train_sizes_ = train_sizes;
-  global_params_ = init_params;
+  global_model_ = init_params;
 }
 
 std::span<const float> Strategy::ParamsFor(int client_id) const {
   FEDGTA_CHECK(client_id >= 0 && client_id < num_clients_);
-  return global_params_;
+  return global_model_;
 }
 
 LocalResult Strategy::TrainClient(Client& client, int epochs,
@@ -70,7 +70,7 @@ void Strategy::SaveState(serialize::Writer* writer) const {
   writer->WriteString(name());
   writer->WriteU32(static_cast<uint32_t>(num_clients_));
   writer->WriteI64Vec(train_sizes_);
-  writer->WriteFloatVec(global_params_);
+  writer->WriteFloatVec(global_model_);
 }
 
 Status Strategy::LoadState(serialize::Reader* reader) {
@@ -97,13 +97,13 @@ Status Strategy::LoadState(serialize::Reader* reader) {
   }
   std::vector<float> saved_params;
   FEDGTA_RETURN_IF_ERROR(reader->ReadFloatVec(&saved_params));
-  if (saved_params.size() != global_params_.size()) {
+  if (saved_params.size() != global_model_.size()) {
     return FailedPreconditionError(
         "checkpoint parameter count " + std::to_string(saved_params.size()) +
         " does not match model parameter count " +
-        std::to_string(global_params_.size()));
+        std::to_string(global_model_.size()));
   }
-  global_params_ = std::move(saved_params);
+  global_model_ = std::move(saved_params);
   return OkStatus();
 }
 
@@ -129,7 +129,7 @@ void FedAvgStrategy::Aggregate(const std::vector<int>& /*participants*/,
                                const std::vector<LocalResult>& results) {
   FEDGTA_PHASE_SCOPE("aggregation");
   if (results.empty()) return;
-  WeightedAverage(results, &global_params_);
+  WeightedAverage(results, &global_model_);
 }
 
 void LocalOnlyStrategy::Initialize(int num_clients,

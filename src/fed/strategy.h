@@ -90,7 +90,7 @@ struct StrategyCapabilities {
 /// TrainClient implementations may only (a) mutate the Client they were
 /// handed and state slots indexed by that client's id (Scaffold control
 /// variates, MOON snapshots, FedDC drift), and (b) read shared state that
-/// is constant for the duration of the round (global_params_, server
+/// is constant for the duration of the round (global_model_, server
 /// control variates, FedGL pseudo-label targets). ParamsFor must be a
 /// const read. Initialize and Aggregate are always called exclusively
 /// (never concurrent with TrainClient) and may mutate anything.
@@ -165,7 +165,7 @@ class Strategy {
 
   int num_clients_ = 0;
   std::vector<int64_t> train_sizes_;
-  std::vector<float> global_params_;
+  std::vector<float> global_model_;
 };
 
 /// FedAvg (McMahan et al. 2017), Eq. (2): data-size-weighted global average.

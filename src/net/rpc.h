@@ -46,13 +46,13 @@ namespace net {
 /// rides the generic Routed envelope (§5k); a worker cannot tell whether
 /// its server is the root or a regional aggregator.
 ///
-/// The protocol is frozen at v8: every peer ships from this repo, so both
+/// The protocol is frozen at v9: every peer ships from this repo, so both
 /// ends accept exactly this version and every message has one fixed
 /// layout. A Train/Eval request whose weights equal the last ones sent for
 /// that client on this connection carries `reuse` and no tensor; the worker
 /// uses its DownloadStash copy instead.
 
-inline constexpr uint32_t kProtocolVersion = 8;
+inline constexpr uint32_t kProtocolVersion = 9;
 
 enum class MsgType : uint32_t {
   kHello = 1,
@@ -277,7 +277,7 @@ struct ErrorMsg {
   Status Decode(serialize::Reader* r, compress::Link* link = nullptr);
 };
 
-/// Body schema selector for RoutedMsg (the v5 root ↔ aggregator plane,
+/// Body schema selector for RoutedMsg (the root ↔ aggregator plane,
 /// DESIGN.md §5k). Bodies are nested serialize payloads defined in
 /// fed/hierarchy.h — the envelope itself is schema-agnostic, so the wire
 /// protocol never grows another MsgType for a new hierarchical phase.
@@ -289,15 +289,15 @@ enum class EnvelopeKind : uint32_t {
   kTrainShardDone = 5,    // agg → root: per-participant scalars + moment rows
   kPartialAggregate = 6,  // root → agg: chained Eq. 7 accumulator pass
   kPartialBlock = 7,      // agg → root: updated accumulators
-  kGroupDeliver = 8,      // root → agg: local sets + cross-shard vectors
+  kGroupDeliver = 8,      // root → agg: local sets + finished vectors
   kGroupAck = 9,          // agg → root
-  kEvalShard = 10,        // root → agg: evaluate shard clients
+  kEvalShard = 10,        // root → agg: evaluate shard clients (bodyless)
   kEvalShardDone = 11,    // agg → root: per-client accuracies
 };
 
 const char* EnvelopeKindName(EnvelopeKind kind);
 
-/// v5 routed envelope: the single message type of the root ↔ aggregator
+/// Routed envelope: the single message type of the root ↔ aggregator
 /// link. `kind` selects the body schema; `src`/`dst` are aggregator
 /// indices with -1 meaning the root, so a future multi-hop topology can
 /// forward envelopes without re-framing. Aggregator replies piggyback a

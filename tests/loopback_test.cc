@@ -855,9 +855,9 @@ TEST(WorkerProtocolTest, MisSizedUploadIsAnRpcErrorNotAnAbort) {
 }
 
 TEST(WorkerProtocolTest, V6HelloIsRefusedWithTheVersionError) {
-  // v6, and v7: the last layout before the TrainShardDone change, whose
-  // Hello is byte-identical to today's.
-  for (uint32_t version : {6u, 7u}) {
+  // v6, and v7 and v8: layouts before routed-body changes, whose Hellos
+  // are byte-identical to today's.
+  for (uint32_t version : {6u, 7u, 8u}) {
     SCOPED_TRACE(version);
     Result<net::ServerSocket> server = net::ServerSocket::Listen(0);
     ASSERT_TRUE(server.ok()) << server.status();

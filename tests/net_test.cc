@@ -572,7 +572,7 @@ TEST(RpcTest, V7MessageLayoutsArePinned) {
   // reuse marker followed by the weights only when the marker is clear.
   // Only Hello differs from v6: it lost the u32 codec capability mask
   // after t_send_us, because the server's codec assignment is binding. v8
-  // changed only a routed root ↔ aggregator body, so here only the
+  // and v9 changed only routed root ↔ aggregator bodies, so here only the
   // version number moved.
   auto bytes = [](const auto& msg) {
     serialize::Writer w;
@@ -583,7 +583,7 @@ TEST(RpcTest, V7MessageLayoutsArePinned) {
   hello.t_send_us = 777;
   hello.node_role = static_cast<uint32_t>(NodeRole::kAggregator);
   serialize::Writer hello_ref;
-  hello_ref.WriteU32(8u);
+  hello_ref.WriteU32(9u);
   hello_ref.WriteI64(777);
   hello_ref.WriteU32(1u);  // NodeRole::kAggregator
   EXPECT_EQ(bytes(hello), hello_ref.Encode());
