@@ -97,6 +97,52 @@ void ArxivClientGemms(benchmark::internal::Benchmark* bench) {
 }
 BENCHMARK(BM_Gemm)->Apply(ArxivClientGemms)->Unit(benchmark::kMicrosecond);
 
+// The Eq. 6 exact check of the LSH plane on the server-10k shape: a
+// 10,000 x 150 table of normalized moment rows, and for each of 64 rows
+// about 700 screened candidates (ascending ids, as LshScreen lists them)
+// whose cosines Backend::GatherDots computes in place. Arg: backend (index
+// into ListBackends()). Reports time per candidate ("survivor").
+void BM_Eq6ExactCheck(benchmark::State& state) {
+  const std::vector<std::string> backends = linalg::ListBackends();
+  const linalg::Backend* backend =
+      linalg::FindBackend(backends.at(static_cast<size_t>(state.range(0))));
+  state.SetLabel(backend->description());
+  const int64_t rows = 10000;
+  const int64_t d = 150;
+  Rng rng(6);
+  Matrix table(rows, d);
+  table.GaussianInit(rng, 1.0f);
+  for (int64_t r = 0; r < rows; ++r) {
+    const float norm = static_cast<float>(L2Norm(table.Row(r)));
+    for (float& x : table.Row(r)) x /= norm;
+  }
+  std::vector<std::vector<int32_t>> candidates(64);
+  int64_t survivors = 0;
+  for (std::vector<int32_t>& list : candidates) {
+    for (int64_t b = 0; b < rows; ++b) {
+      if (rng.UniformInt(0, 13) == 0) list.push_back(static_cast<int32_t>(b));
+    }
+    survivors += static_cast<int64_t>(list.size());
+  }
+  std::vector<float> sims(static_cast<size_t>(rows));
+  for (auto _ : state) {
+    for (size_t a = 0; a < candidates.size(); ++a) {
+      const int64_t row = static_cast<int64_t>(a) * (rows / 64);
+      backend->GatherDots(table.Row(row).data(), table.data(), d,
+                          candidates[a], sims.data());
+      benchmark::DoNotOptimize(sims.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * survivors);
+  state.counters["s_per_survivor"] = benchmark::Counter(
+      static_cast<double>(survivors),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_Eq6ExactCheck)
+    ->DenseRange(0, static_cast<int64_t>(linalg::ListBackends().size()) - 1)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_SpMM(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   LabeledGraph lg = MakeGraph(n, 2);

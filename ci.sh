@@ -32,6 +32,29 @@ cmake -B "$BUILD_DIR" -S . \
   -DFEDGTA_SANITIZE=ON
 cmake --build "$BUILD_DIR" -j"$JOBS"
 
+# The reference kernels start on 64-byte boundaries (aligned(64) in
+# src/linalg/backend_reference.cc), so code added elsewhere cannot shift
+# them against cache lines and move kernel-bound timings. Check all six
+# GEMM/SpMM/GatherDots variants in the library and in a binary linking it.
+check_kernel_alignment() {
+  local file=$1 found=0 addr name
+  while read -r addr name; do
+    found=$((found + 1))
+    if (( 16#$addr % 64 != 0 )); then
+      echo "kernel not 64-byte aligned in $file: $name at 0x$addr" >&2
+      return 1
+    fi
+  done < <(nm -C --defined-only "$file" |
+    awk '$2 ~ /^[Tt]$/ && $3 ~ /^fedgta::linalg::internal::Reference(GemmRows|SpmmRows|GatherDots)(Baseline|Avx2)\(/ { print $1, $3 }')
+  if (( found != 6 )); then
+    echo "expected 6 reference kernels in $file, found $found" >&2
+    return 1
+  fi
+  echo "reference kernels 64-byte aligned in $file"
+}
+check_kernel_alignment "$BUILD_DIR/src/libfedgta_linalg.a"
+check_kernel_alignment "$BUILD_DIR/tests/linalg_test"
+
 export ASAN_OPTIONS=detect_leaks=0   # intentional leaked singletons (logging, metrics)
 export UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1
 CTEST_ARGS=(--output-on-failure -j"$JOBS")

@@ -1,6 +1,7 @@
 #include "core/fedgta_metrics.h"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_map>
 #include <utility>
 
@@ -116,9 +117,8 @@ ClientMetrics ComputeClientMetrics(const Graph& graph, const Matrix& logits,
 }
 
 std::vector<AggregationGroup> GroupByAggregationSet(
-    const std::vector<std::vector<float>>& moments,
-    const std::vector<int>& participants, const FedGtaOptions& options,
-    std::vector<std::vector<int>>* sets_out) {
+    RowTable moments, const std::vector<int>& participants,
+    const FedGtaOptions& options, std::vector<std::vector<int>>* sets_out) {
   // Eq. (6): aggregation sets from moment similarity.
   std::vector<std::vector<int>> sets;
   if (options.disable_moments) {
@@ -142,32 +142,118 @@ std::vector<AggregationGroup> GroupByAggregationSet(
 
   // Clients whose aggregation sets contain the same members get the same
   // personalized weights, so group participants by canonical (sorted) set
-  // membership; Eq. (7) then runs once per group.
-  std::vector<AggregationGroup> groups;
-  std::unordered_map<std::vector<int>, size_t, SetHash> index;
-  index.reserve(participants.size());
-  for (int i : participants) {
-    const auto& set = sets[static_cast<size_t>(i)];
-    FEDGTA_CHECK(!set.empty());
-    std::vector<int> canonical = set;
-    std::sort(canonical.begin(), canonical.end());
-    auto [it, inserted] =
-        index.try_emplace(std::move(canonical), groups.size());
-    if (inserted) {
-      groups.push_back(AggregationGroup{it->first, {}});
+  // membership; Eq. (7) then runs once per group. The canonical sets and
+  // their hashes are built on the pool; only the first-appearance insert
+  // is serial, keyed by participant position.
+  const int64_t p = static_cast<int64_t>(participants.size());
+  std::vector<std::vector<int>> canonical(static_cast<size_t>(p));
+  std::vector<size_t> hash(static_cast<size_t>(p));
+  ParallelForChunked(0, p, [&](int64_t lo, int64_t hi) {
+    for (int64_t a = lo; a < hi; ++a) {
+      const auto& set =
+          sets[static_cast<size_t>(participants[static_cast<size_t>(a)])];
+      FEDGTA_CHECK(!set.empty());
+      std::vector<int>& c = canonical[static_cast<size_t>(a)];
+      c = set;
+      std::sort(c.begin(), c.end());
+      hash[static_cast<size_t>(a)] = SetHash()(c);
     }
-    groups[it->second].clients.push_back(i);
+  });
+  const auto position_hash = [&](int64_t a) {
+    return hash[static_cast<size_t>(a)];
+  };
+  const auto same_set = [&](int64_t a, int64_t b) {
+    return canonical[static_cast<size_t>(a)] ==
+           canonical[static_cast<size_t>(b)];
+  };
+  std::unordered_map<int64_t, size_t, decltype(position_hash),
+                     decltype(same_set)>
+      index(static_cast<size_t>(p), position_hash, same_set);
+  std::vector<AggregationGroup> groups;
+  std::vector<int64_t> first;  // position that opened each group
+  for (int64_t a = 0; a < p; ++a) {
+    const auto [it, inserted] = index.try_emplace(a, groups.size());
+    if (inserted) {
+      groups.emplace_back();
+      first.push_back(a);
+    }
+    groups[it->second].clients.push_back(
+        participants[static_cast<size_t>(a)]);
+  }
+  for (size_t g = 0; g < groups.size(); ++g) {
+    groups[g].canonical =
+        std::move(canonical[static_cast<size_t>(first[g])]);
   }
   MetricsRegistry& obs = GlobalMetrics();
   obs.GetCounter("fedgta.aggregation.unique_sets")
       .Increment(static_cast<int64_t>(groups.size()));
-  const int64_t reused = static_cast<int64_t>(participants.size()) -
-                         static_cast<int64_t>(groups.size());
+  const int64_t reused = p - static_cast<int64_t>(groups.size());
   if (reused > 0) {
     obs.GetCounter("fedgta.aggregation.dedup_reused").Increment(reused);
   }
   if (sets_out != nullptr) *sets_out = std::move(sets);
   return groups;
+}
+
+void FedGtaAggregate(RowTable params, RowTable moments,
+                     std::span<const double> confidences,
+                     const std::vector<int64_t>& train_sizes,
+                     const std::vector<int>& participants,
+                     const FedGtaOptions& options,
+                     std::vector<std::vector<float>>* personalized,
+                     std::vector<std::vector<int>>* aggregation_sets_out) {
+  FEDGTA_CHECK(personalized != nullptr);
+  FEDGTA_CHECK_EQ(params.size(), moments.size());
+  FEDGTA_CHECK_EQ(params.size(), confidences.size());
+  FEDGTA_CHECK_EQ(params.size(), train_sizes.size());
+  FEDGTA_CHECK_EQ(params.size(), personalized->size());
+
+  const std::vector<AggregationGroup> groups = GroupByAggregationSet(
+      moments, participants, options, aggregation_sets_out);
+
+  // Eq. (7): confidence-weighted aggregation within each set. Accumulation
+  // runs in canonical member order — fixed by the set contents, not by
+  // which client asked — so the result is identical for every group member
+  // and invariant to the thread count (groups write disjoint
+  // `personalized` entries). Groups are visited in order of their
+  // canonical sets, so consecutive groups share members and find their
+  // parameter rows still in cache; the visit order changes no float.
+  const auto weight = [&](int j) {
+    return options.disable_confidence
+               ? static_cast<double>(std::max<int64_t>(
+                     1, train_sizes[static_cast<size_t>(j)]))
+               : confidences[static_cast<size_t>(j)];
+  };
+  std::vector<size_t> order(groups.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t x, size_t y) {
+    return groups[x].canonical < groups[y].canonical;
+  });
+  ParallelForChunked(
+      0, static_cast<int64_t>(groups.size()),
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t g = lo; g < hi; ++g) {
+          const AggregationGroup& group = groups[order[static_cast<size_t>(g)]];
+          const std::vector<int>& set = group.canonical;
+          double weight_sum = 0.0;
+          for (int j : set) weight_sum += weight(j);
+          // Accumulate straight into the first receiver's entry, whose
+          // buffer is reused round to round.
+          std::vector<float>& out =
+              (*personalized)[static_cast<size_t>(group.clients.front())];
+          out.assign(params[static_cast<size_t>(set.front())].size(), 0.0f);
+          for (int j : set) {
+            const float w = weight_sum > 0.0
+                                ? static_cast<float>(weight(j) / weight_sum)
+                                : 1.0f / static_cast<float>(set.size());
+            Axpy(w, params[static_cast<size_t>(j)], out);
+          }
+          for (size_t c = 1; c < group.clients.size(); ++c) {
+            (*personalized)[static_cast<size_t>(group.clients[c])] = out;
+          }
+        }
+      },
+      /*min_chunk=*/1);
 }
 
 void FedGtaAggregate(const std::vector<ClientMetrics>& metrics,
@@ -177,60 +263,14 @@ void FedGtaAggregate(const std::vector<ClientMetrics>& metrics,
                      const FedGtaOptions& options,
                      std::vector<std::vector<float>>* personalized,
                      std::vector<std::vector<int>>* aggregation_sets_out) {
-  FEDGTA_CHECK(personalized != nullptr);
-  FEDGTA_CHECK_EQ(metrics.size(), params.size());
-  FEDGTA_CHECK_EQ(metrics.size(), train_sizes.size());
-  FEDGTA_CHECK_EQ(metrics.size(), personalized->size());
-
-  std::vector<std::vector<float>> moments(metrics.size());
-  if (!options.disable_moments) {
-    for (int i : participants) {
-      moments[static_cast<size_t>(i)] = metrics[static_cast<size_t>(i)].moments;
-    }
+  std::vector<std::span<const float>> moments(metrics.size());
+  std::vector<double> confidences(metrics.size());
+  for (size_t i = 0; i < metrics.size(); ++i) {
+    moments[i] = metrics[i].moments;
+    confidences[i] = metrics[i].confidence;
   }
-  const std::vector<AggregationGroup> groups = GroupByAggregationSet(
-      moments, participants, options, aggregation_sets_out);
-
-  // Eq. (7): confidence-weighted aggregation within each set. Accumulation
-  // runs in canonical member order — fixed by the set contents, not by
-  // which client asked — so the result is identical for every group member
-  // and invariant to the thread count (groups write disjoint
-  // `personalized` entries).
-  ParallelForChunked(
-      0, static_cast<int64_t>(groups.size()),
-      [&](int64_t lo, int64_t hi) {
-        std::vector<float> out;
-        for (int64_t g = lo; g < hi; ++g) {
-          const auto& set = groups[static_cast<size_t>(g)].canonical;
-          double weight_sum = 0.0;
-          for (int j : set) {
-            weight_sum +=
-                options.disable_confidence
-                    ? static_cast<double>(std::max<int64_t>(
-                          1, train_sizes[static_cast<size_t>(j)]))
-                    : metrics[static_cast<size_t>(j)].confidence;
-          }
-          out.assign(params[static_cast<size_t>(set.front())].size(), 0.0f);
-          for (int j : set) {
-            const double weight =
-                options.disable_confidence
-                    ? static_cast<double>(std::max<int64_t>(
-                          1, train_sizes[static_cast<size_t>(j)]))
-                    : metrics[static_cast<size_t>(j)].confidence;
-            const float w = weight_sum > 0.0
-                                ? static_cast<float>(weight / weight_sum)
-                                : 1.0f / static_cast<float>(set.size());
-            Axpy(w, params[static_cast<size_t>(j)], out);
-          }
-          const auto& clients = groups[static_cast<size_t>(g)].clients;
-          for (size_t c = 0; c + 1 < clients.size(); ++c) {
-            (*personalized)[static_cast<size_t>(clients[c])] = out;
-          }
-          (*personalized)[static_cast<size_t>(clients.back())] =
-              std::move(out);
-        }
-      },
-      /*min_chunk=*/1);
+  FedGtaAggregate(params, moments, confidences, train_sizes, participants,
+                  options, personalized, aggregation_sets_out);
 }
 
 }  // namespace fedgta

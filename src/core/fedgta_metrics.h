@@ -1,6 +1,7 @@
 #ifndef FEDGTA_CORE_FEDGTA_METRICS_H_
 #define FEDGTA_CORE_FEDGTA_METRICS_H_
 
+#include <span>
 #include <vector>
 
 #include "core/similarity.h"
@@ -115,8 +116,8 @@ struct AggregationGroup {
 /// `fedgta.aggregation.dedup_reused`. The sets, indexed by client id, go to
 /// *sets_out when it is non-null.
 std::vector<AggregationGroup> GroupByAggregationSet(
-    const std::vector<std::vector<float>>& moments,
-    const std::vector<int>& participants, const FedGtaOptions& options,
+    RowTable moments, const std::vector<int>& participants,
+    const FedGtaOptions& options,
     std::vector<std::vector<int>>* sets_out = nullptr);
 
 /// Server-side personalized aggregation (Algorithm 2 / Eq. 6-7). For each
@@ -124,6 +125,19 @@ std::vector<AggregationGroup> GroupByAggregationSet(
 /// aggregation set, weighted by smoothing confidence (or by `train_sizes`
 /// under the w/o-Conf ablation). Writes each participant's personalized
 /// weights into (*personalized)[i]; non-participants are untouched.
+/// `params`, `moments` and `confidences` are indexed by client id and read
+/// in place; only the participants' entries are read, and `params` must
+/// not alias `personalized`.
+void FedGtaAggregate(RowTable params, RowTable moments,
+                     std::span<const double> confidences,
+                     const std::vector<int64_t>& train_sizes,
+                     const std::vector<int>& participants,
+                     const FedGtaOptions& options,
+                     std::vector<std::vector<float>>* personalized,
+                     std::vector<std::vector<int>>* aggregation_sets_out =
+                         nullptr);
+
+/// The same over id-indexed ClientMetrics (moments and confidence).
 void FedGtaAggregate(const std::vector<ClientMetrics>& metrics,
                      const std::vector<std::vector<float>>& params,
                      const std::vector<int64_t>& train_sizes,

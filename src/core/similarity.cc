@@ -4,7 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstring>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -67,46 +66,25 @@ std::vector<std::vector<int>> SetsViaExactSweep(
 }
 
 /// The Eq. 6 exact check of normalized row `row` (`d` floats) against
-/// the rows of `table` listed in `candidates`: one 1 x |candidates| backend
-/// GEMM, then each candidate whose cosine reaches ε is appended to
-/// *admitted, in order. By the GemmRows chunk-invariance and operand-
+/// the rows of `table` listed in `candidates`: the backend's GatherDots
+/// reads them in place into *sims, and each candidate whose cosine reaches
+/// ε is appended to *admitted, in order. By the GatherDots and operand-
 /// symmetry contracts (linalg/backend.h) each cosine has the bits of both
 /// its exact-oracle elements (a, b) and (b, a).
 void AdmitByCosine(const float* row, int64_t d,
                    const std::vector<int32_t>& candidates, const float* table,
-                   double epsilon, std::vector<int32_t>* admitted) {
-  if (candidates.empty()) return;
-  // One 1 x c GEMM against the gathered candidate rows (transposed view);
-  // the buffers are per thread and reused across rows and calls.
-  thread_local Matrix gathered;
-  thread_local Matrix sims;
-  const int64_t c = static_cast<int64_t>(candidates.size());
-  gathered.EnsureShape(c, d);
-  for (int64_t k = 0; k < c; ++k) {
-    std::memcpy(gathered.data() + k * d,
-                table + int64_t{candidates[static_cast<size_t>(k)]} * d,
-                static_cast<size_t>(d) * sizeof(float));
-  }
-  sims.EnsureShape(1, c);
-  linalg::GemmCall call;
-  call.a = {row, d, 1};
-  call.b = {gathered.data(), 1, d};
-  call.m = 1;
-  call.n = c;
-  call.k = d;
-  call.c = sims.data();
-  linalg::ActiveBackend().GemmRows(call, 0, 1);
-  const float eps = static_cast<float>(epsilon);
-  for (int64_t k = 0; k < c; ++k) {
-    if (sims.data()[k] >= eps) {
-      admitted->push_back(candidates[static_cast<size_t>(k)]);
-    }
+                   float eps, std::vector<float>* sims,
+                   std::vector<int32_t>* admitted) {
+  sims->resize(candidates.size());
+  linalg::ActiveBackend().GatherDots(row, table, d, candidates, sims->data());
+  for (size_t k = 0; k < candidates.size(); ++k) {
+    if ((*sims)[k] >= eps) admitted->push_back(candidates[k]);
   }
 }
 
 /// LSH Eq. 6, one symmetric pass: each unordered pair (a, b > a) is
 /// screened and, if it survives, exact-checked once; admitted pairs are
-/// then mirrored into both rows.
+/// then mirrored into both rows, on the pool as well.
 std::vector<std::vector<int>> SetsViaLsh(const Matrix& normalized,
                                          const std::vector<int>& participants,
                                          int num_clients, double epsilon,
@@ -133,10 +111,13 @@ std::vector<std::vector<int>> SetsViaLsh(const Matrix& normalized,
     const double rest = 1.0 - static_cast<double>(k) / parts;
     return std::llround(static_cast<double>(p) * (1.0 - std::sqrt(rest)));
   };
+  const int64_t tasks = static_cast<int64_t>(parts);
+  const float eps = static_cast<float>(epsilon);
   ParallelFor(
-      0, static_cast<int64_t>(parts),
+      0, tasks,
       [&](int64_t k) {
         std::vector<int32_t> cand;
+        std::vector<float> sims;
         int64_t screened = 0;
         for (int64_t a = edge(k); a < edge(k + 1); ++a) {
           cand.clear();
@@ -144,26 +125,60 @@ std::vector<std::vector<int>> SetsViaLsh(const Matrix& normalized,
                               p, shape, &cand);
           screened += static_cast<int64_t>(cand.size());
           AdmitByCosine(normalized.data() + a * d, d, cand, normalized.data(),
-                        epsilon, &upper[static_cast<size_t>(a)]);
+                        eps, &sims, &upper[static_cast<size_t>(a)]);
         }
         survivors += screened;
       },
       /*grain=*/1);
 
-  // Mirror in ascending row order: row a's lower partners are all pushed
-  // before its upper ones, so every set lists its members by ascending
-  // participant index, the exact oracle's order.
+  // Mirror: set a is {a}, then its lower partners (rows a' < a that
+  // admitted a), then upper[a] — ascending participant index, the exact
+  // oracle's order. slot[k * p + b] first counts task k's pairs (a', b),
+  // then becomes where task k writes its next a' into set b: tasks own
+  // ascending row blocks, so the lower partners land in ascending order.
+  std::vector<int32_t> slot(static_cast<size_t>(tasks * p), 0);
+  const auto id = [&](int64_t a) {
+    return participants[static_cast<size_t>(a)];
+  };
+  ParallelFor(
+      0, tasks,
+      [&](int64_t k) {
+        int32_t* count = slot.data() + k * p;
+        for (int64_t a = edge(k); a < edge(k + 1); ++a) {
+          for (int32_t b : upper[static_cast<size_t>(a)]) ++count[b];
+        }
+      },
+      /*grain=*/1);
   std::vector<std::vector<int>> sets(static_cast<size_t>(num_clients));
-  for (int i : participants) sets[static_cast<size_t>(i)].push_back(i);
-  for (int64_t a = 0; a < p; ++a) {
-    const int i = participants[static_cast<size_t>(a)];
-    for (int32_t b : upper[static_cast<size_t>(a)]) {
-      const int j = participants[static_cast<size_t>(b)];
-      sets[static_cast<size_t>(i)].push_back(j);
-      sets[static_cast<size_t>(j)].push_back(i);
+  ParallelForChunked(0, p, [&](int64_t lo, int64_t hi) {
+    for (int64_t b = lo; b < hi; ++b) {
+      int32_t next = 1;
+      for (int64_t k = 0; k < tasks; ++k) {
+        const int32_t count = slot[static_cast<size_t>(k * p + b)];
+        slot[static_cast<size_t>(k * p + b)] = next;
+        next += count;
+      }
+      const std::vector<int32_t>& up = upper[static_cast<size_t>(b)];
+      std::vector<int>& set = sets[static_cast<size_t>(id(b))];
+      set.resize(static_cast<size_t>(next) + up.size());
+      set[0] = id(b);
+      for (size_t u = 0; u < up.size(); ++u) {
+        set[static_cast<size_t>(next) + u] = id(up[u]);
+      }
     }
-    upper[static_cast<size_t>(a)] = {};
-  }
+  });
+  ParallelFor(
+      0, tasks,
+      [&](int64_t k) {
+        int32_t* next = slot.data() + k * p;
+        for (int64_t a = edge(k); a < edge(k + 1); ++a) {
+          for (int32_t b : upper[static_cast<size_t>(a)]) {
+            sets[static_cast<size_t>(id(b))][static_cast<size_t>(next[b]++)] =
+                id(a);
+          }
+        }
+      },
+      /*grain=*/1);
   const int64_t exact = 2 * survivors;
   stats->pairs_exact += exact;
   stats->pairs_pruned += p * (p - 1) - exact;
@@ -340,7 +355,7 @@ int64_t LshScreen(const uint64_t* sig, const uint64_t* sigs, int64_t begin,
 
 }  // namespace internal
 
-Matrix StackNormalizedMoments(const std::vector<std::vector<float>>& moments,
+Matrix StackNormalizedMoments(RowTable moments,
                               const std::vector<int>& participants) {
   const int64_t p = static_cast<int64_t>(participants.size());
   const int n = static_cast<int>(moments.size());
@@ -348,17 +363,17 @@ Matrix StackNormalizedMoments(const std::vector<std::vector<float>>& moments,
   for (size_t a = 0; a < participants.size(); ++a) {
     const int i = participants[a];
     FEDGTA_CHECK(i >= 0 && i < n);
-    const auto& m = moments[static_cast<size_t>(i)];
+    const size_t size = moments[static_cast<size_t>(i)].size();
     if (a == 0) {
-      d = static_cast<int64_t>(m.size());
+      d = static_cast<int64_t>(size);
     } else {
-      FEDGTA_CHECK_EQ(m.size(), static_cast<size_t>(d));
+      FEDGTA_CHECK_EQ(size, static_cast<size_t>(d));
     }
   }
   Matrix stacked(p, d);
   ParallelForChunked(0, p, [&](int64_t lo, int64_t hi) {
     for (int64_t a = lo; a < hi; ++a) {
-      const auto& src =
+      const std::span<const float> src =
           moments[static_cast<size_t>(participants[static_cast<size_t>(a)])];
       float* dst = stacked.data() + a * d;
       double sq = 0.0;
@@ -380,9 +395,8 @@ Matrix StackNormalizedMoments(const std::vector<std::vector<float>>& moments,
   return stacked;
 }
 
-SimilarityBlock ComputeSimilarityBlock(
-    const std::vector<std::vector<float>>& moments,
-    const std::vector<int>& participants) {
+SimilarityBlock ComputeSimilarityBlock(RowTable moments,
+                                       const std::vector<int>& participants) {
   FEDGTA_PHASE_SCOPE("similarity");
   SimilarityBlock block;
   block.participants = participants;
@@ -435,8 +449,7 @@ double SimilarityQuantile(const SimilarityBlock& block, double q) {
 }
 
 std::vector<std::vector<int>> BuildAggregationSets(
-    const std::vector<std::vector<float>>& moments,
-    const std::vector<int>& participants, double epsilon,
+    RowTable moments, const std::vector<int>& participants, double epsilon,
     const SimilarityPlaneOptions& plane, SimilarityStats* stats) {
   const Matrix normalized = StackNormalizedMoments(moments, participants);
   const int64_t p = normalized.rows();

@@ -2,12 +2,36 @@
 #define FEDGTA_CORE_SIMILARITY_H_
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
 #include "linalg/matrix.h"
 
 namespace fedgta {
+
+/// Read-only float rows indexed by client id (uploaded moments or
+/// parameters), viewed where they already live: in a table of vectors or
+/// in a table of spans, e.g. into the round's uploads. Converts implicitly
+/// from either and must not outlive it.
+class RowTable {
+ public:
+  RowTable(const std::vector<std::vector<float>>& rows)  // NOLINT
+      : vectors_(rows.data()), size_(rows.size()) {}
+  RowTable(const std::vector<std::span<const float>>& rows)  // NOLINT
+      : spans_(rows.data()), size_(rows.size()) {}
+
+  size_t size() const { return size_; }
+  std::span<const float> operator[](size_t i) const {
+    return vectors_ != nullptr ? std::span<const float>(vectors_[i])
+                               : spans_[i];
+  }
+
+ private:
+  const std::vector<float>* vectors_ = nullptr;
+  const std::span<const float>* spans_ = nullptr;
+  size_t size_ = 0;
+};
 
 /// How the server evaluates the Eq. (6) pairwise-similarity predicate.
 ///  * kExact — the determinism oracle: every participant pair goes through
@@ -103,15 +127,14 @@ struct SimilarityBlock {
 /// Stacks the participants' moment vectors into one row-major matrix with
 /// every row L2-normalized (all-zero rows stay zero, matching the
 /// CosineSimilarity convention that zero vectors have similarity 0).
-Matrix StackNormalizedMoments(const std::vector<std::vector<float>>& moments,
+Matrix StackNormalizedMoments(RowTable moments,
                               const std::vector<int>& participants);
 
 /// The full cosine block in one M·Mᵀ through the backend GEMM. Used by the
 /// adaptive-ε extension (which needs every pair for the quantile) and as
 /// the inspection/test surface of the plane.
-SimilarityBlock ComputeSimilarityBlock(
-    const std::vector<std::vector<float>>& moments,
-    const std::vector<int>& participants);
+SimilarityBlock ComputeSimilarityBlock(RowTable moments,
+                                       const std::vector<int>& participants);
 
 /// Aggregation sets (Eq. 6) from a precomputed block: for participant
 /// i = participants[a], the set is {i} followed by every participant j
@@ -130,15 +153,15 @@ double SimilarityQuantile(const SimilarityBlock& block, double q);
 /// returned indexed by client id (non-participants get empty sets). The
 /// default plane is kExact, the determinism oracle: it sweeps the GEMM
 /// block in row panels. kLsh visits each unordered pair once — the Hamming
-/// prescreen, then an exact cosine check of the survivors — mirrors
-/// admitted pairs into both rows and orders every row by participant
-/// index, so its sets match the oracle's member for member whenever the
-/// screen has no false negatives (see lsh_margin). Candidate generation is
-/// timed under the `similarity_candidates` phase and counted in the
+/// prescreen, then an exact cosine check of the survivors read in place by
+/// Backend::GatherDots — mirrors admitted pairs into both rows on the pool
+/// and orders every row by participant index, so its sets match the
+/// oracle's member for member whenever the screen has no false negatives
+/// (see lsh_margin). Candidate generation is timed under the
+/// `similarity_candidates` phase and counted in the
 /// `fedgta.similarity.pairs_{exact,pruned}` counters.
 std::vector<std::vector<int>> BuildAggregationSets(
-    const std::vector<std::vector<float>>& moments,
-    const std::vector<int>& participants, double epsilon,
+    RowTable moments, const std::vector<int>& participants, double epsilon,
     const SimilarityPlaneOptions& plane = SimilarityPlaneOptions(),
     SimilarityStats* stats = nullptr);
 

@@ -30,19 +30,19 @@ void FedGtaStrategy::Aggregate(const std::vector<int>& participants,
                                const std::vector<LocalResult>& results) {
   FEDGTA_PHASE_SCOPE("aggregation");
   if (results.empty()) return;
-  // Scatter uploads into id-indexed tables for the core aggregation. Eq. 6
-  // set building inside runs the similarity plane selected by
-  // options_.similarity (exact GEMM sweep or LSH-pruned; DESIGN.md §5h).
-  std::vector<ClientMetrics> metrics(static_cast<size_t>(num_clients_));
-  std::vector<std::vector<float>> params(static_cast<size_t>(num_clients_));
+  // Id-indexed views of the uploads, read in place by Eq. 6 and Eq. 7.
+  // Set building runs the similarity plane selected by options_.similarity
+  // (exact GEMM sweep or LSH-pruned; DESIGN.md §5h).
+  std::vector<std::span<const float>> params(static_cast<size_t>(num_clients_));
+  std::vector<std::span<const float>> moments(params.size());
   for (const LocalResult& r : results) {
-    metrics[static_cast<size_t>(r.client_id)] = r.metrics;
-    params[static_cast<size_t>(r.client_id)] = r.params;
-    last_confidences_[static_cast<size_t>(r.client_id)] =
-        r.metrics.confidence;
+    const size_t id = static_cast<size_t>(r.client_id);
+    params[id] = r.params;
+    moments[id] = r.metrics.moments;
+    last_confidences_[id] = r.metrics.confidence;
   }
-  FedGtaAggregate(metrics, params, train_sizes_, participants, options_,
-                  &personal_, &last_sets_);
+  FedGtaAggregate(params, moments, last_confidences_, train_sizes_,
+                  participants, options_, &personal_, &last_sets_);
 }
 
 void FedGtaStrategy::SaveState(serialize::Writer* writer) const {

@@ -50,7 +50,8 @@ Matrix DecoupledGnn::Forward(bool training) {
 
 void DecoupledGnn::Backward(const Matrix& dlogits, const Matrix* dhidden) {
   FEDGTA_CHECK(mlp_ != nullptr);
-  mlp_->Backward(dlogits, dhidden);
+  // The propagated features are constants: no input gradient.
+  mlp_->Backward(dlogits, dhidden, /*input_grad=*/false);
 }
 
 std::vector<ParamRef> DecoupledGnn::Params() {

@@ -48,6 +48,28 @@ void Backend::RowSoftmaxRows(float* data, int64_t cols, int64_t row_begin,
   }
 }
 
+void Backend::GatherDots(const float* row, const float* table, int64_t d,
+                         std::span<const int32_t> idx, float* out) const {
+  if (idx.empty()) return;
+  // Gather the listed rows and run the 1 x |idx| GEMM against their
+  // transposed view; the buffer is per thread and reused across calls.
+  thread_local std::vector<float> gathered;
+  const int64_t c = static_cast<int64_t>(idx.size());
+  gathered.resize(static_cast<size_t>(c * d));
+  for (int64_t k = 0; k < c; ++k) {
+    std::copy_n(table + int64_t{idx[static_cast<size_t>(k)]} * d, d,
+                gathered.data() + k * d);
+  }
+  GemmCall call;
+  call.a = {row, d, 1};
+  call.b = {gathered.data(), 1, d};
+  call.m = 1;
+  call.n = c;
+  call.k = d;
+  call.c = out;
+  GemmRows(call, 0, 1);
+}
+
 void Backend::ColumnSums(const float* data, int64_t rows, int64_t cols,
                          float* out) const {
   std::fill(out, out + cols, 0.0f);

@@ -75,6 +75,9 @@ struct SpmmCall {
 ///    order not depend on which operand a row came in through. The
 ///    symmetric LSH pass of Eq. 6 exact-checks each unordered pair once
 ///    and mirrors the result into both rows on this contract.
+///  * GatherDots(row, table, d, idx) writes, for every j, the bits of
+///    GemmRows element (0, j) of row times the gathered rows, so the LSH
+///    pass's in-place exact check agrees with the exact sweep's block.
 ///  * ISA variants within a backend: a backend that compiles one kernel for
 ///    several ISAs and picks one at run time must make every variant do
 ///    identical per-element operations — no FMA, no reassociation — so its
@@ -102,6 +105,16 @@ class Backend {
   /// Computes (overwrites) rows [row_begin, row_end) of call.out.
   virtual void SpmmRows(const SpmmCall& call, int64_t row_begin,
                         int64_t row_end) const = 0;
+
+  /// out[j] = row · table[idx[j]] for every j < idx.size(), where `row` has
+  /// d floats and `table` is row-major with d columns (the Eq. 6 exact check
+  /// of one moment row against its screened candidates). out[j] must be
+  /// bitwise equal to element (0, j) of the GemmRows product of `row` (1 x d)
+  /// with the listed rows gathered into a transposed d x |idx| view, alpha 1,
+  /// beta 0. The base implementation gathers the rows and runs exactly that
+  /// GemmRows; an override reads them in place.
+  virtual void GatherDots(const float* row, const float* table, int64_t d,
+                          std::span<const int32_t> idx, float* out) const;
 
   /// y += alpha * x. Base implementation is the portable scalar loop.
   virtual void Axpy(float alpha, std::span<const float> x,
@@ -170,10 +183,12 @@ std::unique_ptr<Backend> MakeReferenceBackend();
 std::unique_ptr<Backend> MakeBlockedBackend();
 std::unique_ptr<Backend> MakeSimdBackend();
 
-/// The reference backend's GEMM and SpMM row kernels, one body compiled for
-/// the baseline ISA and for AVX2 without FMA. The backend runs the AVX2 pair
-/// when ReferenceAvx2Supported(); both write bitwise-equal outputs. Non-x86
-/// builds compile the baseline only, and the Avx2 names run it.
+/// The reference backend's GEMM, SpMM and GatherDots kernels, one body
+/// compiled for the baseline ISA and for AVX2 without FMA. The backend runs
+/// the AVX2 set when ReferenceAvx2Supported(); both write bitwise-equal
+/// outputs. Non-x86 builds compile the baseline only, and the Avx2 names run
+/// it. Every one starts on a 64-byte boundary, so unrelated code that moves
+/// them cannot change how they sit in the instruction cache (ci.sh checks).
 bool ReferenceAvx2Supported();
 void ReferenceGemmRowsBaseline(const GemmCall& call, int64_t row_begin,
                                int64_t row_end);
@@ -183,6 +198,11 @@ void ReferenceSpmmRowsBaseline(const SpmmCall& call, int64_t row_begin,
                                int64_t row_end);
 void ReferenceSpmmRowsAvx2(const SpmmCall& call, int64_t row_begin,
                            int64_t row_end);
+void ReferenceGatherDotsBaseline(const float* row, const float* table,
+                                 int64_t d, std::span<const int32_t> idx,
+                                 float* out);
+void ReferenceGatherDotsAvx2(const float* row, const float* table, int64_t d,
+                             std::span<const int32_t> idx, float* out);
 }  // namespace internal
 
 }  // namespace linalg

@@ -10,7 +10,8 @@
 // zero alpha*A(i, p), and rounds the product before adding it (no FMA: this
 // file builds with -ffp-contract=off, and the avx2 target leaves fma off).
 // Wider vectors only handle more j at once, so every float is bitwise equal
-// on every host.
+// on every host. GatherDots does the single-row GEMM's operations on each of
+// its outputs.
 
 #include <algorithm>
 #include <vector>
@@ -105,12 +106,41 @@ FEDGTA_REFERENCE_BODY void SpmmRowsBody(const SpmmCall& call,
   }
 }
 
+/// out[j] = row · table[idx[j]], eight candidates at a time: each keeps its
+/// own sum and gets the GemmRows single-row operations on element (0, j) —
+/// start at zero, add a_p * t_p in ascending p, skip a zero a_p — so only
+/// the number of independent sums in flight differs. A short last block
+/// repeats its final candidate in the spare lanes and stores the real ones.
+FEDGTA_REFERENCE_BODY void GatherDotsBody(const float* row, const float* table,
+                                          int64_t d,
+                                          std::span<const int32_t> idx,
+                                          float* out) {
+  constexpr int64_t kLanes = 8;
+  const int64_t count = static_cast<int64_t>(idx.size());
+  for (int64_t j = 0; j < count; j += kLanes) {
+    const int64_t lanes = std::min(kLanes, count - j);
+    const float* t[kLanes];
+    for (int64_t u = 0; u < kLanes; ++u) {
+      const int32_t r = idx[static_cast<size_t>(j + std::min(u, lanes - 1))];
+      t[u] = table + int64_t{r} * d;
+    }
+    float sum[kLanes] = {};
+    for (int64_t p = 0; p < d; ++p) {
+      const float a_p = row[p];
+      if (a_p == 0.0f) continue;
+      for (int64_t u = 0; u < kLanes; ++u) sum[u] += a_p * t[u][p];
+    }
+    for (int64_t u = 0; u < lanes; ++u) out[j + u] = sum[u];
+  }
+}
+
 class ReferenceBackend : public Backend {
  public:
   ReferenceBackend() {
     if (internal::ReferenceAvx2Supported()) {
       gemm_rows_ = internal::ReferenceGemmRowsAvx2;
       spmm_rows_ = internal::ReferenceSpmmRowsAvx2;
+      gather_dots_ = internal::ReferenceGatherDotsAvx2;
     }
   }
 
@@ -126,11 +156,19 @@ class ReferenceBackend : public Backend {
     spmm_rows_(call, row_begin, row_end);
   }
 
+  void GatherDots(const float* row, const float* table, int64_t d,
+                  std::span<const int32_t> idx, float* out) const override {
+    gather_dots_(row, table, d, idx, out);
+  }
+
  private:
   void (*gemm_rows_)(const GemmCall&, int64_t, int64_t) =
       internal::ReferenceGemmRowsBaseline;
   void (*spmm_rows_)(const SpmmCall&, int64_t, int64_t) =
       internal::ReferenceSpmmRowsBaseline;
+  void (*gather_dots_)(const float*, const float*, int64_t,
+                       std::span<const int32_t>, float*) =
+      internal::ReferenceGatherDotsBaseline;
 };
 
 }  // namespace
@@ -141,19 +179,25 @@ std::unique_ptr<Backend> MakeReferenceBackend() {
   return std::make_unique<ReferenceBackend>();
 }
 
+// Each kernel starts a cache line: where the linker puts the rest of the
+// program must not change how the hot loops are fetched.
+#define FEDGTA_REFERENCE_KERNEL __attribute__((aligned(64)))
+
 #if defined(__x86_64__) || defined(__i386__)
 bool ReferenceAvx2Supported() {
   __builtin_cpu_init();
   return __builtin_cpu_supports("avx2");
 }
-#define FEDGTA_REFERENCE_AVX2 __attribute__((target("avx2")))
+#define FEDGTA_REFERENCE_AVX2 \
+  FEDGTA_REFERENCE_KERNEL __attribute__((target("avx2")))
 #else
 bool ReferenceAvx2Supported() { return false; }
-#define FEDGTA_REFERENCE_AVX2
+#define FEDGTA_REFERENCE_AVX2 FEDGTA_REFERENCE_KERNEL
 #endif
 
-void ReferenceGemmRowsBaseline(const GemmCall& call, int64_t row_begin,
-                               int64_t row_end) {
+FEDGTA_REFERENCE_KERNEL void ReferenceGemmRowsBaseline(const GemmCall& call,
+                                                       int64_t row_begin,
+                                                       int64_t row_end) {
   GemmRowsBody(call, row_begin, row_end);
 }
 
@@ -163,8 +207,9 @@ FEDGTA_REFERENCE_AVX2 void ReferenceGemmRowsAvx2(const GemmCall& call,
   GemmRowsBody(call, row_begin, row_end);
 }
 
-void ReferenceSpmmRowsBaseline(const SpmmCall& call, int64_t row_begin,
-                               int64_t row_end) {
+FEDGTA_REFERENCE_KERNEL void ReferenceSpmmRowsBaseline(const SpmmCall& call,
+                                                       int64_t row_begin,
+                                                       int64_t row_end) {
   SpmmRowsBody(call, row_begin, row_end);
 }
 
@@ -172,6 +217,18 @@ FEDGTA_REFERENCE_AVX2 void ReferenceSpmmRowsAvx2(const SpmmCall& call,
                                                  int64_t row_begin,
                                                  int64_t row_end) {
   SpmmRowsBody(call, row_begin, row_end);
+}
+
+FEDGTA_REFERENCE_KERNEL void ReferenceGatherDotsBaseline(
+    const float* row, const float* table, int64_t d,
+    std::span<const int32_t> idx, float* out) {
+  GatherDotsBody(row, table, d, idx, out);
+}
+
+FEDGTA_REFERENCE_AVX2 void ReferenceGatherDotsAvx2(
+    const float* row, const float* table, int64_t d,
+    std::span<const int32_t> idx, float* out) {
+  GatherDotsBody(row, table, d, idx, out);
 }
 
 }  // namespace internal

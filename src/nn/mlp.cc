@@ -36,7 +36,12 @@ Matrix Mlp::Forward(const Matrix& x, bool training) {
   return layers_.back().Forward(h);
 }
 
-Matrix Mlp::Backward(const Matrix& dlogits, const Matrix* dhidden) {
+Matrix Mlp::Backward(const Matrix& dlogits, const Matrix* dhidden,
+                     bool input_grad) {
+  if (config_.num_layers == 1 && !input_grad) {
+    layers_[0].BackwardParams(dlogits);
+    return Matrix();
+  }
   Matrix grad = layers_.back().Backward(dlogits);
   if (dhidden != nullptr) {
     FEDGTA_CHECK_EQ(dhidden->rows(), grad.rows());
@@ -48,6 +53,10 @@ Matrix Mlp::Backward(const Matrix& dlogits, const Matrix* dhidden) {
       DropoutBackward(dropout_masks_[static_cast<size_t>(l)], &grad);
     }
     ReluBackwardInPlace(pre_activations_[static_cast<size_t>(l)], &grad);
+    if (l == 0 && !input_grad) {
+      layers_[0].BackwardParams(grad);
+      return Matrix();
+    }
     grad = layers_[static_cast<size_t>(l)].Backward(grad);
   }
   return grad;

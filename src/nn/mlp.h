@@ -31,8 +31,12 @@ class Mlp {
 
   /// Backward from the loss gradient wrt logits; optionally add a gradient
   /// wrt the last hidden representation (`dhidden`, may be nullptr).
-  /// Accumulates parameter gradients and returns dX.
-  Matrix Backward(const Matrix& dlogits, const Matrix* dhidden = nullptr);
+  /// Accumulates parameter gradients and returns dX. With `input_grad`
+  /// false the first layer runs Linear::BackwardParams, skipping the dX
+  /// GEMM, and an empty matrix is returned (the parameter gradients are
+  /// bitwise the same).
+  Matrix Backward(const Matrix& dlogits, const Matrix* dhidden = nullptr,
+                  bool input_grad = true);
 
   std::vector<ParamRef> Params();
   void ZeroGrad();

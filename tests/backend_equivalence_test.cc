@@ -4,12 +4,16 @@
 // alpha/beta variants, odd shapes, SIMD-width straddlers, and the SpMM
 // corner cases (empty rows, dense rows, duplicate-merged COO). Also pins
 // the within-backend determinism contract: a backend's output must be
-// bit-identical for any row chunking.
+// bit-identical for any row chunking, and the GatherDots contract: each
+// output equals the backend's own GemmRows element bit for bit.
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <iterator>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -275,6 +279,87 @@ TEST(BackendEquivalence, VectorOpsMatchReference) {
     Matrix got_softmax = m;
     backend->RowSoftmaxRows(got_softmax.data(), 33, 0, 57);
     ExpectAllCloseRel(got_softmax, want_softmax, name + " softmax");
+  }
+}
+
+// The GatherDots contract (linalg/backend.h): for every backend, each
+// output is bitwise element (0, j) of that backend's GemmRows on the
+// gathered rows. Rows with zero entries exercise the skipped products;
+// widths straddle the eight-candidate blocks of the reference kernel, and
+// the index lists repeat and run out of order. The reference kernel's two
+// ISA variants are held to the reference GemmRows as well.
+TEST(BackendEquivalence, GatherDotsBitwiseEqualToGemmRowsElement) {
+  using GatherDotsFn = std::function<void(const float*, const float*, int64_t,
+                                          std::span<const int32_t>, float*)>;
+  struct Kernel {
+    std::string name;
+    GatherDotsFn gather_dots;
+    const linalg::Backend* gemm;
+  };
+  std::vector<Kernel> kernels;
+  for (const std::string& name : linalg::ListBackends()) {
+    const linalg::Backend* backend = linalg::FindBackend(name);
+    ASSERT_NE(backend, nullptr) << name;
+    kernels.push_back(
+        {name,
+         [backend](const float* row, const float* table, int64_t d,
+                   std::span<const int32_t> idx, float* out) {
+           backend->GatherDots(row, table, d, idx, out);
+         },
+         backend});
+  }
+  const linalg::Backend* reference = linalg::FindBackend("reference");
+  kernels.push_back({"reference/baseline",
+                     linalg::internal::ReferenceGatherDotsBaseline,
+                     reference});
+  if (linalg::internal::ReferenceAvx2Supported()) {
+    kernels.push_back({"reference/avx2",
+                       linalg::internal::ReferenceGatherDotsAvx2, reference});
+  }
+
+  const int64_t rows = 40;
+  Rng rng(2024);
+  for (const int64_t d : {1, 7, 8, 150, 257, 300}) {
+    Matrix table = RandomMatrix(rows, d, rng);
+    std::vector<float> row(static_cast<size_t>(d));
+    for (int64_t p = 0; p < d; ++p) {
+      // Every third entry zero (one of them negative zero).
+      row[static_cast<size_t>(p)] =
+          p % 3 == 1 ? (p == 1 ? -0.0f : 0.0f) : rng.Normal();
+    }
+    for (const int64_t count : {0, 1, 7, 8, 9, 700}) {
+      // Unsorted, and with repeats once count passes the table height.
+      std::vector<int32_t> idx(static_cast<size_t>(count));
+      for (int64_t j = 0; j < count; ++j) {
+        idx[static_cast<size_t>(j)] =
+            static_cast<int32_t>((j * 17 + 5) % rows);
+      }
+      if (count > 1) idx[1] = idx[0];
+      Matrix gathered(std::max<int64_t>(count, 1), d);
+      for (int64_t j = 0; j < count; ++j) {
+        std::copy_n(table.data() + int64_t{idx[static_cast<size_t>(j)]} * d,
+                    d, gathered.data() + j * d);
+      }
+      for (const Kernel& kernel : kernels) {
+        SCOPED_TRACE(testing::Message() << kernel.name << " d=" << d
+                                        << " count=" << count);
+        std::vector<float> want(static_cast<size_t>(count) + 1, -1.0f);
+        linalg::GemmCall call;
+        call.a = {row.data(), d, 1};
+        call.b = {gathered.data(), 1, d};
+        call.m = 1;
+        call.n = count;
+        call.k = d;
+        call.c = want.data();
+        if (count > 0) kernel.gemm->GemmRows(call, 0, 1);
+        // The sentinel past the end must survive: no write beyond count.
+        std::vector<float> got(static_cast<size_t>(count) + 1, -1.0f);
+        kernel.gather_dots(row.data(), table.data(), d, idx, got.data());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              sizeof(float) * got.size()),
+                  0);
+      }
+    }
   }
 }
 

@@ -236,6 +236,48 @@ TEST(MlpTest, HiddenGradientInjectionFlowsToFirstLayer) {
   EXPECT_DOUBLE_EQ(params[2].grad->FrobeniusNorm(), 0.0);
 }
 
+// A params-only backward (input_grad false) skips the first layer's dX
+// GEMM and must leave every parameter gradient bitwise unchanged, with
+// dropout masks and an injected hidden gradient in play.
+TEST(MlpTest, ParamsOnlyBackwardMatchesFullBackward) {
+  for (int layers : {1, 2, 3}) {
+    SCOPED_TRACE(testing::Message() << "layers=" << layers);
+    Rng rng(21);
+    MlpConfig cfg;
+    cfg.in_dim = 6;
+    cfg.hidden_dim = 5;
+    cfg.out_dim = 3;
+    cfg.num_layers = layers;
+    cfg.dropout = 0.3f;
+    Mlp mlp(cfg, rng);
+    Matrix x(8, 6);
+    x.GaussianInit(rng, 1.0f);
+    (void)mlp.Forward(x, /*training=*/true);
+    Matrix dlogits(8, 3);
+    dlogits.GaussianInit(rng, 1.0f);
+    Matrix dhidden(8, layers == 1 ? 6 : 5);
+    dhidden.GaussianInit(rng, 1.0f);
+
+    const auto grads = [&](bool input_grad) {
+      mlp.ZeroGrad();
+      const Matrix dx = mlp.Backward(dlogits, &dhidden, input_grad);
+      EXPECT_EQ(dx.empty(), !input_grad);
+      std::vector<Matrix> out;
+      for (const ParamRef& p : mlp.Params()) out.push_back(*p.grad);
+      return out;
+    };
+    const std::vector<Matrix> full = grads(true);
+    const std::vector<Matrix> params_only = grads(false);
+    ASSERT_EQ(full.size(), params_only.size());
+    for (size_t i = 0; i < full.size(); ++i) {
+      const size_t bytes = sizeof(float) * static_cast<size_t>(full[i].size());
+      ASSERT_EQ(params_only[i].size(), full[i].size());
+      EXPECT_EQ(std::memcmp(params_only[i].data(), full[i].data(), bytes), 0)
+          << "param " << i;
+    }
+  }
+}
+
 TEST(MlpTest, DropoutActiveOnlyInTraining) {
   Rng rng(9);
   MlpConfig cfg;

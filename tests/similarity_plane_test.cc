@@ -1,12 +1,14 @@
 // Tests of the server similarity/aggregation plane (DESIGN.md §5h): the
 // GEMM-backed Eq. 6 block and its operand symmetry, the symmetric LSH
 // pass's exact-set parity, the hardware/portable screen agreement,
-// the nth_element quantile rewrite, and the deduplicated parallel Eq. 7.
+// the nth_element quantile rewrite, and the deduplicated parallel Eq. 7
+// over uploads read in place.
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "common/thread_pool.h"
 #include "core/fedgta_metrics.h"
 #include "core/similarity.h"
+#include "fed/fedgta_strategy.h"
 #include "fed/role.h"
 #include "fed/shard_plane.h"
 #include "linalg/backend.h"
@@ -427,6 +430,127 @@ TEST(FedGtaAggregatePlaneTest, ResultsInvariantToThreadCount) {
   }
   SetGlobalThreadPoolSize(1);
   EXPECT_EQ(runs[0], runs[1]);
+}
+
+// The strategy reads its uploads in place, in whatever order they arrive;
+// Eq. 6 groups are built on the pool and Eq. 7 visits them sorted by set.
+// None of that may show: with shuffled uploads, partial participation in
+// shuffled order, both similarity modes and 1 or 4 threads, the sets, the
+// group order and every personalized weight must equal a naive serial
+// Eq. 6 + first-appearance Eq. 7 bit for bit.
+TEST(FedGtaAggregatePlaneTest, ShuffledUploadsMatchNaiveFirstAppearanceEq7) {
+  const int n = 60;
+  const int dim = 33;
+  const double epsilon = 0.5;
+  const auto moments = ClusteredMoments(n, 5, 40, /*seed=*/17, 0.05f);
+  Rng rng(5);
+  std::vector<int> participants;
+  for (int i = 0; i < n; ++i) {
+    if (i % 5 != 2) participants.push_back(i);
+  }
+  rng.Shuffle(participants);
+  std::vector<LocalResult> uploads;
+  std::vector<int64_t> train_sizes(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) train_sizes[static_cast<size_t>(i)] = 7 + i;
+  for (int i : participants) {
+    LocalResult r;
+    r.client_id = i;
+    r.params.resize(static_cast<size_t>(dim));
+    for (float& x : r.params) x = rng.Normal();
+    r.metrics.moments = moments[static_cast<size_t>(i)];
+    r.metrics.confidence = 0.2 + 0.013 * i;
+    uploads.push_back(std::move(r));
+  }
+  rng.Shuffle(uploads);
+  std::vector<const LocalResult*> by_id(static_cast<size_t>(n), nullptr);
+  for (const LocalResult& r : uploads) {
+    by_id[static_cast<size_t>(r.client_id)] = &r;
+  }
+
+  // Naive Eq. 6: {i}, then every other participant, in participants order,
+  // whose double-precision cosine reaches ε (the clusters sit far from it).
+  const auto cosine = [&](int i, int j) {
+    double dot = 0.0, ni = 0.0, nj = 0.0;
+    for (size_t k = 0; k < moments[0].size(); ++k) {
+      const double a = moments[static_cast<size_t>(i)][k];
+      const double b = moments[static_cast<size_t>(j)][k];
+      dot += a * b;
+      ni += a * a;
+      nj += b * b;
+    }
+    return dot / std::sqrt(ni * nj);
+  };
+  std::vector<std::vector<int>> want_sets(static_cast<size_t>(n));
+  for (int i : participants) {
+    want_sets[static_cast<size_t>(i)].push_back(i);
+    for (int j : participants) {
+      if (j != i && cosine(i, j) >= epsilon) {
+        want_sets[static_cast<size_t>(i)].push_back(j);
+      }
+    }
+  }
+  // First-appearance groups and their Eq. 7 weights.
+  std::vector<AggregationGroup> want_groups;
+  for (int i : participants) {
+    std::vector<int> canonical = want_sets[static_cast<size_t>(i)];
+    std::sort(canonical.begin(), canonical.end());
+    auto it = std::find_if(want_groups.begin(), want_groups.end(),
+                           [&](const AggregationGroup& g) {
+                             return g.canonical == canonical;
+                           });
+    if (it == want_groups.end()) {
+      want_groups.push_back({canonical, {}});
+      it = want_groups.end() - 1;
+    }
+    it->clients.push_back(i);
+  }
+  const std::vector<float> init(static_cast<size_t>(dim), 0.25f);
+  std::vector<std::vector<float>> want(static_cast<size_t>(n), init);
+  for (const AggregationGroup& g : want_groups) {
+    double weight_sum = 0.0;
+    for (int j : g.canonical) {
+      weight_sum += by_id[static_cast<size_t>(j)]->metrics.confidence;
+    }
+    std::vector<float> out(static_cast<size_t>(dim), 0.0f);
+    for (int j : g.canonical) {
+      const LocalResult& r = *by_id[static_cast<size_t>(j)];
+      Axpy(static_cast<float>(r.metrics.confidence / weight_sum), r.params,
+           out);
+    }
+    for (int i : g.clients) want[static_cast<size_t>(i)] = out;
+  }
+  ASSERT_GT(want_groups.size(), 1u);
+  ASSERT_LT(want_groups.size(), participants.size());
+
+  for (const SimilarityMode mode :
+       {SimilarityMode::kExact, SimilarityMode::kLsh}) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << SimilarityModeName(mode)
+                                      << " threads=" << threads);
+      SetGlobalThreadPoolSize(threads);
+      FedGtaOptions options;
+      options.epsilon = epsilon;
+      options.similarity.mode = mode;
+      FedGtaStrategy strategy(options);
+      strategy.Initialize(n, train_sizes, init);
+      strategy.Aggregate(participants, uploads);
+      for (int i = 0; i < n; ++i) {
+        const std::span<const float> got = strategy.ParamsFor(i);
+        EXPECT_EQ(std::vector<float>(got.begin(), got.end()),
+                  want[static_cast<size_t>(i)])
+            << "client " << i;
+      }
+      EXPECT_EQ(strategy.last_aggregation_sets(), want_sets);
+      const std::vector<AggregationGroup> groups =
+          GroupByAggregationSet(moments, participants, options);
+      ASSERT_EQ(groups.size(), want_groups.size());
+      for (size_t g = 0; g < groups.size(); ++g) {
+        EXPECT_EQ(groups[g].canonical, want_groups[g].canonical) << g;
+        EXPECT_EQ(groups[g].clients, want_groups[g].clients) << g;
+      }
+    }
+  }
+  SetGlobalThreadPoolSize(1);
 }
 
 // Satellite regression: adaptive-ε must compute the similarity block once
