@@ -34,8 +34,9 @@ cmake --build "$BUILD_DIR" -j"$JOBS"
 
 # The reference kernels start on 64-byte boundaries (aligned(64) in
 # src/linalg/backend_reference.cc), so code added elsewhere cannot shift
-# them against cache lines and move kernel-bound timings. Check all six
-# GEMM/SpMM/GatherDots variants in the library and in a binary linking it.
+# them against cache lines and move kernel-bound timings. Check all eight
+# GEMM/SpMM/GatherDots/Axpy variants in the library and in a binary
+# linking it.
 check_kernel_alignment() {
   local file=$1 found=0 addr name
   while read -r addr name; do
@@ -45,9 +46,9 @@ check_kernel_alignment() {
       return 1
     fi
   done < <(nm -C --defined-only "$file" |
-    awk '$2 ~ /^[Tt]$/ && $3 ~ /^fedgta::linalg::internal::Reference(GemmRows|SpmmRows|GatherDots)(Baseline|Avx2)\(/ { print $1, $3 }')
-  if (( found != 6 )); then
-    echo "expected 6 reference kernels in $file, found $found" >&2
+    awk '$2 ~ /^[Tt]$/ && $3 ~ /^fedgta::linalg::internal::Reference(GemmRows|SpmmRows|GatherDots|Axpy)(Baseline|Avx2)\(/ { print $1, $3 }')
+  if (( found != 8 )); then
+    echo "expected 8 reference kernels in $file, found $found" >&2
     return 1
   fi
   echo "reference kernels 64-byte aligned in $file"

@@ -243,19 +243,19 @@ net::RoutedMsg MakeEnvelope(net::EnvelopeKind kind, int round) {
   return msg;
 }
 
-Result<std::vector<std::vector<float>>> MomentTable(
-    int num_clients, std::vector<LocalResult>& results) {
-  std::vector<std::vector<float>> table(static_cast<size_t>(num_clients));
+Result<std::vector<std::span<const float>>> MomentTable(
+    int num_clients, const std::vector<LocalResult>& results) {
+  std::vector<std::span<const float>> table(static_cast<size_t>(num_clients));
   const size_t width =
       results.empty() ? 0 : results.front().metrics.moments.size();
-  for (LocalResult& r : results) {
+  for (const LocalResult& r : results) {
     if (r.metrics.moments.size() != width) {
       return InvalidArgumentError(StrFormat(
           "moment rows of %zu and %zu floats: every survivor must upload the "
           "same width",
           width, r.metrics.moments.size()));
     }
-    table[static_cast<size_t>(r.client_id)] = std::move(r.metrics.moments);
+    table[static_cast<size_t>(r.client_id)] = r.metrics.moments;
   }
   return table;
 }
@@ -728,7 +728,7 @@ Status RootCoordinator::Aggregate(int round, const std::vector<int>& ids,
     std::iota(all.clients.begin(), all.clients.end(), 0);
     return AggregateGroups(round, {all});
   }
-  Result<std::vector<std::vector<float>>> moments =
+  Result<std::vector<std::span<const float>>> moments =
       MomentTable(data_.num_clients(), results);
   FEDGTA_RETURN_IF_ERROR(moments.status());
   for (const LocalResult& r : results) {

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -211,13 +212,14 @@ Status UnpackEnvelope(const net::RoutedMsg& msg, net::EnvelopeKind kind,
   return OkStatus();
 }
 
-/// The root's Eq. 6 input: moves each survivor's shipped moment row out of
-/// `results` into a client-id-indexed table of `num_clients` rows, the
-/// layout GroupByAggregationSet reads. Each shard's WorkerFleet pins only
-/// its own row width, so rows of differing widths are InvalidArgument here
+/// The root's Eq. 6 input: a client-id-indexed table of `num_clients`
+/// views of each survivor's shipped moment row, read in place from
+/// `results` (which must outlive it) by GroupByAggregationSet; clients
+/// without a row get an empty view. Each shard's WorkerFleet pins only its
+/// own row width, so rows of differing widths are InvalidArgument here
 /// instead of an abort in StackNormalizedMoments.
-Result<std::vector<std::vector<float>>> MomentTable(
-    int num_clients, std::vector<LocalResult>& results);
+Result<std::vector<std::span<const float>>> MomentTable(
+    int num_clients, const std::vector<LocalResult>& results);
 
 /// The root of a hierarchical federation (DESIGN.md §5k) and the
 /// RoundEngine's transport for it: accepts `config.num_aggregators`

@@ -77,14 +77,21 @@ struct SpmmCall {
 ///    and mirrors the result into both rows on this contract.
 ///  * GatherDots(row, table, d, idx) writes, for every j, the bits of
 ///    GemmRows element (0, j) of row times the gathered rows, so the LSH
-///    pass's in-place exact check agrees with the exact sweep's block.
+///    pass's in-place exact check agrees with the exact sweep's block. The
+///    override of "reference" and of "simd" runs each candidate as one
+///    vector lane (gather_dots.h) with the backend's own GemmRows
+///    operations on that element; "blocked" gathers and runs GemmRows.
 ///  * ISA variants within a backend: a backend that compiles one kernel for
 ///    several ISAs and picks one at run time must make every variant do
 ///    identical per-element operations — no FMA, no reassociation — so its
-///    floats do not depend on the host. The reference backend's baseline
-///    and AVX2 variants are bitwise equal (linalg_test pins it). The one
-///    exception is "simd", whose AVX2+FMA and portable variants differ in
-///    rounding by design; its description() names the variant running.
+///    floats do not depend on the host; only how many elements one
+///    instruction covers may differ. The reference backend's baseline and
+///    AVX2 variants (GEMM, SpMM, GatherDots, Axpy) are bitwise equal
+///    (linalg_test and backend_equivalence_test pin it). Its source may use
+///    GCC vector extensions but no intrinsics, so one body serves every
+///    ISA. The one exception is "simd", whose AVX2+FMA and portable
+///    variants differ in rounding by design; its description() names the
+///    variant running.
 ///  * Cross-backend results only need to agree within floating-point
 ///    reassociation tolerance (the equivalence suite uses 1e-4 relative).
 class Backend {
@@ -183,12 +190,13 @@ std::unique_ptr<Backend> MakeReferenceBackend();
 std::unique_ptr<Backend> MakeBlockedBackend();
 std::unique_ptr<Backend> MakeSimdBackend();
 
-/// The reference backend's GEMM, SpMM and GatherDots kernels, one body
-/// compiled for the baseline ISA and for AVX2 without FMA. The backend runs
-/// the AVX2 set when ReferenceAvx2Supported(); both write bitwise-equal
-/// outputs. Non-x86 builds compile the baseline only, and the Avx2 names run
-/// it. Every one starts on a 64-byte boundary, so unrelated code that moves
-/// them cannot change how they sit in the instruction cache (ci.sh checks).
+/// The reference backend's GEMM, SpMM, GatherDots and Axpy kernels, one
+/// body each compiled for the baseline ISA and for AVX2 without FMA. The
+/// backend runs the AVX2 set when ReferenceAvx2Supported(); both write
+/// bitwise-equal outputs. Non-x86 builds compile the baseline only, and the
+/// Avx2 names run it. Every one starts on a 64-byte boundary, so unrelated
+/// code that moves them cannot change how they sit in the instruction cache
+/// (ci.sh checks).
 bool ReferenceAvx2Supported();
 void ReferenceGemmRowsBaseline(const GemmCall& call, int64_t row_begin,
                                int64_t row_end);
@@ -203,6 +211,10 @@ void ReferenceGatherDotsBaseline(const float* row, const float* table,
                                  float* out);
 void ReferenceGatherDotsAvx2(const float* row, const float* table, int64_t d,
                              std::span<const int32_t> idx, float* out);
+void ReferenceAxpyBaseline(float alpha, std::span<const float> x,
+                           std::span<float> y);
+void ReferenceAxpyAvx2(float alpha, std::span<const float> x,
+                       std::span<float> y);
 }  // namespace internal
 
 }  // namespace linalg

@@ -1,7 +1,9 @@
 // The "reference" kernel backend: the original straightforward loops, kept
 // as the correctness oracle every other backend is tested against. The
 // kernel bodies must stay simple enough to audit by eye — tiling and
-// intrinsics belong in backend_blocked.cc / backend_simd.cc.
+// intrinsics belong in backend_blocked.cc / backend_simd.cc. GCC vector
+// extensions (vector_size types, __builtin_shufflevector) are allowed:
+// they name no ISA, so one body still compiles for every target.
 //
 // Only their compilation differs: each body is compiled twice, for the
 // baseline ISA and for target("avx2"), and the backend picks the variant
@@ -11,12 +13,15 @@
 // file builds with -ffp-contract=off, and the avx2 target leaves fma off).
 // Wider vectors only handle more j at once, so every float is bitwise equal
 // on every host. GatherDots does the single-row GEMM's operations on each of
-// its outputs.
+// its outputs, through the shared transposed driver (gather_dots.h) with
+// 4-float vectors on the baseline and 8-float vectors on AVX2; Axpy is
+// y[i] += alpha * x[i], product then add, on every element.
 
 #include <algorithm>
 #include <vector>
 
 #include "linalg/backend.h"
+#include "linalg/gather_dots.h"
 
 // The bodies are inlined into each variant so they compile for its ISA.
 #define FEDGTA_REFERENCE_BODY inline __attribute__((always_inline))
@@ -106,32 +111,22 @@ FEDGTA_REFERENCE_BODY void SpmmRowsBody(const SpmmCall& call,
   }
 }
 
-/// out[j] = row · table[idx[j]], eight candidates at a time: each keeps its
-/// own sum and gets the GemmRows single-row operations on element (0, j) —
-/// start at zero, add a_p * t_p in ascending p, skip a zero a_p — so only
-/// the number of independent sums in flight differs. A short last block
-/// repeats its final candidate in the spare lanes and stores the real ones.
-FEDGTA_REFERENCE_BODY void GatherDotsBody(const float* row, const float* table,
-                                          int64_t d,
-                                          std::span<const int32_t> idx,
-                                          float* out) {
-  constexpr int64_t kLanes = 8;
-  const int64_t count = static_cast<int64_t>(idx.size());
-  for (int64_t j = 0; j < count; j += kLanes) {
-    const int64_t lanes = std::min(kLanes, count - j);
-    const float* t[kLanes];
-    for (int64_t u = 0; u < kLanes; ++u) {
-      const int32_t r = idx[static_cast<size_t>(j + std::min(u, lanes - 1))];
-      t[u] = table + int64_t{r} * d;
-    }
-    float sum[kLanes] = {};
-    for (int64_t p = 0; p < d; ++p) {
-      const float a_p = row[p];
-      if (a_p == 0.0f) continue;
-      for (int64_t u = 0; u < kLanes; ++u) sum[u] += a_p * t[u][p];
-    }
-    for (int64_t u = 0; u < lanes; ++u) out[j + u] = sum[u];
+/// The GemmRows single-row operations on element (0, j), for the
+/// transposed GatherDots driver: start at zero, add a_p * t_p in ascending
+/// p with the product rounded first, skip a zero a_p.
+struct ReferenceDotOp {
+  static constexpr bool kSkipZero = true;
+  static constexpr int64_t kPanel = 0;
+  template <class Vec>
+  FEDGTA_REFERENCE_BODY static void Madd(Vec& sum, float a_p,
+                                         const Vec& col) {
+    sum += a_p * col;
   }
+};
+
+FEDGTA_REFERENCE_BODY void AxpyBody(float alpha, std::span<const float> x,
+                                    std::span<float> y) {
+  for (size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
 }
 
 class ReferenceBackend : public Backend {
@@ -141,6 +136,7 @@ class ReferenceBackend : public Backend {
       gemm_rows_ = internal::ReferenceGemmRowsAvx2;
       spmm_rows_ = internal::ReferenceSpmmRowsAvx2;
       gather_dots_ = internal::ReferenceGatherDotsAvx2;
+      axpy_ = internal::ReferenceAxpyAvx2;
     }
   }
 
@@ -161,6 +157,11 @@ class ReferenceBackend : public Backend {
     gather_dots_(row, table, d, idx, out);
   }
 
+  void Axpy(float alpha, std::span<const float> x,
+            std::span<float> y) const override {
+    axpy_(alpha, x, y);
+  }
+
  private:
   void (*gemm_rows_)(const GemmCall&, int64_t, int64_t) =
       internal::ReferenceGemmRowsBaseline;
@@ -169,6 +170,8 @@ class ReferenceBackend : public Backend {
   void (*gather_dots_)(const float*, const float*, int64_t,
                        std::span<const int32_t>, float*) =
       internal::ReferenceGatherDotsBaseline;
+  void (*axpy_)(float, std::span<const float>, std::span<float>) =
+      internal::ReferenceAxpyBaseline;
 };
 
 }  // namespace
@@ -190,9 +193,11 @@ bool ReferenceAvx2Supported() {
 }
 #define FEDGTA_REFERENCE_AVX2 \
   FEDGTA_REFERENCE_KERNEL __attribute__((target("avx2")))
+using Avx2Floats = Floats8;
 #else
 bool ReferenceAvx2Supported() { return false; }
 #define FEDGTA_REFERENCE_AVX2 FEDGTA_REFERENCE_KERNEL
+using Avx2Floats = Floats4;
 #endif
 
 FEDGTA_REFERENCE_KERNEL void ReferenceGemmRowsBaseline(const GemmCall& call,
@@ -222,13 +227,25 @@ FEDGTA_REFERENCE_AVX2 void ReferenceSpmmRowsAvx2(const SpmmCall& call,
 FEDGTA_REFERENCE_KERNEL void ReferenceGatherDotsBaseline(
     const float* row, const float* table, int64_t d,
     std::span<const int32_t> idx, float* out) {
-  GatherDotsBody(row, table, d, idx, out);
+  TransposedGatherDots<Floats4, ReferenceDotOp>(row, table, d, idx, out);
 }
 
 FEDGTA_REFERENCE_AVX2 void ReferenceGatherDotsAvx2(
     const float* row, const float* table, int64_t d,
     std::span<const int32_t> idx, float* out) {
-  GatherDotsBody(row, table, d, idx, out);
+  TransposedGatherDots<Avx2Floats, ReferenceDotOp>(row, table, d, idx, out);
+}
+
+FEDGTA_REFERENCE_KERNEL void ReferenceAxpyBaseline(float alpha,
+                                                   std::span<const float> x,
+                                                   std::span<float> y) {
+  AxpyBody(alpha, x, y);
+}
+
+FEDGTA_REFERENCE_AVX2 void ReferenceAxpyAvx2(float alpha,
+                                             std::span<const float> x,
+                                             std::span<float> y) {
+  AxpyBody(alpha, x, y);
 }
 
 }  // namespace internal

@@ -8,6 +8,7 @@
 #include <cstdint>
 
 #include "linalg/backend.h"
+#include "linalg/gather_dots.h"
 #include "linalg/gemm_tile.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -42,7 +43,40 @@ struct PortableMicroTraits {
   }
 };
 
+/// The portable TiledGemmRows arithmetic on element (0, j) of a single-row
+/// product, for the transposed GatherDots driver: each KC-deep k-panel sums
+/// from zero, product then add, with no zero skip, and the panels are
+/// added in order.
+struct PortableDotOp {
+  static constexpr bool kSkipZero = false;
+  static constexpr int64_t kPanel = internal::kGemmKC;
+  template <class Vec>
+  inline __attribute__((always_inline)) static void Madd(Vec& sum, float a_p,
+                                                         const Vec& col) {
+    sum += a_p * col;
+  }
+};
+
 #if FEDGTA_SIMD_X86
+
+/// As PortableDotOp, with the AVX2 microkernel's one fused multiply-add per
+/// step. Not always_inline: the driver is inlined into GatherDotsAvx2 first,
+/// whose flatten then inlines this into a function that has fma.
+struct Avx2DotOp {
+  static constexpr bool kSkipZero = false;
+  static constexpr int64_t kPanel = internal::kGemmKC;
+  __attribute__((target("avx2,fma"))) static void Madd(
+      internal::Floats8& sum, float a_p, const internal::Floats8& col) {
+    sum = _mm256_fmadd_ps(_mm256_set1_ps(a_p), col, sum);
+  }
+};
+
+__attribute__((target("avx2,fma"), flatten)) void GatherDotsAvx2(
+    const float* row, const float* table, int64_t d,
+    std::span<const int32_t> idx, float* out) {
+  internal::TransposedGatherDots<internal::Floats8, Avx2DotOp>(row, table, d,
+                                                               idx, out);
+}
 
 /// 8x8 AVX2/FMA microkernel: eight ymm accumulators, one broadcast per A
 /// element, one fused multiply-add per (row, B-vector) pair.
@@ -239,6 +273,18 @@ class SimdBackend : public Backend {
         for (int64_t j = 0; j < f; ++j) dst[j] += w * src[j];
       }
     }
+  }
+
+  void GatherDots(const float* row, const float* table, int64_t d,
+                  std::span<const int32_t> idx, float* out) const override {
+#if FEDGTA_SIMD_X86
+    if (use_avx2_) {
+      GatherDotsAvx2(row, table, d, idx, out);
+      return;
+    }
+#endif
+    internal::TransposedGatherDots<internal::Floats4, PortableDotOp>(
+        row, table, d, idx, out);
   }
 
   void Axpy(float alpha, std::span<const float> x,

@@ -5,7 +5,8 @@
 // corner cases (empty rows, dense rows, duplicate-merged COO). Also pins
 // the within-backend determinism contract: a backend's output must be
 // bit-identical for any row chunking, and the GatherDots contract: each
-// output equals the backend's own GemmRows element bit for bit.
+// output equals the backend's own GemmRows element bit for bit. The
+// reference backend's Axpy variants must equal the scalar base loop.
 
 #include <algorithm>
 #include <cmath>
@@ -14,6 +15,7 @@
 #include <iterator>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -355,6 +357,52 @@ TEST(BackendEquivalence, GatherDotsBitwiseEqualToGemmRowsElement) {
         // The sentinel past the end must survive: no write beyond count.
         std::vector<float> got(static_cast<size_t>(count) + 1, -1.0f);
         kernel.gather_dots(row.data(), table.data(), d, idx, got.data());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              sizeof(float) * got.size()),
+                  0);
+      }
+    }
+  }
+}
+
+// The reference backend runs Axpy through its baseline or AVX2 variant;
+// both must write the scalar base loop's bits, signed zeros and
+// subnormals included, for lengths around the vector widths.
+TEST(BackendEquivalence, ReferenceAxpyVariantsBitwiseEqual) {
+  const linalg::Backend* reference = linalg::FindBackend("reference");
+  ASSERT_NE(reference, nullptr);
+  using AxpyFn =
+      std::function<void(float, std::span<const float>, std::span<float>)>;
+  std::vector<std::pair<std::string, AxpyFn>> variants = {
+      {"reference", [reference](float alpha, std::span<const float> x,
+                                std::span<float> y) {
+         reference->Axpy(alpha, x, y);
+       }},
+      {"reference/baseline", linalg::internal::ReferenceAxpyBaseline}};
+  if (linalg::internal::ReferenceAvx2Supported()) {
+    variants.emplace_back("reference/avx2",
+                          linalg::internal::ReferenceAxpyAvx2);
+  }
+  // Zero, negative zero, subnormals of both signs, then normal values.
+  const float special[] = {0.0f, -0.0f, 1e-40f, -3e-39f, 1e-45f};
+  Rng rng(77);
+  for (const size_t n : {0, 1, 7, 8, 9, 1024, 1031}) {
+    // One sentinel past the end of y, which must survive.
+    std::vector<float> x(n + 1);
+    std::vector<float> y0(n + 1, -1.0f);
+    for (size_t i = 0; i < n; ++i) {
+      x[i] = i % 3 == 0 ? special[i % 5] : rng.Normal();
+      y0[i] = i % 4 == 1 ? special[(i + 2) % 5] : rng.Normal();
+    }
+    const std::span<const float> xs(x.data(), n);
+    for (const float alpha : {0.75f, -1.5f, 1e-30f, -0.0f}) {
+      std::vector<float> want = y0;
+      reference->Backend::Axpy(alpha, xs, std::span<float>(want.data(), n));
+      for (const auto& [name, axpy] : variants) {
+        SCOPED_TRACE(testing::Message()
+                     << name << " n=" << n << " alpha=" << alpha);
+        std::vector<float> got = y0;
+        axpy(alpha, xs, std::span<float>(got.data(), n));
         EXPECT_EQ(std::memcmp(got.data(), want.data(),
                               sizeof(float) * got.size()),
                   0);

@@ -542,9 +542,12 @@ TEST(HierarchyTest, RaggedMomentRowsAcrossShardsAreInvalidArgument) {
     return r;
   };
   std::vector<LocalResult> same = {result(1, 45), result(7, 45)};
-  Result<std::vector<std::vector<float>>> table = fed::MomentTable(10, same);
+  Result<std::vector<std::span<const float>>> table =
+      fed::MomentTable(10, same);
   ASSERT_TRUE(table.ok()) << table.status();
   ASSERT_EQ(table->size(), 10u);
+  // Views of the uploads, not copies.
+  EXPECT_EQ((*table)[7].data(), same[1].metrics.moments.data());
   EXPECT_EQ((*table)[7].size(), 45u);
   EXPECT_TRUE((*table)[0].empty());
 
