@@ -4,7 +4,7 @@
 //
 // Before the google-benchmark suite, an unfiltered run (no
 // --benchmark_filter) runs two sweeps:
-//  * a kernel-backend sweep (reference/blocked/simd) over GEMM and SpMM,
+//  * a kernel-backend sweep (every registered backend) over GEMM and SpMM,
 //    written to BENCH_kernels_backends.json — the artifact behind the
 //    backend speedup claims (see DESIGN.md "Kernel backends");
 //  * a thread-scaling sweep (1/2/4/8 pool threads) over GEMM, SpMM, and
@@ -50,6 +50,24 @@ LabeledGraph MakeGraph(int n, uint64_t seed) {
   return GeneratePlantedPartition(cfg, rng);
 }
 
+// The simd backend's portable variant, under a name only this binary
+// registers, so every per-backend arm below times it too on hosts whose
+// cpuid picks AVX2+FMA. Registered before the benchmarks that list the
+// backends (static initialization runs in definition order).
+const bool kSimdPortableRegistered = [] {
+  linalg::RegisterBackend("simd-portable", [] {
+    return linalg::internal::MakeSimdVariantBackend(
+        linalg::internal::SimdVariant::kPortable);
+  });
+  return true;
+}();
+
+/// Selects ListBackends()[index] for the scope; -1 keeps the active one.
+std::string BackendArm(int64_t index) {
+  return index < 0 ? std::string(linalg::ActiveBackendName())
+                   : linalg::ListBackends().at(static_cast<size_t>(index));
+}
+
 // Args: m, k, n (C is m x n, the inner dimension k), transpose A,
 // transpose B, backend (index into ListBackends(); -1 = the active one).
 void BM_Gemm(benchmark::State& state) {
@@ -58,12 +76,7 @@ void BM_Gemm(benchmark::State& state) {
   const int64_t n = state.range(2);
   const bool ta = state.range(3) != 0;
   const bool tb = state.range(4) != 0;
-  const std::vector<std::string> backends = linalg::ListBackends();
-  const std::string backend =
-      state.range(5) < 0
-          ? std::string(linalg::ActiveBackendName())
-          : backends.at(static_cast<size_t>(state.range(5)));
-  linalg::ScopedBackend scoped(backend);
+  linalg::ScopedBackend scoped(BackendArm(state.range(5)));
   state.SetLabel(linalg::ActiveBackend().description());
   Rng rng(1);
   Matrix a = ta ? Matrix(k, m) : Matrix(m, k);
@@ -87,7 +100,7 @@ BENCHMARK(BM_Gemm)
 // One ogbn-arxiv client of the inproc-arxiv benchmark workload (about 2,400
 // rows, hidden 64, 40 classes) trains a 2-layer GCN with these GEMMs: the
 // forward X·W, the backward dY·Wᵀ, and the weight gradient Xᵀ·dY. Each
-// runs under every built-in backend.
+// runs under every registered backend.
 void ArxivClientGemms(benchmark::internal::Benchmark* bench) {
   const int64_t backends =
       static_cast<int64_t>(linalg::ListBackends().size());
@@ -210,8 +223,11 @@ BENCHMARK(BM_Eq7Axpy)
     ->DenseRange(0, static_cast<int64_t>(AxpyKernels().size()) - 1)
     ->Unit(benchmark::kNanosecond);
 
+// Args: nodes, backend (index into ListBackends(); -1 = the active one).
 void BM_SpMM(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
+  linalg::ScopedBackend scoped(BackendArm(state.range(1)));
+  state.SetLabel(linalg::ActiveBackend().description());
   LabeledGraph lg = MakeGraph(n, 2);
   const CsrMatrix adj = NormalizedAdjacency(lg.graph);
   Rng rng(3);
@@ -225,9 +241,19 @@ void BM_SpMM(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * adj.nnz() * 64);
 }
 BENCHMARK(BM_SpMM)
-    ->RangeMultiplier(4)
-    ->Range(4000, 64000)
+    ->ArgsProduct({benchmark::CreateRange(4000, 64000, 4), {-1}})
     ->Unit(benchmark::kMillisecond);
+
+// One arxiv client's adjacency (about 2,400 rows, f = 64) under every
+// registered backend.
+void ArxivClientSpmm(benchmark::internal::Benchmark* bench) {
+  const int64_t backends =
+      static_cast<int64_t>(linalg::ListBackends().size());
+  for (int64_t backend = 0; backend < backends; ++backend) {
+    bench->Args({2400, backend});
+  }
+}
+BENCHMARK(BM_SpMM)->Apply(ArxivClientSpmm)->Unit(benchmark::kMicrosecond);
 
 void BM_LabelPropagation(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -491,7 +517,7 @@ int main(int argc, char** argv) {
     return std::string_view(arg).starts_with("--benchmark_filter");
   });
   if (!filtered) {
-    std::printf("== kernel-backend sweep (reference/blocked/simd) ==\n");
+    std::printf("== kernel-backend sweep (every registered backend) ==\n");
     fedgta::RunBackendSweep("BENCH_kernels_backends.json");
     std::printf("== thread-scaling sweep (shared pool: 1/2/4/8 threads) ==\n");
     fedgta::RunThreadScalingSweep("BENCH_parallel.json");

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -298,16 +297,6 @@ struct SweepPoint {
 };
 
 void Run(const char* out_path) {
-  // Default to the fastest available kernel backend; FEDGTA_BACKEND still
-  // overrides for backend-sweep CI runs.
-  if (std::getenv("FEDGTA_BACKEND") == nullptr) {
-    for (const char* name : {"simd", "blocked"}) {
-      if (linalg::FindBackend(name) != nullptr) {
-        FEDGTA_CHECK(linalg::SetActiveBackend(name).ok());
-        break;
-      }
-    }
-  }
   const std::string backend(linalg::ActiveBackend().name());
 
   std::vector<SweepPoint> points;

@@ -214,9 +214,12 @@ std::string BackendHelpLines() {
          "                        " +
          JoinBackends() +
          " (default: FEDGTA_BACKEND env,\n"
-         "                        else reference). Results agree across\n"
+         "                        else simd). Results agree across\n"
          "                        backends to float tolerance; runs are\n"
-         "                        bit-reproducible within one backend\n";
+         "                        bit-reproducible within one backend,\n"
+         "                        whichever ISA variant it picks. On\n"
+         "                        x86 hosts without AVX2+FMA, reference\n"
+         "                        is faster\n";
 }
 
 std::string AsyncHelpLines() {

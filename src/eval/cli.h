@@ -71,7 +71,7 @@ struct ExperimentCli {
   // Runtime (all roles).
   int num_threads = 0;  // 0 = FEDGTA_NUM_THREADS env / hardware default
   bool num_threads_given = false;
-  /// Kernel backend name; empty = FEDGTA_BACKEND env / "reference".
+  /// Kernel backend name; empty = FEDGTA_BACKEND env / "simd".
   std::string backend;
 
   // Outputs (csv is run_experiment-only; trace_out works in every role —

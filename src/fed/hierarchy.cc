@@ -304,6 +304,8 @@ Status RootCoordinator::Listen(int port) {
 }
 
 Status RootCoordinator::Handshake() {
+  // The root only reads the strategy's capabilities: it runs Eq. 6 and
+  // routes Eq. 7 itself.
   Result<std::unique_ptr<Strategy>> strategy = MakeRemoteStrategy(config_);
   FEDGTA_RETURN_IF_ERROR(strategy.status());
   const StrategyCapabilities caps = (*strategy)->Capabilities();
@@ -313,7 +315,6 @@ Status RootCoordinator::Handshake() {
         "' cannot shard its aggregation across regional aggregators "
         "(see DESIGN.md §5k)");
   }
-  strategy_ = std::move(*strategy);
   // FedAvg is Eq. 7 with one set of every survivor and train-size weights
   // (FedGTA without moments and without confidence).
   global_set_ = !caps.uploads_topology_metrics;

@@ -293,9 +293,6 @@ class RootCoordinator : private RoundTransport {
   Status ParallelExchange(const std::vector<char>& active, const char* phase,
                           const std::function<Status(size_t)>& fn);
   // RoundTransport
-  /// Never called: Aggregate and Communication below replace the
-  /// defaults that read it.
-  Strategy& strategy() override { return *strategy_; }
   std::vector<ClientOutcome> Train(
       int round, const std::vector<int>& participants,
       const std::vector<ClientFate>& fates) override;
@@ -319,7 +316,6 @@ class RootCoordinator : private RoundTransport {
 
   RemoteFedConfig config_;
   net::ServerSocket server_;
-  std::unique_ptr<Strategy> strategy_;
   /// fedavg/fedprox: one Eq. 7 set of every survivor, received by every
   /// client (the strategy uploads no topology metrics).
   bool global_set_ = false;

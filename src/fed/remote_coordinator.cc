@@ -234,6 +234,17 @@ void RemoteCoordinator::StopFeeds() {
   feeds_.reset();
 }
 
+Status RemoteCoordinator::Aggregate(int /*round*/, const std::vector<int>& ids,
+                                    std::vector<LocalResult>& results) {
+  strategy_->Aggregate(ids, results);
+  return OkStatus();
+}
+
+Strategy::CommunicationStats RemoteCoordinator::Communication(
+    const std::vector<LocalResult>& results) {
+  return strategy_->RoundCommunication(results);
+}
+
 Status RemoteCoordinator::Evaluate(int /*round*/, fed::ClientAccuracies* acc) {
   workers_.EvalClients([this](int id) { return strategy_->DownloadFor(id); },
                        &fleet_, &acc->test, &acc->val, &acc->evaluated);

@@ -61,13 +61,16 @@ class RemoteCoordinator : private fed::RoundTransport {
   Status Handshake();
 
   // fed::RoundTransport
-  Strategy& strategy() override { return *strategy_; }
   std::vector<ClientOutcome> Train(
       int round, const std::vector<int>& participants,
       const std::vector<ClientFate>& fates) override;
   void TrainAsync(int round, const std::vector<int>& participants,
                   const std::vector<ClientFate>& fates,
                   const Completion& done) override;
+  Status Aggregate(int round, const std::vector<int>& ids,
+                   std::vector<LocalResult>& results) override;
+  Strategy::CommunicationStats Communication(
+      const std::vector<LocalResult>& results) override;
   /// Every client evaluates on its hosting worker; clients hosted by dead
   /// workers stay unevaluated.
   Status Evaluate(int round, fed::ClientAccuracies* acc) override;

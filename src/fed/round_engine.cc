@@ -33,17 +33,6 @@ void RoundTransport::TrainAsync(int round,
   }
 }
 
-Status RoundTransport::Aggregate(int /*round*/, const std::vector<int>& ids,
-                                 std::vector<LocalResult>& results) {
-  strategy().Aggregate(ids, results);
-  return OkStatus();
-}
-
-Strategy::CommunicationStats RoundTransport::Communication(
-    const std::vector<LocalResult>& results) {
-  return strategy().RoundCommunication(results);
-}
-
 /// One round's reduction: who aggregated, what they uploaded, who failed.
 struct RoundEngine::RoundTally {
   std::vector<int> ids;

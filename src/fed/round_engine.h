@@ -44,8 +44,6 @@ class RoundTransport {
   using Completion = std::function<void(int round, int client_id,
                                         ClientFate fate, ClientOutcome)>;
 
-  virtual Strategy& strategy() = 0;
-
   /// Trains participants[i] under fates[i] and returns once all have
   /// reported, outcomes index-aligned with `participants`. Dropouts must
   /// never be contacted; their slots are ignored. Stragglers and crashed
@@ -62,14 +60,13 @@ class RoundTransport {
                           const Completion& done);
 
   /// Aggregates the round's survivors (`ids` ascending, `results` aligned).
-  /// Default: Strategy::Aggregate.
   virtual Status Aggregate(int round, const std::vector<int>& ids,
-                           std::vector<LocalResult>& results);
+                           std::vector<LocalResult>& results) = 0;
 
-  /// The round's simulated communication volume. Default:
-  /// Strategy::RoundCommunication over the aggregated results.
+  /// The round's simulated communication volume over the aggregated
+  /// results (Strategy::RoundCommunication's formula).
   virtual Strategy::CommunicationStats Communication(
-      const std::vector<LocalResult>& results);
+      const std::vector<LocalResult>& results) = 0;
 
   /// Evaluates every client with its served parameters into `acc`
   /// (pre-sized and zeroed by the engine).

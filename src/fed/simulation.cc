@@ -135,6 +135,11 @@ Status Simulation::Aggregate(int /*round*/, const std::vector<int>& ids,
   return OkStatus();
 }
 
+Strategy::CommunicationStats Simulation::Communication(
+    const std::vector<LocalResult>& results) {
+  return strategy_->RoundCommunication(results);
+}
+
 Status Simulation::Evaluate(int /*round*/, fed::ClientAccuracies* acc) {
   RoundExecutor::ForEachClient(
       static_cast<int64_t>(clients_.size()), [this, acc](int64_t i) {

@@ -96,7 +96,7 @@ class Simulation : private fed::RoundTransport {
   /// whole run, stays deterministic for any tau.
   SimulationResult Run();
 
-  Strategy& strategy() override { return *strategy_; }
+  Strategy& strategy() { return *strategy_; }
   std::vector<Client>& clients() { return clients_; }
 
   /// Checkpoint file inside `dir`.
@@ -120,6 +120,8 @@ class Simulation : private fed::RoundTransport {
   /// Strategy::Aggregate, then the FedGL pseudo-label refresh.
   Status Aggregate(int round, const std::vector<int>& ids,
                    std::vector<LocalResult>& results) override;
+  Strategy::CommunicationStats Communication(
+      const std::vector<LocalResult>& results) override;
   Status Evaluate(int round, fed::ClientAccuracies* acc) override;
 
   /// Atomically writes the full simulation state after `completed_rounds`.

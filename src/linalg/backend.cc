@@ -98,7 +98,6 @@ struct Registry {
 
   Registry() {
     factories["reference"] = internal::MakeReferenceBackend;
-    factories["blocked"] = internal::MakeBlockedBackend;
     factories["simd"] = internal::MakeSimdBackend;
   }
 
@@ -185,7 +184,7 @@ const Backend& ActiveBackend() {
       const char* env = std::getenv("FEDGTA_BACKEND");
       const std::string_view requested =
           (env != nullptr && env[0] != '\0') ? std::string_view(env)
-                                             : std::string_view("reference");
+                                             : std::string_view("simd");
       selected = registry.GetLocked(requested);
       FEDGTA_CHECK(selected != nullptr)
           << "FEDGTA_BACKEND names an unknown kernel backend: '" << requested

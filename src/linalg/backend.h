@@ -77,28 +77,29 @@ struct SpmmCall {
 ///    and mirrors the result into both rows on this contract.
 ///  * GatherDots(row, table, d, idx) writes, for every j, the bits of
 ///    GemmRows element (0, j) of row times the gathered rows, so the LSH
-///    pass's in-place exact check agrees with the exact sweep's block. The
-///    override of "reference" and of "simd" runs each candidate as one
-///    vector lane (gather_dots.h) with the backend's own GemmRows
-///    operations on that element; "blocked" gathers and runs GemmRows.
+///    pass's in-place exact check agrees with the exact sweep's block. Both
+///    built-ins override it to run each candidate as one vector lane
+///    (gather_dots.h) with the backend's own GemmRows operations on that
+///    element; the base method gathers and runs GemmRows.
 ///  * ISA variants within a backend: a backend that compiles one kernel for
 ///    several ISAs and picks one at run time must make every variant do
-///    identical per-element operations — no FMA, no reassociation — so its
-///    floats do not depend on the host; only how many elements one
-///    instruction covers may differ. The reference backend's baseline and
-///    AVX2 variants (GEMM, SpMM, GatherDots, Axpy) are bitwise equal
-///    (linalg_test and backend_equivalence_test pin it). Its source may use
-///    GCC vector extensions but no intrinsics, so one body serves every
-///    ISA. The one exception is "simd", whose AVX2+FMA and portable
-///    variants differ in rounding by design; its description() names the
-///    variant running.
+///    identical per-element operations, so its kernels write the same bits
+///    whichever variant the host picks; only how many elements one
+///    instruction covers may differ. Both built-ins hold to it, and
+///    linalg_test and backend_equivalence_test pin it. "reference" never
+///    fuses and never reassociates: its source may use GCC vector
+///    extensions but no intrinsics, so one body serves every ISA. "simd"
+///    fuses every multiply-add, with _mm256_fmadd_* on AVX2 and with
+///    std::fma's bits on its portable variant, and fuses nothing else
+///    (backend_simd.cc lists its operations). This pins the kernels only: RowSoftmaxRows and
+///    the nn code call libm's exp, whose bits glibc may pick per CPU.
 ///  * Cross-backend results only need to agree within floating-point
 ///    reassociation tolerance (the equivalence suite uses 1e-4 relative).
 class Backend {
  public:
   virtual ~Backend() = default;
 
-  /// Registry name ("reference", "blocked", "simd", ...).
+  /// Registry name ("reference", "simd", ...).
   virtual std::string_view name() const = 0;
 
   /// Human-readable variant actually running, e.g. "simd(avx2+fma)" vs
@@ -143,8 +144,8 @@ class Backend {
 };
 
 /// Registers a backend factory under `name` (later registrations replace
-/// earlier ones; instances are created lazily and cached). The three
-/// built-ins — "reference", "blocked", "simd" — are always registered.
+/// earlier ones; instances are created lazily and cached). The two
+/// built-ins — "reference" and "simd" — are always registered.
 void RegisterBackend(std::string name,
                      std::function<std::unique_ptr<Backend>()> factory);
 
@@ -156,7 +157,7 @@ const Backend* FindBackend(std::string_view name);
 
 /// The process-wide backend all kernels dispatch through. On first use the
 /// FEDGTA_BACKEND environment variable picks the backend (unset/empty =
-/// "reference"); an unknown name aborts with the available list. Selection
+/// "simd"); an unknown name aborts with the available list. Selection
 /// is recorded in the metrics registry as
 /// `linalg.backend.selected.<name>`.
 const Backend& ActiveBackend();
@@ -187,8 +188,15 @@ namespace internal {
 /// Built-in backend factories (registered automatically; exposed so the
 /// registry can construct them without static-initialization-order games).
 std::unique_ptr<Backend> MakeReferenceBackend();
-std::unique_ptr<Backend> MakeBlockedBackend();
 std::unique_ptr<Backend> MakeSimdBackend();
+
+/// The "simd" backend with a chosen ISA variant instead of the cpuid pick,
+/// so tests can hold both variants to the same bits on one host. kAvx2
+/// aborts where SimdAvx2Supported() is false. Not registered under any
+/// name.
+enum class SimdVariant { kPortable, kAvx2 };
+bool SimdAvx2Supported();
+std::unique_ptr<Backend> MakeSimdVariantBackend(SimdVariant variant);
 
 /// The reference backend's GEMM, SpMM, GatherDots and Axpy kernels, one
 /// body each compiled for the baseline ISA and for AVX2 without FMA. The

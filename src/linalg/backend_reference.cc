@@ -1,9 +1,9 @@
 // The "reference" kernel backend: the original straightforward loops, kept
 // as the correctness oracle every other backend is tested against. The
 // kernel bodies must stay simple enough to audit by eye — tiling and
-// intrinsics belong in backend_blocked.cc / backend_simd.cc. GCC vector
-// extensions (vector_size types, __builtin_shufflevector) are allowed:
-// they name no ISA, so one body still compiles for every target.
+// intrinsics belong in backend_simd.cc. GCC vector extensions (vector_size
+// types, __builtin_shufflevector) are allowed: they name no ISA, so one
+// body still compiles for every target.
 //
 // Only their compilation differs: each body is compiled twice, for the
 // baseline ISA and for target("avx2"), and the backend picks the variant

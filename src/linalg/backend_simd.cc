@@ -1,12 +1,25 @@
-// The "simd" kernel backend: explicit AVX2/FMA kernels selected at runtime
-// via cpuid, with a portable scalar fallback so the backend is always
-// registered and always correct. The binary is compiled for the baseline
-// ISA; the AVX2 paths are isolated behind `target("avx2,fma")` function
-// attributes and only entered when __builtin_cpu_supports says so.
+// The "simd" kernel backend, the library default: a cache-tiled GEMM
+// (gemm_tile.h) and vectorized kernels, picked once per process by cpuid:
+// AVX2+FMA kernels behind `target("avx2,fma")` where the host has them, a
+// portable variant elsewhere. The binary is compiled for the baseline ISA.
+//
+// The two variants write the same bits. Each multiply-add is one explicit
+// fused step, `_mm256_fmadd_*` on AVX2 and PortableFma (std::fma's bits,
+// computed without libm) on the portable path, and this file builds with
+// -ffp-contract=off, so nothing else fuses. Per output element: a GEMM
+// k-panel starts at zero and takes one fma per p in ascending order
+// (GatherDots repeats that for element (0, j)); SpMM takes one fma per
+// stored entry in order; Axpy is fma(alpha, x, y). Dot, ColumnSums and
+// RowSoftmaxRows are the base methods. On x86 the portable variant is
+// 20-26x slower than "reference" (EXPERIMENTS.md): on x86 hosts without
+// AVX2+FMA, "reference" is the fast backend.
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 
+#include "common/check.h"
 #include "linalg/backend.h"
 #include "linalg/gather_dots.h"
 #include "linalg/gemm_tile.h"
@@ -22,8 +35,38 @@ namespace fedgta {
 namespace linalg {
 namespace {
 
-/// Portable fallback microkernel (same shape as the blocked backend's):
-/// used when the CPU lacks AVX2/FMA or on non-x86 builds.
+/// fma(a, b, c) rounded once, in plain double arithmetic: the product of
+/// two floats is exact in double, TwoSum recovers the error of the double
+/// sum, and rounding that sum to odd before narrowing rounds the exact
+/// a*b + c correctly to float, since 53 >= 24 + 2 bits (Boldo and
+/// Melquiond, "Emulation of FMA and correctly rounded sums", 2008). So it
+/// is bitwise equal to std::fma for every input (with IEEE double
+/// arithmetic, not x87 extended precision), needs no FMA hardware and no
+/// libm call, and inlines into the loops below. A host without FMA
+/// hardware runs libm's fmaf in software, about 45x slower than this.
+/// Targets whose baseline ISA fuses (FP_FAST_FMAF, e.g. AArch64) use the
+/// instruction instead.
+inline float PortableFma(float a, float b, float c) {
+#ifdef FP_FAST_FMAF
+  return std::fma(a, b, c);
+#else
+  const double p = static_cast<double>(a) * static_cast<double>(b);
+  const double s = p + static_cast<double>(c);
+  const double v = s - p;
+  const double err = (p - (s - v)) + (static_cast<double>(c) - v);
+  const uint64_t sb = std::bit_cast<uint64_t>(s);
+  const uint64_t eb = std::bit_cast<uint64_t>(err);
+  // Step an even, finite, inexact sum to its odd neighbour on err's side:
+  // up in magnitude when err has s's sign, down otherwise. Branch free.
+  const uint64_t step = uint64_t{(eb << 1) != 0} & ~sb & 1 &
+                        uint64_t{(~sb & (uint64_t{0x7FF} << 52)) != 0};
+  const uint64_t down = (eb ^ sb) >> 63;
+  return static_cast<float>(
+      std::bit_cast<double>(sb + step - 2 * (step & down)));
+#endif
+}
+
+/// Portable 4x8 microkernel: one fma per (row, column, p) step.
 struct PortableMicroTraits {
   static constexpr int MR = 4;
   static constexpr int NR = 8;
@@ -36,32 +79,65 @@ struct PortableMicroTraits {
       const float* b = bp + p * NR;
       for (int i = 0; i < MR; ++i) {
         const float ai = a[i];
-        for (int j = 0; j < NR; ++j) local[i * NR + j] += ai * b[j];
+        for (int j = 0; j < NR; ++j) {
+          local[i * NR + j] = PortableFma(ai, b[j], local[i * NR + j]);
+        }
       }
     }
     std::copy(local, local + MR * NR, acc);
   }
 };
 
-/// The portable TiledGemmRows arithmetic on element (0, j) of a single-row
-/// product, for the transposed GatherDots driver: each KC-deep k-panel sums
-/// from zero, product then add, with no zero skip, and the panels are
-/// added in order.
+/// The GemmRows arithmetic on element (0, j) of a single-row product, for
+/// the transposed GatherDots driver: each KC-deep k-panel sums from zero,
+/// one fma per p, with no zero skip, and the panels are added in order.
 struct PortableDotOp {
   static constexpr bool kSkipZero = false;
   static constexpr int64_t kPanel = internal::kGemmKC;
   template <class Vec>
   inline __attribute__((always_inline)) static void Madd(Vec& sum, float a_p,
                                                          const Vec& col) {
-    sum += a_p * col;
+    for (size_t w = 0; w < sizeof(Vec) / sizeof(float); ++w) {
+      sum[w] = PortableFma(a_p, col[w], sum[w]);
+    }
   }
 };
 
+void SpmmRowsPortable(const SpmmCall& call, int64_t row_begin,
+                      int64_t row_end) {
+  const int64_t f = call.f;
+  for (int64_t r = row_begin; r < row_end; ++r) {
+    float* dst = call.out + r * f;
+    std::fill(dst, dst + f, 0.0f);
+    for (int64_t p = call.row_ptr[r]; p < call.row_ptr[r + 1]; ++p) {
+      const float w = call.values[p];
+      const float* src =
+          call.dense + static_cast<int64_t>(call.col_idx[p]) * f;
+      for (int64_t j = 0; j < f; ++j) dst[j] = PortableFma(w, src[j], dst[j]);
+    }
+  }
+}
+
+void AxpyPortable(float alpha, std::span<const float> x, std::span<float> y) {
+  for (size_t i = 0; i < x.size(); ++i) y[i] = PortableFma(alpha, x[i], y[i]);
+}
+
+void GemmRowsPortable(const GemmCall& call, int64_t row_begin,
+                      int64_t row_end) {
+  internal::TiledGemmRows<PortableMicroTraits>(call, row_begin, row_end);
+}
+
+void GatherDotsPortable(const float* row, const float* table, int64_t d,
+                        std::span<const int32_t> idx, float* out) {
+  internal::TransposedGatherDots<internal::Floats4, PortableDotOp>(
+      row, table, d, idx, out);
+}
+
 #if FEDGTA_SIMD_X86
 
-/// As PortableDotOp, with the AVX2 microkernel's one fused multiply-add per
-/// step. Not always_inline: the driver is inlined into GatherDotsAvx2 first,
-/// whose flatten then inlines this into a function that has fma.
+/// As PortableDotOp, with _mm256_fmadd_ps. Not always_inline: the driver is
+/// inlined into SimdGatherDotsAvx2 first, whose flatten then inlines this
+/// into a function that has fma.
 struct Avx2DotOp {
   static constexpr bool kSkipZero = false;
   static constexpr int64_t kPanel = internal::kGemmKC;
@@ -70,13 +146,6 @@ struct Avx2DotOp {
     sum = _mm256_fmadd_ps(_mm256_set1_ps(a_p), col, sum);
   }
 };
-
-__attribute__((target("avx2,fma"), flatten)) void GatherDotsAvx2(
-    const float* row, const float* table, int64_t d,
-    std::span<const int32_t> idx, float* out) {
-  internal::TransposedGatherDots<internal::Floats8, Avx2DotOp>(row, table, d,
-                                                               idx, out);
-}
 
 /// 8x8 AVX2/FMA microkernel: eight ymm accumulators, one broadcast per A
 /// element, one fused multiply-add per (row, B-vector) pair.
@@ -119,9 +188,34 @@ struct Avx2MicroTraits {
   }
 };
 
-__attribute__((target("avx2,fma"))) void SpmmRowsAvx2(const SpmmCall& call,
-                                                      int64_t row_begin,
-                                                      int64_t row_end) {
+#endif  // FEDGTA_SIMD_X86
+
+}  // namespace
+
+namespace internal {
+
+#if FEDGTA_SIMD_X86
+
+bool SimdAvx2Supported() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+}
+
+// The AVX2 GEMM, SpMM, GatherDots and Axpy kernels. Each starts a cache
+// line, and flatten pulls the tiling driver and microkernel into it, so
+// where the linker puts the rest of the program cannot change how these
+// loops are fetched (ci.sh checks).
+#define FEDGTA_SIMD_AVX2_KERNEL \
+  __attribute__((target("avx2,fma"), aligned(64), noinline))
+
+FEDGTA_SIMD_AVX2_KERNEL __attribute__((flatten)) void SimdGemmRowsAvx2(
+    const GemmCall& call, int64_t row_begin, int64_t row_end) {
+  TiledGemmRows<Avx2MicroTraits>(call, row_begin, row_end);
+}
+
+FEDGTA_SIMD_AVX2_KERNEL void SimdSpmmRowsAvx2(const SpmmCall& call,
+                                              int64_t row_begin,
+                                              int64_t row_end) {
   const int64_t f = call.f;
   for (int64_t r = row_begin; r < row_end; ++r) {
     float* dst = call.out + r * f;
@@ -129,8 +223,7 @@ __attribute__((target("avx2,fma"))) void SpmmRowsAvx2(const SpmmCall& call,
     const int64_t begin = call.row_ptr[r];
     const int64_t end = call.row_ptr[r + 1];
     int64_t p = begin;
-    // Entry pairs anchored at `begin` keep the per-element accumulation
-    // order a function of the row alone (determinism contract).
+    // Two stored entries per pass over dst, each its own fma in order.
     for (; p + 2 <= end; p += 2) {
       const float w0 = call.values[p];
       const float w1 = call.values[p + 1];
@@ -147,7 +240,9 @@ __attribute__((target("avx2,fma"))) void SpmmRowsAvx2(const SpmmCall& call,
         d = _mm256_fmadd_ps(w1v, _mm256_loadu_ps(s1 + j), d);
         _mm256_storeu_ps(dst + j, d);
       }
-      for (; j < f; ++j) dst[j] += w0 * s0[j] + w1 * s1[j];
+      for (; j < f; ++j) {
+        dst[j] = std::fma(w1, s1[j], std::fma(w0, s0[j], dst[j]));
+      }
     }
     if (p < end) {
       const float w = call.values[p];
@@ -160,14 +255,20 @@ __attribute__((target("avx2,fma"))) void SpmmRowsAvx2(const SpmmCall& call,
         d = _mm256_fmadd_ps(wv, _mm256_loadu_ps(src + j), d);
         _mm256_storeu_ps(dst + j, d);
       }
-      for (; j < f; ++j) dst[j] += w * src[j];
+      for (; j < f; ++j) dst[j] = std::fma(w, src[j], dst[j]);
     }
   }
 }
 
-__attribute__((target("avx2,fma"))) void AxpyAvx2(float alpha,
-                                                  std::span<const float> x,
-                                                  std::span<float> y) {
+FEDGTA_SIMD_AVX2_KERNEL __attribute__((flatten)) void SimdGatherDotsAvx2(
+    const float* row, const float* table, int64_t d,
+    std::span<const int32_t> idx, float* out) {
+  TransposedGatherDots<Floats8, Avx2DotOp>(row, table, d, idx, out);
+}
+
+FEDGTA_SIMD_AVX2_KERNEL void SimdAxpyAvx2(float alpha,
+                                          std::span<const float> x,
+                                          std::span<float> y) {
   const __m256 av = _mm256_set1_ps(alpha);
   const size_t size = x.size();
   size_t i = 0;
@@ -176,66 +277,33 @@ __attribute__((target("avx2,fma"))) void AxpyAvx2(float alpha,
     yv = _mm256_fmadd_ps(av, _mm256_loadu_ps(x.data() + i), yv);
     _mm256_storeu_ps(y.data() + i, yv);
   }
-  for (; i < size; ++i) y[i] += alpha * x[i];
+  for (; i < size; ++i) y[i] = std::fma(alpha, x[i], y[i]);
 }
 
-__attribute__((target("avx2,fma"))) double DotAvx2(std::span<const float> a,
-                                                   std::span<const float> b) {
-  // Four double lanes: each float lane-pair is widened before the FMA so
-  // precision matches the base implementation's double accumulator.
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  const size_t size = a.size();
-  size_t i = 0;
-  for (; i + 8 <= size; i += 8) {
-    const __m256 af = _mm256_loadu_ps(a.data() + i);
-    const __m256 bf = _mm256_loadu_ps(b.data() + i);
-    const __m256d alo = _mm256_cvtps_pd(_mm256_castps256_ps128(af));
-    const __m256d blo = _mm256_cvtps_pd(_mm256_castps256_ps128(bf));
-    const __m256d ahi = _mm256_cvtps_pd(_mm256_extractf128_ps(af, 1));
-    const __m256d bhi = _mm256_cvtps_pd(_mm256_extractf128_ps(bf, 1));
-    acc0 = _mm256_fmadd_pd(alo, blo, acc0);
-    acc1 = _mm256_fmadd_pd(ahi, bhi, acc1);
-  }
-  const __m256d acc = _mm256_add_pd(acc0, acc1);
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, acc);
-  double sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; i < size; ++i) sum += static_cast<double>(a[i]) * b[i];
-  return sum;
-}
-
-__attribute__((target("avx2,fma"))) void ColumnSumsAvx2(const float* data,
-                                                        int64_t rows,
-                                                        int64_t cols,
-                                                        float* out) {
-  std::fill(out, out + cols, 0.0f);
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* row = data + r * cols;
-    int64_t c = 0;
-    for (; c + 8 <= cols; c += 8) {
-      const __m256 o = _mm256_add_ps(_mm256_loadu_ps(out + c),
-                                     _mm256_loadu_ps(row + c));
-      _mm256_storeu_ps(out + c, o);
-    }
-    for (; c < cols; ++c) out[c] += row[c];
-  }
-}
-
-bool DetectAvx2Fma() {
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-}
+#undef FEDGTA_SIMD_AVX2_KERNEL
 
 #else  // !FEDGTA_SIMD_X86
 
-bool DetectAvx2Fma() { return false; }
+bool SimdAvx2Supported() { return false; }
 
 #endif  // FEDGTA_SIMD_X86
 
+}  // namespace internal
+
+namespace {
+
 class SimdBackend : public Backend {
  public:
-  SimdBackend() : use_avx2_(DetectAvx2Fma()) {}
+  explicit SimdBackend(bool use_avx2) : use_avx2_(use_avx2) {
+#if FEDGTA_SIMD_X86
+    if (use_avx2) {
+      gemm_rows_ = internal::SimdGemmRowsAvx2;
+      spmm_rows_ = internal::SimdSpmmRowsAvx2;
+      gather_dots_ = internal::SimdGatherDotsAvx2;
+      axpy_ = internal::SimdAxpyAvx2;
+    }
+#endif
+  }
 
   std::string_view name() const override { return "simd"; }
 
@@ -245,88 +313,50 @@ class SimdBackend : public Backend {
 
   void GemmRows(const GemmCall& call, int64_t row_begin,
                 int64_t row_end) const override {
-#if FEDGTA_SIMD_X86
-    if (use_avx2_) {
-      internal::TiledGemmRows<Avx2MicroTraits>(call, row_begin, row_end);
-      return;
-    }
-#endif
-    internal::TiledGemmRows<PortableMicroTraits>(call, row_begin, row_end);
+    gemm_rows_(call, row_begin, row_end);
   }
 
   void SpmmRows(const SpmmCall& call, int64_t row_begin,
                 int64_t row_end) const override {
-#if FEDGTA_SIMD_X86
-    if (use_avx2_) {
-      SpmmRowsAvx2(call, row_begin, row_end);
-      return;
-    }
-#endif
-    const int64_t f = call.f;
-    for (int64_t r = row_begin; r < row_end; ++r) {
-      float* dst = call.out + r * f;
-      std::fill(dst, dst + f, 0.0f);
-      for (int64_t p = call.row_ptr[r]; p < call.row_ptr[r + 1]; ++p) {
-        const float w = call.values[p];
-        const float* src =
-            call.dense + static_cast<int64_t>(call.col_idx[p]) * f;
-        for (int64_t j = 0; j < f; ++j) dst[j] += w * src[j];
-      }
-    }
+    spmm_rows_(call, row_begin, row_end);
   }
 
   void GatherDots(const float* row, const float* table, int64_t d,
                   std::span<const int32_t> idx, float* out) const override {
-#if FEDGTA_SIMD_X86
-    if (use_avx2_) {
-      GatherDotsAvx2(row, table, d, idx, out);
-      return;
-    }
-#endif
-    internal::TransposedGatherDots<internal::Floats4, PortableDotOp>(
-        row, table, d, idx, out);
+    gather_dots_(row, table, d, idx, out);
   }
 
   void Axpy(float alpha, std::span<const float> x,
             std::span<float> y) const override {
-#if FEDGTA_SIMD_X86
-    if (use_avx2_) {
-      AxpyAvx2(alpha, x, y);
-      return;
-    }
-#endif
-    Backend::Axpy(alpha, x, y);
-  }
-
-  double Dot(std::span<const float> a,
-             std::span<const float> b) const override {
-#if FEDGTA_SIMD_X86
-    if (use_avx2_) return DotAvx2(a, b);
-#endif
-    return Backend::Dot(a, b);
-  }
-
-  void ColumnSums(const float* data, int64_t rows, int64_t cols,
-                  float* out) const override {
-#if FEDGTA_SIMD_X86
-    if (use_avx2_) {
-      ColumnSumsAvx2(data, rows, cols, out);
-      return;
-    }
-#endif
-    Backend::ColumnSums(data, rows, cols, out);
+    axpy_(alpha, x, y);
   }
 
  private:
   const bool use_avx2_;
+  void (*gemm_rows_)(const GemmCall&, int64_t, int64_t) = GemmRowsPortable;
+  void (*spmm_rows_)(const SpmmCall&, int64_t, int64_t) = SpmmRowsPortable;
+  void (*gather_dots_)(const float*, const float*, int64_t,
+                       std::span<const int32_t>, float*) = GatherDotsPortable;
+  void (*axpy_)(float, std::span<const float>, std::span<float>) =
+      AxpyPortable;
 };
 
 }  // namespace
 
 namespace internal {
+
 std::unique_ptr<Backend> MakeSimdBackend() {
-  return std::make_unique<SimdBackend>();
+  return MakeSimdVariantBackend(SimdAvx2Supported() ? SimdVariant::kAvx2
+                                                    : SimdVariant::kPortable);
 }
+
+std::unique_ptr<Backend> MakeSimdVariantBackend(SimdVariant variant) {
+  const bool avx2 = variant == SimdVariant::kAvx2;
+  FEDGTA_CHECK(!avx2 || SimdAvx2Supported())
+      << "simd(avx2+fma) requested on a host without AVX2 and FMA";
+  return std::make_unique<SimdBackend>(avx2);
+}
+
 }  // namespace internal
 
 }  // namespace linalg

@@ -1,7 +1,7 @@
 #ifndef FEDGTA_LINALG_GEMM_TILE_H_
 #define FEDGTA_LINALG_GEMM_TILE_H_
 
-// Shared cache-blocked GEMM driver for the "blocked" and "simd" backends.
+// Cache-blocked GEMM driver of the "simd" backend.
 //
 // Classic three-level tiling (BLIS-style): B is packed into KC x NC panels
 // of NR-wide column strips, A into MC x KC blocks of MR-tall row strips,
@@ -25,9 +25,9 @@ namespace fedgta {
 namespace linalg {
 namespace internal {
 
-/// Cache-blocking constants shared by every tiled backend. KC * NR floats
-/// of packed B live in L1 during a microkernel run; MC * KC floats of
-/// packed A target L2; KC * NC floats of packed B target L3.
+/// Cache-blocking constants. KC * NR floats of packed B live in L1 during
+/// a microkernel run; MC * KC floats of packed A target L2; KC * NC floats
+/// of packed B target L3.
 inline constexpr int64_t kGemmKC = 256;
 inline constexpr int64_t kGemmMC = 96;
 inline constexpr int64_t kGemmNC = 512;

@@ -6,13 +6,18 @@
 // the within-backend determinism contract: a backend's output must be
 // bit-identical for any row chunking, and the GatherDots contract: each
 // output equals the backend's own GemmRows element bit for bit. The
-// reference backend's Axpy variants must equal the scalar base loop.
+// reference backend's Axpy variants must equal the scalar base loop, and
+// the simd backend's portable and AVX2+FMA variants must write the same
+// bits on every kernel.
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <iterator>
+#include <limits>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -284,12 +289,26 @@ TEST(BackendEquivalence, VectorOpsMatchReference) {
   }
 }
 
+/// Both variants of the simd backend this host can run: portable always,
+/// AVX2+FMA where cpuid reports it.
+std::vector<std::unique_ptr<linalg::Backend>> SimdVariants() {
+  std::vector<std::unique_ptr<linalg::Backend>> variants;
+  variants.push_back(linalg::internal::MakeSimdVariantBackend(
+      linalg::internal::SimdVariant::kPortable));
+  if (linalg::internal::SimdAvx2Supported()) {
+    variants.push_back(linalg::internal::MakeSimdVariantBackend(
+        linalg::internal::SimdVariant::kAvx2));
+  }
+  return variants;
+}
+
 // The GatherDots contract (linalg/backend.h): for every backend, each
 // output is bitwise element (0, j) of that backend's GemmRows on the
 // gathered rows. Rows with zero entries exercise the skipped products;
 // widths straddle the eight-candidate blocks of the reference kernel, and
 // the index lists repeat and run out of order. The reference kernel's two
-// ISA variants are held to the reference GemmRows as well.
+// ISA variants and the simd backend's two are held to their backend's
+// GemmRows as well.
 TEST(BackendEquivalence, GatherDotsBitwiseEqualToGemmRowsElement) {
   using GatherDotsFn = std::function<void(const float*, const float*, int64_t,
                                           std::span<const int32_t>, float*)>;
@@ -317,6 +336,18 @@ TEST(BackendEquivalence, GatherDotsBitwiseEqualToGemmRowsElement) {
   if (linalg::internal::ReferenceAvx2Supported()) {
     kernels.push_back({"reference/avx2",
                        linalg::internal::ReferenceGatherDotsAvx2, reference});
+  }
+  const std::vector<std::unique_ptr<linalg::Backend>> simd_variants =
+      SimdVariants();
+  for (const auto& variant : simd_variants) {
+    const linalg::Backend* backend = variant.get();
+    kernels.push_back(
+        {backend->description(),
+         [backend](const float* row, const float* table, int64_t d,
+                   std::span<const int32_t> idx, float* out) {
+           backend->GatherDots(row, table, d, idx, out);
+         },
+         backend});
   }
 
   const int64_t rows = 40;
@@ -411,17 +442,261 @@ TEST(BackendEquivalence, ReferenceAxpyVariantsBitwiseEqual) {
   }
 }
 
+/// Fills `v` with normal draws, salted with zeros, a negative zero and
+/// subnormals at fixed positions.
+void FillSpecial(std::span<float> v, Rng& rng) {
+  const float special[] = {0.0f, -0.0f, 1e-40f, -3e-39f};
+  for (size_t i = 0; i < v.size(); ++i) {
+    v[i] = i % 5 == 2 ? special[(i / 5) % 4] : rng.Normal();
+  }
+}
+
+void ExpectBitwiseEqual(std::span<const float> got,
+                        std::span<const float> want) {
+  ASSERT_EQ(got.size(), want.size());
+  if (got.empty()) return;  // memcmp must not see an empty vector's null
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(float) * got.size()),
+            0);
+}
+
+// The simd backend's contract (linalg/backend.h): its portable variant,
+// which every host can run, writes the bits of its AVX2+FMA variant on
+// every kernel, so its floats do not depend on the host. Shapes straddle
+// the microkernel tiles (4x8 portable, 8x8 AVX2), the 256-deep k-panels,
+// the 96-row and 512-column blocks and the 8-float vectors.
+TEST(BackendEquivalence, SimdVariantsBitwiseEqual) {
+  if (!linalg::internal::SimdAvx2Supported()) {
+    GTEST_SKIP() << "host has no AVX2+FMA: only the portable variant runs";
+  }
+  const auto portable = linalg::internal::MakeSimdVariantBackend(
+      linalg::internal::SimdVariant::kPortable);
+  const auto avx2 = linalg::internal::MakeSimdVariantBackend(
+      linalg::internal::SimdVariant::kAvx2);
+  ASSERT_EQ(portable->description(), "simd(portable)");
+  ASSERT_EQ(avx2->description(), "simd(avx2+fma)");
+  Rng rng(31);
+
+  const struct {
+    int64_t m, n, k;
+  } shapes[] = {{1, 1, 1},    {3, 5, 7},     {9, 17, 257},
+                {13, 7, 600}, {100, 33, 31}, {5, 515, 300}};
+  const struct {
+    float alpha, beta;
+  } scalings[] = {{1.0f, 0.0f}, {0.5f, 1.0f}, {-1.25f, 0.75f}};
+  for (const auto& s : shapes) {
+    for (const bool ta : {false, true}) {
+      for (const bool tb : {false, true}) {
+        for (const auto& sc : scalings) {
+          SCOPED_TRACE(testing::Message()
+                       << "gemm m=" << s.m << " n=" << s.n << " k=" << s.k
+                       << " ta=" << ta << " tb=" << tb
+                       << " alpha=" << sc.alpha << " beta=" << sc.beta);
+          std::vector<float> a(static_cast<size_t>(s.m * s.k));
+          std::vector<float> b(static_cast<size_t>(s.k * s.n));
+          std::vector<float> c0(static_cast<size_t>(s.m * s.n));
+          FillSpecial(a, rng);
+          FillSpecial(b, rng);
+          FillSpecial(c0, rng);
+          linalg::GemmCall call;
+          call.a = ta ? linalg::GemmView{a.data(), 1, s.m}
+                      : linalg::GemmView{a.data(), s.k, 1};
+          call.b = tb ? linalg::GemmView{b.data(), 1, s.k}
+                      : linalg::GemmView{b.data(), s.n, 1};
+          call.m = s.m;
+          call.n = s.n;
+          call.k = s.k;
+          call.alpha = sc.alpha;
+          call.beta = sc.beta;
+          std::vector<float> want = c0;
+          call.c = want.data();
+          avx2->GemmRows(call, 0, s.m);
+          std::vector<float> got = c0;
+          call.c = got.data();
+          portable->GemmRows(call, 0, s.m);
+          ExpectBitwiseEqual(got, want);
+        }
+      }
+    }
+  }
+
+  // Row r stores r % 8 entries (odd counts included), duplicates merged.
+  std::vector<CooEntry> entries;
+  const int64_t rows = 40, inner = 30;
+  for (int32_t r = 0; r < rows; ++r) {
+    for (int32_t e = 0; e < r % 8; ++e) {
+      entries.push_back({r, static_cast<int32_t>((r * 7 + e * 11) % inner),
+                         rng.Uniform(-1.0f, 1.0f)});
+    }
+  }
+  const CsrMatrix csr = CsrMatrix::FromCoo(rows, inner, std::move(entries));
+  for (const int64_t f : {1, 7, 8, 9, 13, 33}) {
+    SCOPED_TRACE(testing::Message() << "spmm f=" << f);
+    std::vector<float> dense(static_cast<size_t>(inner * f));
+    FillSpecial(dense, rng);
+    linalg::SpmmCall call;
+    call.row_ptr = csr.row_ptr().data();
+    call.col_idx = csr.col_idx().data();
+    call.values = csr.values().data();
+    call.dense = dense.data();
+    call.f = f;
+    std::vector<float> want(static_cast<size_t>(rows * f), 1e30f);
+    call.out = want.data();
+    avx2->SpmmRows(call, 0, rows);
+    std::vector<float> got(static_cast<size_t>(rows * f), -1e30f);
+    call.out = got.data();
+    portable->SpmmRows(call, 0, rows);
+    ExpectBitwiseEqual(got, want);
+  }
+
+  const int64_t lengths[] = {0, 1, 7, 8, 9, 1031};
+  for (const int64_t n : lengths) {
+    SCOPED_TRACE(testing::Message() << "length " << n);
+    const size_t len = static_cast<size_t>(n);
+    std::vector<float> x(len);
+    std::vector<float> y0(len);
+    FillSpecial(x, rng);
+    FillSpecial(y0, rng);
+
+    const double want_dot = avx2->Dot(x, y0);
+    const double got_dot = portable->Dot(x, y0);
+    EXPECT_EQ(std::memcmp(&got_dot, &want_dot, sizeof(double)), 0)
+        << got_dot << " vs " << want_dot;
+
+    for (const float alpha : {0.75f, -1.5f, 1e-30f, -0.0f}) {
+      std::vector<float> want = y0;
+      avx2->Axpy(alpha, x, want);
+      std::vector<float> got = y0;
+      portable->Axpy(alpha, x, got);
+      ExpectBitwiseEqual(got, want);
+    }
+
+    // GatherDots: d = n over a 20-row table, then n candidates of a
+    // 9-wide one.
+    for (const auto& [d, count] :
+         {std::pair{n, int64_t{20}}, std::pair{int64_t{9}, n}}) {
+      SCOPED_TRACE(testing::Message()
+                   << "gather d=" << d << " count=" << count);
+      const int64_t table_rows = 20;
+      std::vector<float> table(static_cast<size_t>(table_rows * d));
+      std::vector<float> row(static_cast<size_t>(d));
+      FillSpecial(table, rng);
+      FillSpecial(row, rng);
+      std::vector<int32_t> idx(static_cast<size_t>(count));
+      for (int64_t j = 0; j < count; ++j) {
+        idx[static_cast<size_t>(j)] =
+            static_cast<int32_t>((j * 13 + 3) % table_rows);
+      }
+      std::vector<float> want(static_cast<size_t>(count));
+      avx2->GatherDots(row.data(), table.data(), d, idx, want.data());
+      std::vector<float> got(static_cast<size_t>(count));
+      portable->GatherDots(row.data(), table.data(), d, idx, got.data());
+      ExpectBitwiseEqual(got, want);
+    }
+
+    // ColumnSums of 5 x n and n x 9.
+    for (const auto& [rows, cols] :
+         {std::pair{int64_t{5}, n}, std::pair{n, int64_t{9}}}) {
+      SCOPED_TRACE(testing::Message() << "sums " << rows << " x " << cols);
+      std::vector<float> m(static_cast<size_t>(rows * cols));
+      FillSpecial(m, rng);
+      std::vector<float> want(static_cast<size_t>(cols));
+      avx2->ColumnSums(m.data(), rows, cols, want.data());
+      std::vector<float> got(static_cast<size_t>(cols));
+      portable->ColumnSums(m.data(), rows, cols, got.data());
+      ExpectBitwiseEqual(got, want);
+    }
+  }
+}
+
+// The simd portable variant computes each fused step in double arithmetic
+// instead of calling std::fma (backend_simd.cc). Its Axpy, one fused step
+// per element, must give std::fma's bits on every host: for float bit
+// patterns drawn from the whole finite range, for sums that cancel to a few
+// ulps, for exact float midpoints that a nonzero addend far below them
+// breaks (naive double rounding gets these wrong), and for zeros, signed
+// zeros, subnormals, infinities, NaN and overflow.
+TEST(BackendEquivalence, SimdPortableFusedStepMatchesStdFma) {
+  const auto portable = linalg::internal::MakeSimdVariantBackend(
+      linalg::internal::SimdVariant::kPortable);
+  Rng rng(37);
+  const auto any_finite = [&rng] {
+    for (;;) {
+      const uint32_t bits = static_cast<uint32_t>(
+          rng.UniformInt(0, int64_t{std::numeric_limits<uint32_t>::max()}));
+      float f;
+      std::memcpy(&f, &bits, sizeof f);
+      if (std::isfinite(f)) return f;
+    }
+  };
+  const float inf = std::numeric_limits<float>::infinity();
+  const float special[] = {0.0f,
+                           -0.0f,
+                           1.0f,
+                           -1.0f,
+                           std::numeric_limits<float>::denorm_min(),
+                           -std::numeric_limits<float>::min(),
+                           std::numeric_limits<float>::max(),
+                           -std::numeric_limits<float>::max(),
+                           inf,
+                           -inf,
+                           std::numeric_limits<float>::quiet_NaN()};
+  const float mid = 1.0f + std::ldexp(1.0f, -12);  // mid * mid is a midpoint
+
+  std::vector<float> alphas = {mid, -mid};
+  for (const float s : special) alphas.push_back(s);
+  while (alphas.size() < 48) alphas.push_back(any_finite());
+  const size_t n = 2048;
+  int64_t mismatches = 0;
+  for (size_t round = 0; round < alphas.size(); ++round) {
+    const float alpha = alphas[round];
+    std::vector<float> x(n);
+    std::vector<float> y(n);
+    for (size_t i = 0; i < n; ++i) {
+      x[i] = any_finite();
+      switch (i % 4) {
+        case 0:
+          y[i] = any_finite();
+          break;
+        case 1:  // -alpha * x to within a few ulps: heavy cancellation
+          y[i] = -(alpha * x[i]) *
+                 (1.0f + std::ldexp(static_cast<float>(rng.UniformInt(-8, 8)),
+                                    -23));
+          break;
+        case 2:  // alpha * x exact midpoints broken by a far smaller addend
+          x[i] = alpha == mid || alpha == -mid ? mid : x[i];
+          y[i] = std::ldexp(static_cast<float>(rng.UniformInt(-1, 1)),
+                            static_cast<int>(rng.UniformInt(-149, -60)));
+          break;
+        default:
+          x[i] = special[i / 4 % std::size(special)];
+          y[i] = special[i / 44 % std::size(special)];
+      }
+    }
+    std::vector<float> got = y;
+    portable->Axpy(alpha, x, got);
+    for (size_t i = 0; i < n; ++i) {
+      const float want = std::fma(alpha, x[i], y[i]);
+      if (std::isnan(want) && std::isnan(got[i])) continue;
+      if (std::memcmp(&want, &got[i], sizeof(float)) != 0 &&
+          ++mismatches <= 10) {
+        ADD_FAILURE() << std::hexfloat << "fma(" << alpha << ", " << x[i]
+                      << ", " << y[i] << ") = " << want << ", portable "
+                      << got[i];
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
 TEST(BackendRegistry, ListFindAndSelection) {
-  const std::vector<std::string> names = linalg::ListBackends();
-  EXPECT_NE(std::find(names.begin(), names.end(), "reference"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "blocked"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "simd"), names.end());
+  EXPECT_EQ(linalg::ListBackends(),
+            (std::vector<std::string>{"reference", "simd"}));
   EXPECT_EQ(linalg::FindBackend("no-such-backend"), nullptr);
   EXPECT_FALSE(linalg::SetActiveBackend("no-such-backend").ok());
   const std::string before(linalg::ActiveBackendName());
   {
-    linalg::ScopedBackend scope("blocked");
-    EXPECT_EQ(linalg::ActiveBackendName(), "blocked");
+    linalg::ScopedBackend scope("reference");
+    EXPECT_EQ(linalg::ActiveBackendName(), "reference");
   }
   EXPECT_EQ(linalg::ActiveBackendName(), before);
 }

@@ -3,7 +3,9 @@
 // under the reference backend and hashes every deterministic field of its
 // RunResult (the ones fed::DeterministicEquals compares; wall-clock seconds
 // are left out) plus every client's final served parameters, then compares
-// the hash with the committed value in kGolden.
+// the hash with the committed value in kGolden. The same configurations
+// run under the default "simd" backend against kSimdGolden, once with each
+// of its ISA variants: both must give the same digests, whatever the host.
 //
 // A change that alters floats on purpose regenerates the table with one
 // command:
@@ -11,12 +13,15 @@
 //   ./build/tests/golden_digest_test
 //
 // Every mismatching configuration prints its actual digest; copy it into
-// kGolden, and record the change with the accuracy before and after.
+// kGolden or kSimdGolden, and record the change with the accuracy before
+// and after.
 
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -91,6 +96,16 @@ const GoldenRun kGolden[] = {
      }},
 };
 
+/// kGolden's configurations under the simd backend, in the same order.
+const GoldenRun kSimdGolden[] = {
+    {"fedgta_gcn_exact", 0x072c8a5423f11d14ull, nullptr},
+    {"fedgta_gcn_lsh", 0x072c8a5423f11d14ull, nullptr},
+    {"fedgta_sgc", 0xebceb0914535b284ull, nullptr},
+    {"fedavg_gcn", 0x632d3de04919f4a2ull, nullptr},
+    {"fedgta_async_stragglers", 0xa7de6050d335bd6cull, nullptr},
+};
+static_assert(std::size(kSimdGolden) == std::size(kGolden));
+
 uint64_t RunDigest(const RemoteFedConfig& config) {
   FederatedDataset data = MaterializeFederatedDataset(
       config.dataset, config.seed, config.split, config.federated);
@@ -130,18 +145,47 @@ uint64_t RunDigest(const RemoteFedConfig& config) {
   return d.value();
 }
 
-TEST(GoldenDigestTest, InProcessRunsMatchTheCommittedDigests) {
-  const linalg::ScopedBackend reference("reference");
-  for (const GoldenRun& golden : kGolden) {
+/// Runs kGolden's configurations under the active backend and compares
+/// each digest with `digests`, matched by position.
+void ExpectDigests(std::span<const GoldenRun> digests) {
+  for (size_t i = 0; i < std::size(kGolden); ++i) {
+    const GoldenRun& golden = digests[i];
     SCOPED_TRACE(golden.name);
+    ASSERT_STREQ(golden.name, kGolden[i].name);
     RemoteFedConfig config = BaseConfig();
-    golden.configure(&config);
+    kGolden[i].configure(&config);
     const uint64_t actual = RunDigest(config);
     char hex[32];
     std::snprintf(hex, sizeof(hex), "0x%016" PRIx64 "ull", actual);
     EXPECT_EQ(actual, golden.digest)
         << golden.name << ": actual digest " << hex;
   }
+}
+
+TEST(GoldenDigestTest, InProcessRunsMatchTheCommittedDigests) {
+  const linalg::ScopedBackend reference("reference");
+  ExpectDigests(kGolden);
+}
+
+/// Selects the simd backend's `variant` for the scope, under a name only
+/// this test registers.
+void RunSimdVariant(linalg::internal::SimdVariant variant) {
+  linalg::RegisterBackend("simd-variant", [variant] {
+    return linalg::internal::MakeSimdVariantBackend(variant);
+  });
+  const linalg::ScopedBackend simd("simd-variant");
+  ExpectDigests(kSimdGolden);
+}
+
+TEST(GoldenDigestTest, SimdPortableRunsMatchTheSimdDigests) {
+  RunSimdVariant(linalg::internal::SimdVariant::kPortable);
+}
+
+TEST(GoldenDigestTest, SimdAvx2RunsMatchTheSimdDigests) {
+  if (!linalg::internal::SimdAvx2Supported()) {
+    GTEST_SKIP() << "host has no AVX2+FMA";
+  }
+  RunSimdVariant(linalg::internal::SimdVariant::kAvx2);
 }
 
 }  // namespace
