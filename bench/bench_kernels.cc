@@ -18,7 +18,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -112,57 +111,15 @@ void ArxivClientGemms(benchmark::internal::Benchmark* bench) {
 }
 BENCHMARK(BM_Gemm)->Apply(ArxivClientGemms)->Unit(benchmark::kMicrosecond);
 
-template <class Fn>
-struct NamedKernel {
-  std::string label;
-  Fn fn;
-};
-
-/// The arms of a per-kernel benchmark: every backend's `method` (labelled
-/// with its description()), then the reference backend's two ISA variants
-/// by name, so both are timed whichever one the host runs.
-template <class Fn, class Method>
-std::vector<NamedKernel<Fn>> KernelArms(Method method, Fn baseline, Fn avx2) {
-  std::vector<NamedKernel<Fn>> kernels;
-  for (const std::string& name : linalg::ListBackends()) {
-    const linalg::Backend* backend = linalg::FindBackend(name);
-    kernels.push_back({backend->description(), [backend, method](auto... args) {
-                         (backend->*method)(args...);
-                       }});
-  }
-  kernels.push_back({"reference/baseline", std::move(baseline)});
-  if (linalg::internal::ReferenceAvx2Supported()) {
-    kernels.push_back({"reference/avx2", std::move(avx2)});
-  }
-  return kernels;
-}
-
-using GatherDotsFn = std::function<void(const float*, const float*, int64_t,
-                                        std::span<const int32_t>, float*)>;
-using AxpyFn =
-    std::function<void(float, std::span<const float>, std::span<float>)>;
-
-std::vector<NamedKernel<GatherDotsFn>> GatherDotsKernels() {
-  return KernelArms<GatherDotsFn>(&linalg::Backend::GatherDots,
-                                  linalg::internal::ReferenceGatherDotsBaseline,
-                                  linalg::internal::ReferenceGatherDotsAvx2);
-}
-
-std::vector<NamedKernel<AxpyFn>> AxpyKernels() {
-  return KernelArms<AxpyFn>(&linalg::Backend::Axpy,
-                            linalg::internal::ReferenceAxpyBaseline,
-                            linalg::internal::ReferenceAxpyAvx2);
-}
-
 // The Eq. 6 exact check of the LSH plane on the server-10k shape: a
 // 10,000 x 150 table of normalized moment rows, and for each of 64 rows
 // about 700 screened candidates (ascending ids, as LshScreen lists them)
-// whose cosines GatherDots computes in place. Arg: index into
-// GatherDotsKernels(). Reports time per candidate ("survivor").
+// whose cosines GatherDots computes in place. Arg: backend (index into
+// ListBackends()). Reports time per candidate ("survivor").
 void BM_Eq6ExactCheck(benchmark::State& state) {
-  const NamedKernel<GatherDotsFn> kernel =
-      GatherDotsKernels().at(static_cast<size_t>(state.range(0)));
-  state.SetLabel(kernel.label);
+  const linalg::Backend* backend =
+      linalg::FindBackend(BackendArm(state.range(0)));
+  state.SetLabel(backend->description());
   const int64_t rows = 10000;
   const int64_t d = 150;
   Rng rng(6);
@@ -184,8 +141,8 @@ void BM_Eq6ExactCheck(benchmark::State& state) {
   for (auto _ : state) {
     for (size_t a = 0; a < candidates.size(); ++a) {
       const int64_t row = static_cast<int64_t>(a) * (rows / 64);
-      kernel.fn(table.Row(row).data(), table.data(), d, candidates[a],
-                sims.data());
+      backend->GatherDots(table.Row(row).data(), table.data(), d,
+                          candidates[a], sims.data());
       benchmark::DoNotOptimize(sims.data());
     }
     benchmark::ClobberMemory();
@@ -197,30 +154,31 @@ void BM_Eq6ExactCheck(benchmark::State& state) {
           benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_Eq6ExactCheck)
-    ->DenseRange(0, static_cast<int64_t>(GatherDotsKernels().size()) - 1)
+    ->DenseRange(0, static_cast<int64_t>(linalg::ListBackends().size()) - 1)
     ->Unit(benchmark::kMicrosecond);
 
 // One Eq. 7 member row on the server-10k shape: y += w * x over 1,024
 // floats (the synthetic upload width), the step FedGtaAggregate takes for
-// every member of every aggregation set. Arg: index into AxpyKernels().
+// every member of every aggregation set. Arg: backend (index into
+// ListBackends()).
 void BM_Eq7Axpy(benchmark::State& state) {
-  const NamedKernel<AxpyFn> kernel =
-      AxpyKernels().at(static_cast<size_t>(state.range(0)));
-  state.SetLabel(kernel.label);
+  const linalg::Backend* backend =
+      linalg::FindBackend(BackendArm(state.range(0)));
+  state.SetLabel(backend->description());
   const int64_t n = 1024;
   Rng rng(7);
   Matrix x(1, n);
   Matrix y(1, n);
   x.GaussianInit(rng, 1.0f);
   for (auto _ : state) {
-    kernel.fn(0.001f, x.Row(0), y.Row(0));
+    backend->Axpy(0.001f, x.Row(0), y.Row(0));
     benchmark::DoNotOptimize(y.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_Eq7Axpy)
-    ->DenseRange(0, static_cast<int64_t>(AxpyKernels().size()) - 1)
+    ->DenseRange(0, static_cast<int64_t>(linalg::ListBackends().size()) - 1)
     ->Unit(benchmark::kNanosecond);
 
 // Args: nodes, backend (index into ListBackends(); -1 = the active one).

@@ -3,8 +3,9 @@
 //   fedgta_worker --host=127.0.0.1 --port=5714
 //
 // The worker dials the server (retrying with backoff, so it may be started
-// before the server), receives the experiment config plus its hosted client
-// ids, materializes the deterministic dataset locally, and serves train /
+// before the server), receives the experiment config (kernel backend
+// included) plus its hosted client ids, switches to the server's backend,
+// materializes the deterministic dataset locally, and serves train /
 // eval requests until the server says Shutdown. Flag parsing and validation
 // are shared with run_experiment / fedgta_server (src/eval/cli.h).
 

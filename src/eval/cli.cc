@@ -117,7 +117,7 @@ const FlagDef kFlags[] = {
        c.num_threads = ToInt(v);
        c.num_threads_given = true;
      }},
-    {"backend", kRun | kSrv | kWrk | kAgg,
+    {"backend", kRun | kSrv,
      [](ExperimentCli& c, const std::string& v) { c.backend = v; }},
     // Outputs.
     {"csv", kRun,
@@ -219,7 +219,8 @@ std::string BackendHelpLines() {
          "                        bit-reproducible within one backend,\n"
          "                        whichever ISA variant it picks. On\n"
          "                        x86 hosts without AVX2+FMA, reference\n"
-         "                        is faster\n";
+         "                        is faster. fedgta_server ships its\n"
+         "                        choice to every worker and aggregator\n";
 }
 
 std::string AsyncHelpLines() {
@@ -665,7 +666,8 @@ std::string HelpText(Role role) {
       text =
           "fedgta_worker — distributed FedGTA worker process\n\n"
           "The server assigns the wire codec and its top-k (fedgta_server\n"
-          "--compress/--compress_topk).\n\n"
+          "--compress/--compress_topk) and the kernel backend (its\n"
+          "--backend): every process of a fleet computes the same floats.\n\n"
           "  --host=ADDR           server address (default 127.0.0.1)\n"
           "  --port=N              server port (default 5714)\n"
           "  --deadline_ms=N       handshake receive deadline (default "
@@ -685,7 +687,7 @@ std::string HelpText(Role role) {
           "offset,\n"
           "                        so trace_merge stitches them under the\n"
           "                        server's timeline\n" +
-          ThreadHelpLines() + BackendHelpLines();
+          ThreadHelpLines();
       break;
     }
     case Role::kAggregator: {
@@ -694,7 +696,8 @@ std::string HelpText(Role role) {
           "\n"
           "Dials the root server, receives a contiguous client shard plus a\n"
           "worker slice via ShardAssign, accepts those workers, and serves\n"
-          "the shard's half of the Eq. 7 aggregation (DESIGN.md §5k).\n\n"
+          "the shard's half of the Eq. 7 aggregation (DESIGN.md §5k). It\n"
+          "runs the root's kernel backend and forwards it to its workers.\n\n"
           "  --host=ADDR           root server address (default 127.0.0.1)\n"
           "  --port=N              root server port (default 5714)\n"
           "  --listen_port=N       worker-facing listening port, 0 = "
@@ -726,7 +729,7 @@ std::string HelpText(Role role) {
           "                        offset, so trace_merge stitches the "
           "whole\n"
           "                        fleet into one timeline\n" +
-          ThreadHelpLines() + BackendHelpLines();
+          ThreadHelpLines();
       break;
     }
   }
@@ -767,12 +770,14 @@ Result<ExperimentCli> ParseAndValidate(Role role, int argc, char** argv) {
                                   " (try --help)");
     }
   }
+  cli.selects_backend = role == Role::kRunExperiment || role == Role::kServer;
   FEDGTA_RETURN_IF_ERROR(Validate(role, &cli));
   return cli;
 }
 
 Status ApplyRuntimeOptions(const ExperimentCli& cli) {
   if (cli.num_threads > 0) SetGlobalThreadPoolSize(cli.num_threads);
+  if (!cli.selects_backend) return OkStatus();
   if (!cli.backend.empty()) {
     FEDGTA_RETURN_IF_ERROR(linalg::SetActiveBackend(cli.backend));
   }

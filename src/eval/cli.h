@@ -73,6 +73,9 @@ struct ExperimentCli {
   bool num_threads_given = false;
   /// Kernel backend name; empty = FEDGTA_BACKEND env / "simd".
   std::string backend;
+  /// False for workers and aggregators: they take no --backend and select
+  /// none at startup, but switch to the server's when its config arrives.
+  bool selects_backend = true;
 
   // Outputs (csv is run_experiment-only; trace_out works in every role —
   // per-process files that trace_merge stitches into one fleet timeline).
@@ -146,8 +149,9 @@ std::string HelpText(Role role);
 Result<ExperimentCli> ParseAndValidate(Role role, int argc, char** argv);
 
 /// Applies the process-wide runtime options: resizes the shared thread
-/// pool (--num_threads) and selects the kernel backend (--backend, falling
-/// back to the FEDGTA_BACKEND env selection and logging the choice).
+/// pool (--num_threads) and, where the role selects one, the kernel backend
+/// (--backend, falling back to the FEDGTA_BACKEND env selection and logging
+/// the choice).
 Status ApplyRuntimeOptions(const ExperimentCli& cli);
 
 }  // namespace cli

@@ -2,6 +2,7 @@
 
 #include "data/registry.h"
 #include "fed/strategy.h"
+#include "linalg/backend.h"
 
 namespace fedgta {
 
@@ -115,6 +116,7 @@ net::WireFedConfig ToWireConfig(const RemoteFedConfig& config) {
   wire.async = config.sim.async;
   wire.staleness_tau = config.sim.staleness_tau;
   wire.staleness_decay = config.sim.staleness_decay;
+  wire.backend = linalg::ActiveBackendName();
   return wire;
 }
 
@@ -221,6 +223,10 @@ Status SetupFromWireConfig(const net::WireFedConfig& wire,
   setup->local_epochs = wire.local_epochs;
   setup->batch_size = wire.batch_size;
   setup->async = wire.async;
+
+  // The server's backend, before the first kernel: decoupled models
+  // propagate features (SpMM) when they are constructed.
+  FEDGTA_RETURN_IF_ERROR(linalg::SetActiveBackend(wire.backend));
 
   SplitConfig split;
   split.method = *split_method;

@@ -75,8 +75,9 @@ Result<std::unique_ptr<Strategy>> MakeRemoteStrategy(
     const RemoteFedConfig& config);
 
 /// Projects the worker-relevant slice of `config` into the AssignConfig
-/// payload. Server-only knobs (FedGTA's Eq. 6-7 aggregation options,
-/// transport settings) are deliberately not shipped.
+/// payload, with this process's active kernel backend. Server-only knobs
+/// (FedGTA's Eq. 6-7 aggregation options, transport settings) are
+/// deliberately not shipped.
 net::WireFedConfig ToWireConfig(const RemoteFedConfig& config);
 
 /// Everything a worker reconstructs from a received WireFedConfig.
@@ -97,11 +98,12 @@ struct WorkerSetup {
   bool async = false;
 };
 
-/// Parses and validates a wire config, then materializes the deterministic
+/// Parses and validates a wire config, selects its kernel backend for this
+/// process (linalg::SetActiveBackend), then materializes the deterministic
 /// federated dataset exactly as the server (and RunExperiment) would.
-/// Unknown dataset/model/split/optimizer/strategy names are InvalidArgument;
-/// a strategy whose Capabilities() are not remote-executable is a
-/// FailedPrecondition.
+/// Unknown dataset/model/split/optimizer/strategy/backend names are
+/// InvalidArgument; a strategy whose Capabilities() are not
+/// remote-executable is a FailedPrecondition.
 Status SetupFromWireConfig(const net::WireFedConfig& wire, WorkerSetup* setup);
 
 /// The shared dataset recipe both endpoints must follow to agree on shards:

@@ -177,14 +177,15 @@ const Backend& ActiveBackend() {
 
   const Backend* selected = nullptr;
   bool first = false;
+  bool defaulted = false;
   {
     std::lock_guard<std::mutex> lock(registry.mutex);
     selected = registry.active.load(std::memory_order_acquire);
     if (selected == nullptr) {
       const char* env = std::getenv("FEDGTA_BACKEND");
+      defaulted = env == nullptr || env[0] == '\0';
       const std::string_view requested =
-          (env != nullptr && env[0] != '\0') ? std::string_view(env)
-                                             : std::string_view("simd");
+          defaulted ? std::string_view("simd") : std::string_view(env);
       selected = registry.GetLocked(requested);
       FEDGTA_CHECK(selected != nullptr)
           << "FEDGTA_BACKEND names an unknown kernel backend: '" << requested
@@ -196,6 +197,15 @@ const Backend& ActiveBackend() {
   if (first) {
     RecordSelection(*selected);
     FEDGTA_LOG(INFO) << "linalg backend: " << selected->description();
+#if defined(__x86_64__) || defined(__i386__)
+    // The portable variant emulates each fused step in double arithmetic.
+    if (defaulted && !internal::SimdAvx2Supported()) {
+      FEDGTA_LOG(WARNING)
+          << "this host has no AVX2+FMA, so the default simd backend runs "
+             "its portable variant; --backend=reference is 20-26x faster "
+             "here (EXPERIMENTS.md)";
+    }
+#endif
   }
   return *selected;
 }

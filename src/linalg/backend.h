@@ -57,6 +57,9 @@ struct SpmmCall {
 /// the library runs on (local GNN training, Eq. 3 label propagation, Eq. 5
 /// moments, evaluation). Implementations register under a name and are
 /// selected process-wide via FEDGTA_BACKEND / --backend / SetActiveBackend.
+/// A fleet runs one backend: the server ships its name in the experiment
+/// config, and every worker and aggregator switches to it before it builds
+/// a model (SetupFromWireConfig, fed/remote_config.h).
 ///
 /// Contracts every backend must honor:
 ///  * Row-range kernels (GemmRows / SpmmRows / RowSoftmaxRows) are invoked
@@ -85,14 +88,14 @@ struct SpmmCall {
 ///    several ISAs and picks one at run time must make every variant do
 ///    identical per-element operations, so its kernels write the same bits
 ///    whichever variant the host picks; only how many elements one
-///    instruction covers may differ. Both built-ins hold to it, and
-///    linalg_test and backend_equivalence_test pin it. "reference" never
-///    fuses and never reassociates: its source may use GCC vector
-///    extensions but no intrinsics, so one body serves every ISA. "simd"
-///    fuses every multiply-add, with _mm256_fmadd_* on AVX2 and with
-///    std::fma's bits on its portable variant, and fuses nothing else
-///    (backend_simd.cc lists its operations). This pins the kernels only: RowSoftmaxRows and
-///    the nn code call libm's exp, whose bits glibc may pick per CPU.
+///    instruction covers may differ. "simd" is such a backend: it fuses
+///    every multiply-add, with _mm256_fmadd_* on AVX2 and with std::fma's
+///    bits on its portable variant, and fuses nothing else (backend_simd.cc
+///    lists its operations); backend_equivalence_test pins its variants to
+///    each other. "reference" compiles each kernel once, for the baseline
+///    ISA, and never fuses and never reassociates. This pins the kernels
+///    only: RowSoftmaxRows and the nn code call libm's exp, whose bits
+///    glibc may pick per CPU.
 ///  * Cross-backend results only need to agree within floating-point
 ///    reassociation tolerance (the equivalence suite uses 1e-4 relative).
 class Backend {
@@ -159,7 +162,8 @@ const Backend* FindBackend(std::string_view name);
 /// FEDGTA_BACKEND environment variable picks the backend (unset/empty =
 /// "simd"); an unknown name aborts with the available list. Selection
 /// is recorded in the metrics registry as
-/// `linalg.backend.selected.<name>`.
+/// `linalg.backend.selected.<name>`. A default that lands on simd's
+/// portable variant on x86 logs a WARNING: "reference" is faster there.
 const Backend& ActiveBackend();
 
 /// Replaces the process-wide backend. InvalidArgument on unknown names.
@@ -197,32 +201,6 @@ std::unique_ptr<Backend> MakeSimdBackend();
 enum class SimdVariant { kPortable, kAvx2 };
 bool SimdAvx2Supported();
 std::unique_ptr<Backend> MakeSimdVariantBackend(SimdVariant variant);
-
-/// The reference backend's GEMM, SpMM, GatherDots and Axpy kernels, one
-/// body each compiled for the baseline ISA and for AVX2 without FMA. The
-/// backend runs the AVX2 set when ReferenceAvx2Supported(); both write
-/// bitwise-equal outputs. Non-x86 builds compile the baseline only, and the
-/// Avx2 names run it. Every one starts on a 64-byte boundary, so unrelated
-/// code that moves them cannot change how they sit in the instruction cache
-/// (ci.sh checks).
-bool ReferenceAvx2Supported();
-void ReferenceGemmRowsBaseline(const GemmCall& call, int64_t row_begin,
-                               int64_t row_end);
-void ReferenceGemmRowsAvx2(const GemmCall& call, int64_t row_begin,
-                           int64_t row_end);
-void ReferenceSpmmRowsBaseline(const SpmmCall& call, int64_t row_begin,
-                               int64_t row_end);
-void ReferenceSpmmRowsAvx2(const SpmmCall& call, int64_t row_begin,
-                           int64_t row_end);
-void ReferenceGatherDotsBaseline(const float* row, const float* table,
-                                 int64_t d, std::span<const int32_t> idx,
-                                 float* out);
-void ReferenceGatherDotsAvx2(const float* row, const float* table, int64_t d,
-                             std::span<const int32_t> idx, float* out);
-void ReferenceAxpyBaseline(float alpha, std::span<const float> x,
-                           std::span<float> y);
-void ReferenceAxpyAvx2(float alpha, std::span<const float> x,
-                       std::span<float> y);
 }  // namespace internal
 
 }  // namespace linalg

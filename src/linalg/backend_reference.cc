@@ -2,29 +2,23 @@
 // as the correctness oracle every other backend is tested against. The
 // kernel bodies must stay simple enough to audit by eye — tiling and
 // intrinsics belong in backend_simd.cc. GCC vector extensions (vector_size
-// types, __builtin_shufflevector) are allowed: they name no ISA, so one
-// body still compiles for every target.
+// types, __builtin_shufflevector) are allowed: they name no ISA.
 //
-// Only their compilation differs: each body is compiled twice, for the
-// baseline ISA and for target("avx2"), and the backend picks the variant
-// once with __builtin_cpu_supports. Both do the same operations on every
-// output element: GEMM adds alpha*A(i, p) * B(p, j) in ascending p, skips a
-// zero alpha*A(i, p), and rounds the product before adding it (no FMA: this
-// file builds with -ffp-contract=off, and the avx2 target leaves fma off).
-// Wider vectors only handle more j at once, so every float is bitwise equal
-// on every host. GatherDots does the single-row GEMM's operations on each of
-// its outputs, through the shared transposed driver (gather_dots.h) with
-// 4-float vectors on the baseline and 8-float vectors on AVX2; Axpy is
-// y[i] += alpha * x[i], product then add, on every element.
+// Each kernel is compiled once, for the baseline ISA, and does the same
+// operations on every output element: GEMM adds alpha*A(i, p) * B(p, j) in
+// ascending p, skips a zero alpha*A(i, p), and rounds the product before
+// adding it (no FMA: this file builds with -ffp-contract=off). GatherDots
+// does the single-row GEMM's operations on each of its outputs, through the
+// shared transposed driver (gather_dots.h) with 4-float vectors; Axpy is
+// y[i] += alpha * x[i], product then add, on every element. On a host
+// without FMA these are the fast kernels (the simd backend's portable
+// variant emulates each fused step).
 
 #include <algorithm>
 #include <vector>
 
 #include "linalg/backend.h"
 #include "linalg/gather_dots.h"
-
-// The bodies are inlined into each variant so they compile for its ISA.
-#define FEDGTA_REFERENCE_BODY inline __attribute__((always_inline))
 
 namespace fedgta {
 namespace linalg {
@@ -37,9 +31,9 @@ constexpr int64_t kPanelCols = 256;
 
 /// c[0, w) += alpha * A(i, :) * B(:, [0, w)), where B row p starts at
 /// b + p * ldb and is contiguous.
-FEDGTA_REFERENCE_BODY void AccumulateRow(const GemmCall& call, int64_t i,
-                                         const float* b, int64_t ldb,
-                                         int64_t w, float* c) {
+inline __attribute__((always_inline)) void AccumulateRow(
+    const GemmCall& call, int64_t i, const float* b, int64_t ldb, int64_t w,
+    float* c) {
   for (int64_t p = 0; p < call.k; ++p) {
     const float a_ip = call.alpha * call.a.At(i, p);
     if (a_ip == 0.0f) continue;
@@ -48,8 +42,31 @@ FEDGTA_REFERENCE_BODY void AccumulateRow(const GemmCall& call, int64_t i,
   }
 }
 
-FEDGTA_REFERENCE_BODY void GemmRowsBody(const GemmCall& call,
-                                        int64_t row_begin, int64_t row_end) {
+/// The GemmRows single-row operations on element (0, j), for the
+/// transposed GatherDots driver: start at zero, add a_p * t_p in ascending
+/// p with the product rounded first, skip a zero a_p.
+struct ReferenceDotOp {
+  static constexpr bool kSkipZero = true;
+  static constexpr int64_t kPanel = 0;
+  template <class Vec>
+  inline __attribute__((always_inline)) static void Madd(Vec& sum, float a_p,
+                                                         const Vec& col) {
+    sum += a_p * col;
+  }
+};
+
+}  // namespace
+
+namespace internal {
+
+// Each kernel starts a cache line, and the backend calls that copy (never
+// an inlined one): where the linker puts the rest of the program must not
+// change how the hot loops are fetched (ci.sh checks).
+#define FEDGTA_REFERENCE_KERNEL __attribute__((aligned(64), noinline))
+
+FEDGTA_REFERENCE_KERNEL void ReferenceGemmRows(const GemmCall& call,
+                                               int64_t row_begin,
+                                               int64_t row_end) {
   const int64_t n = call.n;
   const int64_t k = call.k;
   for (int64_t i = row_begin; i < row_end; ++i) {
@@ -96,8 +113,9 @@ FEDGTA_REFERENCE_BODY void GemmRowsBody(const GemmCall& call,
   }
 }
 
-FEDGTA_REFERENCE_BODY void SpmmRowsBody(const SpmmCall& call,
-                                        int64_t row_begin, int64_t row_end) {
+FEDGTA_REFERENCE_KERNEL void ReferenceSpmmRows(const SpmmCall& call,
+                                               int64_t row_begin,
+                                               int64_t row_end) {
   const int64_t f = call.f;
   for (int64_t r = row_begin; r < row_end; ++r) {
     float* dst = call.out + r * f;
@@ -111,144 +129,55 @@ FEDGTA_REFERENCE_BODY void SpmmRowsBody(const SpmmCall& call,
   }
 }
 
-/// The GemmRows single-row operations on element (0, j), for the
-/// transposed GatherDots driver: start at zero, add a_p * t_p in ascending
-/// p with the product rounded first, skip a zero a_p.
-struct ReferenceDotOp {
-  static constexpr bool kSkipZero = true;
-  static constexpr int64_t kPanel = 0;
-  template <class Vec>
-  FEDGTA_REFERENCE_BODY static void Madd(Vec& sum, float a_p,
-                                         const Vec& col) {
-    sum += a_p * col;
-  }
-};
+FEDGTA_REFERENCE_KERNEL void ReferenceGatherDots(const float* row,
+                                                 const float* table, int64_t d,
+                                                 std::span<const int32_t> idx,
+                                                 float* out) {
+  TransposedGatherDots<Floats4, ReferenceDotOp>(row, table, d, idx, out);
+}
 
-FEDGTA_REFERENCE_BODY void AxpyBody(float alpha, std::span<const float> x,
-                                    std::span<float> y) {
+FEDGTA_REFERENCE_KERNEL void ReferenceAxpy(float alpha,
+                                           std::span<const float> x,
+                                           std::span<float> y) {
   for (size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
 }
 
+#undef FEDGTA_REFERENCE_KERNEL
+
+}  // namespace internal
+
+namespace {
+
 class ReferenceBackend : public Backend {
  public:
-  ReferenceBackend() {
-    if (internal::ReferenceAvx2Supported()) {
-      gemm_rows_ = internal::ReferenceGemmRowsAvx2;
-      spmm_rows_ = internal::ReferenceSpmmRowsAvx2;
-      gather_dots_ = internal::ReferenceGatherDotsAvx2;
-      axpy_ = internal::ReferenceAxpyAvx2;
-    }
-  }
-
   std::string_view name() const override { return "reference"; }
 
   void GemmRows(const GemmCall& call, int64_t row_begin,
                 int64_t row_end) const override {
-    gemm_rows_(call, row_begin, row_end);
+    internal::ReferenceGemmRows(call, row_begin, row_end);
   }
 
   void SpmmRows(const SpmmCall& call, int64_t row_begin,
                 int64_t row_end) const override {
-    spmm_rows_(call, row_begin, row_end);
+    internal::ReferenceSpmmRows(call, row_begin, row_end);
   }
 
   void GatherDots(const float* row, const float* table, int64_t d,
                   std::span<const int32_t> idx, float* out) const override {
-    gather_dots_(row, table, d, idx, out);
+    internal::ReferenceGatherDots(row, table, d, idx, out);
   }
 
   void Axpy(float alpha, std::span<const float> x,
             std::span<float> y) const override {
-    axpy_(alpha, x, y);
+    internal::ReferenceAxpy(alpha, x, y);
   }
-
- private:
-  void (*gemm_rows_)(const GemmCall&, int64_t, int64_t) =
-      internal::ReferenceGemmRowsBaseline;
-  void (*spmm_rows_)(const SpmmCall&, int64_t, int64_t) =
-      internal::ReferenceSpmmRowsBaseline;
-  void (*gather_dots_)(const float*, const float*, int64_t,
-                       std::span<const int32_t>, float*) =
-      internal::ReferenceGatherDotsBaseline;
-  void (*axpy_)(float, std::span<const float>, std::span<float>) =
-      internal::ReferenceAxpyBaseline;
 };
 
 }  // namespace
 
-namespace internal {
-
-std::unique_ptr<Backend> MakeReferenceBackend() {
+std::unique_ptr<Backend> internal::MakeReferenceBackend() {
   return std::make_unique<ReferenceBackend>();
 }
-
-// Each kernel starts a cache line: where the linker puts the rest of the
-// program must not change how the hot loops are fetched.
-#define FEDGTA_REFERENCE_KERNEL __attribute__((aligned(64)))
-
-#if defined(__x86_64__) || defined(__i386__)
-bool ReferenceAvx2Supported() {
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2");
-}
-#define FEDGTA_REFERENCE_AVX2 \
-  FEDGTA_REFERENCE_KERNEL __attribute__((target("avx2")))
-using Avx2Floats = Floats8;
-#else
-bool ReferenceAvx2Supported() { return false; }
-#define FEDGTA_REFERENCE_AVX2 FEDGTA_REFERENCE_KERNEL
-using Avx2Floats = Floats4;
-#endif
-
-FEDGTA_REFERENCE_KERNEL void ReferenceGemmRowsBaseline(const GemmCall& call,
-                                                       int64_t row_begin,
-                                                       int64_t row_end) {
-  GemmRowsBody(call, row_begin, row_end);
-}
-
-FEDGTA_REFERENCE_AVX2 void ReferenceGemmRowsAvx2(const GemmCall& call,
-                                                 int64_t row_begin,
-                                                 int64_t row_end) {
-  GemmRowsBody(call, row_begin, row_end);
-}
-
-FEDGTA_REFERENCE_KERNEL void ReferenceSpmmRowsBaseline(const SpmmCall& call,
-                                                       int64_t row_begin,
-                                                       int64_t row_end) {
-  SpmmRowsBody(call, row_begin, row_end);
-}
-
-FEDGTA_REFERENCE_AVX2 void ReferenceSpmmRowsAvx2(const SpmmCall& call,
-                                                 int64_t row_begin,
-                                                 int64_t row_end) {
-  SpmmRowsBody(call, row_begin, row_end);
-}
-
-FEDGTA_REFERENCE_KERNEL void ReferenceGatherDotsBaseline(
-    const float* row, const float* table, int64_t d,
-    std::span<const int32_t> idx, float* out) {
-  TransposedGatherDots<Floats4, ReferenceDotOp>(row, table, d, idx, out);
-}
-
-FEDGTA_REFERENCE_AVX2 void ReferenceGatherDotsAvx2(
-    const float* row, const float* table, int64_t d,
-    std::span<const int32_t> idx, float* out) {
-  TransposedGatherDots<Avx2Floats, ReferenceDotOp>(row, table, d, idx, out);
-}
-
-FEDGTA_REFERENCE_KERNEL void ReferenceAxpyBaseline(float alpha,
-                                                   std::span<const float> x,
-                                                   std::span<float> y) {
-  AxpyBody(alpha, x, y);
-}
-
-FEDGTA_REFERENCE_AVX2 void ReferenceAxpyAvx2(float alpha,
-                                             std::span<const float> x,
-                                             std::span<float> y) {
-  AxpyBody(alpha, x, y);
-}
-
-}  // namespace internal
 
 }  // namespace linalg
 }  // namespace fedgta

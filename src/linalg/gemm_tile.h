@@ -35,8 +35,8 @@ inline constexpr int64_t kGemmNC = 512;
 /// Per-thread packing scratch, reused across calls to avoid allocation in
 /// the hot path. Thread-local: pool workers pack independently.
 struct GemmPackBuffers {
-  std::vector<float> a;  // MC x KC, MR-strip layout
-  std::vector<float> b;  // KC x NC, NR-strip layout
+  std::vector<float> a;  // up to MC x KC, MR-strip layout
+  std::vector<float> b;  // up to KC x NC, NR-strip layout
 };
 
 inline GemmPackBuffers& ThreadGemmPackBuffers() {
@@ -106,11 +106,17 @@ void TiledGemmRows(const GemmCall& call, int64_t row_begin, int64_t row_end) {
     return;
   }
 
+  // Sized to this call's largest blocks, not to full ones: a call with
+  // n <= 64 needs an eighth of a KC x NC panel. The buffers only grow, so
+  // repeated calls neither reallocate nor refill them.
   GemmPackBuffers& buffers = ThreadGemmPackBuffers();
-  buffers.b.resize(static_cast<size_t>(kGemmKC) *
-                   ((kGemmNC + NR - 1) / NR * NR));
-  buffers.a.resize(static_cast<size_t>(kGemmKC) *
-                   ((kGemmMC + MR - 1) / MR * MR));
+  const int64_t kc_max = std::min(kGemmKC, k);
+  const auto grow = [](std::vector<float>& buffer, int64_t size) {
+    if (buffer.size() < static_cast<size_t>(size)) buffer.resize(size);
+  };
+  grow(buffers.b, kc_max * ((std::min(kGemmNC, n) + NR - 1) / NR * NR));
+  grow(buffers.a,
+       kc_max * ((std::min(kGemmMC, row_end - row_begin) + MR - 1) / MR * MR));
   alignas(64) float acc[MR * NR];
 
   for (int64_t jc = 0; jc < n; jc += kGemmNC) {

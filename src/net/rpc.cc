@@ -195,6 +195,7 @@ void WireFedConfig::Encode(serialize::Writer* w) const {
   w->WriteBool(async);
   w->WriteI32(staleness_tau);
   w->WriteDouble(staleness_decay);
+  w->WriteString(backend);
 }
 
 Status WireFedConfig::Decode(serialize::Reader* rd) {
@@ -233,7 +234,7 @@ Status WireFedConfig::Decode(serialize::Reader* rd) {
   FEDGTA_RETURN_IF_ERROR(rd->ReadBool(&async));
   FEDGTA_RETURN_IF_ERROR(rd->ReadI32(&staleness_tau));
   FEDGTA_RETURN_IF_ERROR(rd->ReadDouble(&staleness_decay));
-  return OkStatus();
+  return rd->ReadString(&backend);
 }
 
 void AssignConfigMsg::Encode(serialize::Writer* w,

@@ -46,13 +46,14 @@ namespace net {
 /// rides the generic Routed envelope (§5k); a worker cannot tell whether
 /// its server is the root or a regional aggregator.
 ///
-/// The protocol is frozen at v9: every peer ships from this repo, so both
+/// The protocol is frozen at v10: every peer ships from this repo, so both
 /// ends accept exactly this version and every message has one fixed
-/// layout. A Train/Eval request whose weights equal the last ones sent for
-/// that client on this connection carries `reuse` and no tensor; the worker
+/// layout. v10 added the server's kernel backend to the experiment config.
+/// A Train/Eval request whose weights equal the last ones sent for that
+/// client on this connection carries `reuse` and no tensor; the worker
 /// uses its DownloadStash copy instead.
 
-inline constexpr uint32_t kProtocolVersion = 9;
+inline constexpr uint32_t kProtocolVersion = 10;
 
 enum class MsgType : uint32_t {
   kHello = 1,
@@ -94,8 +95,9 @@ enum class NodeRole : uint32_t {
 /// The full experiment identity a worker needs to materialize its shards
 /// and train them exactly like the in-process Simulation would: dataset
 /// recipe, model + optimizer hyperparameters, strategy (with the
-/// remote-executable strategies' client-side knobs), and the deterministic
-/// failure-injection rates. Everything is derived data — no tensors ship.
+/// remote-executable strategies' client-side knobs), the deterministic
+/// failure-injection rates, and the kernel backend. Everything is derived
+/// data — no tensors ship.
 struct WireFedConfig {
   std::string dataset = "cora";
   uint64_t seed = 42;
@@ -143,6 +145,10 @@ struct WireFedConfig {
   bool async = false;
   int32_t staleness_tau = 0;
   double staleness_decay = 0.5;
+  // The server's kernel backend (linalg::ActiveBackendName()). Binding:
+  // a worker or aggregator runs it, whatever its own environment says,
+  // so every process computes the same floats.
+  std::string backend = "simd";
 
   void Encode(serialize::Writer* w) const;
   Status Decode(serialize::Reader* r);

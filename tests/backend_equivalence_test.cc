@@ -6,7 +6,7 @@
 // the within-backend determinism contract: a backend's output must be
 // bit-identical for any row chunking, and the GatherDots contract: each
 // output equals the backend's own GemmRows element bit for bit. The
-// reference backend's Axpy variants must equal the scalar base loop, and
+// reference backend's Axpy must equal the scalar base loop, and
 // the simd backend's portable and AVX2+FMA variants must write the same
 // bits on every kernel.
 
@@ -14,7 +14,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <iterator>
 #include <limits>
 #include <memory>
@@ -306,48 +305,18 @@ std::vector<std::unique_ptr<linalg::Backend>> SimdVariants() {
 // output is bitwise element (0, j) of that backend's GemmRows on the
 // gathered rows. Rows with zero entries exercise the skipped products;
 // widths straddle the eight-candidate blocks of the reference kernel, and
-// the index lists repeat and run out of order. The reference kernel's two
-// ISA variants and the simd backend's two are held to their backend's
-// GemmRows as well.
+// the index lists repeat and run out of order. The simd backend's two ISA
+// variants are held to their backend's GemmRows as well.
 TEST(BackendEquivalence, GatherDotsBitwiseEqualToGemmRowsElement) {
-  using GatherDotsFn = std::function<void(const float*, const float*, int64_t,
-                                          std::span<const int32_t>, float*)>;
-  struct Kernel {
-    std::string name;
-    GatherDotsFn gather_dots;
-    const linalg::Backend* gemm;
-  };
-  std::vector<Kernel> kernels;
+  std::vector<std::pair<std::string, const linalg::Backend*>> backends;
   for (const std::string& name : linalg::ListBackends()) {
-    const linalg::Backend* backend = linalg::FindBackend(name);
-    ASSERT_NE(backend, nullptr) << name;
-    kernels.push_back(
-        {name,
-         [backend](const float* row, const float* table, int64_t d,
-                   std::span<const int32_t> idx, float* out) {
-           backend->GatherDots(row, table, d, idx, out);
-         },
-         backend});
-  }
-  const linalg::Backend* reference = linalg::FindBackend("reference");
-  kernels.push_back({"reference/baseline",
-                     linalg::internal::ReferenceGatherDotsBaseline,
-                     reference});
-  if (linalg::internal::ReferenceAvx2Supported()) {
-    kernels.push_back({"reference/avx2",
-                       linalg::internal::ReferenceGatherDotsAvx2, reference});
+    backends.emplace_back(name, linalg::FindBackend(name));
+    ASSERT_NE(backends.back().second, nullptr) << name;
   }
   const std::vector<std::unique_ptr<linalg::Backend>> simd_variants =
       SimdVariants();
   for (const auto& variant : simd_variants) {
-    const linalg::Backend* backend = variant.get();
-    kernels.push_back(
-        {backend->description(),
-         [backend](const float* row, const float* table, int64_t d,
-                   std::span<const int32_t> idx, float* out) {
-           backend->GatherDots(row, table, d, idx, out);
-         },
-         backend});
+    backends.emplace_back(variant->description(), variant.get());
   }
 
   const int64_t rows = 40;
@@ -373,9 +342,9 @@ TEST(BackendEquivalence, GatherDotsBitwiseEqualToGemmRowsElement) {
         std::copy_n(table.data() + int64_t{idx[static_cast<size_t>(j)]} * d,
                     d, gathered.data() + j * d);
       }
-      for (const Kernel& kernel : kernels) {
-        SCOPED_TRACE(testing::Message() << kernel.name << " d=" << d
-                                        << " count=" << count);
+      for (const auto& [name, backend] : backends) {
+        SCOPED_TRACE(testing::Message()
+                     << name << " d=" << d << " count=" << count);
         std::vector<float> want(static_cast<size_t>(count) + 1, -1.0f);
         linalg::GemmCall call;
         call.a = {row.data(), d, 1};
@@ -384,10 +353,10 @@ TEST(BackendEquivalence, GatherDotsBitwiseEqualToGemmRowsElement) {
         call.n = count;
         call.k = d;
         call.c = want.data();
-        if (count > 0) kernel.gemm->GemmRows(call, 0, 1);
+        if (count > 0) backend->GemmRows(call, 0, 1);
         // The sentinel past the end must survive: no write beyond count.
         std::vector<float> got(static_cast<size_t>(count) + 1, -1.0f);
-        kernel.gather_dots(row.data(), table.data(), d, idx, got.data());
+        backend->GatherDots(row.data(), table.data(), d, idx, got.data());
         EXPECT_EQ(std::memcmp(got.data(), want.data(),
                               sizeof(float) * got.size()),
                   0);
@@ -396,24 +365,12 @@ TEST(BackendEquivalence, GatherDotsBitwiseEqualToGemmRowsElement) {
   }
 }
 
-// The reference backend runs Axpy through its baseline or AVX2 variant;
-// both must write the scalar base loop's bits, signed zeros and
-// subnormals included, for lengths around the vector widths.
+// The reference backend's Axpy kernel must write the scalar base loop's
+// bits, signed zeros and subnormals included, for lengths around the
+// vector widths.
 TEST(BackendEquivalence, ReferenceAxpyVariantsBitwiseEqual) {
   const linalg::Backend* reference = linalg::FindBackend("reference");
   ASSERT_NE(reference, nullptr);
-  using AxpyFn =
-      std::function<void(float, std::span<const float>, std::span<float>)>;
-  std::vector<std::pair<std::string, AxpyFn>> variants = {
-      {"reference", [reference](float alpha, std::span<const float> x,
-                                std::span<float> y) {
-         reference->Axpy(alpha, x, y);
-       }},
-      {"reference/baseline", linalg::internal::ReferenceAxpyBaseline}};
-  if (linalg::internal::ReferenceAvx2Supported()) {
-    variants.emplace_back("reference/avx2",
-                          linalg::internal::ReferenceAxpyAvx2);
-  }
   // Zero, negative zero, subnormals of both signs, then normal values.
   const float special[] = {0.0f, -0.0f, 1e-40f, -3e-39f, 1e-45f};
   Rng rng(77);
@@ -429,15 +386,11 @@ TEST(BackendEquivalence, ReferenceAxpyVariantsBitwiseEqual) {
     for (const float alpha : {0.75f, -1.5f, 1e-30f, -0.0f}) {
       std::vector<float> want = y0;
       reference->Backend::Axpy(alpha, xs, std::span<float>(want.data(), n));
-      for (const auto& [name, axpy] : variants) {
-        SCOPED_TRACE(testing::Message()
-                     << name << " n=" << n << " alpha=" << alpha);
-        std::vector<float> got = y0;
-        axpy(alpha, xs, std::span<float>(got.data(), n));
-        EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                              sizeof(float) * got.size()),
-                  0);
-      }
+      SCOPED_TRACE(testing::Message() << "n=" << n << " alpha=" << alpha);
+      std::vector<float> got = y0;
+      reference->Axpy(alpha, xs, std::span<float>(got.data(), n));
+      EXPECT_EQ(
+          std::memcmp(got.data(), want.data(), sizeof(float) * got.size()), 0);
     }
   }
 }

@@ -235,4 +235,24 @@ TEST(RoleFlagsTest, CompressFlagsAreServerOnly) {
   }
 }
 
+TEST(RoleFlagsTest, BackendIsTheServersChoice) {
+  // Workers and aggregators run the backend the server ships in its
+  // config, so neither takes the flag or lists it in its help.
+  for (fedgta::cli::Role role :
+       {fedgta::cli::Role::kWorker, fedgta::cli::Role::kAggregator}) {
+    const fedgta::Result<fedgta::cli::ExperimentCli> cli =
+        Parse(role, {"--backend=simd"});
+    ASSERT_FALSE(cli.ok());
+    EXPECT_NE(cli.status().ToString().find("unknown flag: --backend=simd"),
+              std::string::npos)
+        << cli.status();
+    EXPECT_EQ(fedgta::cli::HelpText(role).find("--backend="),
+              std::string::npos);
+  }
+  const fedgta::Result<fedgta::cli::ExperimentCli> server =
+      Parse(fedgta::cli::Role::kServer, {"--backend=reference"});
+  ASSERT_TRUE(server.ok()) << server.status();
+  EXPECT_EQ(server->backend, "reference");
+}
+
 }  // namespace

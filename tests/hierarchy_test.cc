@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -22,10 +23,13 @@
 
 #include "common/serialize.h"
 #include "core/similarity.h"
+#include "fed/aggregator.h"
 #include "fed/hierarchy.h"
 #include "fed/remote_config.h"
 #include "fed/role.h"
+#include "fed/run_result.h"
 #include "fed/simulation.h"
+#include "linalg/backend.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
 
@@ -33,24 +37,46 @@ namespace fedgta {
 namespace {
 
 // The root coordinator runs in a thread of this process while the worker
-// tier is being launched, so every spawn prebuilds argv in the parent and
-// the child touches nothing but execv (no allocation between fork and
-// exec — the child may have inherited a held malloc lock).
-pid_t SpawnProcess(const char* binary, std::vector<std::string> args) {
+// tier is being launched, so every spawn prebuilds argv and the
+// environment in the parent and the child touches nothing but execve (no
+// allocation between fork and exec — the child may have inherited a held
+// malloc lock).
+pid_t SpawnProcess(const char* binary, std::vector<std::string> args,
+                   std::vector<std::string> env) {
   std::vector<char*> argv;
   argv.reserve(args.size() + 1);
   for (std::string& arg : args) argv.push_back(arg.data());
   argv.push_back(nullptr);
+  std::vector<char*> envp;
+  envp.reserve(env.size() + 1);
+  for (std::string& var : env) envp.push_back(var.data());
+  envp.push_back(nullptr);
   const pid_t pid = fork();
   if (pid == 0) {
-    execv(binary, argv.data());
+    execve(binary, argv.data(), envp.data());
     _exit(127);  // exec failed
   }
   return pid;
 }
 
+/// This process's environment, with FEDGTA_BACKEND set to `backend` when
+/// it is non-null.
+std::vector<std::string> ChildEnvironment(const char* backend) {
+  std::vector<std::string> env;
+  for (char** var = environ; *var != nullptr; ++var) {
+    if (backend == nullptr ||
+        !std::string_view(*var).starts_with("FEDGTA_BACKEND=")) {
+      env.emplace_back(*var);
+    }
+  }
+  if (backend != nullptr) {
+    env.push_back(std::string("FEDGTA_BACKEND=") + backend);
+  }
+  return env;
+}
+
 pid_t SpawnAggregator(int root_port, const std::string& port_file,
-                      bool status_port) {
+                      bool status_port, const char* backend_env) {
   std::vector<std::string> args = {FEDGTA_AGGREGATOR_BINARY,
                                    "--host=127.0.0.1",
                                    "--port=" + std::to_string(root_port),
@@ -60,16 +86,19 @@ pid_t SpawnAggregator(int root_port, const std::string& port_file,
                                    "--deadline_ms=60000",
                                    "--num_threads=2"};
   if (status_port) args.push_back("--status_port=0");
-  return SpawnProcess(FEDGTA_AGGREGATOR_BINARY, std::move(args));
+  return SpawnProcess(FEDGTA_AGGREGATOR_BINARY, std::move(args),
+                      ChildEnvironment(backend_env));
 }
 
-pid_t SpawnWorker(int agg_port, int max_train_requests = 0) {
+pid_t SpawnWorker(int agg_port, int max_train_requests,
+                  const char* backend_env) {
   return SpawnProcess(
       FEDGTA_WORKER_BINARY,
       {FEDGTA_WORKER_BINARY, "--host=127.0.0.1",
        "--port=" + std::to_string(agg_port), "--connect_attempts=60",
        "--deadline_ms=60000", "--num_threads=2",
-       "--max_train_requests=" + std::to_string(max_train_requests)});
+       "--max_train_requests=" + std::to_string(max_train_requests)},
+      ChildEnvironment(backend_env));
 }
 
 // "<worker_port>\n<agg_index>\n", published atomically once the
@@ -108,10 +137,12 @@ std::string QueryStatus(int port, const std::string& command) {
 /// Listens, forks the aggregator tier, runs the root in a thread, launches
 /// each shard's workers once its aggregator publishes a port file, and
 /// reaps the whole process tree. Shard 0's workers exit after serving
-/// `shard0_max_train_requests` train requests (0 = never).
+/// `shard0_max_train_requests` train requests (0 = never). Every child
+/// starts with FEDGTA_BACKEND=`child_backend_env` when that is non-null.
 HierarchicalOutcome RunHierarchical(const RemoteFedConfig& config,
                                     bool agg_status_ports = false,
-                                    int shard0_max_train_requests = 0) {
+                                    int shard0_max_train_requests = 0,
+                                    const char* child_backend_env = nullptr) {
   HierarchicalOutcome out;
   fed::RootCoordinator root(config);
   if (const Status status = root.Listen(0); !status.ok()) {
@@ -127,8 +158,8 @@ HierarchicalOutcome RunHierarchical(const RemoteFedConfig& config,
     port_files.push_back(dir + "/fedgta_hier_agg_" + std::to_string(getpid()) +
                          "_" + std::to_string(a) + ".port");
     std::remove(port_files.back().c_str());
-    pids.push_back(
-        SpawnAggregator(root.port(), port_files.back(), agg_status_ports));
+    pids.push_back(SpawnAggregator(root.port(), port_files.back(),
+                                   agg_status_ports, child_backend_env));
   }
 
   Result<SimulationResult> result = InternalError("root thread never ran");
@@ -153,7 +184,8 @@ HierarchicalOutcome RunHierarchical(const RemoteFedConfig& config,
       EXPECT_LT(agg_index, config.num_aggregators);
       for (int w = 0; w < topo.WorkerShard(agg_index).size(); ++w) {
         pids.push_back(SpawnWorker(
-            port, agg_index == 0 ? shard0_max_train_requests : 0));
+            port, agg_index == 0 ? shard0_max_train_requests : 0,
+            child_backend_env));
       }
       launched[f] = true;
       --remaining;
@@ -335,6 +367,24 @@ TEST(HierarchyTest, FedGtaOverTwoAggregatorsIsBitIdenticalToSimulation) {
   }
 }
 
+TEST(HierarchyTest, AggregatorsAndWorkersRunTheRootsBackend) {
+  // The root runs simd; every aggregator and worker starts under
+  // FEDGTA_BACKEND=reference and must still compute simd's floats: the
+  // root's ShardAssign names the backend, and each aggregator forwards it
+  // to its workers in AssignConfig.
+  linalg::ScopedBackend simd("simd");
+  const RemoteFedConfig config = BaseConfig();
+  const HierarchicalOutcome out = RunHierarchical(
+      config, /*agg_status_ports=*/false, /*shard0_max_train_requests=*/0,
+      "reference");
+  ASSERT_TRUE(out.result.ok()) << out.result.status();
+  for (int code : out.exit_codes) EXPECT_EQ(code, 0);
+  std::string diff;
+  EXPECT_TRUE(
+      fed::DeterministicEquals(*out.result, RunInProcess(config), &diff))
+      << diff;
+}
+
 TEST(HierarchyTest, FailureInjectionAndSamplingStayIdentical) {
   // Dropouts, stragglers, crashes, and partial participation crossing
   // shard boundaries: the shard partition of each round's sampled
@@ -501,6 +551,45 @@ TEST(HierarchyTest, ShardAssignDecoderRejectsHostileFields) {
   }
 }
 
+// The aggregator runs the root's backend: a name this build lacks fails
+// its handshake with InvalidArgument, and the root hears why, instead of
+// the shard running a backend of the aggregator's own choosing.
+TEST(HierarchyTest, AggregatorRefusesAnUnknownBackend) {
+  for (const std::string backend : {"cuda", ""}) {
+    SCOPED_TRACE(backend);
+    Result<net::ServerSocket> server = net::ServerSocket::Listen(0);
+    ASSERT_TRUE(server.ok()) << server.status();
+    fed::AggregatorOptions options;
+    options.port = server->port();
+    options.rpc.deadline_ms = 60000;
+    fed::RegionalAggregator aggregator(options);
+    Status status;
+    std::thread agg_thread([&] { status = aggregator.Run(); });
+    Status heard = InternalError("never connected");
+    Result<net::Socket> sock = server->Accept(60000);
+    EXPECT_TRUE(sock.ok()) << sock.status();
+    if (sock.ok()) {
+      net::HelloMsg hello;
+      EXPECT_TRUE(net::ExpectMessage(*sock, &hello).ok());
+      fed::ShardAssignBody assign;
+      assign.config = ToWireConfig(BaseConfig());
+      assign.config.backend = backend;
+      assign.shard_end = assign.config.num_clients;
+      const net::RoutedMsg envelope =
+          fed::MakeEnvelope(net::EnvelopeKind::kShardAssign, 0, assign);
+      EXPECT_TRUE(net::SendMessage(*sock, envelope).ok());
+      net::RoutedMsg reply;
+      heard = net::ExpectMessage(*sock, &reply);
+    }
+    agg_thread.join();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+    EXPECT_EQ(heard.code(), StatusCode::kFailedPrecondition) << heard;
+    EXPECT_NE(heard.ToString().find("unknown backend: " + backend + " (have:"),
+              std::string::npos)
+        << heard;
+  }
+}
+
 // A TrainShardDone whose moment rows (or any other per-participant list)
 // do not line up with rpc_ok is a decode error, so the root never indexes
 // past a short list.
@@ -589,7 +678,7 @@ TEST(HierarchyTest, GroupDeliverDecoderRejectsHostileFields) {
 // The root refuses an aggregator that speaks an older protocol, and the
 // aggregator hears why instead of a ShardAssign.
 TEST(HierarchyTest, OldAggregatorHelloIsRefusedWithTheVersionError) {
-  for (uint32_t version : {6u, 7u, 8u}) {
+  for (uint32_t version : {6u, 7u, 8u, 9u}) {
     SCOPED_TRACE(version);
     RemoteFedConfig config = BaseConfig();
     config.accept_timeout_ms = 10000;

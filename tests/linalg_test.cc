@@ -162,11 +162,10 @@ TEST(GemmTest, LargeParallelPathMatchesNaive) {
 
 // ---------------------------------------------------------------------------
 // The reference kernels are the bitwise oracle. These cases pin them to the
-// plain one-row-at-a-time ikj loop, and their baseline and AVX2 compilations
-// to each other, bit for bit.
+// plain one-row-at-a-time ikj loop, bit for bit.
 
-// The reference GEMM loop before it was compiled per ISA: one output row at
-// a time, B read in place through its strides.
+// The plain reference GEMM loop: one output row at a time, B read in place
+// through its strides.
 void PlainReferenceGemmRows(const linalg::GemmCall& call, int64_t row_begin,
                             int64_t row_end) {
   const int64_t n = call.n;
@@ -283,60 +282,6 @@ TEST(ReferenceKernelTest, GemmMatchesPlainLoopBitwise) {
       EXPECT_TRUE(BitwiseEqual(ops.Run(kernel, {1, 3, m}), want));
     }
   });
-}
-
-TEST(ReferenceKernelTest, GemmAvx2MatchesBaselineBitwise) {
-  if (!linalg::internal::ReferenceAvx2Supported()) {
-    GTEST_SKIP() << "host has no AVX2";
-  }
-  ForEachKernelCase([](KernelOperands& ops) {
-    const int64_t m = ops.call.m;
-    const std::vector<int64_t> splits =
-        m > 2 ? std::vector<int64_t>{1, 3, m} : std::vector<int64_t>{m};
-    EXPECT_TRUE(
-        BitwiseEqual(ops.Run(linalg::internal::ReferenceGemmRowsAvx2, splits),
-                     ops.Run(linalg::internal::ReferenceGemmRowsBaseline,
-                             splits)));
-  });
-}
-
-TEST(ReferenceKernelTest, SpmmAvx2MatchesBaselineBitwise) {
-  if (!linalg::internal::ReferenceAvx2Supported()) {
-    GTEST_SKIP() << "host has no AVX2";
-  }
-  Rng rng(31);
-  const int64_t rows = 50;
-  const int64_t inner = 70;
-  std::vector<int64_t> row_ptr{0};
-  std::vector<int32_t> col_idx;
-  std::vector<float> values;
-  for (int64_t r = 0; r < rows; ++r) {
-    const int64_t nnz = r % 7 == 0 ? 0 : rng.UniformInt(1, 12);
-    for (int64_t e = 0; e < nnz; ++e) {
-      col_idx.push_back(static_cast<int32_t>(rng.UniformInt(0, inner - 1)));
-      values.push_back(rng.Normal(0.0f, 1.0f));
-    }
-    row_ptr.push_back(static_cast<int64_t>(col_idx.size()));
-  }
-  for (const int64_t f : {3, 40, 64, 300}) {
-    std::vector<float> dense(static_cast<size_t>(inner * f));
-    for (float& v : dense) v = rng.Normal(0.0f, 1.0f);
-    linalg::SpmmCall call;
-    call.row_ptr = row_ptr.data();
-    call.col_idx = col_idx.data();
-    call.values = values.data();
-    call.dense = dense.data();
-    call.f = f;
-    // Non-zero garbage: kernels must overwrite their rows.
-    std::vector<float> base(static_cast<size_t>(rows * f), 7.0f);
-    std::vector<float> avx2 = base;
-    call.out = base.data();
-    linalg::internal::ReferenceSpmmRowsBaseline(call, 0, rows);
-    call.out = avx2.data();
-    linalg::internal::ReferenceSpmmRowsAvx2(call, 0, 20);
-    linalg::internal::ReferenceSpmmRowsAvx2(call, 20, rows);
-    EXPECT_TRUE(BitwiseEqual(avx2, base)) << "f=" << f;
-  }
 }
 
 TEST(OpsTest, AddRowBroadcast) {

@@ -28,6 +28,7 @@
 #include "fed/run_result.h"
 #include "fed/worker_fleet.h"
 #include "fed/simulation.h"
+#include "linalg/backend.h"
 #include "net/frame.h"
 #include "net/rpc.h"
 #include "net/socket.h"
@@ -38,10 +39,13 @@
 namespace fedgta {
 namespace {
 
+/// `backend_env`, when given, is the child's FEDGTA_BACKEND.
 pid_t SpawnWorker(int port, int max_train_requests = 0,
-                  const std::string& trace_out = "") {
+                  const std::string& trace_out = "",
+                  const char* backend_env = nullptr) {
   const pid_t pid = fork();
   if (pid == 0) {
+    if (backend_env != nullptr) setenv("FEDGTA_BACKEND", backend_env, 1);
     std::vector<std::string> args = {
         FEDGTA_WORKER_BINARY,
         "--host=127.0.0.1",
@@ -66,13 +70,15 @@ pid_t SpawnWorker(int port, int max_train_requests = 0,
 /// coordinator's dispatch threads start inside Run()).
 Result<SimulationResult> RunRemote(const RemoteFedConfig& config,
                                    int max_train_requests = 0,
-                                   std::vector<int>* exit_codes = nullptr) {
+                                   std::vector<int>* exit_codes = nullptr,
+                                   const char* worker_backend_env = nullptr) {
   RemoteCoordinator coordinator(config);
   FEDGTA_RETURN_IF_ERROR(coordinator.Listen(0));
   std::vector<pid_t> pids;
   pids.reserve(static_cast<size_t>(config.num_workers));
   for (int w = 0; w < config.num_workers; ++w) {
-    pids.push_back(SpawnWorker(coordinator.port(), max_train_requests));
+    pids.push_back(SpawnWorker(coordinator.port(), max_train_requests, "",
+                               worker_backend_env));
   }
   Result<SimulationResult> result = coordinator.Run();
   for (pid_t pid : pids) {
@@ -156,6 +162,22 @@ TEST(LoopbackTest, FedGtaOverFiveWorkersIsBitIdenticalToSimulation) {
   ExpectBitIdentical(*remote, local);
   // Sanity: the run actually learned something.
   EXPECT_GT(local.final_test_accuracy, 0.2);
+}
+
+TEST(LoopbackTest, WorkersRunTheServersBackendWhateverTheirEnvironment) {
+  // The server runs simd; every worker starts under FEDGTA_BACKEND=reference
+  // and must still compute simd's floats, because the Eq. 6 sets depend on
+  // the bits of every upload.
+  linalg::ScopedBackend simd("simd");
+  const RemoteFedConfig config = BaseConfig();
+  std::vector<int> exit_codes;
+  Result<SimulationResult> remote =
+      RunRemote(config, /*max_train_requests=*/0, &exit_codes, "reference");
+  ASSERT_TRUE(remote.ok()) << remote.status();
+  for (int code : exit_codes) EXPECT_EQ(code, 0);
+  std::string diff;
+  EXPECT_TRUE(fed::DeterministicEquals(*remote, RunInProcess(config), &diff))
+      << diff;
 }
 
 TEST(LoopbackTest, FailureInjectionMinibatchAndSamplingStayIdentical) {
@@ -681,9 +703,10 @@ TEST(WorkerProtocolTest, WorkerRefusesCodecIdsItDoesNotImplement) {
 }
 
 TEST(WorkerProtocolTest, WorkerRefusesHostileFedGtaFields) {
-  // Each of these would pass the handshake and then abort the worker at a
-  // FEDGTA_CHECK in label propagation or the moment kernel during its
-  // first FedGTA upload.
+  // Each FedGTA knob here would pass the handshake and then abort the
+  // worker at a FEDGTA_CHECK in label propagation or the moment kernel
+  // during its first FedGTA upload. A backend this build does not have
+  // must not leave the worker on a backend of its own choosing.
   struct Case {
     const char* name;
     std::function<void(net::WireFedConfig&)> edit;
@@ -711,6 +734,10 @@ TEST(WorkerProtocolTest, WorkerRefusesHostileFedGtaFields) {
          w.gta_feature_moment_dims = 0;
        },
        "gta_feature_moment_dims must be >= 1, got 0"},
+      {"backend cuda", [](net::WireFedConfig& w) { w.backend = "cuda"; },
+       "unknown backend: cuda"},
+      {"backend empty", [](net::WireFedConfig& w) { w.backend.clear(); },
+       "unknown backend:  (have:"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
@@ -855,9 +882,8 @@ TEST(WorkerProtocolTest, MisSizedUploadIsAnRpcErrorNotAnAbort) {
 }
 
 TEST(WorkerProtocolTest, V6HelloIsRefusedWithTheVersionError) {
-  // v6, and v7 and v8: layouts before routed-body changes, whose Hellos
-  // are byte-identical to today's.
-  for (uint32_t version : {6u, 7u, 8u}) {
+  // v6, and v7 to v9, whose Hellos are byte-identical to today's.
+  for (uint32_t version : {6u, 7u, 8u, 9u}) {
     SCOPED_TRACE(version);
     Result<net::ServerSocket> server = net::ServerSocket::Listen(0);
     ASSERT_TRUE(server.ok()) << server.status();

@@ -201,6 +201,7 @@ TEST(RpcTest, WireFedConfigRoundTrips) {
   in.async = true;
   in.staleness_tau = 3;
   in.staleness_decay = 0.625;
+  in.backend = "reference";
 
   serialize::Writer writer;
   in.Encode(&writer);
@@ -234,6 +235,7 @@ TEST(RpcTest, WireFedConfigRoundTrips) {
   EXPECT_EQ(out.async, in.async);
   EXPECT_EQ(out.staleness_tau, in.staleness_tau);
   EXPECT_EQ(out.staleness_decay, in.staleness_decay);
+  EXPECT_EQ(out.backend, in.backend);
 }
 
 TEST(RpcTest, ChannelEchoesARequestResponseExchange) {
@@ -572,8 +574,9 @@ TEST(RpcTest, V7MessageLayoutsArePinned) {
   // reuse marker followed by the weights only when the marker is clear.
   // Only Hello differs from v6: it lost the u32 codec capability mask
   // after t_send_us, because the server's codec assignment is binding. v8
-  // and v9 changed only routed root ↔ aggregator bodies, so here only the
-  // version number moved.
+  // and v9 changed only routed root ↔ aggregator bodies. v10 appended the
+  // server's kernel backend to the experiment config, which AssignConfig
+  // and ShardAssign both carry.
   auto bytes = [](const auto& msg) {
     serialize::Writer w;
     msg.Encode(&w);
@@ -583,7 +586,7 @@ TEST(RpcTest, V7MessageLayoutsArePinned) {
   hello.t_send_us = 777;
   hello.node_role = static_cast<uint32_t>(NodeRole::kAggregator);
   serialize::Writer hello_ref;
-  hello_ref.WriteU32(9u);
+  hello_ref.WriteU32(10u);
   hello_ref.WriteI64(777);
   hello_ref.WriteU32(1u);  // NodeRole::kAggregator
   EXPECT_EQ(bytes(hello), hello_ref.Encode());
@@ -604,6 +607,16 @@ TEST(RpcTest, V7MessageLayoutsArePinned) {
   assign_ref.WriteU32(2u);  // CodecId::kInt8
   assign_ref.WriteI32(16);
   EXPECT_EQ(bytes(assign), assign_ref.Encode());
+
+  // The config's last v9 field, then the backend name.
+  assign.config.staleness_decay = 0.625;
+  assign.config.backend = "reference";
+  serialize::Writer config;
+  assign.config.Encode(&config);
+  serialize::Writer config_tail;
+  config_tail.WriteDouble(0.625);
+  config_tail.WriteString("reference");
+  EXPECT_TRUE(config.payload().ends_with(config_tail.payload()));
 
   TrainRequestMsg train;
   train.round = 4;
