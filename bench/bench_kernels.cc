@@ -213,6 +213,41 @@ void ArxivClientSpmm(benchmark::internal::Benchmark* bench) {
 }
 BENCHMARK(BM_SpMM)->Apply(ArxivClientSpmm)->Unit(benchmark::kMicrosecond);
 
+// Local training's two element loops outside the backend, on one arxiv GCN
+// client's hidden activation (2,400 x 64): the dropout mask (one engine
+// word per element, at the default rate 0.3) and the ReLU backward on
+// random signs. Neither loop branches on the data, so running in place on
+// the values the previous iteration left is representative.
+void BM_DropoutForward(benchmark::State& state) {
+  Rng rng(5);
+  Matrix h(2400, 64);
+  h.GaussianInit(rng, 1.0f);
+  Matrix mask;
+  for (auto _ : state) {
+    DropoutForward(0.3f, rng, &h, &mask);
+    benchmark::DoNotOptimize(h.data());
+    benchmark::DoNotOptimize(mask.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * h.size());
+}
+BENCHMARK(BM_DropoutForward)->Unit(benchmark::kMicrosecond);
+
+void BM_ReluBackward(benchmark::State& state) {
+  Rng rng(6);
+  Matrix pre(2400, 64);
+  Matrix grad(2400, 64);
+  pre.GaussianInit(rng, 1.0f);
+  grad.GaussianInit(rng, 1.0f);
+  for (auto _ : state) {
+    ReluBackwardInPlace(pre, &grad);
+    benchmark::DoNotOptimize(grad.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * grad.size());
+}
+BENCHMARK(BM_ReluBackward)->Unit(benchmark::kMicrosecond);
+
 void BM_LabelPropagation(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   LabeledGraph lg = MakeGraph(n, 4);

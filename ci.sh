@@ -25,10 +25,11 @@ TSAN_BUILD_DIR=${TSAN_BUILD_DIR:-build-tsan}
 JOBS=${JOBS:-$(nproc)}
 
 # _GLIBCXX_ASSERTIONS adds libstdc++'s precondition checks (bounds of
-# operator[], std::clamp's lo <= hi, ...) to the sanitizer stage.
+# operator[], std::clamp's lo <= hi, ...) to the sanitizer stage. Both
+# sanitizer builds treat a compiler warning (-Wall -Wextra) as an error.
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS \
+  "-DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS -Werror" \
   -DFEDGTA_SANITIZE=ON
 cmake --build "$BUILD_DIR" -j"$JOBS"
 
@@ -94,6 +95,7 @@ done
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   cmake -B "$TSAN_BUILD_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS=-Werror \
     -DFEDGTA_SANITIZE=thread
   cmake --build "$TSAN_BUILD_DIR" -j"$JOBS"
 

@@ -1,7 +1,8 @@
-// Command-line experiment runner: the whole library behind flags.
+// Command-line experiment runner: the whole library behind flags. For
+// example (one command line, wrapped here):
 //
-//   run_experiment --dataset=cora --model=gamlp --strategy=fedgta \
-//       --clients=10 --split=louvain --rounds=50 --repeats=3 \
+//   run_experiment --dataset=cora --model=gamlp --strategy=fedgta
+//       --clients=10 --split=louvain --rounds=50 --repeats=3
 //       --backend=simd --csv=/tmp/curve.csv
 //
 // Run with --help for the full flag list. Flag parsing and validation are

@@ -2,6 +2,7 @@
 #define FEDGTA_COMMON_RANDOM_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -11,6 +12,48 @@
 #include "common/status.h"
 
 namespace fedgta {
+
+/// MT19937-64 with std::mt19937_64's exact output stream and seeding, plus
+/// a block Fill. It satisfies UniformRandomBitGenerator, so the std
+/// distributions and std::shuffle draw from it exactly as they would from
+/// std::mt19937_64 in the same state. Rng reads and writes its state in
+/// libstdc++'s textual form of std::mt19937_64 (DESIGN.md §5d, "Random
+/// streams").
+class Mt19937_64 {
+ public:
+  using result_type = uint64_t;
+  static constexpr size_t kStateSize = 312;
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit Mt19937_64(uint64_t seed);
+
+  result_type operator()() {
+    if (pos_ >= kStateSize) Twist();
+    return Temper(state_[pos_++]);
+  }
+
+  /// Writes the next `n` outputs to `out`: the words `n` calls of
+  /// operator() would return, in order, leaving the same state behind.
+  void Fill(uint64_t* out, size_t n);
+
+ private:
+  friend class Rng;
+
+  static uint64_t Temper(uint64_t z) {
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    z ^= z >> 43;
+    return z;
+  }
+  /// Regenerates all kStateSize words and rewinds pos_ to 0.
+  void Twist();
+
+  uint64_t state_[kStateSize] = {};
+  size_t pos_ = kStateSize;  // next word to temper; kStateSize: twist first
+};
 
 /// Deterministic random number generator used throughout the library.
 /// All stochastic components take an explicit Rng (or seed) so experiments
@@ -66,14 +109,15 @@ class Rng {
   /// Serializes the full engine state (std::mt19937_64 textual form) so a
   /// checkpointed stream resumes exactly where it left off.
   std::string SaveState() const;
-  /// Restores a state produced by SaveState. Malformed input is an error
+  /// Restores a state produced by SaveState. Malformed input (unparsable,
+  /// fewer than 313 numbers, or a position above 312) is an InvalidArgument
   /// Status and leaves the engine untouched.
   Status LoadState(const std::string& state);
 
-  std::mt19937_64& engine() { return engine_; }
+  Mt19937_64& engine() { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 }  // namespace fedgta

@@ -10,11 +10,13 @@ namespace fed {
 
 /// The three process kinds of a FedGTA federation (DESIGN.md §5k):
 ///
-///                        root  (fedgta_server)
-///                       /    \
-///             aggregator 0    aggregator 1      (fedgta_aggregator)
-///              /   \            /    \
-///         worker  worker    worker  worker      (fedgta_worker)
+///   root (fedgta_server)
+///    +-- aggregator 0 (fedgta_aggregator)
+///    |    +-- worker (fedgta_worker)
+///    |    +-- worker
+///    +-- aggregator 1
+///         +-- worker
+///         +-- worker
 ///
 /// The flat deployment is the degenerate topology with zero
 /// aggregators: the root speaks the worker protocol directly. With

@@ -36,10 +36,12 @@ Matrix GcnModel::Forward(bool training) {
   pre_activations_.assign(static_cast<size_t>(hidden_count), Matrix());
   dropout_masks_.assign(static_cast<size_t>(hidden_count), Matrix());
 
-  Matrix h = *features_;
+  // Each layer reads `input` (the features, then the previous layer's
+  // post-dropout activation, kept in hidden_) and hands Ã H to its Linear.
+  const Matrix* input = features_;
+  Matrix h;
   for (int l = 0; l < num_layers_; ++l) {
-    Matrix propagated = adj * h;  // Ã H
-    h = layers_[static_cast<size_t>(l)].Forward(propagated);
+    h = layers_[static_cast<size_t>(l)].Forward(adj * *input);  // Ã H W
     if (l < hidden_count) {
       pre_activations_[static_cast<size_t>(l)] = h;
       ReluInPlace(&h);
@@ -47,7 +49,8 @@ Matrix GcnModel::Forward(bool training) {
         DropoutForward(dropout_, dropout_rng_, &h,
                        &dropout_masks_[static_cast<size_t>(l)]);
       }
-      if (l == hidden_count - 1) hidden_ = h;
+      hidden_ = std::move(h);
+      input = &hidden_;
     }
   }
   if (hidden_count == 0) hidden_ = *features_;

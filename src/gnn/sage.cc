@@ -42,11 +42,14 @@ Matrix SageModel::Forward(bool training) {
   pre_activations_.assign(static_cast<size_t>(hidden_count), Matrix());
   dropout_masks_.assign(static_cast<size_t>(hidden_count), Matrix());
 
-  Matrix h = *features_;
+  // The self layers keep their inputs, so the last one holds Hidden().
+  Matrix h;
   for (int l = 0; l < num_layers_; ++l) {
-    Matrix aggregated = mean * h;
-    Matrix z = self_layers_[static_cast<size_t>(l)].Forward(h);
-    z += nbr_layers_[static_cast<size_t>(l)].Forward(aggregated);
+    Matrix aggregated = mean * (l == 0 ? *features_ : h);
+    Matrix z = l == 0 ? self_layers_[0].Forward(*features_)
+                      : self_layers_[static_cast<size_t>(l)].Forward(
+                            std::move(h));
+    z += nbr_layers_[static_cast<size_t>(l)].Forward(std::move(aggregated));
     h = std::move(z);
     if (l < hidden_count) {
       pre_activations_[static_cast<size_t>(l)] = h;
@@ -55,10 +58,8 @@ Matrix SageModel::Forward(bool training) {
         DropoutForward(dropout_, dropout_rng_, &h,
                        &dropout_masks_[static_cast<size_t>(l)]);
       }
-      if (l == hidden_count - 1) hidden_ = h;
     }
   }
-  if (hidden_count == 0) hidden_ = *features_;
   return h;
 }
 

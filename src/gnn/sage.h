@@ -18,7 +18,7 @@ class SageModel : public GnnModel {
   void Backward(const Matrix& dlogits, const Matrix* dhidden) override;
   std::vector<ParamRef> Params() override;
   void ZeroGrad() override;
-  const Matrix& Hidden() const override { return hidden_; }
+  const Matrix& Hidden() const override { return self_layers_.back().input(); }
   std::string_view name() const override { return "sage"; }
   Rng* MutableDropoutRng() override { return &dropout_rng_; }
 
@@ -49,7 +49,6 @@ class SageModel : public GnnModel {
 
   std::vector<Matrix> pre_activations_;
   std::vector<Matrix> dropout_masks_;
-  Matrix hidden_;
   bool last_training_ = false;
 };
 

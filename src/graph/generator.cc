@@ -158,7 +158,6 @@ LabeledGraph GeneratePlantedPartition(const SbmConfig& config, Rng& rng) {
   // communities with a biased (few-class) label mixture even when the
   // per-edge homophily is low.
   const int district_size = std::max(1, config.district_regions);
-  const int num_districts = (num_regions + district_size - 1) / district_size;
   std::vector<int> district_of_region(static_cast<size_t>(num_regions));
   {
     std::vector<int> order(static_cast<size_t>(num_regions));

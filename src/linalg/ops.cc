@@ -1,6 +1,7 @@
 #include "linalg/ops.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/thread_pool.h"
@@ -155,10 +156,34 @@ void ReluBackwardInPlace(const Matrix& pre_activation, Matrix* grad) {
   const float* pre = pre_activation.data();
   float* g = grad->data();
   const int64_t size = grad->size();
-  for (int64_t i = 0; i < size; ++i) {
-    if (pre[i] <= 0.0f) g[i] = 0.0f;
-  }
+  // A select, not a branch on the (random) sign; a NaN pre keeps g.
+  for (int64_t i = 0; i < size; ++i) g[i] = pre[i] <= 0.0f ? 0.0f : g[i];
 }
+
+namespace {
+
+// std::bernoulli_distribution(rate) on a 64-bit engine (libstdc++) is true
+// exactly when double(u) / 2^64 < rate for the drawn word u: its
+// generate_canonical<double, 53> takes one word and divides by 2^64, and a
+// quotient that rounds to 1 is never below a rate < 1. The uint64 -> double
+// rounding is monotone, so that holds exactly for u below the least u with
+// double(u) >= rate * 2^64, found here by bisection.
+uint64_t DropThreshold(float rate) {
+  const double bound = std::ldexp(static_cast<double>(rate), 64);
+  uint64_t lo = 0;
+  uint64_t hi = ~uint64_t{0};  // double(hi) == 2^64 > bound
+  while (lo < hi) {
+    const uint64_t mid = lo + (hi - lo) / 2;
+    if (static_cast<double>(mid) >= bound) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+}  // namespace
 
 void DropoutForward(float rate, Rng& rng, Matrix* m, Matrix* mask) {
   FEDGTA_CHECK(m != nullptr && mask != nullptr);
@@ -172,16 +197,28 @@ void DropoutForward(float rate, Rng& rng, Matrix* m, Matrix* mask) {
     return;
   }
   const float keep_scale = 1.0f / (1.0f - rate);
+  const uint32_t keep_bits = std::bit_cast<uint32_t>(keep_scale);
+  const uint64_t drop_below = DropThreshold(rate);
   float* data = m->data();
   float* mk = mask->data();
   const int64_t size = m->size();
-  for (int64_t i = 0; i < size; ++i) {
-    if (rng.Bernoulli(rate)) {
-      mk[i] = 0.0f;
-      data[i] = 0.0f;
-    } else {
-      mk[i] = keep_scale;
-      data[i] *= keep_scale;
+  // One engine word per element, drawn in blocks: the same words, masks and
+  // final engine state as one rng.Bernoulli(rate) per element.
+  constexpr int64_t kBlock = 512;
+  uint64_t words[kBlock];
+  for (int64_t begin = 0; begin < size; begin += kBlock) {
+    const int64_t len = std::min(kBlock, size - begin);
+    rng.engine().Fill(words, static_cast<size_t>(len));
+    float* d = data + begin;
+    float* k = mk + begin;
+    // Selects through an all-ones/all-zeros bit mask: a dropped element is
+    // +0, as before, and the compiler cannot turn the select into a branch
+    // on the (random) draw.
+    for (int64_t i = 0; i < len; ++i) {
+      const uint32_t keep = 0u - static_cast<uint32_t>(words[i] >= drop_below);
+      k[i] = std::bit_cast<float>(keep_bits & keep);
+      d[i] = std::bit_cast<float>(std::bit_cast<uint32_t>(d[i] * keep_scale) &
+                                  keep);
     }
   }
 }

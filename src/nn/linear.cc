@@ -10,10 +10,10 @@ Linear::Linear(int64_t in_dim, int64_t out_dim, Rng& rng)
   w_.GlorotInit(rng);
 }
 
-Matrix Linear::Forward(const Matrix& x) {
+Matrix Linear::Forward(Matrix x) {
   FEDGTA_CHECK_EQ(x.cols(), w_.rows());
-  cached_input_ = x;
-  Matrix y = MatMul(x, w_);
+  cached_input_ = std::move(x);
+  Matrix y = MatMul(cached_input_, w_);
   AddRowBroadcast(b_, &y);
   return y;
 }

@@ -15,8 +15,9 @@ class Linear {
   /// Glorot-initialized weights, zero bias.
   Linear(int64_t in_dim, int64_t out_dim, Rng& rng);
 
-  /// Y = X W + b. X is n x in_dim.
-  Matrix Forward(const Matrix& x);
+  /// Y = X W + b. X is n x in_dim. The layer keeps X for Backward: pass an
+  /// rvalue to hand it over without a copy.
+  Matrix Forward(Matrix x);
 
   /// Accumulates dW += X^T dY, db += column-sums(dY); returns dX = dY W^T.
   /// Must follow a Forward call with matching shapes.
@@ -33,6 +34,8 @@ class Linear {
 
   const Matrix& weight() const { return w_; }
   const Matrix& bias() const { return b_; }
+  /// The X of the last Forward.
+  const Matrix& input() const { return cached_input_; }
 
  private:
   Matrix w_;   // in x out

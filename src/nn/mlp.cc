@@ -22,18 +22,18 @@ Matrix Mlp::Forward(const Matrix& x, bool training) {
   pre_activations_.assign(static_cast<size_t>(hidden_count), Matrix());
   dropout_masks_.assign(static_cast<size_t>(hidden_count), Matrix());
 
-  Matrix h = x;
+  // Each layer keeps its input, so the last one holds Hidden().
+  Matrix h = layers_[0].Forward(x);
   for (int l = 0; l < hidden_count; ++l) {
-    h = layers_[static_cast<size_t>(l)].Forward(h);
     pre_activations_[static_cast<size_t>(l)] = h;  // cache pre-ReLU
     ReluInPlace(&h);
     if (training && config_.dropout > 0.0f) {
       DropoutForward(config_.dropout, dropout_rng_, &h,
                      &dropout_masks_[static_cast<size_t>(l)]);
     }
+    h = layers_[static_cast<size_t>(l + 1)].Forward(std::move(h));
   }
-  hidden_ = h;  // representation entering the final layer
-  return layers_.back().Forward(h);
+  return h;
 }
 
 Matrix Mlp::Backward(const Matrix& dlogits, const Matrix* dhidden,

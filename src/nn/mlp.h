@@ -43,7 +43,7 @@ class Mlp {
 
   /// Last hidden activation from the most recent Forward. For a 1-layer MLP
   /// this is the input itself.
-  const Matrix& Hidden() const { return hidden_; }
+  const Matrix& Hidden() const { return layers_.back().input(); }
 
   const MlpConfig& config() const { return config_; }
 
@@ -58,7 +58,6 @@ class Mlp {
   // Per-hidden-layer caches from the last Forward.
   std::vector<Matrix> pre_activations_;
   std::vector<Matrix> dropout_masks_;
-  Matrix hidden_;
   bool last_training_ = false;
 };
 

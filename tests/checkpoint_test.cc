@@ -140,8 +140,23 @@ TEST(RngStateTest, SavedStreamContinuesIdentically) {
 
 TEST(RngStateTest, MalformedStateIsInvalidArgument) {
   Rng rng(1);
-  EXPECT_EQ(rng.LoadState("not a generator state").code(),
-            StatusCode::kInvalidArgument);
+  for (int i = 0; i < 5; ++i) rng.Uniform();
+  const std::string before = rng.SaveState();
+  // The text is 312 state words and then the position, space-separated.
+  const std::string words = before.substr(0, before.rfind(' ') + 1);
+  const std::string short_list =
+      words.substr(0, words.rfind(' ', words.size() - 2) + 1) + "5";
+  for (const std::string& bad :
+       {std::string("not a generator state"), std::string(), words,
+        words + "313", words + "18446744073709551615", words + "-1",
+        short_list}) {
+    EXPECT_EQ(rng.LoadState(bad).code(), StatusCode::kInvalidArgument)
+        << bad.substr(bad.size() > 40 ? bad.size() - 40 : 0);
+    EXPECT_EQ(rng.SaveState(), before) << "a refused state changed the engine";
+  }
+  // The bounds of the valid range load.
+  EXPECT_TRUE(Rng(2).LoadState(words + "0").ok());
+  EXPECT_TRUE(Rng(2).LoadState(words + "312").ok());
 }
 
 // Steps an optimizer on a small parameter set, checkpoints it, and verifies

@@ -1,6 +1,12 @@
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cctype>
+#include <numeric>
+#include <random>
 #include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -148,6 +154,84 @@ TEST(RngTest, ForkProducesIndependentStream) {
     }
   }
   EXPECT_TRUE(any_different);
+}
+
+std::string StdEngineText(const std::mt19937_64& engine) {
+  std::ostringstream os;
+  os << engine;
+  return os.str();
+}
+
+// Mt19937_64 replaces std::mt19937_64: single draws and Fill blocks of
+// every length up to 1,000 (crossing the 312-word twist in all phases)
+// return the std engine's words, and the state text matches at every
+// position.
+TEST(Mt19937Test, DrawsAndFillMatchStdEngine) {
+  std::vector<size_t> lengths{0, 1, 2, 311, 312, 313, 623, 624, 625, 1000};
+  for (size_t len = 3; len <= 1000; len += 37) lengths.push_back(len);
+  for (uint64_t seed : {uint64_t{0}, uint64_t{1}, uint64_t{5489},
+                        uint64_t{0x9e3779b97f4a7c15}, ~uint64_t{0}}) {
+    Rng rng(seed);
+    std::mt19937_64 ref(seed);
+    std::vector<uint64_t> block;
+    for (size_t step = 0; step < lengths.size(); ++step) {
+      for (size_t i = 0; i < step % 3; ++i) ASSERT_EQ(rng.engine()(), ref());
+      const size_t len = lengths[step];
+      block.assign(len + 1, 0);
+      rng.engine().Fill(block.data(), len);
+      for (size_t i = 0; i < len; ++i) {
+        ASSERT_EQ(block[i], ref()) << "seed " << seed << " len " << len
+                                   << " word " << i;
+      }
+      EXPECT_EQ(block[len], 0u) << "Fill wrote past its length";
+      ASSERT_EQ(rng.SaveState(), StdEngineText(ref));
+    }
+  }
+}
+
+TEST(Mt19937Test, StateTextMatchesStdEngineAtEveryPosition) {
+  Rng rng(2024);
+  std::mt19937_64 ref(2024);
+  ASSERT_EQ(rng.SaveState(), StdEngineText(ref));
+  for (size_t i = 0; i < 2 * Mt19937_64::kStateSize + 3; ++i) {
+    ASSERT_EQ(rng.engine()(), ref());
+    ASSERT_EQ(rng.SaveState(), StdEngineText(ref)) << "after draw " << i;
+  }
+  // A std engine's text loads, and both continue identically from it,
+  // including position 0, which no draw leaves behind.
+  std::string text = StdEngineText(ref);
+  text = text.substr(0, text.rfind(' ') + 1) + "0";
+  std::istringstream(text) >> ref;
+  Rng loaded(1);
+  ASSERT_TRUE(loaded.LoadState(text).ok());
+  for (int i = 0; i < 1000; ++i) ASSERT_EQ(loaded.engine()(), ref());
+}
+
+TEST(Mt19937Test, DistributionsAndShuffleMatchStdEngine) {
+  for (uint64_t seed : {uint64_t{3}, uint64_t{77}, uint64_t{1} << 40}) {
+    Rng rng(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < 500; ++i) {
+      EXPECT_EQ(std::bit_cast<uint32_t>(rng.Uniform(-2.0f, 3.0f)),
+                std::bit_cast<uint32_t>(
+                    std::uniform_real_distribution<float>(-2.0f, 3.0f)(ref)));
+      EXPECT_EQ(std::bit_cast<uint32_t>(rng.Normal(1.0f, 2.0f)),
+                std::bit_cast<uint32_t>(
+                    std::normal_distribution<float>(1.0f, 2.0f)(ref)));
+      EXPECT_EQ(rng.UniformInt(-i, 1000 * i),
+                std::uniform_int_distribution<int64_t>(-i, 1000 * i)(ref));
+      EXPECT_EQ(rng.Bernoulli(0.3), std::bernoulli_distribution(0.3)(ref));
+    }
+    for (size_t n : {size_t{2}, size_t{17}, size_t{1000}, size_t{70000}}) {
+      std::vector<int> a(n);
+      std::iota(a.begin(), a.end(), 0);
+      std::vector<int> b = a;
+      rng.Shuffle(a);
+      std::shuffle(b.begin(), b.end(), ref);
+      EXPECT_EQ(a, b);
+    }
+    EXPECT_EQ(rng.SaveState(), StdEngineText(ref));
+  }
 }
 
 TEST(ThreadPoolTest, RunsAllTasks) {

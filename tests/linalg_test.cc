@@ -1,6 +1,10 @@
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <random>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -356,6 +360,140 @@ TEST(OpsTest, ReluForwardAndBackward) {
   EXPECT_FLOAT_EQ(grad(0, 0), 0.0f);
   EXPECT_FLOAT_EQ(grad(0, 1), 1.0f);
   EXPECT_FLOAT_EQ(grad(0, 2), 0.0f);  // gradient 0 at exactly 0
+}
+
+// The branchy loop ReluBackwardInPlace replaced.
+TEST(OpsTest, ReluBackwardMatchesBranchyLoopOnSignedZerosAndNaN) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> pres{nan,  -nan, 0.0f, -0.0f, -1.0f, 1.0f,
+                                -inf, inf,  1e-45f, -1e-45f};
+  const std::vector<float> grads{2.5f, -0.0f, nan, -3.0f, inf};
+  Matrix pre(static_cast<int64_t>(pres.size()),
+             static_cast<int64_t>(grads.size()));
+  Matrix grad(pre.rows(), pre.cols());
+  for (int64_t r = 0; r < pre.rows(); ++r) {
+    for (int64_t c = 0; c < pre.cols(); ++c) {
+      pre(r, c) = pres[static_cast<size_t>(r)];
+      grad(r, c) = grads[static_cast<size_t>(c)];
+    }
+  }
+  Matrix expected = grad;
+  for (int64_t i = 0; i < expected.size(); ++i) {
+    if (pre.data()[i] <= 0.0f) expected.data()[i] = 0.0f;
+  }
+  ReluBackwardInPlace(pre, &grad);
+  for (int64_t i = 0; i < grad.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint32_t>(grad.data()[i]),
+              std::bit_cast<uint32_t>(expected.data()[i]))
+        << "pre " << pre.data()[i] << " grad " << expected.data()[i];
+  }
+  // A NaN pre-activation keeps its gradient.
+  EXPECT_EQ(grad(0, 0), 2.5f);
+  EXPECT_EQ(grad(1, 0), 2.5f);
+}
+
+// DropoutForward's element loop before it drew its words in blocks: one
+// std::bernoulli_distribution(rate) per element on the std engine.
+void ReferenceDropout(float rate, std::mt19937_64& engine, Matrix* m,
+                      Matrix* mask) {
+  *mask = Matrix(m->rows(), m->cols());
+  const float keep_scale = 1.0f / (1.0f - rate);
+  for (int64_t i = 0; i < m->size(); ++i) {
+    if (std::bernoulli_distribution(rate)(engine)) {
+      mask->data()[i] = 0.0f;
+      m->data()[i] = 0.0f;
+    } else {
+      mask->data()[i] = keep_scale;
+      m->data()[i] *= keep_scale;
+    }
+  }
+}
+
+void ExpectBitwiseEqual(const Matrix& a, const Matrix& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  if (a.size() == 0) return;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                        static_cast<size_t>(a.size()) * sizeof(float)),
+            0);
+}
+
+std::string EngineText(const std::mt19937_64& engine) {
+  std::ostringstream os;
+  os << engine;
+  return os.str();
+}
+
+TEST(OpsTest, DropoutForwardMatchesPerElementBernoulliBitwise) {
+  const std::vector<std::pair<int64_t, int64_t>> shapes{
+      {0, 64}, {1, 1}, {1, 511}, {1, 512}, {1, 513}, {100, 100}};
+  for (float rate : {1e-7f, 0.3f, 0.5f, 0.9f}) {
+    for (const auto& [rows, cols] : shapes) {
+      SCOPED_TRACE(testing::Message() << "rate " << rate << " shape " << rows
+                                      << "x" << cols);
+      Rng rng(17);
+      std::mt19937_64 ref(17);
+      // Start mid-block so the draws cross the engine's 312-word twist.
+      for (int i = 0; i < 200; ++i) ASSERT_EQ(rng.engine()(), ref());
+      Rng init(3);
+      Matrix m = RandomMatrix(rows, cols, init);
+      Matrix expected = m;
+      Matrix mask;
+      Matrix expected_mask;
+      DropoutForward(rate, rng, &m, &mask);
+      ReferenceDropout(rate, ref, &expected, &expected_mask);
+      ExpectBitwiseEqual(m, expected);
+      ExpectBitwiseEqual(mask, expected_mask);
+      EXPECT_EQ(rng.SaveState(), EngineText(ref));
+    }
+  }
+}
+
+// Inverse of MT19937-64's output tempering, so a test can choose the words
+// the engine will return next.
+uint64_t Untemper(uint64_t y) {
+  y ^= y >> 43;
+  y ^= (y << 37) & 0xfff7eee000000000ULL;
+  uint64_t x = y;
+  for (int i = 0; i < 4; ++i) x = y ^ ((x << 17) & 0x71d67fffeda60000ULL);
+  y = x;
+  for (int i = 0; i < 3; ++i) x = y ^ ((x >> 29) & 0x5555555555555555ULL);
+  return x;
+}
+
+// The drop test's threshold on the raw word: every word within 1,100 of
+// rate * 2^64 (more than half a double ulp at 2^63, where uint64 -> double
+// rounding decides) drops exactly when std::bernoulli_distribution says so.
+TEST(OpsTest, DropoutThresholdMatchesBernoulliAtTheRoundingBoundary) {
+  for (float rate : {1e-7f, 0.3f, 0.5f, 0.7f, 0.9f}) {
+    const uint64_t center = static_cast<uint64_t>(
+        std::ldexp(static_cast<double>(rate), 64));
+    for (int64_t start = -1100; start < 1100;
+         start += static_cast<int64_t>(Mt19937_64::kStateSize)) {
+      std::ostringstream text;
+      for (size_t i = 0; i < Mt19937_64::kStateSize; ++i) {
+        const uint64_t word =
+            center + static_cast<uint64_t>(start + static_cast<int64_t>(i));
+        text << Untemper(word) << ' ';
+      }
+      text << 0;
+      Rng rng(1);
+      ASSERT_TRUE(rng.LoadState(text.str()).ok());
+      std::mt19937_64 ref;
+      std::istringstream(text.str()) >> ref;
+      ASSERT_EQ(ref(), center + static_cast<uint64_t>(start));
+      std::istringstream(text.str()) >> ref;
+      Matrix m(1, static_cast<int64_t>(Mt19937_64::kStateSize), 1.0f);
+      Matrix expected = m;
+      Matrix mask;
+      Matrix expected_mask;
+      DropoutForward(rate, rng, &m, &mask);
+      ReferenceDropout(rate, ref, &expected, &expected_mask);
+      ExpectBitwiseEqual(mask, expected_mask);
+      ExpectBitwiseEqual(m, expected);
+    }
+  }
 }
 
 TEST(OpsTest, DropoutStatisticsAndMask) {
